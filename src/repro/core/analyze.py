@@ -199,9 +199,6 @@ def session_diagnostics(
             out.append(make("RPR-E001"))
         if refresh_interval is not None:
             out.append(make("RPR-E002"))
-    if (not exact and window is None and engine != "row"
-            and (shards is not None or engine == "vector")):
-        out.append(make("RPR-W002"))
     return out
 
 

@@ -64,9 +64,8 @@ class HardwareError(Exception):
 
 class SessionError(Exception):
     """Base class for telemetry-session misuse: operations that the
-    session's configuration cannot honour (e.g. a mid-stream result
-    snapshot on the deferred one-shot vector store, which needs the
-    whole stream before it can execute its schedule)."""
+    session's state cannot honour (e.g. any call on a session poisoned
+    by a failed ingest)."""
 
 
 class SessionClosedError(SessionError):

@@ -5,8 +5,10 @@
 (the vector engine behind the Fig. 5/6 sweeps);
 :mod:`.backing` — DRAM store with merge / value-list semantics;
 :mod:`.split` — the combined engine for one ``GROUPBY`` stage (Fig. 3);
-:mod:`.vector_store` — the schedule-driven batch counterpart of
-:mod:`.split` (bit-identical, array-native).
+:mod:`.vector_store` — the per-epoch fold kernel of the schedule-driven
+batch counterpart of :mod:`.split` (bit-identical, array-native);
+:mod:`.windowed_store` — that counterpart itself, executing window by
+window with carried state (one window when unbounded).
 """
 
 from .backing import BackingStore, KeyEntry
@@ -29,6 +31,7 @@ from .vector_cache import (
     window_validity_vector,
 )
 from .vector_store import VectorSplitStore
+from .windowed_store import WindowedVectorStore
 
 __all__ = [
     "BackingStore",
@@ -43,6 +46,7 @@ __all__ = [
     "SplitKeyValueStore",
     "VectorCacheSim",
     "VectorSplitStore",
+    "WindowedVectorStore",
     "mix_key",
     "mix_key_array",
     "simulate_eviction_count",

@@ -45,7 +45,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.errors import HardwareError, SessionError
+from repro.core.errors import HardwareError
 from repro.core.eval_expr import Numeric
 from repro.core.interpreter import ResultTable
 from repro.core.plan import GroupByStage
@@ -62,7 +62,6 @@ from .backing import BackingStore, KeyEntry
 from .cache import CacheGeometry, CacheStats
 from .split import build_result_table
 from .vector_cache import mix_key_array
-from .vector_store import VectorSplitStore
 from .windowed_store import StoreSnapshot, WindowedVectorStore
 
 _U = np.uint64
@@ -94,18 +93,15 @@ class _StoreShardRole:
     def __init__(self, specs: list[tuple], window: int | None):
         self._specs = specs
         self._window = window
-        self._stores: dict[int, VectorSplitStore] = {}
+        self._stores: dict[int, WindowedVectorStore] = {}
         self._firsts: dict[int, dict[tuple, int]] = {}
 
-    def _store(self, idx: int) -> VectorSplitStore:
+    def _store(self, idx: int) -> WindowedVectorStore:
         store = self._stores.get(idx)
         if store is None:
             stage, geometry, config = self._specs[idx]
-            if self._window is not None:
-                store = WindowedVectorStore(stage, geometry,
-                                            window=self._window, **config)
-            else:
-                store = VectorSplitStore(stage, geometry, **config)
+            store = WindowedVectorStore(stage, geometry,
+                                        window=self._window, **config)
             self._stores[idx] = store
             self._firsts[idx] = {}
         return store
@@ -123,9 +119,9 @@ class _StoreShardRole:
             return replace(store.stats)
         if op == "finalize":
             store.finalize()
-            return self._final_payload(idx, store)
+            return self._payload(idx, store)
         if op == "snapshot":
-            return self._snapshot_payload(idx, store)
+            return self._payload(idx, store)
         raise ShardError(f"unknown shard store op {op!r}")
 
     # -- durable checkpoints (pool-internal __checkpoint__/__restore__) ------
@@ -169,39 +165,10 @@ class _StoreShardRole:
 
     # -- payloads (shipped back over the pipe, pickled) ----------------------
 
-    def _final_payload(self, idx: int, store: VectorSplitStore) -> dict:
-        firsts = self._firsts[idx]
-        stats = replace(store._stats)
-        if isinstance(store, WindowedVectorStore):
-            nk = store._nkeys
-            if nk == 0:
-                return {"mode": "empty", "stats": stats, "writes": 0}
-            keys_list = store._keys_list
-            if store._bulk_mode:
-                return self._bulk_payload(
-                    stats, store._all_keys[:nk].copy(), keys_list, firsts,
-                    store._bulk_states(), store._epochs[:nk].copy(),
-                    store._writes)
-            return self._general_payload(stats, keys_list, firsts,
-                                         store._backing)
-        if store._bulk is not None and store._backing is None:
-            merged, epoch_counts = store._bulk
-            keys2d = np.column_stack(store._unique_key_cols)
-            return self._bulk_payload(stats, keys2d, store._keys_in_order,
-                                      firsts, merged, epoch_counts,
-                                      store._writes)
-        if store._backing is not None:
-            return self._general_payload(stats, store._keys_in_order,
-                                         firsts, store._backing)
-        return {"mode": "empty", "stats": stats, "writes": 0}
-
-    def _snapshot_payload(self, idx: int, store: VectorSplitStore) -> dict:
-        if not isinstance(store, WindowedVectorStore):
-            raise ShardError(
-                "mid-stream snapshots need the windowed store "
-                "(open the session with a window=)")
-        if store._finalized:
-            return self._final_payload(idx, store)
+    def _payload(self, idx: int, store: WindowedVectorStore) -> dict:
+        """The store's observables as if its stream ended now: buffered
+        input runs first, and open epochs are absorbed into copies (a
+        finalized store has none left, so its payload is final)."""
         store._drain()
         firsts = self._firsts[idx]
         stats = replace(store._stats)
@@ -211,10 +178,12 @@ class _StoreShardRole:
         if store._bulk_mode:
             merged, epochs, writes = store._snapshot_bulk_state()
             return self._bulk_payload(stats, store._all_keys[:nk].copy(),
-                                      store._keys_list, firsts, merged,
+                                      store._key_tuples(), firsts, merged,
                                       epochs, writes)
-        return self._general_payload(stats, store._keys_list, firsts,
-                                     store._snapshot_store())
+        backing = store._backing if store._finalized \
+            else store._snapshot_store()
+        return self._general_payload(stats, store._key_tuples(), firsts,
+                                     backing)
 
     @staticmethod
     def _bulk_payload(stats, keys2d, keys_list, firsts, merged,
@@ -401,19 +370,17 @@ class ShardedStoreProxy:
     """Drop-in ``GROUPBY`` store that fans batches out to the shard
     pool and serves every observable from the merge-synthesized
     combine — same surface as
-    :class:`~repro.switch.kvstore.vector_store.VectorSplitStore`
+    :class:`~repro.switch.kvstore.windowed_store.WindowedVectorStore`
     (see the module docstring for the exactness argument and the
     mergeable/non-mergeable contract)."""
 
     def __init__(self, stage: GroupByStage, index: int,
                  pool: ShardWorkerPool, geometry: CacheGeometry,
-                 params: Mapping[str, Numeric] | None, seed: int,
-                 window: int | None):
+                 params: Mapping[str, Numeric] | None, seed: int):
         self.stage = stage
         self.params = dict(params or {})
         self.geometry = geometry
         self.seed = seed
-        self.window = window
         self._pool = pool
         self._index = index
         self._n_shards = pool.n_workers
@@ -528,19 +495,16 @@ class ShardedStoreProxy:
         return self.stats.eviction_fraction
 
     def snapshot(self, include_invalid: bool = False) -> StoreSnapshot:
-        """Mid-stream combined observables (windowed sessions only —
-        the one-shot stores defer their schedule to the end of the
-        stream, exactly like the single-process path)."""
+        """Mid-stream combined observables: every worker snapshots its
+        store (running whatever it buffered as one window, with or
+        without a ``window``), and the payloads combine exactly like
+        the final ones."""
         if self._final is not None:
             return StoreSnapshot(
                 table=self._final.table(include_invalid=include_invalid),
                 stats=self._final.stats,
                 backing_writes=self._final.writes,
                 accuracy=self._final.accuracy)
-        if self.window is None:
-            from repro.telemetry.diagnostics import exc_message
-
-            raise SessionError(exc_message("RPR-W002"))
         combined = _Combined(
             self.stage, self.params,
             self._pool.call_all("snapshot", {"stage": self._index}))

@@ -1,9 +1,10 @@
-"""Schedule-driven vectorized split key-value store (batch engine).
+"""Schedule-driven vectorized split key-value store: the fold kernel.
 
 Batch counterpart of :class:`~repro.switch.kvstore.split.SplitKeyValueStore`
-— the last per-packet Python loop on the hardware path.  Given the
-stage's whole (WHERE-filtered) key/value column stream, it produces
-**bit-identical** results without touching each packet in Python:
+— the last per-packet Python loop on the hardware path.  Given a
+stage's (WHERE-filtered) key/value column stream, the vector engine
+produces **bit-identical** results without touching each packet in
+Python:
 
 1. **Schedule.** :class:`~repro.switch.kvstore.vector_cache.VectorCacheSim`
    precomputes, per access, whether it hits the resident entry or
@@ -36,14 +37,20 @@ stage's whole (WHERE-filtered) key/value column stream, it produces
    logs, post-prefix snapshots) come from prefix-restricted segmented
    reductions.
 
-4. **Backing-store merge.** Closed epochs are absorbed into a real
-   :class:`~repro.switch.kvstore.backing.BackingStore` in per-key
-   chronological order (the only order merging observes — a key has at
-   most one open epoch at a time).  The common all-additive case is
-   itself vectorized: with zero initial state the row store's nested
-   ``evicted + (backing - init)`` merges reassociate to a plain
-   segmented sum (IEEE addition is commutative), so the per-key merged
-   values fall out of one ``np.add.at`` over the epoch values.
+4. **Backing-store merge.** Closed epochs are absorbed into the backing
+   store in per-key chronological order (the only order merging
+   observes — a key has at most one open epoch at a time).  The common
+   all-additive case is itself vectorized: with zero initial state the
+   row store's nested ``evicted + (backing - init)`` merges reassociate
+   to a plain segmented sum (IEEE addition is commutative), so per-key
+   merged values fall out of ``np.add.at`` over the epoch values.
+
+:class:`VectorSplitStore` is the window-independent kernel — step 3,
+which every epoch layout shares.  The one concrete store is
+:class:`~repro.switch.kvstore.windowed_store.WindowedVectorStore`, which
+runs steps 1, 2 and 4 once per window with carried state (one window
+for the whole stream when it is unbounded), exactly as a switch sees
+packets: as they arrive.
 
 Differential property tests (``tests/test_vector_store.py``) assert
 bit-identical ``ResultTable``, ``CacheStats``, accuracy, backing-store
@@ -53,16 +60,17 @@ catalog, every eviction policy, and adversarial streams.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from repro.core.ast_nodes import StateRef, walk
-from repro.core.errors import CheckpointError, HardwareError
+from repro.core.errors import HardwareError
 from repro.core.eval_expr import Numeric
 from repro.core.interpreter import ResultTable
 from repro.core.merge_synthesis import (
     AuxState,
+    State,
     init_aux,
     note_post_prefix_state,
     update_aux,
@@ -76,15 +84,11 @@ from repro.core.vector_exec import (
     VectorizationError,
     as_column,
     eval_array,
-    factorize,
     guard_int64_accumulation,
 )
 
 from ..alu import compile_update
-from .backing import BackingStore, KeyEntry
 from .cache import CacheGeometry, CacheStats
-from .split import build_result_table
-from .vector_cache import VectorCacheSim
 
 
 class _FoldEpochs:
@@ -133,62 +137,35 @@ class _FoldEpochs:
         return aux
 
 
-class _FoldCont:
+class _FoldCont(NamedTuple):
     """Epoch-continuation inputs for one fold in one window: epochs of
-    the current window that resume a carried open epoch, with the
-    carried end state and auxiliary registers to resume from.
+    the current window that resume a carried open epoch (``eids``, ids
+    in the *current* window's layout), with the carried end states and
+    auxiliary registers to resume from, aligned.
 
-    ``eids``, ``states`` and ``auxes`` are aligned; ``eids`` are epoch
-    ids of the *current* window's layout.
+    Folds carried this way (full-matrix merges, exact history) resume
+    only through :meth:`VectorSplitStore._replay_fold`; the vectorized
+    paths also call ``override``/``p_values``, which the windowed
+    store's array-backed continuation provides.
     """
 
-    __slots__ = ("eids", "states", "auxes")
-
-    def __init__(self, eids: np.ndarray, states: list[dict],
-                 auxes: list[AuxState]):
-        self.eids = eids
-        self.states = states
-        self.auxes = auxes
-
-    def __len__(self) -> int:
-        return len(self.eids)
-
-    def p_values(self, var: str) -> np.ndarray:
-        """Carried merge products for ``var``, aligned with ``eids``."""
-        return np.asarray([aux["P"][var] for aux in self.auxes],
-                          dtype=np.float64)
-
-    def override(self, fold: FoldConfig, n_groups: int,
-                 variables) -> dict[str, np.ndarray]:
-        """Per-group initial-value arrays for ``variables``: the fold's
-        scalar init everywhere, the carried value at continuing epochs
-        (dtype-promoted so carried floats are not truncated)."""
-        out: dict[str, np.ndarray] = {}
-        for var in variables:
-            init = fold.instance.inits.get(var, 0)
-            arr = np.full(n_groups, init,
-                          dtype=np.float64 if isinstance(init, float)
-                          else np.int64)
-            if len(self.eids):
-                vals = np.asarray([s[var] for s in self.states])
-                dtype = np.result_type(arr.dtype, vals.dtype)
-                if dtype != arr.dtype:
-                    arr = arr.astype(dtype)
-                arr[self.eids] = vals
-            out[var] = arr
-        return out
+    eids: np.ndarray
+    states: list[State]
+    auxes: list[AuxState]
 
 
 class VectorSplitStore:
     """Vectorized split cache/backing-store engine for one ``GROUPBY``
-    stage — same constructor and result surface as
-    :class:`~repro.switch.kvstore.split.SplitKeyValueStore`, but fed
-    whole column batches via :meth:`add_batch` instead of per-packet
-    calls.  Execution is deferred to :meth:`finalize`, when the full
-    key stream is known (the replacement schedule is global) — every
-    observable (``stats``, ``refreshes``, ``backing``, results) holds
-    its end-of-run value only after finalize, which the result
-    accessors invoke automatically.
+    stage: the per-epoch fold kernel and the surface every vector store
+    shares — same constructor and result surface as
+    :class:`~repro.switch.kvstore.split.SplitKeyValueStore`, fed whole
+    column batches via ``add_batch`` instead of per-packet calls.
+
+    The schedule, the epoch cut and the backing-store merge belong to
+    the concrete store,
+    :class:`~repro.switch.kvstore.windowed_store.WindowedVectorStore`,
+    which implements :meth:`finalize` and :meth:`result_table` (and the
+    rest of the observable surface).
     """
 
     def __init__(
@@ -210,9 +187,7 @@ class VectorSplitStore:
         self.refresh_interval = refresh_interval
         self.refreshes = 0
         self._stats = CacheStats()
-        self._backing: BackingStore | None = None
-        self._bulk: tuple[dict[str, dict[str, np.ndarray]], np.ndarray] | None = None
-        self._writes = 0
+        self._finalized = False
         self._vec = {
             fold.column: FoldVectorizer(fold.instance, fold.linearity,
                                         self.params)
@@ -223,175 +198,36 @@ class VectorSplitStore:
         self.needed_fields: frozenset[str] = frozenset().union(
             *(v.needed for v in self._vec.values())
         ) if stage.folds else frozenset()
-        self._key_chunks: list[np.ndarray] = []
-        self._col_chunks: dict[str, list[np.ndarray]] = {
-            name: [] for name in self.needed_fields
-        }
-        self._keys_in_order: list[tuple] = []
-        self._unique_key_cols: list[np.ndarray] = []
-        self._finalized = False
-
-    @property
-    def stats(self) -> CacheStats:
-        """End-of-run cache counters (finalizes the deferred schedule,
-        like every other observable)."""
-        self.finalize()
-        return self._stats
-
-    @property
-    def backing(self) -> BackingStore:
-        """The backing store.  On the all-additive bulk path it is
-        materialised lazily — the merged values live in per-key arrays
-        until someone actually inspects the store (the result table and
-        accuracy are served straight from the arrays)."""
-        if self._backing is None:
-            self._backing = self._materialize_backing()
-        return self._backing
-
-    # -- batch ingestion -----------------------------------------------------
-
-    def add_batch(self, keys: np.ndarray,
-                  columns: Mapping[str, np.ndarray]) -> None:
-        """Queue one (already WHERE-filtered) chunk.
-
-        Args:
-            keys: ``(n, k)`` integer array — one column per key field,
-                in stream order.
-            columns: The fold-update input columns (every name in
-                :attr:`needed_fields`), masked identically to ``keys``.
-        """
-        if self._finalized:
-            raise HardwareError(
-                "store already finalized (an observable was read, which "
-                "runs the deferred schedule); use the row engine for "
-                "incremental streaming with mid-run reads"
-            )
-        if keys.ndim != 2 or keys.dtype.kind not in "iub":
-            raise HardwareError("vector store needs a 2-D integer key array")
-        self._key_chunks.append(keys)
-        for name in self.needed_fields:
-            try:
-                self._col_chunks[name].append(columns[name])
-            except KeyError:
-                raise HardwareError(f"missing fold input column {name!r}") \
-                    from None
-
-    # -- durable checkpoints -------------------------------------------------
-
-    def checkpoint_state(self) -> dict:
-        """Plain-data snapshot of the deferred store: everything it
-        holds pre-finalize is the buffered input itself."""
-        if self._finalized:
-            raise CheckpointError("cannot checkpoint a finalized store")
-        return {
-            "kind": "oneshot",
-            "pending_keys": np.concatenate(self._key_chunks)
-            if self._key_chunks else None,
-            "pending_cols": {
-                name: np.concatenate(chunks) if chunks else None
-                for name, chunks in self._col_chunks.items()
-            },
-        }
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("kind") != "oneshot":
-            raise CheckpointError(
-                f"store state mismatch: snapshot carries "
-                f"{state.get('kind')!r}, expected 'oneshot'")
-        if self._finalized or self._key_chunks:
-            raise CheckpointError("restore target store must be fresh")
-        if state["pending_keys"] is not None:
-            self._key_chunks = [state["pending_keys"]]
-            for name, pending in state["pending_cols"].items():
-                self._col_chunks[name] = [pending]
 
     def process(self, record: object) -> None:
         raise HardwareError(
-            "VectorSplitStore is batch-only; use add_batch(), or the row "
-            "engine (SplitKeyValueStore) for per-packet streaming"
+            "the vector split store is batch-only; use add_batch(), or "
+            "the row engine (SplitKeyValueStore) for per-packet streaming"
         )
 
     def process_keyed(self, key, record: object) -> None:
         self.process(record)
 
-    # -- execution -----------------------------------------------------------
-
     def finalize(self) -> None:
-        """Run the deferred schedule + segmented fold execution and
-        flush everything into the backing store (idempotent)."""
-        if self._finalized:
-            return
-        self._finalized = True
-        n = sum(len(c) for c in self._key_chunks)
-        if n == 0:
-            return
-        keys2d = np.ascontiguousarray(np.concatenate(self._key_chunks))
-        if keys2d.dtype != np.int64:
-            keys2d = keys2d.astype(np.int64)
-        columns = {
-            name: np.concatenate(chunks)
-            for name, chunks in self._col_chunks.items()
-        }
-        self._key_chunks.clear()
-        self._col_chunks.clear()
+        """Execute everything still pending and flush every open epoch
+        into the backing store (idempotent)."""
+        raise NotImplementedError
 
-        # 1. Key factorization (shared between the cache simulator and
-        # the epoch segmentation) + replacement schedule
-        # (value-independent).
-        key_cols = [keys2d[:, j] for j in range(keys2d.shape[1])]
-        gid, unique_cols, n_groups = factorize(key_cols)
-        sim = VectorCacheSim(keys2d, seed=self.seed, key_ids=gid)
-        self._stats, miss = sim.stats_and_schedule(self.geometry,
-                                                   policy=self.policy)
+    def result_table(self, include_invalid: bool = False) -> ResultTable:
+        """Stage output in first-access key order — bit-identical to
+        the row store's."""
+        raise NotImplementedError
 
-        # 2. Epoch segmentation: one (key, time) sort; new epoch at
-        # every miss and at refresh boundaries crossed since the key's
-        # previous access (refresh resets values in place, §3.2).
-        comp = (gid << np.int64(32)) | np.arange(n, dtype=np.int64)
-        comp.sort()
-        sorted_idx = comp & np.int64(0xFFFFFFFF)
-        gid_sorted = comp >> np.int64(32)
-        new_epoch = np.empty(n, dtype=bool)
-        new_epoch[0] = True
-        same_key = gid_sorted[1:] == gid_sorted[:-1]
-        new_epoch[1:] = ~same_key | miss[sorted_idx[1:]]
-        if self.refresh_interval is not None:
-            boundaries = sorted_idx // self.refresh_interval
-            new_epoch[1:] |= same_key & (boundaries[1:] > boundaries[:-1])
-            self.refreshes = n // self.refresh_interval
-        eid_sorted = np.cumsum(new_epoch) - 1
-        n_epochs = int(eid_sorted[-1]) + 1
-        eid = np.empty(n, dtype=np.int64)
-        eid[sorted_idx] = eid_sorted
-        epoch_key = gid_sorted[new_epoch]       # key id of each epoch
-        layout = GroupLayout.from_sorted_order(eid, n_epochs, sorted_idx)
-
-        # 3. Per-epoch fold values (segmented reductions / rounds /
-        # exact replay).
-        ctx = ArrayContext(columns, self.params, n)
-        fold_epochs = {
-            fold.column: self._eval_fold(fold, ctx, layout)
-            for fold in self.stage.folds
-        }
-
-        # 4. Backing-store merge of every closed epoch.
-        self._keys_in_order = list(zip(*(c.tolist() for c in unique_cols)))
-        self._unique_key_cols = unique_cols
-        if self._all_plain_additive() and all(
-                fe.arrays is not None for fe in fold_epochs.values()):
-            self._merge_bulk(fold_epochs, epoch_key, n_groups, n_epochs)
-        else:
-            self._backing = BackingStore(self.stage.folds, params=self.params)
-            self._absorb_epochs(fold_epochs, epoch_key)
-            self._writes = self._backing.writes
+    def eviction_fraction(self) -> float:
+        return self.stats.eviction_fraction
 
     # -- fold evaluation -----------------------------------------------------
 
     def _eval_fold(self, fold: FoldConfig, ctx: ArrayContext,
                    layout: GroupLayout,
                    cont: _FoldCont | None = None) -> _FoldEpochs:
-        """Per-epoch fold values; ``cont`` (windowed mode) seeds epochs
-        that continue a carried open epoch from an earlier window."""
+        """Per-epoch fold values; ``cont`` seeds epochs that continue a
+        carried open epoch from an earlier window."""
         spec = fold.merge
         vec = self._vec[fold.column]
         try:
@@ -427,13 +263,15 @@ class VectorSplitStore:
 
     def _eval_additive(self, fold: FoldConfig, vec: FoldVectorizer,
                        ctx: ArrayContext, layout: GroupLayout,
-                       cont: _FoldCont | None = None) -> _FoldEpochs:
+                       cont=None) -> _FoldEpochs:
         """Identity-matrix linear folds: per-epoch ``S = init + Σ B``
         via order-preserving ``np.add.at`` (bit-identical to the row
         loop), with history pre-values reset per epoch; exact-history
         snapshots are the same reduction restricted to each epoch's
-        first ``k`` packets.  ``cont`` seeds continuing epochs' state
-        (exact-history continuation never reaches this path)."""
+        first ``k`` packets.  ``cont`` (array-backed, see
+        :mod:`~repro.switch.kvstore.windowed_store`) seeds continuing
+        epochs' state (exact-history continuation never reaches this
+        path)."""
         spec = fold.merge
         override = None if cont is None else \
             cont.override(fold, layout.n_groups, fold.instance.state_vars)
@@ -477,15 +315,16 @@ class VectorSplitStore:
 
     def _eval_scale(self, fold: FoldConfig, vec: FoldVectorizer,
                     ctx: ArrayContext, layout: GroupLayout,
-                    cont: _FoldCont | None = None) -> _FoldEpochs:
+                    cont=None) -> _FoldEpochs:
         """Diagonal linear folds (EWMA class): end states via the exact
         round-major path; the merge product ``P`` is a segmented
         ``np.multiply.at`` of the per-packet coefficients (affine
         extraction guarantees they read only the packet and history
         pre-values, so one vectorized pass evaluates them all).
-        ``cont`` seeds continuing epochs' state and running product —
-        multiplications then continue in packet order from the carried
-        product, exactly like the scalar ``P ← a·P`` updates."""
+        ``cont`` (array-backed) seeds continuing epochs' state and
+        running product — multiplications then continue in packet order
+        from the carried product, exactly like the scalar ``P ← a·P``
+        updates."""
         spec = fold.merge
         override = None if cont is None else \
             cont.override(fold, layout.n_groups, fold.instance.state_vars)
@@ -587,118 +426,6 @@ class VectorSplitStore:
                    for var in spec.order):
                 return False
         return True
-
-    def _merge_bulk(self, fold_epochs: dict[str, _FoldEpochs],
-                    epoch_key: np.ndarray, n_groups: int,
-                    n_epochs: int) -> None:
-        """All-additive fast path: merge every key's epochs with one
-        ``np.add.at`` per state variable; history variables take the
-        key's last epoch (the row merge keeps the evicted copy).  The
-        merged values stay columnar — see :attr:`backing`."""
-        epoch_counts = np.bincount(epoch_key, minlength=n_groups)
-        last_epoch = np.cumsum(epoch_counts) - 1
-        merged: dict[str, dict[str, np.ndarray]] = {}
-        for fold in self.stage.folds:
-            fe = fold_epochs[fold.column]
-            history = set(fold.linearity.history)
-            per_var: dict[str, np.ndarray] = {}
-            for var, arr in fe.arrays.items():
-                if var in history:
-                    per_var[var] = arr[last_epoch]
-                else:
-                    acc = np.zeros(n_groups, dtype=arr.dtype)
-                    np.add.at(acc, epoch_key, arr)
-                    per_var[var] = acc
-            merged[fold.column] = per_var
-        self._bulk = (merged, epoch_counts)
-        self._writes = n_epochs
-
-    def _materialize_backing(self) -> BackingStore:
-        """Build the real per-key :class:`BackingStore` structures (on
-        demand: the bulk path serves results from arrays, but the store
-        surface — ``value_of``, ``segments_of``, ... — stays available)."""
-        backing = BackingStore(self.stage.folds, params=self.params)
-        if self._bulk is None:
-            return backing          # nothing ran (empty stream)
-        merged, epoch_counts = self._bulk
-        backing.writes = self._writes
-        columns = [
-            (col, [(var, arr.tolist()) for var, arr in per_var.items()])
-            for col, per_var in merged.items()
-        ]
-        counts_list = epoch_counts.tolist()
-        data = backing.data
-        for g, key in enumerate(self._keys_in_order):
-            data[key] = KeyEntry(
-                merged={col: {var: vals[g] for var, vals in items}
-                        for col, items in columns},
-                epochs=counts_list[g],
-            )
-        return backing
-
-    def _absorb_epochs(self, fold_epochs: dict[str, _FoldEpochs],
-                       epoch_key: np.ndarray) -> None:
-        """General path: one :meth:`BackingStore.absorb` per closed
-        epoch, in per-key chronological order (epoch ids ascend in
-        ``(key, time)`` order, and merging only reads per-key state, so
-        this reproduces the row store's merge sequence exactly)."""
-        keys = self._keys_in_order
-        items = list(fold_epochs.items())
-        absorb = self._backing.absorb
-        for e, g in enumerate(epoch_key.tolist()):
-            absorb(keys[g],
-                   {col: fe.value(e) for col, fe in items},
-                   {col: fe.aux(e) for col, fe in items})
-
-    # -- results -------------------------------------------------------------
-
-    def result_table(self, include_invalid: bool = False) -> ResultTable:
-        """Stage output in first-access key order — bit-identical to
-        the row store's.  On the bulk path the table is assembled
-        columnar, straight from the merged per-key arrays (every key is
-        valid when all folds merge)."""
-        self.finalize()
-        if self._backing is None and self._bulk is not None:
-            try:
-                return self._bulk_result_table()
-            except VectorizationError:
-                pass
-        return build_result_table(self.stage, self.backing,
-                                  self._keys_in_order, self.params,
-                                  include_invalid=include_invalid)
-
-    def _bulk_result_table(self) -> ResultTable:
-        merged, _ = self._bulk
-        n_groups = len(self._keys_in_order)
-        out: dict[str, np.ndarray] = dict(
-            zip(self.stage.key.fields, self._unique_key_cols))
-        for col in self.stage.output.columns:
-            if col.kind == "agg":
-                out[col.name] = merged[col.fold][col.state_var]
-            elif col.kind == "derived":
-                dctx = ArrayContext({}, self.params, n_groups,
-                                    state=merged[col.fold])
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    out[col.name] = as_column(
-                        eval_array(col.read_expr, dctx), n_groups)
-        return ResultTable.from_columns(self.stage.output, out)
-
-    @property
-    def backing_writes(self) -> int:
-        """Total backing-store writes, without materialising the store."""
-        self.finalize()
-        return self._writes
-
-    def eviction_fraction(self) -> float:
-        return self.stats.eviction_fraction
-
-    def accuracy(self) -> float:
-        """Fig. 6 metric — fraction of keys whose value is valid (1.0
-        outright on the bulk path: every fold merges)."""
-        self.finalize()
-        if self._backing is None and self._bulk is not None:
-            return 1.0
-        return self.backing.accuracy
 
 
 def _copy_aux(aux: AuxState) -> AuxState:

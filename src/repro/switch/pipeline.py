@@ -25,7 +25,6 @@ from repro.core.errors import (
     CompileError,
     HardwareError,
     InterpreterError,
-    SessionError,
 )
 from repro.core.eval_expr import Numeric
 from repro.core.interpreter import ResultTable, Row
@@ -42,7 +41,6 @@ from repro.network.records import ColumnRowView, ObservationTable
 from .alu import compile_predicate, compile_scalar
 from .kvstore.cache import ENGINES, CacheGeometry, CacheStats
 from .kvstore.split import SplitKeyValueStore, build_result_table
-from .kvstore.vector_store import VectorSplitStore
 from .kvstore.windowed_store import WindowedVectorStore
 from .parser_model import ParserConfig, configure_parser
 
@@ -139,11 +137,12 @@ class _GroupByRunner:
 
     The ``engine`` knob selects the store implementation on the batch
     path: ``"row"`` streams per-packet through
-    :class:`SplitKeyValueStore`; ``"vector"``/``"auto"`` accumulate the
-    WHERE-filtered key/value columns into a
-    :class:`~repro.switch.kvstore.vector_store.VectorSplitStore`, whose
-    schedule-driven execution runs at finalize time (bit-identical
-    results).  Streams the vector store cannot take (non-integer keys,
+    :class:`SplitKeyValueStore`; ``"vector"``/``"auto"`` feed the
+    WHERE-filtered key/value columns to a
+    :class:`~repro.switch.kvstore.windowed_store.WindowedVectorStore`,
+    whose schedule-driven execution runs once per ``window`` (once per
+    read without one; bit-identical results either way).  Streams the
+    vector store cannot take (non-integer keys,
     unvectorizable predicates, missing columns) fall back to the row
     store — the mode is decided once, on the first chunk, and is
     deterministic across chunks.
@@ -168,16 +167,14 @@ class _GroupByRunner:
 
             self.store = ShardedStoreProxy(
                 stage, shard_index, shard_pool, geometry,
-                params=params, seed=seed, window=window)
+                params=params, seed=seed)
         else:
             self.store = SplitKeyValueStore(stage, geometry, **self._config)
         self._mode: str | None = None
 
-    def _make_vector_store(self) -> VectorSplitStore:
-        if self.window is not None:
-            return WindowedVectorStore(self.stage, self._geometry,
-                                       window=self.window, **self._config)
-        return VectorSplitStore(self.stage, self._geometry, **self._config)
+    def _make_vector_store(self) -> WindowedVectorStore:
+        return WindowedVectorStore(self.stage, self._geometry,
+                                   window=self.window, **self._config)
 
     def process(self, record: object) -> None:
         if self._sharded:
@@ -185,8 +182,8 @@ class _GroupByRunner:
         if self._mode == "vector":
             raise HardwareError(
                 "cannot mix per-record processing with vector-batch "
-                "execution (the schedule-driven store needs the whole "
-                "stream); build the pipeline with engine=\"row\" for "
+                "execution (the schedule-driven store takes column "
+                "batches); build the pipeline with engine=\"row\" for "
                 "mixed streaming"
             )
         self._mode = "row"
@@ -293,22 +290,18 @@ class SwitchPipeline:
         seed: Hash seed.
         engine: Split-store execution engine for ``GROUPBY`` stages on
             the batch path — ``"vector"`` (schedule-driven
-            :class:`~repro.switch.kvstore.vector_store.VectorSplitStore`),
+            :class:`~repro.switch.kvstore.windowed_store.WindowedVectorStore`),
             ``"row"`` (per-packet :class:`SplitKeyValueStore`), or
             ``"auto"`` (vector whenever the stream supports it).  Both
-            engines produce bit-identical results.  The one-shot vector
-            store defers execution until results are read, so with
-            ``"auto"``/``"vector"`` all observables (stats, results,
-            writes) are end-of-run values and further streaming after a
-            read raises — pass ``window`` (or use ``"row"``) for
-            incremental streaming with mid-run reads.
-        window: When set, ``GROUPBY`` stages on the vector path use the
-            windowed store
-            (:class:`~repro.switch.kvstore.windowed_store.WindowedVectorStore`):
-            the schedule executes every ``window`` accesses with
-            carried state, bounding memory on unbounded streams and
-            enabling :meth:`snapshot_results` — results stay
-            bit-identical for every window size.
+            engines produce bit-identical results, and both support
+            :meth:`snapshot_results` mid-stream.
+        window: Accesses per schedule execution of the vector store:
+            the schedule runs every ``window`` accesses with carried
+            state, bounding memory on unbounded streams.  ``None``
+            (unbounded) buffers the stream and runs it as one window
+            whenever an observable is read — the fastest schedule for a
+            bounded trace.  Results are bit-identical for every window
+            size.
         shards: When set, every ``GROUPBY`` stage fans out to a pool of
             ``shards`` worker processes partitioned by cache set
             (:mod:`repro.switch.kvstore.sharded`), each running the
@@ -479,10 +472,10 @@ class SwitchPipeline:
         writes, accuracy)`` as if the stream ended now — without
         finalizing; streaming can continue afterwards.
 
-        Requires stores that support incremental reads (the row store
-        and the windowed vector store); the one-shot vector store's
-        schedule needs the whole stream, so it raises
-        :class:`~repro.core.errors.SessionError`.
+        Every store supports it: the row store absorbs copies of its
+        resident entries, the vector store (and the sharded proxy over
+        it) runs its buffered input as one window first — results do
+        not depend on where windows cut.
         """
         tables: dict[str, ResultTable] = {}
         stats: dict[str, CacheStats] = {}
@@ -494,15 +487,7 @@ class SwitchPipeline:
         for groupby in self._groupbys:
             name = groupby.stage.query_name
             store = groupby.store
-            if hasattr(store, "snapshot"):
-                # Windowed store or sharded proxy (whose snapshot()
-                # itself raises SessionError without a window).
-                snap = store.snapshot(include_invalid=include_invalid)
-                tables[name] = snap.table
-                stats[name] = snap.stats
-                writes[name] = snap.backing_writes
-                accuracy[name] = snap.accuracy
-            elif isinstance(store, SplitKeyValueStore):
+            if isinstance(store, SplitKeyValueStore):
                 backing = store.snapshot_backing()
                 tables[name] = build_result_table(
                     groupby.stage, backing, store._seen, self.params,
@@ -511,9 +496,11 @@ class SwitchPipeline:
                 writes[name] = backing.writes
                 accuracy[name] = backing.accuracy
             else:
-                from repro.telemetry.diagnostics import exc_message
-
-                raise SessionError(exc_message("RPR-W002"))
+                snap = store.snapshot(include_invalid=include_invalid)
+                tables[name] = snap.table
+                stats[name] = snap.stats
+                writes[name] = snap.backing_writes
+                accuracy[name] = snap.accuracy
         return tables, stats, writes, accuracy
 
     # -- durable checkpoints -------------------------------------------------
@@ -576,7 +563,8 @@ class SwitchPipeline:
     def backing_writes(self) -> dict[str, int]:
         return {g.stage.query_name: g.store.backing_writes for g in self._groupbys}
 
-    def store_for(self, query_name: str) -> SplitKeyValueStore | VectorSplitStore:
+    def store_for(self, query_name: str,
+                  ) -> SplitKeyValueStore | WindowedVectorStore:
         for groupby in self._groupbys:
             if groupby.stage.query_name == query_name:
                 return groupby.store

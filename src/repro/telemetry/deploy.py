@@ -485,9 +485,8 @@ class NetworkSession:
     # -- results --------------------------------------------------------------
 
     def results(self) -> NetworkRunReport:
-        """Combined mid-stream snapshot (requires per-switch stores
-        that support streaming reads — a ``window`` or the row
-        engine).  Raises
+        """Combined mid-stream snapshot of every switch session (with
+        or without a ``window``, on every engine).  Raises
         :class:`~repro.core.errors.SessionClosedError` once closed,
         like :class:`~repro.telemetry.session.TelemetrySession`; the
         final report is the one :meth:`close` returned."""

@@ -17,7 +17,6 @@ Code families
 ``RPR-E0xx``  session/engine configuration errors (hard; raised at
               open time before any shard worker forks)
 ``RPR-E3xx``  resource infeasibility (hard; §4 area model)
-``RPR-W0xx``  session configuration caveats
 ``RPR-W1xx``  mergeability/shardability degradations (§3.2)
 ``RPR-W2xx``  value-range / overflow risks
 ``RPR-W4xx``  program hygiene (dead stages)
@@ -93,7 +92,7 @@ _REGISTRY: tuple[CodeInfo, ...] = (
     CodeInfo(
         "RPR-E004", "invalid-window", "error", "open",
         "window must be a positive number of accesses, got {window!r} "
-        "(omit it for one-shot execution)",
+        "(omit it for an unbounded window)",
         "pass a positive window, or omit window= entirely",
     ),
     CodeInfo(
@@ -121,16 +120,6 @@ _REGISTRY: tuple[CodeInfo, ...] = (
         "{chip:.0f} mm2 die (budget {budget_pct:.1f}%)",
         "shrink the cache geometry, narrow the key/value layout, or "
         "raise area_budget",
-    ),
-    # -- session configuration caveats -------------------------------------
-    CodeInfo(
-        "RPR-W002", "one-shot-no-mid-stream-results", "warning", "open",
-        "mid-stream results need an incremental store; the one-shot "
-        "vector store defers its schedule to the end of the stream — "
-        'open the session with a window= (or engine="row") for '
-        "streaming reads",
-        "pass window= for bounded-memory streaming with mid-stream "
-        "snapshots",
     ),
     # -- mergeability / shardability (§3.2) --------------------------------
     CodeInfo(

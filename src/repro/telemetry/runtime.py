@@ -155,7 +155,7 @@ class QueryEngine:
             :class:`~repro.core.vector_exec.VectorExecutor`, ``"row"``
             = the reference interpreter) **and** the hardware path's
             split-store engine (``"vector"`` = the schedule-driven
-            :class:`~repro.switch.kvstore.vector_store.VectorSplitStore`,
+            :class:`~repro.switch.kvstore.windowed_store.WindowedVectorStore`,
             ``"row"`` = the per-packet store).  ``"auto"`` picks vector
             wherever the input supports it (columnar tables, integer
             keys) and row otherwise.  Every engine combination produces
@@ -283,10 +283,12 @@ class QueryEngine:
         Args:
             window: Accesses per schedule execution for the vector
                 split store.  Set it for unbounded streams: memory
-                stays bounded by the window (plus per-key results) and
-                mid-stream snapshots are supported, with results
-                bit-identical to the one-shot path for every window
-                size.  ``None`` keeps the deferred one-shot store.
+                stays bounded by the window (plus per-key results).
+                ``None`` (unbounded) buffers the stream and runs it as
+                one window whenever results are read — the fastest
+                schedule for a bounded trace, and what :meth:`run`
+                uses.  Mid-stream snapshots work either way, with
+                results bit-identical for every window size.
                 Must be positive when set — 0/negative raises
                 :class:`ValueError` on every engine (the row engine
                 would otherwise silently ignore it).

@@ -352,6 +352,21 @@ def _set_events(events: list[asyncio.Event]) -> None:
         event.set()
 
 
+def _file_id(path: str) -> tuple[int, int]:
+    st = os.stat(path)
+    return st.st_dev, st.st_ino
+
+
+def _unlink_socket(path: str, bound: tuple[int, int]) -> None:
+    """Remove the UNIX socket file a server bound at ``path`` — unless
+    the path names another file by now (a second server took it)."""
+    try:
+        if _file_id(path) == bound:
+            os.unlink(path)
+    except FileNotFoundError:
+        pass
+
+
 class IngestServer:
     """Long-running ingest front end over one compiled
     :class:`~repro.telemetry.runtime.QueryEngine` (see the module
@@ -366,7 +381,7 @@ class IngestServer:
         window, shards, chunk_size, checkpoint_every, faults: Session
             knobs, passed to :meth:`QueryEngine.open` for every served
             session (``window`` is strongly recommended: it bounds
-            memory and enables mid-stream ``RESULTS`` snapshots).
+            memory on long-lived streams).
         max_sessions: Admission cap on live sessions.
         max_inflight_bytes: Admission cap on total queued batch bytes
             across sessions; new sessions are rejected above it, and
@@ -477,8 +492,9 @@ class IngestServer:
             self._drain_requested.set()
 
     def stop(self, timeout: float = 60.0) -> dict | None:
-        """Request a graceful drain (finish queued windows, checkpoint,
-        close, report) and return the drain report."""
+        """Request a graceful drain (stop listening and remove the UNIX
+        socket file, finish queued windows, checkpoint, close, report)
+        and return the drain report."""
         if self._loop is not None:
             try:
                 self._loop.call_soon_threadsafe(self._request_drain)
@@ -516,22 +532,29 @@ class IngestServer:
     async def _main(self, loop: asyncio.AbstractEventLoop) -> dict:
         self._loop = loop
         self._drain_requested = asyncio.Event()
+        bound: tuple[int, int] | None = None
         if self._unix_path is not None:
-            server = await asyncio.start_unix_server(
-                self._handle_conn, path=str(self._unix_path))
-            self._address = str(self._unix_path)
+            path = str(self._unix_path)
+            server = await asyncio.start_unix_server(self._handle_conn,
+                                                     path=path)
+            self._address = path
+            bound = await loop.run_in_executor(None, _file_id, path)
         else:
             server = await asyncio.start_server(
                 self._handle_conn, host=self._host, port=self._port)
             self._address = server.sockets[0].getsockname()[:2]
-        for args in self._pending_tailers:
-            self._start_tailer(*args)
-        self._pending_tailers.clear()
-        self._ready.set()
-        async with server:
-            await self._drain_requested.wait()
-            server.close()
-            await server.wait_closed()
+        try:
+            for args in self._pending_tailers:
+                self._start_tailer(*args)
+            self._pending_tailers.clear()
+            self._ready.set()
+            async with server:
+                await self._drain_requested.wait()
+                server.close()
+                await server.wait_closed()
+        finally:
+            if bound is not None:
+                await loop.run_in_executor(None, _unlink_socket, path, bound)
         return await self._drain()
 
     async def _drain(self) -> dict:

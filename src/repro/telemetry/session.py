@@ -24,14 +24,13 @@ Execution modes
 ---------------
 
 * **hardware** (default): batches stream through a
-  :class:`~repro.switch.pipeline.SwitchPipeline`.  With ``window`` set,
-  ``GROUPBY`` stages on the vector path run the windowed split store —
+  :class:`~repro.switch.pipeline.SwitchPipeline`.  ``GROUPBY`` stages
+  on the vector path run the windowed split store: with ``window`` set,
   memory stays bounded by the window (plus per-key results) on
-  unbounded streams, and :meth:`results` snapshots work mid-stream.
-  Without a window, the one-shot deferred vector store is used (fastest
-  for a single bounded trace, but mid-stream :meth:`results` raises
-  :class:`~repro.core.errors.SessionError`); ``engine="row"`` streams
-  per packet and always supports snapshots.
+  unbounded streams; without one, ingested batches are buffered and run
+  as one window whenever results are read (fastest for a bounded
+  trace).  :meth:`results` snapshots work mid-stream either way, and on
+  ``engine="row"``, which streams per packet.
 * **exact** (``exact=True``): no hardware model — ingested batches are
   buffered and evaluated by the engine's exact executor (the
   interpreter or the vectorized executor) at :meth:`results`/
@@ -39,7 +38,7 @@ Execution modes
   mode's memory grows with the stream.
 
 Results are **bit-identical** across every mode/engine/window
-combination that the one-shot entry points produce.
+combination, and to what :meth:`QueryEngine.run` produces.
 """
 
 from __future__ import annotations
@@ -68,8 +67,8 @@ class TelemetrySession:
         engine: The compiled :class:`QueryEngine` (program, params,
             geometry, policy, execution-engine knob).
         window: Streaming window for the vector split store (accesses
-            per schedule execution); ``None`` keeps the one-shot
-            deferred store.
+            per schedule execution); ``None`` is unbounded — one window
+            per results read.
         exact: Software-only exact evaluation (no hardware model).
         chunk_size: Batch-path chunk size of the switch pipeline.
         shards: Fan every ``GROUPBY`` stage out to this many worker
@@ -238,7 +237,7 @@ class TelemetrySession:
         return self._assemble(tables, stats, writes, accuracy)
 
     def close(self, include_invalid: bool = False) -> "RunReport":
-        """Finalize every stage (flush caches, run deferred schedules)
+        """Finalize every stage (run buffered input, flush caches)
         and return the final report; any further call — :meth:`ingest`,
         :meth:`results`, :meth:`cache_stats`, :meth:`close` — raises
         :class:`~repro.core.errors.SessionClosedError`."""
@@ -346,7 +345,7 @@ class TelemetrySession:
     def _executor(self):
         """The exact evaluator for software stages / exact mode, per
         the engine knob (``"auto"``: vectorized unless row batches were
-        ingested — the same choice the one-shot entry points make)."""
+        ingested — the same choice :meth:`QueryEngine.run` makes)."""
         engine = self._engine
         if engine.engine == "row" or (engine.engine == "auto"
                                       and self._saw_rows):

@@ -231,6 +231,29 @@ class TestMidStreamBitIdentity:
         report_tables = finish_from(resumed, trace)[0]
         assert report_tables == base
 
+    def test_unwindowed_cut_matches_uninterrupted(self, trace):
+        """Without a window the checkpoint carries the buffered input
+        as-is; the resumed session runs it to the same report."""
+        engine = make_engine()
+        base = uninterrupted(engine, trace, None)
+        snapshot = ingest_upto(engine.open(), trace, 500).checkpoint()
+        assert finish_from(engine.resume(snapshot), trace) == base
+
+    def test_retired_oneshot_store_kind_rejected(self, trace):
+        """Checkpoints of the retired deferred vector store carry the
+        store kind ``"oneshot"``; resuming one raises CheckpointError
+        rather than misreading it."""
+        engine = make_engine()
+        session = ingest_upto(engine.open(), trace, 300)
+        payload = unpack_checkpoint(session.checkpoint())
+        session.close()
+        stores = payload["pipeline"]["stores"]
+        stores[0] = {"kind": "oneshot",
+                     "pending_keys": stores[0]["pending_keys"],
+                     "pending_cols": stores[0]["pending_cols"]}
+        with pytest.raises(CheckpointError, match="oneshot"):
+            engine.resume(pack_checkpoint(payload))
+
     def test_closed_session_cannot_checkpoint(self, trace):
         engine = make_engine()
         session = ingest_upto(engine.open(window=128), trace, 300)
@@ -607,4 +630,5 @@ def test_sigterm_releases_shared_memory():
         if not leaked:
             break
         time.sleep(0.1)
-    assert not leaked, f"stray shared-memory segments: {sorted(leaked)}"
+    else:
+        pytest.fail(f"stray shared-memory segments: {sorted(leaked)}")

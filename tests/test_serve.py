@@ -151,6 +151,26 @@ def test_served_unix_socket(tmp_path, trace, expected):
     assert observables(final["report"]) == expected["lru"]
 
 
+def test_unix_socket_unlinked_on_stop(tmp_path, trace, expected):
+    """stop() removes the socket file the server bound, so no file is
+    left and a second server binds the same path — but a path that
+    another server has taken over meanwhile is left alone."""
+    path = tmp_path / "ingest.sock"
+    with serving(make_engine(), window=64, unix_path=path):
+        assert path.exists()
+    assert not path.exists()
+    first = make_engine().serve(window=64, unix_path=path)
+    first.start()
+    os.unlink(path)
+    with serving(make_engine(), window=64,
+                 unix_path=path) as (second, address):
+        first.stop()
+        assert path.exists()
+        final, _ = stream(address, trace, 97)
+    assert observables(final["report"]) == expected["lru"]
+    assert not path.exists()
+
+
 def test_served_midstream_results_and_checkpoint(trace, expected):
     """RESULTS mid-stream snapshots and CHECKPOINT resume are served
     consistently: the snapshot matches a direct session at the same
@@ -419,6 +439,15 @@ def test_zero_ingest_served_results(trace):
 # -- trace tailer -------------------------------------------------------------
 
 
+def wait_for(condition, timeout, what):
+    """Poll ``condition`` until it holds; fail the test on expiry."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() >= deadline:
+            pytest.fail(f"timed out after {timeout} s waiting for {what}")
+        time.sleep(0.02)
+
+
 def _tail_collect(tailer, expected_rows, timeout=15.0):
     """Drive a tailer on a thread, collecting yielded tables; returns
     (stop_event, thread, out list)."""
@@ -431,10 +460,8 @@ def _tail_collect(tailer, expected_rows, timeout=15.0):
 
     thread = threading.Thread(target=consume, daemon=True)
     thread.start()
-    deadline = time.monotonic() + timeout
-    while (sum(len(t) for t in out) < expected_rows
-           and time.monotonic() < deadline):
-        time.sleep(0.02)
+    wait_for(lambda: _rows_of(out) >= expected_rows, timeout,
+             f"{expected_rows} tailed rows")
     return stop, thread, out
 
 
@@ -460,9 +487,7 @@ def test_tailer_incremental_append(tmp_path, trace):
         tmp = tmp_path / "rest.csv"
         write_csv(trace[250:], tmp)
         fh.write(tmp.read_text().split("\n", 1)[1])
-    deadline = time.monotonic() + 15.0
-    while _rows_of(out) < 600 and time.monotonic() < deadline:
-        time.sleep(0.02)
+    wait_for(lambda: _rows_of(out) >= 600, 15.0, "600 tailed rows")
     stop.set()
     thread.join(timeout=15)
     assert _rows_of(out) == len(trace)
@@ -483,9 +508,7 @@ def test_tailer_survives_truncation(tmp_path, trace):
     # In-place rewrite with fewer rows: size shrinks below the read
     # position, the signature of a restarted writer.
     write_csv(trace[100:150], path)
-    deadline = time.monotonic() + 15.0
-    while _rows_of(out) < 150 and time.monotonic() < deadline:
-        time.sleep(0.02)
+    wait_for(lambda: _rows_of(out) >= 150, 15.0, "150 tailed rows")
     stop.set()
     thread.join(timeout=15)
     assert tailer.truncations >= 1
@@ -505,9 +528,7 @@ def test_tailer_survives_rotation(tmp_path, trace):
     assert _rows_of(out) == 200
     os.rename(path, tmp_path / "rot.csv.1")
     write_csv(trace[200:500], path)
-    deadline = time.monotonic() + 15.0
-    while _rows_of(out) < 500 and time.monotonic() < deadline:
-        time.sleep(0.02)
+    wait_for(lambda: _rows_of(out) >= 500, 15.0, "500 tailed rows")
     stop.set()
     thread.join(timeout=15)
     assert tailer.rotations >= 1
@@ -523,9 +544,7 @@ def test_tailer_waits_for_missing_file(tmp_path, trace):
     stop, thread, out = _tail_collect(tailer, 0, timeout=0.2)
     assert _rows_of(out) == 0
     write_csv(trace[:150], path)
-    deadline = time.monotonic() + 15.0
-    while _rows_of(out) < 150 and time.monotonic() < deadline:
-        time.sleep(0.02)
+    wait_for(lambda: _rows_of(out) >= 150, 15.0, "150 tailed rows")
     stop.set()
     thread.join(timeout=15)
     assert _rows_of(out) == 150
@@ -544,12 +563,14 @@ def test_tailed_server_differential_with_drain_checkpoint(
     server.attach_tailer(path, session="tail", batch_size=64,
                          poll_interval=0.01)
     server.start()
-    deadline = time.monotonic() + 15.0
-    while time.monotonic() < deadline:
+    # Before stop, the tailer yields full batches only: the first 300
+    # rows arrive as four batches of 64, the 44-row tail on stop.
+
+    def tailed():
         served = server._sessions.get("tail")
-        if served is not None and served.records_in >= 300:
-            break
-        time.sleep(0.02)
+        return served is not None and served.records_in >= 4 * 64
+
+    wait_for(tailed, 15.0, "four full tailed batches")
     with open(path, "a") as fh:
         tmp = tmp_path / "rest.csv"
         write_csv(trace[300:], tmp)
@@ -658,14 +679,9 @@ def test_sigterm_drain_checkpoints_and_resumes(tmp_path, trace, expected):
             proc.wait()
     assert line[0] == "DRAINED" and int(line[1]) == 4 * 97
     # no stranded shared memory from the shard workers
-    deadline = time.monotonic() + 5.0
-    while time.monotonic() < deadline:
-        leaked = {n for n in os.listdir("/dev/shm")
-                  if n.startswith("psm_")} - before
-        if not leaked:
-            break
-        time.sleep(0.1)
-    assert not leaked, f"stranded /dev/shm segments: {leaked}"
+    wait_for(lambda: not ({n for n in os.listdir("/dev/shm")
+                           if n.startswith("psm_")} - before),
+             5.0, "shard workers to release their /dev/shm segments")
     # the drain checkpoint resumes to the uninterrupted result
     engine = make_engine()
     resumed = engine.resume((tmp_path / "sig.ckpt").read_bytes())

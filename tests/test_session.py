@@ -1,7 +1,7 @@
 """Streaming TelemetrySession tests.
 
 The differential core of the PR's acceptance criteria: windowed
-sessions must be **bit-identical** to the one-shot ``run()`` path — all
+sessions must be **bit-identical** to the ``run()`` path — all
 tables, ``CacheStats`` counters, accuracy, backing writes, refresh
 counts — across the full query catalog, both engines, and multiple
 window sizes (including windows far smaller and far larger than the
@@ -15,7 +15,7 @@ columnar ``ResultTable``.
 import numpy as np
 import pytest
 
-from repro.core.errors import SessionClosedError, SessionError
+from repro.core.errors import SessionClosedError
 from repro.core.interpreter import ResultTable
 from repro.network.records import ObservationTable
 from repro.queries.catalog import FIG2_QUERIES
@@ -185,14 +185,6 @@ class TestSessionLifecycle:
         with pytest.raises(SessionClosedError):
             session.cache_stats()
 
-    def test_deferred_one_shot_rejects_mid_stream_results(self, tiny_trace):
-        qe = QueryEngine("SELECT COUNT GROUPBY srcip", geometry=GEOM,
-                         engine="vector")
-        session = qe.open()            # no window: deferred schedule
-        session.ingest(tiny_trace)
-        with pytest.raises(SessionError):
-            session.results()
-
     def test_snapshot_with_zero_matching_records(self, tiny_trace):
         """A WHERE that filters everything: mid-stream snapshots and
         close both return empty tables (no carry arrays ever exist)."""
@@ -272,11 +264,13 @@ class TestSessionLifecycle:
 
 
 class TestMidStreamSnapshots:
-    """results() mid-stream == a fresh one-shot run over the prefix,
-    and never perturbs the continuing stream."""
+    """results() and cache_stats() mid-stream == a fresh run() over the
+    prefix, with or without a window, and never perturb the continuing
+    stream."""
 
     @pytest.mark.parametrize("engine,window", [
-        ("row", None), ("auto", 177), ("vector", 512),
+        ("row", None), ("auto", None), ("vector", None), ("auto", 177),
+        ("vector", 512),
     ])
     def test_snapshot_equals_prefix_run(self, engine, window):
         trace = synthetic_trace(1200, seed=9)
@@ -292,8 +286,9 @@ class TestMidStreamSnapshots:
             seen += len(batch)
             prefix = ObservationTable.from_arrays(
                 {name: arr[:seen] for name, arr in columns.items()})
-            snap = session.results(include_invalid=True)
             base = qe.run(prefix, include_invalid=True)
+            assert session.cache_stats() == base.cache_stats, f"at {seen}"
+            snap = session.results(include_invalid=True)
             assert observables(snap) == observables(base), f"at {seen}"
         final = session.close(include_invalid=True)
         assert observables(final) == observables(
@@ -351,6 +346,27 @@ class TestCarriedStateInternals:
         store.add_batch(keys, {})
         assert store._buffered == 0           # crossed window: executed
         assert store._total == 120
+
+    def test_key_index_built_on_first_lookup(self):
+        """The sorted key index serves window-to-window lookups only: a
+        run that is one window never builds it; later windows build it
+        once and merge new keys in, for one- and multi-field keys."""
+        for source, n_fields in (("SELECT COUNT GROUPBY srcip", 1),
+                                 ("SELECT COUNT GROUPBY srcip, dstip", 2)):
+            stage = QueryEngine(source).compiled.groupby_stages[0]
+            keys = np.arange(300 * n_fields, dtype=np.int64) \
+                .reshape(-1, n_fields) % 211
+            unbounded = WindowedVectorStore(stage, GEOM)
+            unbounded.add_batch(keys, {})
+            unbounded.finalize()
+            assert unbounded._sorted_view is None
+            windowed = WindowedVectorStore(stage, GEOM, window=100)
+            for lo in range(0, len(keys), 100):
+                windowed.add_batch(keys[lo:lo + 100], {})
+            windowed.finalize()
+            assert len(windowed._sorted_view) == windowed._nkeys
+            assert windowed.result_table().rows == \
+                unbounded.result_table().rows
 
     def test_add_batch_after_finalize_rejected(self):
         from repro.core.errors import HardwareError

@@ -1,8 +1,8 @@
 """Sharded parallel session fabric tests.
 
 The acceptance criterion of the sharding PR: ``shards=N`` sessions must
-be **bit-identical** to ``shards=1``, to the one-shot vector engine,
-and to the row interpreter — tables, ``CacheStats`` counters, backing
+be **bit-identical** to ``shards=1``, to the single-process vector
+engine, and to the row interpreter — tables, ``CacheStats`` counters, backing
 writes, accuracy — across the Fig. 2 catalog, eviction policies,
 window partitionings, and shard counts, including mid-stream
 ``results()`` snapshots.  Plus: the mergeable/non-mergeable contract
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import HardwareError, SessionError
+from repro.core.errors import HardwareError
 from repro.network.records import ObservationTable
 from repro.queries.catalog import FIG2_QUERIES
 from repro.switch.kvstore.cache import CacheGeometry
@@ -63,7 +63,8 @@ def trace():
 
 
 class TestShardedBitIdentity:
-    """shards=N == shards=1 == one-shot vector == row interpreter."""
+    """shards=N == shards=1 == single-process vector == row
+    interpreter."""
 
     @pytest.mark.parametrize("entry", FIG2_QUERIES, ids=lambda e: e.name)
     def test_catalog_matches_one_shot_and_row(self, entry, trace):
@@ -152,15 +153,28 @@ class TestMidStreamSnapshots:
                 observables(single.results())
         assert observables(sharded.close()) == observables(single.close())
 
-    def test_one_shot_sharded_snapshot_raises(self, trace):
+    def test_unwindowed_snapshots_match_prefix_run(self, trace):
+        """Without a window each worker runs its buffered slice as one
+        window per read: mid-stream results() and cache_stats() equal
+        run() over the prefix, and the stream continues to run()'s
+        final report."""
         entry = CATALOG["per_flow_counters"]
         qe = QueryEngine(entry.source, params=entry.default_params,
                          geometry=GEOM)
-        session = qe.open(shards=2)            # window=None: one-shot
-        session.ingest(trace)
-        with pytest.raises(SessionError, match="window"):
-            session.results()
-        session.close()
+        columns = trace.columns()
+        session = qe.open(shards=2)
+        seen = 0
+        for batch in chunked(trace, 700):
+            session.ingest(batch)
+            seen += len(batch)
+            base = qe.run(ObservationTable.from_arrays(
+                {name: col[:seen] for name, col in columns.items()}),
+                include_invalid=True)
+            assert session.cache_stats() == base.cache_stats, seen
+            assert observables(session.results(include_invalid=True)) == \
+                observables(base), seen
+        assert observables(session.close(include_invalid=True)) == \
+            observables(qe.run(trace, include_invalid=True))
 
 
 class TestMergeableContract:

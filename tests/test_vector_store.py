@@ -1,5 +1,6 @@
 """Differential property tests: the schedule-driven vectorized split
-store (:mod:`repro.switch.kvstore.vector_store`) must be bit-identical
+store (:mod:`repro.switch.kvstore.windowed_store`, unbounded here — one
+window per read, the ``run()`` schedule) must be bit-identical
 to the per-packet reference store on every observable — result tables
 (valid-only and ``include_invalid``), cache counters, backing-store
 writes, accuracy, refresh counts, and per-key segment structure — over
@@ -18,7 +19,7 @@ from repro.queries.catalog import ALL_QUERIES
 from repro.switch.alu import compile_key_extractor, compile_predicate
 from repro.switch.kvstore.cache import CacheGeometry
 from repro.switch.kvstore.split import SplitKeyValueStore
-from repro.switch.kvstore.vector_store import VectorSplitStore
+from repro.switch.kvstore.windowed_store import WindowedVectorStore
 from repro.switch.pipeline import SwitchPipeline
 from repro.telemetry.runtime import QueryEngine
 
@@ -57,8 +58,8 @@ def run_both(stage, trace, geometry, params=None, policy="lru", seed=0,
     params = dict(params or {})
     row = SplitKeyValueStore(stage, geometry, params=params, policy=policy,
                              seed=seed, refresh_interval=refresh_interval)
-    vec = VectorSplitStore(stage, geometry, params=params, policy=policy,
-                           seed=seed, refresh_interval=refresh_interval)
+    vec = WindowedVectorStore(stage, geometry, params=params, policy=policy,
+                              seed=seed, refresh_interval=refresh_interval)
     predicate = compile_predicate(stage.where, params)
     extract = compile_key_extractor(stage.key.fields)
     for record in trace:
@@ -219,7 +220,7 @@ class TestRefreshBatch:
         stage = compile_stage(COUNT)
         row, vec = run_both(stage, trace, CacheGeometry.fully_associative(64),
                             refresh_interval=50)
-        vec.finalize()                  # deferred engine: run the schedule
+        vec.finalize()                  # unbounded window: run the schedule
         assert vec.refreshes == row.refreshes == row.stats.accesses // 50
 
     def test_nonmergeable_segment_structure(self, trace):
@@ -264,22 +265,25 @@ class TestStoreSurface:
 
     def test_batch_after_finalize_rejected(self):
         stage = compile_stage(COUNT)
-        vec = VectorSplitStore(stage, CacheGeometry.set_associative(8, ways=2))
+        vec = WindowedVectorStore(stage,
+                                  CacheGeometry.set_associative(8, ways=2))
         vec.finalize()
         with pytest.raises(HardwareError):
             vec.add_batch(np.zeros((1, 1), dtype=np.int64), {})
 
     def test_per_record_processing_rejected(self):
         stage = compile_stage(COUNT)
-        vec = VectorSplitStore(stage, CacheGeometry.set_associative(8, ways=2))
+        vec = WindowedVectorStore(stage,
+                                  CacheGeometry.set_associative(8, ways=2))
         with pytest.raises(HardwareError):
             vec.process(object())
 
     def test_invalid_refresh_interval_rejected(self):
         stage = compile_stage(COUNT)
         with pytest.raises(HardwareError):
-            VectorSplitStore(stage, CacheGeometry.set_associative(8, ways=2),
-                             refresh_interval=0)
+            WindowedVectorStore(stage,
+                                CacheGeometry.set_associative(8, ways=2),
+                                refresh_interval=0)
 
 
 class TestPipelineEngineKnob:
@@ -292,7 +296,7 @@ class TestPipelineEngineKnob:
                                   geometry=CacheGeometry.set_associative(8, ways=2),
                                   engine="vector")
         pipeline.run(trace)
-        assert isinstance(pipeline.store_for(rp.result), VectorSplitStore)
+        assert isinstance(pipeline.store_for(rp.result), WindowedVectorStore)
 
     def test_row_mode_keeps_row_store(self):
         rp = resolve_program(parse_program(COUNT))
