@@ -52,8 +52,9 @@ Three execution paths, chosen per geometry/policy:
    replay (and the windowed store's carried replay) consumes exactly
    the reference loop's draws.  Streams without enough per-set
    parallelism (``max segment length * _PACKED_MIN_PARALLELISM > n``,
-   e.g. a fully associative cache's single set) fall back to
-   per-access reference loops that mirror
+   e.g. a fully associative cache's single set) run every segment on
+   the one scalar loop (:func:`_finish_tails`) that also finishes the
+   packed rounds' long tails, mirroring
    :class:`~repro.switch.kvstore.cache.KeyValueCache` exactly.
 
 Use :class:`VectorCacheSim` directly when sweeping many geometries over
@@ -87,7 +88,7 @@ _MERGE_CHUNK = 1 << 16
 
 #: The packed FIFO/random replay runs one vectorized step per in-set
 #: position, so it needs enough sets progressing in parallel to beat
-#: the per-access reference loop: it is used when the longest set
+#: the scalar per-access loop: it is used when the longest set
 #: segment times this factor fits in the stream (i.e. average
 #: parallelism is at least this many sets).  Tests monkeypatch it to
 #: force either path.
@@ -123,8 +124,7 @@ _SKIP_BLOCK_BUDGET = 1 << 17
 #: verdict correction); deeper chains resume next round.
 _CHAIN_DEPTH = 4
 
-#: Empty ring-buffer slot: never equal to any key id (ids are int32 or
-#: nonnegative int64) nor to any raw int32-ranged key.
+#: Empty ring-buffer slot: never equal to any (nonnegative) key id.
 _FILLER = np.iinfo(np.int64).min
 
 #: Cached ``np.arange(w)`` block offsets (w is a power of two <=
@@ -189,7 +189,7 @@ def _replay_segments(kz: np.ndarray, starts: np.ndarray, lens: np.ndarray,
                      set_ids: np.ndarray, m: int, policy: str, seed: int,
                      ring: np.ndarray, head: np.ndarray, count: np.ndarray,
                      counters: np.ndarray | None,
-                     in_cache: np.ndarray | None = None,
+                     in_cache: np.ndarray,
                      state_rows: np.ndarray | None = None,
                      start_width: int = _SKIP_BLOCK_START,
                      ) -> tuple[np.ndarray, int, int]:
@@ -207,12 +207,12 @@ def _replay_segments(kz: np.ndarray, starts: np.ndarray, lens: np.ndarray,
     or thread persistent state through successive windows (the windowed
     store).
 
-    ``in_cache``, when the key ids are dense enough to afford one (a
-    per-key-id residency flag array, kept exactly in sync with the
-    rings, also carried across windows), turns every membership test
-    into a single gather instead of ``m`` ring compares — a key is in
-    its set's ring iff its flag is set, because each key id hashes to
-    exactly one set.
+    ``in_cache`` is a per-key-id residency flag array, kept exactly in
+    sync with the rings (and carried across windows with them); the
+    key ids must index it, so callers with sparse ids densify them
+    first.  It makes every membership test a single gather — a key is
+    in its set's ring iff its flag is set, because each key id hashes
+    to exactly one set.
 
     ``state_rows``, when given, maps segment ``s`` to row
     ``state_rows[s]`` of the state arrays (and of ``set_ids``), so a
@@ -277,8 +277,7 @@ def _replay_segments(kz: np.ndarray, starts: np.ndarray, lens: np.ndarray,
                 counters[fr] += 1
                 vk = ring[fr, v]
                 victims[fl] = vk
-                if in_cache is not None:
-                    in_cache[vk] = False
+                in_cache[vk] = False
                 src = cols[None, :] + (cols[None, :] >= v[:, None])
                 ring[fr[:, None], cols[None, :]] = ring[fr[:, None], src]
                 ring[fr, m - 1] = keys_m[fl]
@@ -302,7 +301,7 @@ def _replay_segments(kz: np.ndarray, starts: np.ndarray, lens: np.ndarray,
                 victims[fl] = vk
             else:
                 vk = None
-            if in_cache is not None and vk is not None:
+            if vk is not None:
                 in_cache[vk] = False
             ring[rows_g, ins] = keys_m
             hk += full                           # full: head advances
@@ -311,8 +310,7 @@ def _replay_segments(kz: np.ndarray, starts: np.ndarray, lens: np.ndarray,
             ck += 1
             ck -= full                           # full: occupancy stays
             count[rows_g] = ck
-        if in_cache is not None:
-            in_cache[keys_m] = True
+        in_cache[keys_m] = True
         return victims
 
     # Compact per-active-set arrays: state row ids, cursors (in-set
@@ -328,7 +326,7 @@ def _replay_segments(kz: np.ndarray, starts: np.ndarray, lens: np.ndarray,
             break
         if len(act) < _PACKED_MIN_ACTIVE:
             evictions += _finish_tails(
-                keys64, miss, seg_start, seg_end, set_ids, act, cur, m,
+                keys64, miss, seg_start + cur, seg_end, act, set_ids, m,
                 policy, seed, ring, head, count, counters, in_cache)
             break
         base = seg_start + cur
@@ -336,17 +334,7 @@ def _replay_segments(kz: np.ndarray, starts: np.ndarray, lens: np.ndarray,
         if wr is None:
             wr = _wr_cache[w] = np.arange(w)
         block = keys64[base[:, None] + wr]
-        if in_cache is not None:
-            hitrun = in_cache[block]
-        else:
-            # Membership per ring slot keeps the temporaries at (A, w)
-            # instead of materialising an (A, w, m) cube.
-            ring_act = ring[act]
-            hitrun = block == ring_act[:, 0, None]
-            slot_eq = np.empty_like(hitrun)
-            for c in range(1, m):
-                np.equal(block, ring_act[:, c, None], out=slot_eq)
-                hitrun |= slot_eq
+        hitrun = in_cache[block]
         stop = hitrun.argmin(axis=1)             # first miss in block
         stop[hitrun.all(axis=1)] = w             # all-hit: skip whole
         # Clamping to the segment end also neutralises any phantom
@@ -417,59 +405,82 @@ def _replay_segments(kz: np.ndarray, starts: np.ndarray, lens: np.ndarray,
     return miss, evictions, w
 
 
-def _finish_tails(keys64, miss, seg_start, seg_end, set_ids, act, cur, m,
-                  policy, seed, ring, head, count, counters,
-                  in_cache=None) -> int:
-    """Scalar finish of :func:`_replay_segments`: the still-active rows
-    (``act``, each at in-set position ``cur``) replay their remaining
-    tails per access, starting from (and writing back) the packed ring
-    state.  The written-back FIFO state is canonicalised to ``head=0``
-    — an equivalent representation of the same queue.  Returns the tail
-    eviction count."""
+def _finish_tails(keys, miss, lo, hi, rows, set_ids, m, policy, seed,
+                  ring, head, count, counters, in_cache) -> int:
+    """The scalar per-access FIFO/random loop: state row ``rows[i]``
+    replays ``keys[lo[i]:hi[i]]``, starting from (and writing back) its
+    ring state and residency flags.  It finishes the long tails of
+    :func:`_replay_segments` and runs whole segments when a stream has
+    too little per-set parallelism for the packed rounds.  The
+    written-back FIFO state is canonicalised to ``head=0`` — an
+    equivalent representation of the same queue.  Returns the eviction
+    count."""
     randomized = policy == "random"
     evictions = 0
-    for i, row in enumerate(act.tolist()):
+    for row, a, b in zip(rows.tolist(), lo.tolist(), hi.tolist()):
         occupancy = int(count[row])
         if randomized:
             resident = ring[row, :occupancy].tolist()
         else:
-            front = int(head[row])
-            slots = ring[row].tolist()
-            resident = [slots[(front + k) % m] for k in range(occupancy)]
+            resident = np.roll(ring[row], -int(head[row]))[:occupancy] \
+                .tolist()
+        # Each key id hashes to exactly one set, so clearing the row's
+        # starting residents here and flagging its final residents
+        # below keeps in_cache exact with no per-miss update.
+        in_cache[resident] = False
         seen = set(resident)
-        touched: set = set()      # keys whose residency flag may move
-        evict_count = int(counters[row]) if randomized else 0
-        bucket = int(set_ids[row])
-        lo = int(seg_start[i]) + int(cur[i])
-        for pos, key in enumerate(keys64[lo:int(seg_end[i])].tolist(), lo):
-            if key in seen:
-                continue
-            miss[pos] = True
-            if len(resident) >= m:
-                if randomized:
-                    victim = resident[
-                        replay_victim(seed, bucket, evict_count,
-                                      len(resident))]
-                    evict_count += 1
-                    resident.remove(victim)
-                else:
-                    victim = resident.pop(0)
-                seen.discard(victim)
-                touched.add(victim)
-                evictions += 1
-            resident.append(key)
-            seen.add(key)
-            touched.add(key)
+        if randomized:
+            drawn = start = int(counters[row])
+            bucket = int(set_ids[row])
+            for pos, key in enumerate(keys[a:b].tolist(), a):
+                if key in seen:
+                    continue
+                miss[pos] = True
+                if len(resident) == m:
+                    seen.discard(resident.pop(
+                        replay_victim(seed, bucket, drawn, m)))
+                    drawn += 1
+                resident.append(key)
+                seen.add(key)
+            counters[row] = drawn
+            evictions += drawn - start
+        else:
+            # FIFO evicts by advancing ``front`` through the insertion-
+            # ordered list, which is trimmed once at the end.
+            front = 0
+            for pos, key in enumerate(keys[a:b].tolist(), a):
+                if key in seen:
+                    continue
+                miss[pos] = True
+                if len(resident) - front == m:
+                    seen.discard(resident[front])
+                    front += 1
+                resident.append(key)
+                seen.add(key)
+            del resident[:front]
+            evictions += front
         ring[row, :len(resident)] = resident
         ring[row, len(resident):] = _FILLER
         head[row] = 0
         count[row] = len(resident)
-        if randomized:
-            counters[row] = evict_count
-        if in_cache is not None and touched:
-            in_cache[list(touched)] = False
-            in_cache[resident] = True
+        in_cache[resident] = True
     return evictions
+
+
+def _collapse_runs(kz: np.ndarray, segstart: np.ndarray,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Drop the repeats of a key's previous access inside a set segment
+    (guaranteed hits that leave FIFO/random state untouched).  ``kz``
+    holds the key ids in (set, time) layout order and ``segstart``
+    marks each set's first access.  Returns ``(kept positions, kept key
+    ids, segment starts, segment lengths)``, the last three in kept
+    space."""
+    keep = segstart.copy()
+    keep[1:] |= kz[1:] != kz[:-1]
+    keep_idx = np.flatnonzero(keep)
+    kz2 = kz[keep_idx]
+    starts = np.flatnonzero(segstart[keep_idx])
+    return keep_idx, kz2, starts, np.diff(np.append(starts, len(kz2)))
 
 
 def _count_prev_greater(values: np.ndarray) -> np.ndarray:
@@ -843,140 +854,61 @@ class VectorCacheSim:
                 miss_out: np.ndarray | None = None):
         """Exact replay of the FIFO/random ablation policies.
 
-        Dispatches to the packed per-set array replay
-        (:func:`_replay_segments`) whenever the stream has enough
-        per-set parallelism to win — its Python-level iteration count
-        is the longest set segment, so it needs many sets progressing
+        Runs the packed per-set array replay (:func:`_replay_segments`)
+        from empty state whenever the stream has enough per-set
+        parallelism to win — its Python-level iteration count is the
+        longest set segment, so it needs many sets progressing
         together — and otherwise (e.g. a fully associative cache's
-        single set) to the per-access reference loops of
-        :meth:`_replay_scalar`.  Both paths are bit-identical to
-        :class:`KeyValueCache`.  ``miss_out`` (bool, stream order)
-        records the per-access miss flags for the schedule-driven
-        store."""
-        chains = self._lru_chains(geometry.n_buckets)
-        starts = chains.segstarts2
-        lens = np.diff(np.append(starts, chains.n2))
-        max_len = int(lens.max()) if len(lens) else 0
-        if max_len * _PACKED_MIN_PARALLELISM > chains.n2:
-            return self._replay_scalar(geometry, policy, per_key,
-                                       miss_out=miss_out)
+        single set) hands every segment to the scalar loop
+        (:func:`_finish_tails`) that also finishes the packed rounds'
+        tails.  Both are bit-identical to :class:`KeyValueCache`.
+        ``miss_out`` (bool, stream order) records the per-access miss
+        flags for the schedule-driven store."""
         m = geometry.m_slots
         layout = self._layout(geometry.n_buckets)
+        # Runs of the same key inside a set are collapsed (guaranteed
+        # hits that leave FIFO/random state untouched — hits never
+        # reorder these policies), like the LRU path.
+        keep_idx, kz2, starts, lens = _collapse_runs(layout.kz,
+                                                     layout.segstart)
+        # Membership is a residency-flag gather, so the key ids must
+        # index a flag array: raw narrow int streams can be too sparse
+        # for one and are densified through one sort.
+        kmin = int(kz2.min())
+        span = int(kz2.max()) - kmin + 1
+        if span > 4 * len(kz2) + 1024:
+            _, kz2 = np.unique(kz2, return_inverse=True)
+            span = int(kz2.max()) + 1
+        elif kmin:
+            kz2 = kz2.astype(np.int64) - kmin
+        in_cache = np.zeros(span, dtype=bool)
         n_segs = len(starts)
         ring = np.full((n_segs, m), _FILLER, dtype=np.int64)
         head = np.zeros(n_segs, dtype=np.int64)
         count = np.zeros(n_segs, dtype=np.int64)
         counters = np.zeros(n_segs, dtype=np.uint64) \
             if policy == "random" else None
-        # A residency-flag array buys one-gather membership tests when
-        # the key-id range is dense enough to afford one (always true
-        # for factorized ids; raw narrow int streams may be sparse).
-        kz2 = chains.kz2
-        kmin = int(kz2.min())
-        span = int(kz2.max()) - kmin + 1
-        if span <= 4 * chains.n2 + 1024:
-            in_cache = np.zeros(span, dtype=bool)
-            if kmin:
-                kz2 = kz2.astype(np.int64) - kmin
+        if int(lens.max()) * _PACKED_MIN_PARALLELISM > len(kz2):
+            miss_kept = np.zeros(len(kz2), dtype=bool)
+            evictions = _finish_tails(
+                kz2, miss_kept, starts, starts + lens, np.arange(n_segs),
+                layout.segbuckets, m, policy, self.seed, ring, head, count,
+                counters, in_cache)
         else:
-            in_cache = None
-        # Runs of the same key inside a set are collapsed (guaranteed
-        # hits that leave FIFO/random state untouched — hits never
-        # reorder these policies), exactly like the LRU path.
-        miss_kept, evictions, _ = _replay_segments(
-            kz2, starts, lens, layout.segbuckets, m, policy,
-            self.seed, ring, head, count, counters, in_cache=in_cache)
+            miss_kept, evictions, _ = _replay_segments(
+                kz2, starts, lens, layout.segbuckets, m, policy,
+                self.seed, ring, head, count, counters, in_cache)
         misses = int(np.count_nonzero(miss_kept))
         stats = CacheStats(accesses=self.n, hits=self.n - misses,
                            misses=misses, insertions=misses,
                            evictions=evictions)
         if miss_out is not None:
             miss_layout = np.zeros(self.n, dtype=bool)
-            miss_layout[chains.keep_idx] = miss_kept
+            miss_layout[keep_idx] = miss_kept
             miss_out[:] = self._to_stream_order(layout, miss_layout)
         if not per_key:
             return stats, None
-        return stats, _single_miss_validity(chains.kz2[miss_kept])
-
-    def _replay_scalar(self, geometry: CacheGeometry, policy: str,
-                       per_key: bool, miss_out: np.ndarray | None = None):
-        """Per-access reference loops for the ablation policies —
-        compact Python over packed key arrays mirroring
-        :class:`KeyValueCache`'s bucket order and victim draws exactly
-        (the random policy consumes the same counter-based
-        :func:`replay_victim` stream as the packed path)."""
-        n_buckets, m = geometry.n_buckets, geometry.m_slots
-        stats = CacheStats()
-        miss_counts: dict[int, int] = {}
-        if policy == "fifo":
-            layout = self._layout(n_buckets)
-            bounds = np.flatnonzero(layout.segstart).tolist() + [self.n]
-            kz = layout.kz.tolist()
-            miss_layout = np.zeros(self.n, dtype=bool) \
-                if miss_out is not None else None
-            for si in range(len(bounds) - 1):
-                resident: set[int] = set()
-                order: list[int] = []
-                head = 0
-                for pos in range(bounds[si], bounds[si + 1]):
-                    key = kz[pos]
-                    stats.accesses += 1
-                    if key in resident:
-                        stats.hits += 1
-                        continue
-                    stats.misses += 1
-                    stats.insertions += 1
-                    if miss_layout is not None:
-                        miss_layout[pos] = True
-                    if per_key:
-                        miss_counts[key] = miss_counts.get(key, 0) + 1
-                    if len(resident) >= m:
-                        victim = order[head]
-                        head += 1
-                        resident.discard(victim)
-                        stats.evictions += 1
-                    resident.add(key)
-                    order.append(key)
-            if miss_out is not None:
-                if layout.order is None:
-                    miss_out[:] = miss_layout
-                else:
-                    miss_out[layout.order] = miss_layout
-        else:  # random
-            seed = self.seed
-            hashes = (self._hash() % _U(n_buckets)).astype(np.int64).tolist() \
-                if n_buckets > 1 else [0] * self.n
-            keys = self._key_ids().tolist()
-            buckets: dict[int, list[int]] = {}
-            members: dict[int, set[int]] = {}
-            evict_counts: dict[int, int] = {}
-            for i, (key, b) in enumerate(zip(keys, hashes)):
-                stats.accesses += 1
-                lst = buckets.setdefault(b, [])
-                seen = members.setdefault(b, set())
-                if key in seen:
-                    stats.hits += 1
-                    continue
-                stats.misses += 1
-                stats.insertions += 1
-                if miss_out is not None:
-                    miss_out[i] = True
-                if per_key:
-                    miss_counts[key] = miss_counts.get(key, 0) + 1
-                if len(lst) >= m:
-                    count = evict_counts.get(b, 0)
-                    evict_counts[b] = count + 1
-                    victim = lst[replay_victim(seed, b, count, len(lst))]
-                    lst.remove(victim)
-                    seen.discard(victim)
-                    stats.evictions += 1
-                lst.append(key)
-                seen.add(key)
-        if not per_key:
-            return stats, None
-        total = len(miss_counts)
-        valid = sum(1 for c in miss_counts.values() if c == 1)
-        return stats, (valid, total)
+        return stats, _single_miss_validity(kz2[miss_kept])
 
     def _run(self, geometry: CacheGeometry, policy: str, per_key: bool):
         if policy not in KeyValueCache.POLICIES:
@@ -1011,8 +943,8 @@ class VectorCacheSim:
         * LRU: the per-kept-access mask of :meth:`_lru_miss_mask`
           scattered back through the run-collapse (collapsed duplicate
           accesses are guaranteed hits) and the layout permutation;
-        * FIFO/random: the packed per-set replay (or its per-access
-          reference fallback), recording per access.
+        * FIFO/random: the packed per-set replay (or its scalar loop),
+          recording per access.
         """
         if policy not in KeyValueCache.POLICIES:
             raise HardwareError(f"unknown eviction policy {policy!r}")

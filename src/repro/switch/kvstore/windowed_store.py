@@ -28,11 +28,11 @@ observable stays **bit-identical** to the per-packet row store, for
      most-recent keys.
    * FIFO / random: the packed per-set array replay of the cache
      simulator (:func:`repro.switch.kvstore.vector_cache._replay_segments`)
-     with its per-set ring buffers, occupancy, and counter-based RNG
-     counters carried across windows — one gather/replay/scatter per
-     window, no per-access Python.  Degenerate geometries with too few
-     sets for the step-major replay to win keep a per-access reference
-     scheduler (:class:`_ReplayWindowScheduler`).
+     with its per-set ring buffers, occupancy, residency flags, and
+     counter-based RNG counters carried across windows, for every
+     geometry with ``m > 1``.  Sets the vectorized rounds cannot
+     advance in parallel (few-set geometries, the long tail of a
+     skewed window) finish on the replay's one scalar loop.
 
 2. **Carried open epochs.** A key's current cache-residency epoch can
    span windows.  Its partial fold state (and merge registers) is
@@ -89,19 +89,11 @@ from repro.core.vector_exec import (
 )
 
 from .backing import BackingStore, KeyEntry
-from .cache import CacheGeometry, CacheStats, replay_victim
+from .cache import CacheGeometry, CacheStats
 from .vector_cache import _FILLER, _SKIP_BLOCK_START, VectorCacheSim, \
-    _replay_segments, mix_key_array
+    _collapse_runs, _replay_segments, mix_key_array
 from .split import build_result_table
 from .vector_store import VectorSplitStore, _FoldCont, _copy_aux
-
-#: Minimum bucket count for the packed FIFO/random window scheduler:
-#: its step-major replay advances every set in parallel, so geometries
-#: with fewer sets than this keep the per-access reference scheduler
-#: (a fully associative cache is a single set — there is nothing to
-#: parallelise across).  Tests monkeypatch it to force either
-#: scheduler.
-PACKED_WINDOW_MIN_SETS = 16
 
 _U = np.uint64
 
@@ -273,79 +265,6 @@ class _LruWindowScheduler:
         self._res_gids = state["res_gids"]
 
 
-class _ReplayWindowScheduler:
-    """Carried per-set replay for the FIFO/random ablation policies on
-    degenerate geometries (fewer than :data:`PACKED_WINDOW_MIN_SETS`
-    sets): the per-access reference loop with its bucket structures
-    (and the random policy's per-set eviction counters — the
-    counter-based RNG state) persisted across windows."""
-
-    def __init__(self, geometry: CacheGeometry, policy: str, seed: int):
-        self.geometry = geometry
-        self.policy = policy
-        self.seed = seed
-        #: bucket -> insertion-ordered {key id: None} (mirrors the
-        #: reference cache's per-bucket OrderedDict).
-        self._buckets: dict[int, dict[int, None]] = {}
-        self._evict_counts: dict[int, int] = {}
-
-    def schedule(self, keys2d: np.ndarray, gid: np.ndarray,
-                 final: bool = False,
-                 ) -> tuple[np.ndarray, int, np.ndarray | None]:
-        n = len(gid)
-        n_buckets, m = self.geometry.n_buckets, self.geometry.m_slots
-        if n_buckets == 1:
-            bucket_list = [0] * n
-        else:
-            bucket_list = (mix_key_array(keys2d, self.seed) %
-                           _U(n_buckets)).astype(np.int64).tolist()
-        miss = np.zeros(n, dtype=bool)
-        evictions = 0
-        randomized = self.policy == "random"
-        seed = self.seed
-        buckets = self._buckets
-        evict_counts = self._evict_counts
-        for i, (g, b) in enumerate(zip(gid.tolist(), bucket_list)):
-            resident = buckets.setdefault(b, {})
-            if g in resident:
-                continue
-            miss[i] = True
-            if len(resident) >= m:
-                if randomized:
-                    count = evict_counts.get(b, 0)
-                    evict_counts[b] = count + 1
-                    victim = list(resident)[
-                        replay_victim(seed, b, count, len(resident))]
-                else:
-                    victim = next(iter(resident))
-                del resident[victim]
-                evictions += 1
-            resident[g] = None
-        if final:
-            return miss, evictions, None
-        resident_gids = np.fromiter(
-            (g for d in buckets.values() for g in d), dtype=np.int64)
-        return miss, evictions, resident_gids
-
-    def checkpoint_state(self) -> dict:
-        # Per-bucket insertion order *is* the replacement state; the
-        # random policy's RNG is the counter dict.
-        return {
-            "kind": "replay",
-            "buckets": {b: list(d) for b, d in self._buckets.items()},
-            "evict_counts": dict(self._evict_counts),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("kind") != "replay":
-            raise CheckpointError(
-                f"scheduler state mismatch: snapshot carries "
-                f"{state.get('kind')!r}, store expects 'replay'")
-        self._buckets = {b: dict.fromkeys(ids)
-                         for b, ids in state["buckets"].items()}
-        self._evict_counts = dict(state["evict_counts"])
-
-
 class _PackedWindowScheduler:
     """Carried packed per-set replay for the FIFO/random ablation
     policies: the persistent per-set state of the cache simulator's
@@ -355,8 +274,8 @@ class _PackedWindowScheduler:
     one composite sort, its sets' state rows are gathered, replayed
     through the shared step-major core
     (:func:`~repro.switch.kvstore.vector_cache._replay_segments`), and
-    scattered back.  Bit-identical to the per-access reference for
-    every window partitioning (the replay state a set carries is
+    scattered back.  Bit-identical to the per-access reference cache
+    for every window partitioning (the replay state a set carries is
     independent of where windows cut)."""
 
     def __init__(self, geometry: CacheGeometry, policy: str, seed: int):
@@ -402,18 +321,10 @@ class _PackedWindowScheduler:
         segstart[0] = True
         np.not_equal(bz[1:], bz[:-1], out=segstart[1:])
         seg_ids = bz[segstart]
-        # Collapse runs of the same key inside a set (guaranteed hits
-        # that leave FIFO/random state untouched), exactly like the
+        # Collapse runs of the same key inside a set, exactly like the
         # cache simulator: a window is a contiguous chunk of the
         # stream, so in-window adjacency in set order is true adjacency.
-        gz = gid[order]
-        keep = np.empty(n, dtype=bool)
-        keep[0] = True
-        keep[1:] = segstart[1:] | (gz[1:] != gz[:-1])
-        keep_idx = np.flatnonzero(keep)
-        kz2 = gz[keep_idx]
-        starts = np.flatnonzero(segstart[keep_idx])
-        lens = np.diff(np.append(starts, len(kz2)))
+        keep_idx, kz2, starts, lens = _collapse_runs(gid[order], segstart)
         rows = self._rows_for(seg_ids)
         randomized = self.policy == "random"
         max_gid = int(gid.max()) + 1
@@ -495,8 +406,11 @@ class _PackedWindowScheduler:
         if cap >= n:
             return
         # One capacity for every state array (the rows of _ring must
-        # stay aligned with the 1-D arrays and the set registry).
-        new_cap = max(n, 2 * cap, 1024)
+        # stay aligned with the 1-D arrays and the set registry), and
+        # never more rows than the geometry has sets: a few-set
+        # geometry's rows are long (a fully associative cache is one
+        # row holding every slot).
+        new_cap = min(max(n, 2 * cap, 1024), self.geometry.n_buckets)
         ring = np.full((new_cap, self.geometry.m_slots), _FILLER,
                        dtype=np.int64)
         ring[:cap] = self._ring
@@ -574,10 +488,8 @@ class WindowedVectorStore(VectorSplitStore):
         self._open_dicts: dict[int, dict[str, tuple[State, AuxState]]] = {}
         if geometry.m_slots == 1 or policy == "lru":
             self._sched = _LruWindowScheduler(geometry, policy, seed)
-        elif geometry.n_buckets >= PACKED_WINDOW_MIN_SETS:
-            self._sched = _PackedWindowScheduler(geometry, policy, seed)
         else:
-            self._sched = _ReplayWindowScheduler(geometry, policy, seed)
+            self._sched = _PackedWindowScheduler(geometry, policy, seed)
         # Absorption target: per-key accumulator arrays when every fold
         # merges by plain addition from zero, a real backing store
         # otherwise (materialised from the arrays on demand).
@@ -1343,9 +1255,9 @@ class WindowedVectorStore(VectorSplitStore):
 
 def _is_resident(gids: np.ndarray, resident: np.ndarray) -> np.ndarray:
     """Membership of ``gids`` in a scheduler's residency report —
-    either a key-id array (LRU / per-access schedulers) or a per-gid
-    flag array (the packed scheduler's bitmap, possibly shorter than
-    the store's key table)."""
+    either a key-id array (the LRU scheduler) or a per-gid flag array
+    (the packed scheduler's bitmap, possibly shorter than the store's
+    key table)."""
     if resident.dtype == np.bool_:
         out = np.zeros(len(gids), dtype=bool)
         within = gids < len(resident)

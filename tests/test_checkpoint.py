@@ -254,6 +254,20 @@ class TestMidStreamBitIdentity:
         with pytest.raises(CheckpointError, match="oneshot"):
             engine.resume(pack_checkpoint(payload))
 
+    def test_retired_replay_scheduler_kind_rejected(self, trace):
+        """Few-set FIFO/random stores used to checkpoint a per-access
+        scheduler as ``"replay"``; every FIFO/random geometry now
+        carries the packed scheduler, which refuses that kind."""
+        engine = QueryEngine(QUERY, policy="fifo",
+                             geometry=CacheGeometry.fully_associative(8))
+        session = ingest_upto(engine.open(window=128), trace, 300)
+        payload = unpack_checkpoint(session.checkpoint())
+        session.close()
+        payload["pipeline"]["stores"][0]["sched"] = {
+            "kind": "replay", "buckets": {}, "evict_counts": {}}
+        with pytest.raises(CheckpointError, match="replay"):
+            engine.resume(pack_checkpoint(payload))
+
     def test_closed_session_cannot_checkpoint(self, trace):
         engine = make_engine()
         session = ingest_upto(engine.open(window=128), trace, 300)

@@ -1,20 +1,21 @@
 """Differential property tests for the packed FIFO/random replay.
 
-The packed per-set array replay (`vector_cache._replay_segments`) and
-the windowed schedulers built on it must be **bit-identical** — per
-access, not just in aggregate — to the per-access reference
-(:class:`KeyValueCache` / the scalar replay loops), across:
+The packed per-set array replay (`vector_cache._replay_segments`), its
+scalar loop (`vector_cache._finish_tails`) and the windowed scheduler
+built on them must be **bit-identical** — per access, not just in
+aggregate — to the per-access reference (:class:`KeyValueCache`),
+across:
 
 * both ablation policies (FIFO, random) and its counter-based RNG;
 * randomized geometries (bucket counts, associativities, seeds);
 * at least three window partitionings per stream, so carried ring
   state, occupancy, and RNG counters are exercised at every cut;
 * adversarial streams (single key, all-unique, cyclic working sets at
-  the capacity boundary, hot/cold interleaves).
+  the capacity boundary, hot/cold interleaves, sparse 32-bit keys).
 
 Seed plumbing is audited here too: the one-shot row loop, the one-shot
 vector engine, the sweep runner's `stats_fn` closure, and the windowed
-schedulers must all derive the random policy's replay state from the
+scheduler must all derive the random policy's replay state from the
 same seed — equal counters for equal seeds, different draws for
 different seeds.
 """
@@ -25,7 +26,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.switch.kvstore.vector_cache as vector_cache
-import repro.switch.kvstore.windowed_store as windowed_store
 from repro.switch.kvstore.cache import (
     CacheGeometry,
     KeyValueCache,
@@ -36,10 +36,7 @@ from repro.switch.kvstore.vector_cache import (
     VectorCacheSim,
     replay_victim_array,
 )
-from repro.switch.kvstore.windowed_store import (
-    _PackedWindowScheduler,
-    _ReplayWindowScheduler,
-)
+from repro.switch.kvstore.windowed_store import _PackedWindowScheduler
 
 POLICIES = ("fifo", "random")
 
@@ -68,7 +65,6 @@ def force_packed(monkeypatch):
     scalar tail finisher — even on tiny streams."""
     monkeypatch.setattr(vector_cache, "_PACKED_MIN_PARALLELISM", 0)
     monkeypatch.setattr(vector_cache, "_PACKED_MIN_ACTIVE", 0)
-    monkeypatch.setattr(windowed_store, "PACKED_WINDOW_MIN_SETS", 1)
 
 
 class TestVictimRng:
@@ -124,10 +120,12 @@ def test_packed_replay_matches_reference(force_packed, keys, n_buckets,
     cuts=st.lists(st.integers(min_value=1, max_value=249), max_size=6),
 )
 def test_windowed_schedulers_match_for_every_partitioning(
-        force_packed, keys, n_buckets, m_slots, policy, seed, cuts):
-    """Both windowed schedulers (packed ring carry and the per-access
-    reference carry), fed arbitrary window partitionings of the same
-    stream, must reproduce the one-shot schedule and eviction count
+        force_packed, monkeypatch, keys, n_buckets, m_slots, policy, seed,
+        cuts):
+    """The windowed scheduler's carried state — driven through the
+    vectorized rounds and through the scalar loop alone — fed
+    arbitrary window partitionings of the same stream, must reproduce
+    the reference cache's schedule, eviction count and residency
     exactly — plus three fixed partitionings (per-access, small, whole
     stream)."""
     geometry = CacheGeometry(n_buckets, m_slots)
@@ -153,12 +151,17 @@ def test_windowed_schedulers_match_for_every_partitioning(
         bounds = sorted({c for c in cuts if c < n})
         sizes = np.diff([0, *bounds, n]).tolist()
         partitionings.append([s for s in sizes if s])
+    cache = KeyValueCache(geometry, policy=policy, seed=seed)
+    for k in keys:
+        cache.access((int(k),), lambda: None)
+    want = {gid_of[int(e.key[0])] for e in cache.entries()}
     for sizes in partitionings:
-        for sched_cls in (_PackedWindowScheduler, _ReplayWindowScheduler):
-            sched = sched_cls(geometry, policy, seed)
+        for min_active in (0, 1 << 30):            # rounds / scalar loop
+            monkeypatch.setattr(vector_cache, "_PACKED_MIN_ACTIVE",
+                                min_active)
+            sched = _PackedWindowScheduler(geometry, policy, seed)
             miss_parts, evictions = [], 0
             lo = 0
-            resident = None
             for size in sizes:
                 hi = lo + size
                 miss, ev, resident = sched.schedule(keys2d[lo:hi],
@@ -166,22 +169,13 @@ def test_windowed_schedulers_match_for_every_partitioning(
                 miss_parts.append(miss)
                 evictions += ev
                 lo = hi
-            got = np.concatenate(miss_parts) if miss_parts else \
-                np.zeros(0, dtype=bool)
-            assert np.array_equal(got, ref_miss), \
-                (sched_cls.__name__, sizes)
-            assert evictions == ref_stats.evictions, \
-                (sched_cls.__name__, sizes)
-            # Final residency must match the reference cache's content
-            # (schedulers report either gid arrays or a gid bitmap).
-            cache = KeyValueCache(geometry, policy=policy, seed=seed)
-            for k in keys:
-                cache.access((int(k),), lambda: None)
-            want = {gid_of[int(e.key[0])] for e in cache.entries()}
-            resident = np.asarray(resident)
-            got_res = np.flatnonzero(resident) \
-                if resident.dtype == bool else resident
-            assert set(got_res.tolist()) == want
+            got = np.concatenate(miss_parts)
+            assert np.array_equal(got, ref_miss), (min_active, sizes)
+            assert evictions == ref_stats.evictions, (min_active, sizes)
+            # Final residency (a gid bitmap) must match the reference
+            # cache's content; the state rows never outnumber the sets.
+            assert set(np.flatnonzero(resident).tolist()) == want
+            assert len(sched._ring) <= n_buckets
 
 
 class TestAdversarialStreams:
@@ -189,6 +183,8 @@ class TestAdversarialStreams:
         CacheGeometry.set_associative(64, ways=4),
         CacheGeometry.set_associative(32, ways=8),
         CacheGeometry(5, 3),                       # odd bucket count
+        CacheGeometry.fully_associative(512),      # one long row
+        CacheGeometry(3, 64),
     )
 
     def assert_match(self, keys):
@@ -221,6 +217,12 @@ class TestAdversarialStreams:
         keys[1::2] = rng.integers(6, 3000, 3000)
         self.assert_match(keys)
 
+    def test_sparse_32bit_keys(self, force_packed):
+        """Raw keys whose range is far too wide for a residency flag
+        per value: the simulator densifies them before the replay."""
+        rng = np.random.default_rng(5)
+        self.assert_match(0x0A000000 + 97 * rng.integers(0, 1 << 12, 3000))
+
     def test_round_to_tail_handover(self, monkeypatch):
         """A skewed stream drops below the active-set cutoff while the
         hot sets still have long tails: the vectorized rounds must hand
@@ -240,21 +242,28 @@ class TestAdversarialStreams:
             assert np.array_equal(sched, ref_miss), policy
 
     def test_packed_equals_scalar_paths(self, monkeypatch):
-        """The parallelism dispatch is an implementation detail: both
-        paths must produce the same schedule on the same stream."""
+        """The parallelism dispatch is an implementation detail: the
+        vectorized rounds and the scalar loop must produce the same
+        schedule on the same stream (a working set ~4x the capacity,
+        so every set evicts — including the long rows of few-set
+        geometries)."""
         rng = np.random.default_rng(9)
-        keys = rng.integers(0, 500, 8000).astype(np.int64)
-        geometry = CacheGeometry.set_associative(128, ways=4)
-        for policy in POLICIES:
-            monkeypatch.setattr(vector_cache, "_PACKED_MIN_PARALLELISM", 0)
-            packed = VectorCacheSim(keys, seed=3).stats_and_schedule(
-                geometry, policy=policy)
-            monkeypatch.setattr(vector_cache, "_PACKED_MIN_PARALLELISM",
-                                10**9)
-            scalar = VectorCacheSim(keys, seed=3).stats_and_schedule(
-                geometry, policy=policy)
-            assert counters(packed[0]) == counters(scalar[0])
-            assert np.array_equal(packed[1], scalar[1])
+        for geometry in (CacheGeometry.set_associative(128, ways=4),
+                         CacheGeometry.fully_associative(512),
+                         CacheGeometry(3, 64)):
+            keys = rng.integers(0, 4 * geometry.capacity, 4000)
+            for policy in POLICIES:
+                monkeypatch.setattr(vector_cache, "_PACKED_MIN_PARALLELISM",
+                                    0)
+                monkeypatch.setattr(vector_cache, "_PACKED_MIN_ACTIVE", 0)
+                packed = VectorCacheSim(keys, seed=3).stats_and_schedule(
+                    geometry, policy=policy)
+                monkeypatch.setattr(vector_cache, "_PACKED_MIN_PARALLELISM",
+                                    10**9)
+                scalar = VectorCacheSim(keys, seed=3).stats_and_schedule(
+                    geometry, policy=policy)
+                assert counters(packed[0]) == counters(scalar[0]), geometry
+                assert np.array_equal(packed[1], scalar[1]), geometry
 
 
 class TestSeedPlumbing:

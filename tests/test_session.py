@@ -77,15 +77,18 @@ class TestWindowedBitIdentity:
     @pytest.mark.parametrize("ways", [2, 8])
     def test_eviction_policies_match_one_shot(self, policy, ways,
                                               small_trace):
-        """The carried FIFO/random replay schedulers (packed per-set
-        ring buffers + counter-based RNG, and the per-access reference
-        scheduler on few-set geometries) and the LRU phantom-prefix
-        path all stay bit-identical across window cuts."""
+        """The carried FIFO/random replay (packed per-set ring buffers
+        + counter-based RNG; these 16-set geometries run its scalar
+        loop) and the LRU phantom-prefix path all match the per-packet
+        row engine's run() across window cuts, unbounded included."""
         geometry = CacheGeometry.set_associative(32 * ways // 2, ways=ways)
-        qe = QueryEngine("SELECT COUNT, SUM(pkt_len) GROUPBY srcip, dstip",
-                         geometry=geometry, policy=policy)
-        base = observables(qe.run(small_trace, include_invalid=True))
-        for window in (167, 1024):
+        query = "SELECT COUNT, SUM(pkt_len) GROUPBY srcip, dstip"
+        base = observables(QueryEngine(
+            query, geometry=geometry, policy=policy,
+            engine="row").run(small_trace, include_invalid=True))
+        qe = QueryEngine(query, geometry=geometry, policy=policy,
+                         engine="vector")
+        for window in (167, 1024, 10 ** 6):
             report = session_report(qe, small_trace, window, chunk=409)
             assert observables(report) == base, (policy, window)
 
