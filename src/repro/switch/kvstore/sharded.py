@@ -3,7 +3,7 @@
 The paper's linear-in-state restriction (§3.2) is what makes execution
 *shardable*: synthesized merges combine partial per-key values computed
 anywhere, so partitioning the key space across worker processes and
-combining their backing stores afterwards is exact.  This module
+combining their merged per-key results afterwards is exact.  This module
 partitions by **cache set**: a key's bucket is
 ``mix_key(key, seed) % n_buckets`` — a pure function of the key — and
 every replacement decision (and the random policy's counter-based
@@ -15,9 +15,15 @@ Every shard runs the unmodified single-process engine over its slice:
   values, and merge products — are identical to the single-process run
   (stats are per-bucket sums, so they combine by field-wise addition);
 * each key lives wholly in one shard, so the shard-local merged value
-  *is* the final value — combining is a concatenation plus a stable
-  re-sort by each key's global first-access position, which reproduces
-  the single-process engines' first-access result order exactly;
+  *is* the final value.  Each worker ships its store's
+  :class:`~repro.switch.kvstore.windowed_store.MergedState` (the one
+  merged-result form the single-process store's observables read) with
+  each key's global first-access position, and the combine
+  concatenates those states — per-key arrays, or the union of the
+  backing entries — with a stable re-sort by first-access position,
+  which reproduces the single-process engines' result order exactly.
+  The combined state answers every observable the same way the
+  store's own does;
 * the windowed store is bit-identical for every window partitioning,
   so shard-local window boundaries are observation-neutral.
 
@@ -49,20 +55,13 @@ from repro.core.errors import HardwareError
 from repro.core.eval_expr import Numeric
 from repro.core.interpreter import ResultTable
 from repro.core.plan import GroupByStage
-from repro.core.vector_exec import (
-    ArrayContext,
-    FoldVectorizer,
-    VectorizationError,
-    as_column,
-    eval_array,
-)
+from repro.core.vector_exec import FoldVectorizer
 from repro.telemetry.shard_exec import ShardError, ShardWorkerPool
 
-from .backing import BackingStore, KeyEntry
 from .cache import CacheGeometry, CacheStats
-from .split import build_result_table
+from .split import StoreSnapshot
 from .vector_cache import mix_key_array
-from .windowed_store import StoreSnapshot, WindowedVectorStore
+from .windowed_store import MergedState, WindowedVectorStore
 
 _U = np.uint64
 
@@ -95,6 +94,7 @@ class _StoreShardRole:
         self._window = window
         self._stores: dict[int, WindowedVectorStore] = {}
         self._firsts: dict[int, dict[tuple, int]] = {}
+        self._finalized: set[int] = set()
 
     def _store(self, idx: int) -> WindowedVectorStore:
         store = self._stores.get(idx)
@@ -119,6 +119,7 @@ class _StoreShardRole:
             return replace(store.stats)
         if op == "finalize":
             store.finalize()
+            self._finalized.add(idx)
             return self._payload(idx, store)
         if op == "snapshot":
             return self._payload(idx, store)
@@ -133,7 +134,7 @@ class _StoreShardRole:
         their combined payload already left for the parent, and no op
         can touch them again."""
         return {
-            "stores": {idx: (None if store._finalized
+            "stores": {idx: (None if idx in self._finalized
                              else store.checkpoint_state())
                        for idx, store in self._stores.items()},
             "firsts": {idx: dict(firsts)
@@ -166,44 +167,13 @@ class _StoreShardRole:
     # -- payloads (shipped back over the pipe, pickled) ----------------------
 
     def _payload(self, idx: int, store: WindowedVectorStore) -> dict:
-        """The store's observables as if its stream ended now: buffered
-        input runs first, and open epochs are absorbed into copies (a
-        finalized store has none left, so its payload is final)."""
-        store._drain()
+        """The store's merged state as if its stream ended now (final
+        once the store is finalized), its counters, and each key's
+        global first-access position."""
+        state = store.merged_state()
         firsts = self._firsts[idx]
-        stats = replace(store._stats)
-        nk = store._nkeys
-        if nk == 0:
-            return {"mode": "empty", "stats": stats, "writes": 0}
-        if store._bulk_mode:
-            merged, epochs, writes = store._snapshot_bulk_state()
-            return self._bulk_payload(stats, store._all_keys[:nk].copy(),
-                                      store._key_tuples(), firsts, merged,
-                                      epochs, writes)
-        backing = store._backing if store._finalized \
-            else store._snapshot_store()
-        return self._general_payload(stats, store._key_tuples(), firsts,
-                                     backing)
-
-    @staticmethod
-    def _bulk_payload(stats, keys2d, keys_list, firsts, merged,
-                      epochs, writes) -> dict:
-        return {
-            "mode": "bulk", "stats": stats, "writes": writes,
-            "keys": keys2d,
-            "first_pos": [firsts[k] for k in keys_list],
-            "merged": merged, "epochs": epochs,
-        }
-
-    @staticmethod
-    def _general_payload(stats, keys_list, firsts,
-                         backing: BackingStore) -> dict:
-        return {
-            "mode": "general", "stats": stats, "writes": backing.writes,
-            "keys_list": list(keys_list),
-            "first_pos": [firsts[k] for k in keys_list],
-            "entries": backing.data,
-        }
+        return {"stats": replace(store.stats), "state": state,
+                "first_pos": [firsts[k] for k in state.key_tuples()]}
 
 
 # ---------------------------------------------------------------------------
@@ -222,143 +192,36 @@ def _sum_stats(parts) -> CacheStats:
     return total
 
 
-class _Combined:
-    """Shard payloads combined into one stage-level result: either the
-    concatenated bulk arrays (all-additive fast path) or one union
-    backing store, both re-sorted into global first-access key order."""
-
-    __slots__ = ("stage", "params", "stats", "writes", "keys_list",
-                 "keys", "merged", "epochs", "backing", "accuracy", "_mat")
-
-    def __init__(self, stage: GroupByStage, params: Mapping[str, Numeric],
-                 payloads: Sequence[dict]):
-        self.stage = stage
-        self.params = dict(params)
-        self.stats = _sum_stats(p["stats"] for p in payloads)
-        live = [p for p in payloads if p["mode"] != "empty"]
-        self.writes = sum(p["writes"] for p in live)
-        self.keys: np.ndarray | None = None
-        self.merged: dict | None = None
-        self.epochs: np.ndarray | None = None
-        self.backing: BackingStore | None = None
-        self._mat: BackingStore | None = None
-        if live and all(p["mode"] == "bulk" for p in live):
-            self._combine_bulk(live)
-            self.accuracy = 1.0
-        else:
-            self._combine_general(live)
-            self.accuracy = self.backing.accuracy
-
-    def _combine_bulk(self, live: list[dict]) -> None:
-        first = np.concatenate(
-            [np.asarray(p["first_pos"], dtype=np.int64) for p in live])
-        order = np.argsort(first, kind="stable")
-        keys = np.concatenate([p["keys"] for p in live])[order]
-        self.keys = keys
-        self.merged = {
-            fold.column: {
-                var: np.concatenate(
-                    [p["merged"][fold.column][var] for p in live])[order]
-                for var in fold.instance.state_vars
-            }
-            for fold in self.stage.folds
+def _combine(payloads: Sequence[dict]) -> tuple[CacheStats, MergedState]:
+    """Shard payloads combined into one stage-level result.  Keys are
+    disjoint across shards, so the combine is a concatenation (or, on
+    the general path, a union of the backing entries) re-sorted stably
+    into global first-access key order.  Every shard of a stage runs
+    the same path: it is fixed by the stage when a store is built."""
+    stats = _sum_stats(p["stats"] for p in payloads)
+    live = [p for p in payloads if len(p["state"].keys)] or payloads[:1]
+    states = [p["state"] for p in live]
+    order = np.argsort(np.concatenate(
+        [np.asarray(p["first_pos"], dtype=np.int64) for p in live]),
+        kind="stable")
+    keys = np.concatenate([s.keys for s in states])[order]
+    writes = sum(s.writes for s in states)
+    if states[0].merged is not None:
+        merged = {
+            col: {var: np.concatenate([s.merged[col][var] for s in states])
+                  [order] for var in per_var}
+            for col, per_var in states[0].merged.items()
         }
-        self.epochs = np.concatenate(
-            [np.asarray(p["epochs"]) for p in live])[order]
-        self.keys_list = list(
-            zip(*(keys[:, j].tolist() for j in range(keys.shape[1]))))
-
-    def _combine_general(self, live: list[dict]) -> None:
-        """Union of the per-shard stores (keys are disjoint).  Bulk
-        payloads from other shards — possible when one shard's fold hit
-        the exact-replay fallback — are converted to per-key entries
-        (their folds are all-mergeable by construction)."""
-        triples: list[tuple[int, tuple, KeyEntry | None]] = []
-        for p in live:
-            if p["mode"] == "bulk":
-                counts = np.asarray(p["epochs"]).tolist()
-                columns = [
-                    (col, [(var, np.asarray(arr).tolist())
-                           for var, arr in per_var.items()])
-                    for col, per_var in p["merged"].items()
-                ]
-                rows = p["keys"]
-                klist = list(zip(*(rows[:, j].tolist()
-                                   for j in range(rows.shape[1]))))
-                for g, key in enumerate(klist):
-                    entry = KeyEntry(
-                        merged={col: {var: vals[g] for var, vals in items}
-                                for col, items in columns},
-                        epochs=counts[g])
-                    triples.append((p["first_pos"][g], key, entry))
-            else:
-                entries = p["entries"]
-                for key, fp in zip(p["keys_list"], p["first_pos"]):
-                    triples.append((fp, key, entries.get(key)))
-        triples.sort(key=lambda t: t[0])
-        backing = BackingStore(self.stage.folds, params=self.params)
-        backing.writes = self.writes
-        data = backing.data
-        keys_list = []
-        for _, key, entry in triples:
-            keys_list.append(key)
-            if entry is not None:
-                data[key] = entry
-        self.backing = backing
-        self.keys_list = keys_list
-
-    # -- observables ---------------------------------------------------------
-
-    def table(self, include_invalid: bool = False) -> ResultTable:
-        if self.backing is not None:
-            return build_result_table(self.stage, self.backing,
-                                      self.keys_list, self.params,
-                                      include_invalid=include_invalid)
-        try:
-            return self._bulk_table()
-        except VectorizationError:
-            return build_result_table(self.stage, self.backing_store(),
-                                      self.keys_list, self.params,
-                                      include_invalid=include_invalid)
-
-    def _bulk_table(self) -> ResultTable:
-        n_groups = len(self.keys_list)
-        out: dict[str, np.ndarray] = {
-            field: self.keys[:, j]
-            for j, field in enumerate(self.stage.key.fields)
-        }
-        for col in self.stage.output.columns:
-            if col.kind == "agg":
-                out[col.name] = self.merged[col.fold][col.state_var]
-            elif col.kind == "derived":
-                dctx = ArrayContext({}, self.params, n_groups,
-                                    state=self.merged[col.fold])
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    out[col.name] = as_column(
-                        eval_array(col.read_expr, dctx), n_groups)
-        return ResultTable.from_columns(self.stage.output, out)
-
-    def backing_store(self) -> BackingStore:
-        """Real per-key store surface (materialised on demand on the
-        bulk path, the union store itself otherwise)."""
-        if self.backing is not None:
-            return self.backing
-        if self._mat is None:
-            backing = BackingStore(self.stage.folds, params=self.params)
-            backing.writes = self.writes
-            columns = [
-                (col, [(var, arr.tolist()) for var, arr in per_var.items()])
-                for col, per_var in self.merged.items()
-            ]
-            counts = np.asarray(self.epochs).tolist()
-            data = backing.data
-            for g, key in enumerate(self.keys_list):
-                data[key] = KeyEntry(
-                    merged={col: {var: vals[g] for var, vals in items}
-                            for col, items in columns},
-                    epochs=counts[g])
-            self._mat = backing
-        return self._mat
+        epochs = np.concatenate([s.epochs for s in states])[order]
+        return stats, MergedState(keys, writes, merged=merged, epochs=epochs)
+    pooled_keys = [key for s in states for key in s.key_tuples()]
+    key_list = [pooled_keys[i] for i in order.tolist()]
+    pooled = {}
+    for s in states:
+        pooled.update(s.entries)
+    entries = {key: pooled[key] for key in key_list if key in pooled}
+    return stats, MergedState(keys, writes, entries=entries,
+                              key_list=key_list)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +249,7 @@ class ShardedStoreProxy:
         self._n_shards = pool.n_workers
         self._pos = 0
         self._finalized = False
-        self._final: _Combined | None = None
+        self._final: tuple[CacheStats, MergedState] | None = None
         #: Sharding needs every fold to merge; otherwise the whole
         #: stream routes to shard 0 (documented fallback).  One bucket
         #: (fully associative) is one indivisible replacement domain.
@@ -463,52 +326,39 @@ class ShardedStoreProxy:
         if self._finalized:
             return
         self._finalized = True
-        payloads = self._pool.call_all("finalize", {"stage": self._index})
-        self._final = _Combined(self.stage, self.params, payloads)
+        self._final = _combine(
+            self._pool.call_all("finalize", {"stage": self._index}))
 
     def result_table(self, include_invalid: bool = False) -> ResultTable:
         self.finalize()
-        return self._final.table(include_invalid=include_invalid)
+        return self._final[1].table(self.stage, self.params,
+                                    include_invalid=include_invalid)
 
     @property
     def stats(self) -> CacheStats:
         if self._final is not None:
-            return self._final.stats
+            return self._final[0]
         return _sum_stats(
             self._pool.call_all("stats", {"stage": self._index}))
 
     @property
-    def backing(self) -> BackingStore:
-        self.finalize()
-        return self._final.backing_store()
-
-    @property
     def backing_writes(self) -> int:
         self.finalize()
-        return self._final.writes
+        return self._final[1].writes
 
     def accuracy(self) -> float:
         self.finalize()
-        return self._final.accuracy
-
-    def eviction_fraction(self) -> float:
-        return self.stats.eviction_fraction
+        return self._final[1].accuracy(self.stage, self.params)
 
     def snapshot(self, include_invalid: bool = False) -> StoreSnapshot:
         """Mid-stream combined observables: every worker snapshots its
         store (running whatever it buffered as one window, with or
         without a ``window``), and the payloads combine exactly like
         the final ones."""
-        if self._final is not None:
-            return StoreSnapshot(
-                table=self._final.table(include_invalid=include_invalid),
-                stats=self._final.stats,
-                backing_writes=self._final.writes,
-                accuracy=self._final.accuracy)
-        combined = _Combined(
-            self.stage, self.params,
+        stats, state = self._final or _combine(
             self._pool.call_all("snapshot", {"stage": self._index}))
         return StoreSnapshot(
-            table=combined.table(include_invalid=include_invalid),
-            stats=combined.stats, backing_writes=combined.writes,
-            accuracy=combined.accuracy)
+            table=state.table(self.stage, self.params,
+                              include_invalid=include_invalid),
+            stats=stats, backing_writes=state.writes,
+            accuracy=state.accuracy(self.stage, self.params))

@@ -36,7 +36,18 @@ from repro.core.plan import GroupByStage
 
 from ..alu import compile_key_extractor, compile_update
 from .backing import BackingStore
-from .cache import CacheGeometry, Entry, KeyValueCache
+from .cache import CacheGeometry, CacheStats, Entry, KeyValueCache
+
+
+@dataclass
+class StoreSnapshot:
+    """Mid-stream observable state of one store, as if the stream
+    ended now (every store's ``snapshot()``)."""
+
+    table: ResultTable
+    stats: CacheStats
+    backing_writes: int
+    accuracy: float
 
 
 @dataclass
@@ -203,18 +214,25 @@ class SplitKeyValueStore:
         return build_result_table(self.stage, self.backing, self._seen,
                                   self.params, include_invalid=include_invalid)
 
-    def snapshot_backing(self) -> BackingStore:
-        """A copy of the backing store with every resident *dirty*
-        entry's value absorbed — the end-of-run backing state, computed
-        without finalizing (streaming continues untouched).  The
-        pipeline's mid-stream snapshot builds the result table,
-        writes, and accuracy off this one copy."""
-        snapshot = self.backing.clone()
+    def snapshot(self, include_invalid: bool = False) -> StoreSnapshot:
+        """Observable state as if the stream ended now, without ending
+        it: a copy of the backing store absorbs every resident *dirty*
+        entry's value (the end-of-run backing state), and the table,
+        writes and accuracy are read off that copy.  Streaming
+        continues untouched."""
+        backing = self.backing.clone()
         for entry in self.cache.entries():
             if entry.value.dirty:
-                snapshot.absorb(entry.key, entry.value.states,
-                                entry.value.aux)
-        return snapshot
+                backing.absorb(entry.key, entry.value.states,
+                               entry.value.aux)
+        return StoreSnapshot(
+            table=build_result_table(self.stage, backing, self._seen,
+                                     self.params,
+                                     include_invalid=include_invalid),
+            stats=replace(self.cache.stats),
+            backing_writes=backing.writes,
+            accuracy=backing.accuracy,
+        )
 
     # -- durable checkpoints -------------------------------------------------
 
@@ -287,9 +305,6 @@ class SplitKeyValueStore:
         """Total backing-store writes so far (mirrors the vector
         store's surface, which avoids materialising the store)."""
         return self.backing.writes
-
-    def eviction_fraction(self) -> float:
-        return self.cache.stats.eviction_fraction
 
     def accuracy(self) -> float:
         """Fig. 6 metric — fraction of keys whose value is valid."""

@@ -218,9 +218,6 @@ class VectorSplitStore:
         the row store's."""
         raise NotImplementedError
 
-    def eviction_fraction(self) -> float:
-        return self.stats.eviction_fraction
-
     # -- fold evaluation -----------------------------------------------------
 
     def _eval_fold(self, fold: FoldConfig, ctx: ArrayContext,

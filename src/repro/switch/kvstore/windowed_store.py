@@ -50,14 +50,23 @@ observable stays **bit-identical** to the per-packet row store, for
    if any, must miss, so the epoch is provably complete).  Open-epoch
    state is therefore bounded by the cache capacity.
 
-3. **Carried merges.** The all-plain-additive fast path keeps per-key
-   accumulator arrays (one ``np.add.at`` per window over global key
-   ids) instead of a materialised backing store; the general path
-   absorbs into a real :class:`BackingStore` as epochs close.  Window
-   keys map to persistent global ids with one ``searchsorted`` over a
-   sorted index of the known unique keys — no per-access Python.  The
-   index is built on the first lookup (a run that is one window never
-   builds it) and merged incrementally after that.
+3. **Carried merges, one merged form.** The all-plain-additive fast
+   path keeps per-key accumulator arrays (one ``np.add.at`` per window
+   over global key ids) instead of a materialised backing store; the
+   general path absorbs into a real :class:`BackingStore` as epochs
+   close.  Window keys map to persistent global ids with one
+   ``searchsorted`` over a sorted index of the known unique keys — no
+   per-access Python.  The index is built on the first lookup (a run
+   that is one window never builds it) and merged incrementally after
+   that.  Either way the merged result is read through one plain-data
+   :class:`MergedState` (key rows in first-access order plus the
+   merged arrays or the backing entries):
+   :meth:`WindowedVectorStore.merged_state` builds it — views of the
+   final state once finalized, copies with every carried open epoch
+   absorbed mid-stream — and ``result_table``, ``backing``,
+   ``backing_writes``, ``accuracy`` and ``snapshot`` all read it.  A
+   shard worker ships the same form, and the shard combine
+   (:mod:`~repro.switch.kvstore.sharded`) concatenates its copies.
 
 Differential tests (``tests/test_session.py``,
 ``tests/test_vector_store.py``) assert bit-identical tables, counters,
@@ -69,7 +78,7 @@ intervals that cut mid-window.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -92,20 +101,103 @@ from .backing import BackingStore, KeyEntry
 from .cache import CacheGeometry, CacheStats
 from .vector_cache import _FILLER, _SKIP_BLOCK_START, VectorCacheSim, \
     _collapse_runs, _replay_segments, mix_key_array
-from .split import build_result_table
+from .split import StoreSnapshot, build_result_table
 from .vector_store import VectorSplitStore, _FoldCont, _copy_aux
 
 _U = np.uint64
 
 
-@dataclass
-class StoreSnapshot:
-    """Mid-stream observable state, as if the stream ended now."""
+@dataclass(eq=False)
+class MergedState:
+    """One stage's merged per-key results, in first-access key order —
+    what the store holds as if the stream ended now, what a shard
+    worker ships back, and what the shard combine concatenates.  Plain
+    data (it crosses the shard pipe): observables take the stage and
+    params as arguments.
 
-    table: ResultTable
-    stats: CacheStats
-    backing_writes: int
-    accuracy: float
+    ``keys`` holds the key rows (2-D int64).  The all-plain-additive
+    path carries ``merged`` (fold -> state variable -> per-key array)
+    and per-key ``epochs``; the general path carries the backing
+    store's ``entries`` and the keys as tuples (``key_list``).
+    """
+
+    keys: np.ndarray
+    writes: int
+    merged: dict[str, dict[str, np.ndarray]] | None = None
+    epochs: np.ndarray | None = None
+    entries: dict[tuple, KeyEntry] | None = None
+    key_list: list[tuple] | None = None
+    _backing: BackingStore | None = field(default=None, init=False,
+                                          repr=False)
+
+    def key_tuples(self) -> list[tuple]:
+        """The keys as tuples, in row order — built on demand on the
+        all-additive path, whose table reads the key columns directly."""
+        if self.key_list is not None:
+            return self.key_list
+        return _row_tuples(self.keys)
+
+    def table(self, stage: GroupByStage, params: Mapping[str, Numeric],
+              include_invalid: bool = False) -> ResultTable:
+        """The stage's result table.  The all-additive path reads the
+        merged arrays; a derived column the array evaluator cannot
+        express falls back to the backing-store builder."""
+        if self.merged is not None:
+            n = len(self.keys)
+            out: dict[str, np.ndarray] = {
+                name: self.keys[:, j]
+                for j, name in enumerate(stage.key.fields)
+            }
+            try:
+                for col in stage.output.columns:
+                    if col.kind == "agg":
+                        out[col.name] = self.merged[col.fold][col.state_var]
+                    elif col.kind == "derived":
+                        dctx = ArrayContext({}, params, n,
+                                            state=self.merged[col.fold])
+                        with np.errstate(divide="ignore", invalid="ignore"):
+                            out[col.name] = as_column(
+                                eval_array(col.read_expr, dctx), n)
+                return ResultTable.from_columns(stage.output, out)
+            except VectorizationError:
+                pass
+        return build_result_table(stage, self.backing(stage, params),
+                                  self.key_tuples(), params,
+                                  include_invalid=include_invalid)
+
+    def backing(self, stage: GroupByStage,
+                params: Mapping[str, Numeric]) -> BackingStore:
+        """A real per-key :class:`BackingStore` over this state (built
+        once; on the all-additive path it is materialised from the
+        merged arrays)."""
+        if self._backing is None:
+            backing = BackingStore(stage.folds, params=params)
+            backing.writes = self.writes
+            if self.entries is not None:
+                backing.data = self.entries
+            else:
+                columns = [
+                    (col, [(var, arr.tolist()) for var, arr in per_var.items()])
+                    for col, per_var in self.merged.items()
+                ]
+                counts = self.epochs.tolist()
+                data = backing.data
+                for g, key in enumerate(self.key_tuples()):
+                    data[key] = KeyEntry(
+                        merged={col: {var: vals[g] for var, vals in items}
+                                for col, items in columns},
+                        epochs=counts[g],
+                    )
+            self._backing = backing
+        return self._backing
+
+    def accuracy(self, stage: GroupByStage,
+                 params: Mapping[str, Numeric]) -> float:
+        """Fig. 6 accuracy (1.0 on the all-additive path: every fold
+        merges)."""
+        if self.merged is not None:
+            return 1.0
+        return self.backing(stage, params).accuracy
 
 
 class _ArrayCont:
@@ -496,6 +588,7 @@ class WindowedVectorStore(VectorSplitStore):
         self._bulk_mode = self._all_plain_additive()
         self._backing: BackingStore | None = None
         self._writes = 0
+        self._final_state: MergedState | None = None
         if self._bulk_mode:
             self._acc: dict[str, dict[str, np.ndarray]] = {
                 fold.column: {} for fold in stage.folds}
@@ -595,9 +688,8 @@ class WindowedVectorStore(VectorSplitStore):
         table reads the key columns directly and never needs them."""
         done = len(self._keys_list)
         if done < self._nkeys:
-            rows = self._all_keys[done:self._nkeys]
             self._keys_list.extend(
-                zip(*(rows[:, j].tolist() for j in range(rows.shape[1]))))
+                _row_tuples(self._all_keys[done:self._nkeys]))
         return self._keys_list
 
     def _key_index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -958,176 +1050,96 @@ class WindowedVectorStore(VectorSplitStore):
         self._finalized = True
         self._absorb_open(np.flatnonzero(self._open_mask[:self._nkeys]))
 
+    def merged_state(self) -> MergedState:
+        """The merged per-key results as if the stream ended now.
+
+        After :meth:`finalize` it wraps views of the final arrays (or
+        the real backing store's entries) and is cached.  Mid-stream,
+        pending input runs first (results are partition-independent, so
+        this is observation-neutral) and every carried open epoch is
+        absorbed into *copies*; streaming continues untouched."""
+        if self._final_state is not None:
+            return self._final_state
+        final = self._finalized
+        if not final:
+            self._drain()
+        nk = self._nkeys
+        keys = self._all_keys[:nk]        # registered rows never change
+        open_gids = np.flatnonzero(self._open_mask[:nk])   # none once final
+        if self._bulk_mode:
+            merged: dict[str, dict[str, np.ndarray]] = {}
+            for fold in self.stage.folds:
+                col = fold.column
+                history = fold.linearity.history
+                per_var = merged[col] = {}
+                for var in fold.instance.state_vars:
+                    target = self._hist if var in history else self._acc
+                    arr = target[col].get(var)
+                    if arr is None:
+                        init = fold.instance.inits.get(var, 0)
+                        arr = np.full(max(nk, 1), init)
+                    arr = arr[:nk] if final else arr[:nk].copy()
+                    if len(open_gids):
+                        vals = self._open_state[col][var][open_gids]
+                        promoted = np.result_type(arr.dtype, vals.dtype)
+                        if promoted != arr.dtype:
+                            arr = arr.astype(promoted)
+                        if var in history:
+                            arr[open_gids] = vals
+                        else:
+                            arr = self._guard_acc(per_var, col, var, arr,
+                                                  vals, persist=False)
+                            arr[open_gids] += vals
+                    per_var[var] = arr
+            epochs = self._epochs[:nk] if final else self._epochs[:nk].copy()
+            epochs[open_gids] += 1
+            state = MergedState(keys, self._writes + len(open_gids),
+                                merged=merged, epochs=epochs)
+        else:
+            backing = self._backing if final else self._backing.clone()
+            keys_list = self._key_tuples()
+            for g, states, aux in self._open_payloads(open_gids):
+                backing.absorb(keys_list[g],
+                               {col: dict(s) for col, s in states.items()},
+                               {col: _copy_aux(a) for col, a in aux.items()})
+            state = MergedState(keys, backing.writes, entries=backing.data,
+                                key_list=list(keys_list))
+        if final:
+            self._final_state = state
+        return state
+
     @property
     def backing(self) -> BackingStore:
-        """The backing store.  On the all-additive path it is
-        materialised on first access — the merged values live in
-        per-key arrays, which serve the result table and accuracy."""
+        """The end-of-run backing store (materialised from the merged
+        arrays on first access on the all-additive path)."""
         self.finalize()
-        if self._backing is None:
-            self._backing = self._backing_from_bulk(
-                self._bulk_states(), self._writes,
-                self._epochs[:self._nkeys])
-        return self._backing
+        return self.merged_state().backing(self.stage, self.params)
 
     def result_table(self, include_invalid: bool = False) -> ResultTable:
         self.finalize()
-        if self._bulk_mode:
-            try:
-                return self._bulk_table(self._bulk_states())
-            except VectorizationError:
-                pass
-        return build_result_table(self.stage, self.backing,
-                                  self._key_tuples(), self.params,
-                                  include_invalid=include_invalid)
-
-    def _bulk_states(self) -> dict[str, dict[str, np.ndarray]]:
-        """Merged per-key state arrays (all-additive path), trimmed to
-        the key count."""
-        nk = self._nkeys
-        out: dict[str, dict[str, np.ndarray]] = {}
-        for fold in self.stage.folds:
-            history = fold.linearity.history
-            per_var: dict[str, np.ndarray] = {}
-            for var in fold.instance.state_vars:
-                target = self._hist if var in history else self._acc
-                arr = target[fold.column].get(var)
-                if arr is None:
-                    init = fold.instance.inits.get(var, 0)
-                    arr = np.full(max(nk, 1), init)
-                per_var[var] = arr[:nk]
-            out[fold.column] = per_var
-        return out
-
-    def _bulk_table(self, merged: dict[str, dict[str, np.ndarray]],
-                    ) -> ResultTable:
-        n_groups = self._nkeys
-        keys = self._all_keys[:n_groups]
-        out: dict[str, np.ndarray] = {
-            field: keys[:, j]
-            for j, field in enumerate(self.stage.key.fields)
-        }
-        for col in self.stage.output.columns:
-            if col.kind == "agg":
-                out[col.name] = merged[col.fold][col.state_var]
-            elif col.kind == "derived":
-                dctx = ArrayContext({}, self.params, n_groups,
-                                    state=merged[col.fold])
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    out[col.name] = as_column(
-                        eval_array(col.read_expr, dctx), n_groups)
-        return ResultTable.from_columns(self.stage.output, out)
-
-    def _backing_from_bulk(self, merged, writes: int,
-                           epochs: np.ndarray) -> BackingStore:
-        """A real per-key :class:`BackingStore` from merged state
-        arrays (the bulk path's on-demand store surface)."""
-        backing = BackingStore(self.stage.folds, params=self.params)
-        backing.writes = writes
-        columns = [
-            (col, [(var, arr.tolist()) for var, arr in per_var.items()])
-            for col, per_var in merged.items()
-        ]
-        counts = epochs.tolist()
-        data = backing.data
-        for g, key in enumerate(self._key_tuples()):
-            data[key] = KeyEntry(
-                merged={col: {var: vals[g] for var, vals in items}
-                        for col, items in columns},
-                epochs=counts[g],
-            )
-        return backing
+        return self.merged_state().table(self.stage, self.params,
+                                         include_invalid=include_invalid)
 
     @property
     def backing_writes(self) -> int:
         self.finalize()
-        if self._bulk_mode:
-            return self._writes
-        return self._backing.writes
+        return self.merged_state().writes
 
     def accuracy(self) -> float:
         self.finalize()
-        if self._bulk_mode:
-            return 1.0
-        return self._backing.accuracy
-
-    # -- mid-stream snapshots -------------------------------------------------
+        return self.merged_state().accuracy(self.stage, self.params)
 
     def snapshot(self, include_invalid: bool = False) -> StoreSnapshot:
         """Observable state as if the stream ended now, without ending
-        it: pending input is executed (results are partition-
-        independent, so this is observation-neutral), open epochs are
-        absorbed into *copies*, and streaming continues untouched."""
-        if self._finalized:
-            return StoreSnapshot(
-                table=self.result_table(include_invalid=include_invalid),
-                stats=replace(self._stats),
-                backing_writes=self.backing_writes,
-                accuracy=self.accuracy(),
-            )
-        self._drain()
-        if self._bulk_mode:
-            merged, epochs, writes = self._snapshot_bulk_state()
-            try:
-                table = self._bulk_table(merged)
-            except VectorizationError:
-                table = build_result_table(
-                    self.stage,
-                    self._backing_from_bulk(merged, writes, epochs),
-                    self._key_tuples(), self.params,
-                    include_invalid=include_invalid)
-            return StoreSnapshot(table=table, stats=replace(self._stats),
-                                 backing_writes=writes, accuracy=1.0)
-        snap = self._snapshot_store()
-        table = build_result_table(self.stage, snap, self._key_tuples(),
-                                   self.params,
-                                   include_invalid=include_invalid)
-        return StoreSnapshot(table=table, stats=replace(self._stats),
-                             backing_writes=snap.writes,
-                             accuracy=snap.accuracy)
-
-    def _snapshot_bulk_state(self) -> tuple[
-            dict[str, dict[str, np.ndarray]], np.ndarray, int]:
-        """Copies of the merged per-key accumulators with every carried
-        open epoch absorbed — ``(merged, epochs, writes)``.  Call after
-        :meth:`_drain`; shared by :meth:`snapshot` and the shard
-        workers' mid-stream payloads."""
-        open_gids = np.flatnonzero(self._open_mask[:self._nkeys])
-        merged = {
-            col: {var: arr.copy() for var, arr in per_var.items()}
-            for col, per_var in self._bulk_states().items()
-        }
-        for fold in self.stage.folds if len(open_gids) else ():
-            col = fold.column
-            history = fold.linearity.history
-            for var in fold.instance.state_vars:
-                vals = self._open_state[col][var][open_gids]
-                arr = merged[col][var]
-                promoted = np.result_type(arr.dtype, vals.dtype)
-                if promoted != arr.dtype:
-                    arr = arr.astype(promoted)
-                    merged[col][var] = arr
-                if var in history:
-                    arr[open_gids] = vals
-                else:
-                    arr = self._guard_acc(merged[col], col, var, arr, vals,
-                                          persist=False)
-                    arr[open_gids] += vals
-        epochs = self._epochs[:self._nkeys].copy()
-        epochs[open_gids] += 1
-        return merged, epochs, self._writes + len(open_gids)
-
-    def _snapshot_store(self) -> BackingStore:
-        """Clone of the general-path backing store with every carried
-        open epoch absorbed.  Call after :meth:`_drain`."""
-        open_gids = np.flatnonzero(self._open_mask[:self._nkeys])
-        snap = self._backing.clone()
-        keys_list = self._key_tuples()
-        for g, states, aux in self._open_payloads(open_gids):
-            snap.absorb(keys_list[g],
-                        {col: dict(s) for col, s in states.items()},
-                        {col: _copy_aux(a) for col, a in aux.items()})
-        return snap
+        it (see :meth:`merged_state`)."""
+        state = self.merged_state()
+        return StoreSnapshot(
+            table=state.table(self.stage, self.params,
+                              include_invalid=include_invalid),
+            stats=replace(self._stats),
+            backing_writes=state.writes,
+            accuracy=state.accuracy(self.stage, self.params),
+        )
 
     @property
     def stats(self) -> CacheStats:
@@ -1264,6 +1276,11 @@ def _is_resident(gids: np.ndarray, resident: np.ndarray) -> np.ndarray:
         out[within] = resident[gids[within]]
         return out
     return np.isin(gids, resident)
+
+
+def _row_tuples(rows: np.ndarray) -> list[tuple]:
+    """Key rows as tuples of Python ints (the backing store's keys)."""
+    return list(zip(*(rows[:, j].tolist() for j in range(rows.shape[1]))))
 
 
 def _key_view(rows: np.ndarray) -> np.ndarray:

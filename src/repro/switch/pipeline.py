@@ -15,7 +15,6 @@ program's software stages over the collected results.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -40,7 +39,7 @@ from repro.network.records import ColumnRowView, ObservationTable
 
 from .alu import compile_predicate, compile_scalar
 from .kvstore.cache import ENGINES, CacheGeometry, CacheStats
-from .kvstore.split import SplitKeyValueStore, build_result_table
+from .kvstore.split import SplitKeyValueStore
 from .kvstore.windowed_store import WindowedVectorStore
 from .parser_model import ParserConfig, configure_parser
 
@@ -472,10 +471,10 @@ class SwitchPipeline:
         writes, accuracy)`` as if the stream ended now — without
         finalizing; streaming can continue afterwards.
 
-        Every store supports it: the row store absorbs copies of its
-        resident entries, the vector store (and the sharded proxy over
-        it) runs its buffered input as one window first — results do
-        not depend on where windows cut.
+        Every store answers ``snapshot()``: the row store absorbs
+        copies of its resident entries, the vector store (and the
+        sharded proxy over it) runs its buffered input as one window
+        first — results do not depend on where windows cut.
         """
         tables: dict[str, ResultTable] = {}
         stats: dict[str, CacheStats] = {}
@@ -486,21 +485,11 @@ class SwitchPipeline:
                 schema=select.stage.output, rows=list(select.rows))
         for groupby in self._groupbys:
             name = groupby.stage.query_name
-            store = groupby.store
-            if isinstance(store, SplitKeyValueStore):
-                backing = store.snapshot_backing()
-                tables[name] = build_result_table(
-                    groupby.stage, backing, store._seen, self.params,
-                    include_invalid=include_invalid)
-                stats[name] = replace(store.stats)
-                writes[name] = backing.writes
-                accuracy[name] = backing.accuracy
-            else:
-                snap = store.snapshot(include_invalid=include_invalid)
-                tables[name] = snap.table
-                stats[name] = snap.stats
-                writes[name] = snap.backing_writes
-                accuracy[name] = snap.accuracy
+            snap = groupby.store.snapshot(include_invalid=include_invalid)
+            tables[name] = snap.table
+            stats[name] = snap.stats
+            writes[name] = snap.backing_writes
+            accuracy[name] = snap.accuracy
         return tables, stats, writes, accuracy
 
     # -- durable checkpoints -------------------------------------------------

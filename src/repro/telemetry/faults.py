@@ -7,9 +7,9 @@ segment stays pending until close) or duplicated (exercising release
 idempotency), and the Nth session ingest call aborts mid-window with
 :class:`InjectedFault` (exercising session poisoning).  Plans are plain
 data, so a seeded schedule (:meth:`FaultPlan.seeded`) is reproducible
-across runs — the property the differential checkpoint tests and
-``benchmarks/bench_durability.py`` rely on: a crashed-and-recovered run
-must be bit-identical to an uninterrupted one.
+across runs — the property the differential checkpoint tests rely
+on: a crashed-and-recovered run must be bit-identical to an
+uninterrupted one.
 
 Connection-level faults cover the live ingest service
 (:mod:`repro.telemetry.serve` / :mod:`repro.telemetry.client`): the Nth

@@ -39,7 +39,7 @@ that sharded *sessions* can stream through:
   passed as ``faults`` is consulted before every public send (it may
   kill the target worker first) and on every ack (it may drop or
   duplicate the release) — a deterministic, seeded way to exercise the
-  recovery machinery in tests and ``benchmarks/bench_durability.py``.
+  recovery machinery in tests.
 
 The pool is transport only — all sharding semantics (key partitioning,
 merge combining) live with the roles, see

@@ -140,8 +140,13 @@ class TestShardedBitIdentity:
 
 
 class TestMidStreamSnapshots:
-    def test_windowed_snapshots_match_single_process(self, trace):
-        entry = CATALOG["per_flow_counters"]
+    @pytest.mark.parametrize("name", ["per_flow_counters", "latency_ewma",
+                                      "tcp_non_monotonic"])
+    def test_windowed_snapshots_match_single_process(self, name, trace):
+        """Per-key-array combine (per_flow_counters), backing-store
+        combine (latency_ewma: scale merges) and the non-mergeable
+        single-shard route (tcp_non_monotonic)."""
+        entry = CATALOG[name]
         qe = QueryEngine(entry.source, params=entry.default_params,
                          geometry=GEOM)
         single = qe.open(window=257)

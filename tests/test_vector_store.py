@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.compiler import CompileOptions, compile_program
 from repro.core.errors import HardwareError
+from repro.core.vector_exec import VectorizationError
 from repro.core.parser import parse_program
 from repro.core.semantics import resolve_program
 from repro.network.records import ObservationTable
@@ -19,6 +20,7 @@ from repro.queries.catalog import ALL_QUERIES
 from repro.switch.alu import compile_key_extractor, compile_predicate
 from repro.switch.kvstore.cache import CacheGeometry
 from repro.switch.kvstore.split import SplitKeyValueStore
+from repro.switch.kvstore import windowed_store
 from repro.switch.kvstore.windowed_store import WindowedVectorStore
 from repro.switch.pipeline import SwitchPipeline
 from repro.telemetry.runtime import QueryEngine
@@ -262,6 +264,45 @@ class TestStoreSurface:
         assert vec_bulk.result_table().rows == vec_mat.result_table().rows
         assert vec_bulk.accuracy() == vec_mat.accuracy()
         assert vec_bulk.backing_writes == vec_mat.backing.writes
+
+    def test_derived_column_table_fallback(self, monkeypatch):
+        """A derived column the array evaluator cannot express falls back
+        to the backing-store table builder — in run(), in a windowed
+        mid-stream read and after the shard combine alike."""
+        calls = []
+
+        def refuse(expr, ctx):
+            calls.append(expr)
+            raise VectorizationError("forced")
+
+        monkeypatch.setattr(windowed_store, "eval_array", refuse)
+        source = "SELECT AVG(pkt_len) GROUPBY srcip"
+        kwargs = dict(geometry=CacheGeometry.set_associative(16, ways=4))
+        columns = synthetic_trace(n_packets=1500, n_flows=40,
+                                  seed=5).columns()
+        trace = ObservationTable.from_arrays(columns)
+        prefix = ObservationTable.from_arrays(
+            {name: col[:700] for name, col in columns.items()})
+        row = QueryEngine(source, engine="row", **kwargs)
+        vec = QueryEngine(source, **kwargs)
+
+        def observed(report):
+            return (report.result.rows, report.cache_stats,
+                    report.backing_writes, report.accuracy)
+
+        assert observed(vec.run(trace)) == observed(row.run(trace))
+        assert calls
+        calls.clear()
+        session = vec.open(window=257)
+        session.ingest(prefix)
+        assert observed(session.results()) == observed(row.run(prefix))
+        assert calls
+        session.close()
+        calls.clear()
+        sharded = vec.open(shards=2)
+        sharded.ingest(trace)
+        assert observed(sharded.close()) == observed(row.run(trace))
+        assert calls
 
     def test_batch_after_finalize_rejected(self):
         stage = compile_stage(COUNT)
