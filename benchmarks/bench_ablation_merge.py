@@ -24,7 +24,7 @@ from repro.core.interpreter import Interpreter
 from repro.core.parser import parse_program
 from repro.core.semantics import resolve_program
 from repro.switch.kvstore.cache import CacheGeometry
-from repro.switch.pipeline import SwitchPipeline
+from repro.switch.pipeline import SessionConfig, SwitchPipeline
 from repro.telemetry.results import compare_tables
 
 GEOMETRY = CacheGeometry.set_associative(16, ways=4)   # heavy eviction
@@ -83,7 +83,8 @@ CASES = {
 def run_case(source, params, exact_history, records):
     rp = resolve_program(parse_program(source))
     program = compile_program(rp, CompileOptions(exact_history=exact_history))
-    pipeline = SwitchPipeline(program, params=params, geometry=GEOMETRY)
+    pipeline = SwitchPipeline(program, params=params,
+                              config=SessionConfig(geometry=GEOMETRY))
     pipeline.run(records)
     return rp, program, pipeline
 

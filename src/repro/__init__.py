@@ -56,10 +56,9 @@ predicates become boolean masks, linear-in-state ``GROUPBY`` folds
 key arrays per chunk instead of per packet.  The ``engine=`` knob on
 :class:`QueryEngine` (``"auto"`` | ``"vector"`` | ``"row"``) selects
 between the vectorized executor and the row-at-a-time reference
-interpreter; both are exact and produce identical tables — on the 1M-
-record CAIDA-like trace the vectorized path measures ~38x the row
-interpreter's throughput for linear-fold aggregations (see
-``benchmarks/bench_columnar.py``).
+interpreter; both are exact and produce identical tables
+(``tests/test_vector_exec.py`` checks this differentially; the
+end-to-end throughput is measured by ``benchmarks/e2e``).
 """
 
 from .core.analyze import ProgramAnalysis, TraceBounds, analyze_program

@@ -98,32 +98,21 @@ def _query_source(args: argparse.Namespace) -> tuple[str, dict[str, float]]:
     return source, defaults
 
 
-def _positive_window(raw: str) -> int:
-    """argparse type for ``--window``: sessions require a positive
-    window, so reject 0/negative at parse time with a clear message
-    instead of surfacing a deep store error mid-run."""
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer number of accesses, got {raw!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive number of accesses, got {value}")
-    return value
-
-
-def _positive_shards(raw: str) -> int:
-    """argparse type for ``--shards``: a positive worker count."""
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer worker count, got {raw!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive worker count, got {value}")
-    return value
+def _positive(unit: str):
+    """argparse type for a positive count of ``unit``: reject
+    0/negative at parse time with a message naming the unit, instead
+    of surfacing a deep error mid-run."""
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer number of {unit}, got {raw!r}") from None
+        if value <= 0:
+            raise argparse.ArgumentTypeError(
+                f"must be a positive number of {unit}, got {value}")
+        return value
+    return parse
 
 
 def _geometry(args: argparse.Namespace) -> CacheGeometry:
@@ -150,13 +139,13 @@ def _add_query_args(parser: argparse.ArgumentParser) -> None:
                         help="enable the exact-history merge extension")
     parser.add_argument("--refresh", type=int, default=None, metavar="N",
                         help="push cache values to the backing store every N packets")
-    parser.add_argument("--window", type=_positive_window, default=None,
+    parser.add_argument("--window", type=_positive("accesses"), default=None,
                         metavar="N",
                         help="stream through a windowed telemetry session: "
                              "the vector split store executes its schedule "
                              "every N accesses with carried state (bounded "
                              "memory, bit-identical results)")
-    parser.add_argument("--shards", type=_positive_shards, default=None,
+    parser.add_argument("--shards", type=_positive("workers"), default=None,
                         metavar="N",
                         help="hash-partitioned multi-core execution: fan "
                              "each GROUPBY stage out to N worker processes "
@@ -538,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(after ingest, or per batch with "
                             "--checkpoint-every); resume later with "
                             "--resume-from")
-    run_p.add_argument("--checkpoint-every", type=_positive_window,
+    run_p.add_argument("--checkpoint-every", type=_positive("packets"),
                        default=None, metavar="N",
                        help="ingest the trace in batches of N packets and "
                             "rewrite --checkpoint-to after each batch, so a "
@@ -618,7 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="directory for per-session checkpoint files "
                               "(written on drain, and periodically with "
                               "--checkpoint-every-batches)")
-    serve_p.add_argument("--checkpoint-every-batches", type=_positive_window,
+    serve_p.add_argument("--checkpoint-every-batches",
+                         type=_positive("batches"),
                          default=None, metavar="N",
                          help="auto-checkpoint each session every N "
                               "ingested batches (requires --checkpoint-dir)")

@@ -181,9 +181,10 @@ def session_diagnostics(
 ) -> list[Diagnostic]:
     """Statically check one session-knob combination.
 
-    The emission order mirrors the runtime constructors' check order
-    (session layer first, then pipeline), so the first error here is
-    the error the runtime would have raised.
+    This is the one checker of the session rules: building a
+    :class:`~repro.switch.pipeline.SessionConfig` raises the first
+    error listed here, and ``repro lint`` / :meth:`QueryEngine.analyze`
+    report all of them without raising.
     """
     out: list[Diagnostic] = []
     if engine not in ENGINES:

@@ -62,6 +62,14 @@ class HardwareError(Exception):
     invalid cache geometry, value wider than the configured slot, etc."""
 
 
+class SessionConfigError(ValueError, HardwareError):
+    """Raised when a :class:`~repro.switch.pipeline.SessionConfig` breaks
+    a session rule (``RPR-E001``-``E005``, ``RPR-E008``).  Both a
+    ``ValueError`` (a bad knob value) and a :class:`HardwareError` (a
+    configuration the hardware model cannot run), so callers catching
+    either keep working."""
+
+
 class SessionError(Exception):
     """Base class for telemetry-session misuse: operations that the
     session's state cannot honour (e.g. any call on a session poisoned

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -63,20 +63,26 @@ from .split import StoreSnapshot
 from .vector_cache import mix_key_array
 from .windowed_store import MergedState, WindowedVectorStore
 
+if TYPE_CHECKING:                                  # pragma: no cover
+    from repro.switch.pipeline import SessionConfig
+
 _U = np.uint64
 
 
-def make_store_pool(specs: Sequence[tuple], window: int | None,
-                    n_shards: int, checkpoint_every: int | None = None,
-                    faults=None) -> ShardWorkerPool:
-    """One worker per shard, each holding every ``GROUPBY`` stage's
-    spec (``(stage, geometry, config)``); stores are built lazily in
-    the worker on first use.  ``checkpoint_every`` enables the pool's
-    periodic role checkpoints and crash recovery; ``faults`` threads a
-    deterministic fault injector into the transport."""
-    roles = [_StoreShardRole(list(specs), window) for _ in range(n_shards)]
+def make_store_pool(specs: Sequence[tuple[GroupByStage, CacheGeometry]],
+                    params: Mapping[str, Numeric],
+                    config: SessionConfig) -> ShardWorkerPool:
+    """One worker per shard (``config.shards``), each holding every
+    ``GROUPBY`` stage's ``(stage, geometry)`` spec; stores are built
+    lazily in the worker on first use.  ``config.checkpoint_every``
+    enables the pool's periodic role checkpoints and crash recovery;
+    ``config.faults`` threads a deterministic fault injector into the
+    transport."""
+    roles = [_StoreShardRole(list(specs), params, config)
+             for _ in range(config.shards)]
     return ShardWorkerPool(roles, name="kvshard",
-                           checkpoint_every=checkpoint_every, faults=faults)
+                           checkpoint_every=config.checkpoint_every,
+                           faults=config.faults)
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +95,11 @@ class _StoreShardRole:
     shard's key slice, plus each key's global first-access position
     (the combine's ordering key)."""
 
-    def __init__(self, specs: list[tuple], window: int | None):
+    def __init__(self, specs: list[tuple[GroupByStage, CacheGeometry]],
+                 params: Mapping[str, Numeric], config: SessionConfig):
         self._specs = specs
-        self._window = window
+        self._params = params
+        self._config = config
         self._stores: dict[int, WindowedVectorStore] = {}
         self._firsts: dict[int, dict[tuple, int]] = {}
         self._finalized: set[int] = set()
@@ -99,9 +107,11 @@ class _StoreShardRole:
     def _store(self, idx: int) -> WindowedVectorStore:
         store = self._stores.get(idx)
         if store is None:
-            stage, geometry, config = self._specs[idx]
-            store = WindowedVectorStore(stage, geometry,
-                                        window=self._window, **config)
+            stage, geometry = self._specs[idx]
+            config = self._config
+            store = WindowedVectorStore(
+                stage, geometry, params=self._params, policy=config.policy,
+                seed=config.seed, window=config.window)
             self._stores[idx] = store
             self._firsts[idx] = {}
         return store

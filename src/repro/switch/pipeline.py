@@ -15,7 +15,8 @@ program's software stages over the collected results.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from repro.core.errors import (
     CompileError,
     HardwareError,
     InterpreterError,
+    SessionConfigError,
 )
 from repro.core.eval_expr import Numeric
 from repro.core.interpreter import ResultTable, Row
@@ -38,7 +40,7 @@ from repro.core.vector_exec import (
 from repro.network.records import ColumnRowView, ObservationTable
 
 from .alu import compile_predicate, compile_scalar
-from .kvstore.cache import ENGINES, CacheGeometry, CacheStats
+from .kvstore.cache import CacheGeometry, CacheStats
 from .kvstore.split import SplitKeyValueStore
 from .kvstore.windowed_store import WindowedVectorStore
 from .parser_model import ParserConfig, configure_parser
@@ -53,6 +55,88 @@ DEFAULT_CHUNK_SIZE = 1 << 16
 DEFAULT_GEOMETRY = CacheGeometry.set_associative(1 << 18, ways=8)
 
 GeometrySpec = CacheGeometry | Mapping[str, CacheGeometry]
+
+
+@dataclass(frozen=True)
+class SessionConfig:
+    """Every knob that shapes one telemetry session, validated once.
+
+    Engine-level knobs (set by ``QueryEngine(...)``):
+
+    * ``engine``: execution engine, end to end — ``"vector"`` (the
+      vectorized executor and the schedule-driven
+      :class:`~repro.switch.kvstore.windowed_store.WindowedVectorStore`),
+      ``"row"`` (the reference interpreter and the per-packet
+      :class:`SplitKeyValueStore`), or ``"auto"`` (vector wherever the
+      input supports it: columnar tables, integer keys).  Every engine
+      produces bit-identical results.
+    * ``geometry``: cache geometry for every ``GROUPBY`` stage, or a
+      per-query-name mapping.
+    * ``policy``: cache eviction policy; ``seed``: cache hash seed.
+    * ``refresh_interval``: push cache values to the backing store
+      every this many packets (§3.2 freshness).
+
+    Per-session knobs (set by ``QueryEngine.open``):
+
+    * ``window``: accesses per schedule execution of the vector store,
+      which then runs every ``window`` accesses with carried state and
+      bounded memory.  ``None`` (unbounded) buffers the stream and runs
+      it as one window whenever an observable is read — the fastest
+      schedule for a bounded trace.  Results are bit-identical for
+      every window size, and mid-stream snapshots work either way.
+    * ``shards``: fan every ``GROUPBY`` stage out to this many worker
+      processes partitioned by cache set
+      (:mod:`repro.switch.kvstore.sharded`) and combine them via the
+      synthesized merges, bit-identical to one process.  Stages with a
+      non-mergeable fold route their whole stream to one shard.  Needs
+      the vector path (not ``engine="row"``) and no
+      ``refresh_interval``: refresh epochs cut at global stream
+      positions, which per-shard streams cannot see.
+    * ``exact``: software-only exact evaluation, no hardware model.
+    * ``checkpoint_every``: sharded sessions only — a per-worker role
+      checkpoint every this many shard posts, which enables crash
+      recovery (see :class:`~repro.telemetry.shard_exec.ShardWorkerPool`).
+    * ``faults``: a :class:`~repro.telemetry.faults.FaultInjector` for
+      deterministic fault injection.
+
+    Building one is the only place the session rules run: a bad
+    combination raises :class:`SessionConfigError` with the code and
+    wording of :func:`repro.core.analyze.session_diagnostics`.
+    """
+
+    engine: str = "auto"
+    geometry: GeometrySpec = DEFAULT_GEOMETRY
+    policy: str = "lru"
+    seed: int = 0
+    refresh_interval: int | None = None
+    window: int | None = None
+    shards: int | None = None
+    exact: bool = False
+    checkpoint_every: int | None = None
+    faults: Any = None
+
+    def __post_init__(self) -> None:
+        # Deferred import: the analyzer imports the telemetry layer,
+        # which imports this module at package-init time.
+        from repro.core.analyze import session_diagnostics
+
+        errors = session_diagnostics(
+            engine=self.engine, window=self.window, shards=self.shards,
+            exact=self.exact, refresh_interval=self.refresh_interval)
+        if errors:
+            raise SessionConfigError(f"[{errors[0].code}] {errors[0].message}")
+
+    def fingerprint(self) -> dict:
+        """Plain-data identity of the engine-level knobs — what a
+        checkpoint records and a resume must match."""
+        if isinstance(self.geometry, CacheGeometry):
+            geom = self.geometry.describe()
+        else:
+            geom = {name: g.describe()
+                    for name, g in sorted(self.geometry.items())}
+        return {"geometry": geom, "policy": self.policy, "seed": self.seed,
+                "refresh_interval": self.refresh_interval,
+                "engine": self.engine}
 
 
 #: Per-chunk row views for the per-packet fallbacks (shared helper —
@@ -134,8 +218,8 @@ class _SelectRunner:
 class _GroupByRunner:
     """Match stage + split key-value store.
 
-    The ``engine`` knob selects the store implementation on the batch
-    path: ``"row"`` streams per-packet through
+    The config's ``engine`` selects the store implementation on the
+    batch path: ``"row"`` streams per-packet through
     :class:`SplitKeyValueStore`; ``"vector"``/``"auto"`` feed the
     WHERE-filtered key/value columns to a
     :class:`~repro.switch.kvstore.windowed_store.WindowedVectorStore`,
@@ -148,17 +232,12 @@ class _GroupByRunner:
     """
 
     def __init__(self, stage: GroupByStage, geometry: CacheGeometry,
-                 params: Mapping[str, Numeric], policy: str, seed: int,
-                 refresh_interval: int | None = None, engine: str = "auto",
-                 window: int | None = None, shard_pool=None,
-                 shard_index: int = 0):
+                 params: Mapping[str, Numeric], config: SessionConfig,
+                 shard_pool=None, shard_index: int = 0):
         self.stage = stage
         self.params = params
-        self.engine = engine
-        self.window = window
+        self.config = config
         self.predicate = compile_predicate(stage.where, params)
-        self._config = dict(params=params, policy=policy, seed=seed,
-                            refresh_interval=refresh_interval)
         self._geometry = geometry
         self._sharded = shard_pool is not None
         if self._sharded:
@@ -166,14 +245,19 @@ class _GroupByRunner:
 
             self.store = ShardedStoreProxy(
                 stage, shard_index, shard_pool, geometry,
-                params=params, seed=seed)
+                params=params, seed=config.seed)
         else:
-            self.store = SplitKeyValueStore(stage, geometry, **self._config)
+            self.store = SplitKeyValueStore(
+                stage, geometry, params=params, policy=config.policy,
+                seed=config.seed, refresh_interval=config.refresh_interval)
         self._mode: str | None = None
 
     def _make_vector_store(self) -> WindowedVectorStore:
-        return WindowedVectorStore(self.stage, self._geometry,
-                                   window=self.window, **self._config)
+        config = self.config
+        return WindowedVectorStore(
+            self.stage, self._geometry, params=self.params,
+            policy=config.policy, seed=config.seed,
+            refresh_interval=config.refresh_interval, window=config.window)
 
     def process(self, record: object) -> None:
         if self._sharded:
@@ -193,7 +277,7 @@ class _GroupByRunner:
         if self._sharded:
             self._require_vector(ctx)
             return "vector"
-        if self.engine == "row" or self.store.stats.accesses > 0:
+        if self.config.engine == "row" or self.store.stats.accesses > 0:
             return "row"
         try:
             eval_mask(self.stage.where, ctx)
@@ -283,69 +367,20 @@ class SwitchPipeline:
     Args:
         program: Output of :func:`repro.core.compiler.compile_program`.
         params: Bindings for the program's free parameters.
-        geometry: Cache geometry for every ``GROUPBY`` stage, or a
-            per-query-name mapping.
-        policy: Cache eviction policy.
-        seed: Hash seed.
-        engine: Split-store execution engine for ``GROUPBY`` stages on
-            the batch path — ``"vector"`` (schedule-driven
-            :class:`~repro.switch.kvstore.windowed_store.WindowedVectorStore`),
-            ``"row"`` (per-packet :class:`SplitKeyValueStore`), or
-            ``"auto"`` (vector whenever the stream supports it).  Both
-            engines produce bit-identical results, and both support
-            :meth:`snapshot_results` mid-stream.
-        window: Accesses per schedule execution of the vector store:
-            the schedule runs every ``window`` accesses with carried
-            state, bounding memory on unbounded streams.  ``None``
-            (unbounded) buffers the stream and runs it as one window
-            whenever an observable is read — the fastest schedule for a
-            bounded trace.  Results are bit-identical for every window
-            size.
-        shards: When set, every ``GROUPBY`` stage fans out to a pool of
-            ``shards`` worker processes partitioned by cache set
-            (:mod:`repro.switch.kvstore.sharded`), each running the
-            single-process engine over its key slice; observables are
-            combined via the synthesized merges, bit-identical to the
-            unsharded engines.  Stages with a non-mergeable fold route
-            their whole stream to one shard (same results, one core).
-            Requires the vector path (``engine`` ``"auto"``/
-            ``"vector"``, batch ingestion) and no ``refresh_interval``
-            (refresh epochs cut at global stream positions, which
-            per-shard streams cannot see).
+        config: Every execution knob — engine, geometry, policy, seed,
+            refresh interval, window, shards, shard recovery and fault
+            injection; see :class:`SessionConfig`.  Both engines
+            support :meth:`snapshot_results` mid-stream.
     """
 
     def __init__(
         self,
         program: SwitchProgram,
         params: Mapping[str, Numeric] | None = None,
-        geometry: GeometrySpec = DEFAULT_GEOMETRY,
-        policy: str = "lru",
-        seed: int = 0,
-        refresh_interval: int | None = None,
-        engine: str = "auto",
-        window: int | None = None,
-        shards: int | None = None,
-        checkpoint_every: int | None = None,
-        faults=None,
+        config: SessionConfig | None = None,
     ):
-        # Deferred import: the diagnostics table lives in the telemetry
-        # layer, which imports this module at package-init time.
-        from repro.telemetry.diagnostics import exc_message
-
-        if engine not in ENGINES:
-            raise HardwareError(
-                exc_message("RPR-E008", engines=ENGINES, engine=engine))
-        if window is not None and window <= 0:
-            # Checked here (not just in the windowed store) so the row
-            # engine — which streams regardless — rejects it too.
-            raise HardwareError(exc_message("RPR-E004", window=window))
-        if shards is not None:
-            if shards < 1:
-                raise HardwareError(exc_message("RPR-E005", shards=shards))
-            if engine == "row":
-                raise HardwareError(exc_message("RPR-E001"))
-            if refresh_interval is not None:
-                raise HardwareError(exc_message("RPR-E002"))
+        config = SessionConfig() if config is None else config
+        self.config = config
         self.program = program
         self.params = dict(params or {})
         missing = set(program.params) - set(self.params)
@@ -353,26 +388,20 @@ class SwitchPipeline:
             raise InterpreterError(f"unbound query parameters: {sorted(missing)}")
         self.parser: ParserConfig = configure_parser(program.parse_fields)
         self._selects = [_SelectRunner(s, self.params) for s in program.select_stages]
+        geometries = [self._geometry_for(s.query_name, config.geometry)
+                      for s in program.groupby_stages]
         self._shard_pool = None
-        if shards is not None and program.groupby_stages:
+        if config.shards is not None and program.groupby_stages:
             from .kvstore.sharded import make_store_pool
 
-            specs = [
-                (s, self._geometry_for(s.query_name, geometry),
-                 dict(params=self.params, policy=policy, seed=seed,
-                      refresh_interval=None))
-                for s in program.groupby_stages
-            ]
             self._shard_pool = make_store_pool(
-                specs, window, shards, checkpoint_every=checkpoint_every,
-                faults=faults)
+                list(zip(program.groupby_stages, geometries)), self.params,
+                config)
         self._groupbys = [
-            _GroupByRunner(s, self._geometry_for(s.query_name, geometry),
-                           self.params, policy, seed,
-                           refresh_interval=refresh_interval, engine=engine,
-                           window=window, shard_pool=self._shard_pool,
-                           shard_index=i)
-            for i, s in enumerate(program.groupby_stages)
+            _GroupByRunner(s, geometry, self.params, config,
+                           shard_pool=self._shard_pool, shard_index=i)
+            for i, (s, geometry) in enumerate(zip(program.groupby_stages,
+                                                  geometries))
         ]
         self.packets_seen = 0
 
@@ -394,8 +423,7 @@ class SwitchPipeline:
         for groupby in self._groupbys:
             groupby.process(record)
 
-    def run(self, records: Iterable[object],
-            chunk_size: int = DEFAULT_CHUNK_SIZE) -> "SwitchPipeline":
+    def run(self, records: Iterable[object]) -> "SwitchPipeline":
         """Stream ``records`` through every stage.
 
         A columnar :class:`ObservationTable` takes the chunked batch
@@ -405,15 +433,15 @@ class SwitchPipeline:
         per-record path.  Both paths produce identical results.
         """
         if isinstance(records, ObservationTable) and records.is_columnar:
-            return self.run_batch(records, chunk_size=chunk_size)
+            return self.run_batch(records)
         process = self.process
         for record in records:
             process(record)
         return self
 
-    def run_batch(self, table: ObservationTable,
-                  chunk_size: int = DEFAULT_CHUNK_SIZE) -> "SwitchPipeline":
-        """Chunked batch execution over a columnar observation table."""
+    def run_batch(self, table: ObservationTable) -> "SwitchPipeline":
+        """Chunked batch execution over a columnar observation table,
+        :data:`DEFAULT_CHUNK_SIZE` records per chunk."""
         columns = table.columns()
         n = len(table)
         # Only the fields the program parses are ever converted to
@@ -422,8 +450,8 @@ class SwitchPipeline:
         # and only lazily, when a stage actually runs a per-packet
         # fallback; fully vectorized chunks never pay for the lists.
         fields = tuple(self.program.parse_fields) or tuple(columns)
-        for lo in range(0, n, chunk_size):
-            hi = min(lo + chunk_size, n)
+        for lo in range(0, n, DEFAULT_CHUNK_SIZE):
+            hi = min(lo + DEFAULT_CHUNK_SIZE, n)
             chunk = {name: arr[lo:hi] for name, arr in columns.items()}
             rows = _LazyRowLists(chunk, fields)
             ctx = ArrayContext(chunk, self.params, hi - lo)

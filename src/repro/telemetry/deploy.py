@@ -43,7 +43,7 @@ from repro.core.eval_expr import Numeric
 from repro.core.interpreter import ResultTable, Row
 from repro.network.records import ObservationTable, PacketRecord
 from repro.network.simulator import NetworkSimulator
-from repro.switch.pipeline import DEFAULT_GEOMETRY, GeometrySpec
+from repro.switch.pipeline import DEFAULT_GEOMETRY, GeometrySpec, SessionConfig
 from repro.telemetry.runtime import QueryEngine
 from repro.telemetry.session import TelemetrySession
 
@@ -116,10 +116,18 @@ class NetworkDeployment:
 
         ``checkpoint_every`` enables shard-worker crash recovery and
         ``faults`` threads a deterministic fault injector into the
-        transport, exactly as in :meth:`QueryEngine.open`."""
-        self._session = NetworkSession(self, window=window, shards=shards,
-                                       checkpoint_every=checkpoint_every,
-                                       faults=faults)
+        transport, exactly as in :meth:`QueryEngine.open`.
+
+        A bad ``window`` or ``shards`` raises its ``RPR-E00x`` code
+        here, before any worker forks.  Placing whole switches on
+        workers is not cache-set sharding, so the knobs are checked
+        against the engine-neutral defaults: the row engine and
+        ``refresh_interval`` (``RPR-E001``/``E002``) still shard by
+        switch."""
+        config = SessionConfig(window=window, shards=shards,
+                               checkpoint_every=checkpoint_every,
+                               faults=faults)
+        self._session = NetworkSession(self, config)
         return self._session
 
     def resume(self, snapshot: bytes,
@@ -129,22 +137,7 @@ class NetworkDeployment:
         :meth:`NetworkSession.checkpoint` byte string — the deployment
         (program, params, geometry, knobs, *and topology*) must match
         the one that saved it."""
-        from repro.telemetry.checkpoint import unpack_checkpoint
-
-        payload = unpack_checkpoint(snapshot)
-        kind = payload.get("kind")
-        if kind == "session":
-            raise CheckpointError(
-                "this is a single-session checkpoint; resume it with "
-                "QueryEngine.resume()")
-        if kind != "network":
-            raise CheckpointError(
-                f"not a network checkpoint (kind={kind!r})")
-        if payload.get("config") != self.engine._config_fingerprint():
-            raise CheckpointError(
-                "checkpoint was produced by a differently configured "
-                "deployment (queries, params, geometry, policy, seed, "
-                "and the refresh/engine knobs must all match)")
+        payload = self.engine._unpack_checkpoint(snapshot, "network")
         session = self.open(window=payload["window"],
                             shards=payload["shards"],
                             checkpoint_every=checkpoint_every,
@@ -239,16 +232,16 @@ class _NetworkShardRole:
     this worker.  The engine object is inherited at fork — compiled
     programs and closures ship for free, nothing is pickled."""
 
-    def __init__(self, engine: QueryEngine, window: int | None):
+    def __init__(self, engine: QueryEngine, config: SessionConfig):
         self._engine = engine
-        self._window = window
+        self._config = config
         self._sessions: dict[str, TelemetrySession] = {}
         self._reports: dict[str, object] = {}
 
     def _session(self, switch: str) -> TelemetrySession:
         session = self._sessions.get(switch)
         if session is None:
-            session = self._engine.open(window=self._window)
+            session = self._engine.open(window=self._config.window)
             self._sessions[switch] = session
         return session
 
@@ -290,7 +283,7 @@ class _NetworkShardRole:
 
     def restore(self, state: dict) -> None:
         for switch, payload in state["sessions"].items():
-            session = self._engine.open(window=self._window)
+            session = self._engine.open(window=self._config.window)
             session._restore_payload(payload)
             self._sessions[switch] = session
         self._reports = dict(state["reports"])
@@ -348,29 +341,22 @@ class NetworkSession:
     :class:`~repro.telemetry.shard_exec.ShardError`).
     """
 
-    def __init__(self, deployment: NetworkDeployment,
-                 window: int | None = None, shards: int | None = None,
-                 checkpoint_every: int | None = None, faults=None):
+    def __init__(self, deployment: NetworkDeployment, config: SessionConfig):
         self.deployment = deployment
-        self.window = window
-        self.shards = shards
+        self.config = config
         switches = list(deployment.simulator.topology.switches())
         self._pool = None
         self._broken: str | None = None
         self._broken_cause: BaseException | None = None
-        if shards is not None and switches:
-            if shards < 1:
-                raise ValueError(
-                    f"shards must be a positive worker count, got "
-                    f"{shards!r}")
+        if config.shards is not None and switches:
             from repro.telemetry.shard_exec import ShardWorkerPool
 
-            n_workers = min(shards, len(switches))
+            n_workers = min(config.shards, len(switches))
             self._pool = ShardWorkerPool(
-                [_NetworkShardRole(deployment.engine, window)
+                [_NetworkShardRole(deployment.engine, config)
                  for _ in range(n_workers)],
-                name="netshard", checkpoint_every=checkpoint_every,
-                faults=faults)
+                name="netshard", checkpoint_every=config.checkpoint_every,
+                faults=config.faults)
             self.sessions = {
                 switch: _RemoteSwitchSession(self._pool, i % n_workers,
                                              switch)
@@ -378,7 +364,7 @@ class NetworkSession:
             }
         else:
             self.sessions: dict[str, TelemetrySession] = {
-                switch: deployment.engine.open(window=window)
+                switch: deployment.engine.open(window=config.window)
                 for switch in switches
             }
         self._switch_order = list(self.sessions)
@@ -594,8 +580,8 @@ class NetworkSession:
         payload = {
             "kind": "network",
             "config": self.deployment.engine._config_fingerprint(),
-            "window": self.window,
-            "shards": self.shards,
+            "window": self.config.window,
+            "shards": self.config.shards,
             "switches": list(self._switch_order),
             "sharded": self._pool is not None,
         }

@@ -27,14 +27,14 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from repro.core.ast_nodes import Program
 from repro.core.compiler import CompileOptions, compile_program
-from repro.core.errors import HardwareError
+from repro.core.errors import CheckpointError, HardwareError
 from repro.core.eval_expr import Numeric
 from repro.core.interpreter import Interpreter, ResultTable
 from repro.core.parser import parse_program
@@ -48,32 +48,17 @@ from repro.core.vector_exec import (
 )
 from repro.network.records import ObservationTable
 from repro.switch.kvstore.cache import (
-    ENGINES,
     CacheGeometry,
     CacheStats,
     simulate_eviction_count,
 )
-from repro.switch.pipeline import DEFAULT_GEOMETRY, GeometrySpec
-from repro.telemetry.diagnostics import Diagnostic, DiagnosticsReport, exc_message
+from repro.switch.pipeline import DEFAULT_GEOMETRY, GeometrySpec, SessionConfig
+from repro.telemetry.diagnostics import DiagnosticsReport
 from repro.telemetry.session import TelemetrySession
 
-#: Legacy exception type raised for each hard diagnostic, keeping the
-#: pre-analyzer contract of every entry point (session-knob errors were
-#: ``ValueError``s, pipeline/hardware errors ``HardwareError``s).
-_EXC_FOR_CODE = {
-    "RPR-E001": HardwareError,
-    "RPR-E002": HardwareError,
-    "RPR-E003": ValueError,
-    "RPR-E004": ValueError,
-    "RPR-E005": ValueError,
-    "RPR-E008": ValueError,
-    "RPR-E301": HardwareError,
-}
-
-
-def _raise_for(diag: Diagnostic) -> None:
-    exc_type = _EXC_FOR_CODE.get(diag.code, HardwareError)
-    raise exc_type(f"[{diag.code}] {diag.message}")
+#: Checkpoint kind -> the call that resumes it.
+_RESUMED_BY = {"session": "QueryEngine.resume()",
+               "network": "NetworkDeployment.resume()"}
 
 
 @dataclass
@@ -145,22 +130,12 @@ class QueryEngine:
     Args:
         source: Query text (or a pre-parsed :class:`Program`).
         params: Parameter bindings (``alpha``, ``L``, ...).
-        geometry: Cache geometry for groupby stages.
-        policy: Cache eviction policy.
         exact_history: Enable the exact-history merge extension.
-        seed: Hash seed for the caches.
-        engine: Execution engine, end to end — it selects both the
-            exact evaluator for software stages / ground truth /
-            :meth:`run_exact` (``"vector"`` =
-            :class:`~repro.core.vector_exec.VectorExecutor`, ``"row"``
-            = the reference interpreter) **and** the hardware path's
-            split-store engine (``"vector"`` = the schedule-driven
-            :class:`~repro.switch.kvstore.windowed_store.WindowedVectorStore`,
-            ``"row"`` = the per-packet store).  ``"auto"`` picks vector
-            wherever the input supports it (columnar tables, integer
-            keys) and row otherwise.  Every engine combination produces
-            bit-identical results; the knob trades per-row dispatch for
-            array operations.
+        geometry, policy, seed, refresh_interval, engine: The
+            engine-level knobs of
+            :class:`~repro.switch.pipeline.SessionConfig`, which
+            documents each; an unknown ``engine`` raises
+            ``[RPR-E008]`` here.
     """
 
     def __init__(
@@ -174,20 +149,16 @@ class QueryEngine:
         refresh_interval: int | None = None,
         engine: str = "auto",
     ):
-        if engine not in ENGINES:
-            raise ValueError(
-                exc_message("RPR-E008", engines=ENGINES, engine=engine))
+        #: The engine-level knobs; :meth:`open` sets the session ones.
+        self.config = SessionConfig(
+            engine=engine, geometry=geometry, policy=policy, seed=seed,
+            refresh_interval=refresh_interval)
         program = parse_program(source) if isinstance(source, str) else source
         self.resolved: ResolvedProgram = resolve_program(program)
         self.compiled: SwitchProgram = compile_program(
             self.resolved, CompileOptions(exact_history=exact_history)
         )
         self.params = dict(params or {})
-        self.geometry = geometry
-        self.policy = policy
-        self.seed = seed
-        self.refresh_interval = refresh_interval
-        self.engine = engine
         self._interpreter: Interpreter | None = None
         self._vector: VectorExecutor | None = None
         #: Compile-time deployability report for the program as
@@ -231,9 +202,9 @@ class QueryEngine:
 
         return analyze_program(
             self.compiled, self.resolved, params=self.params,
-            geometry=self.geometry, engine=self.engine,
+            geometry=self.config.geometry, engine=self.config.engine,
             window=window, shards=shards, exact=exact,
-            refresh_interval=self.refresh_interval,
+            refresh_interval=self.config.refresh_interval,
             trace_bounds=trace_bounds,
             area_budget=(DEFAULT_AREA_BUDGET if area_budget is None
                          else area_budget),
@@ -259,9 +230,9 @@ class QueryEngine:
 
     def _executor_for(self, records) -> Interpreter | VectorExecutor:
         """Pick the exact-evaluation engine per the ``engine`` knob."""
-        if self.engine == "row":
+        if self.config.engine == "row":
             return self._row_engine()
-        if self.engine == "vector":
+        if self.config.engine == "vector":
             return self._vector_engine()
         if isinstance(records, ObservationTable) and records.is_columnar:
             return self._vector_engine()
@@ -270,7 +241,6 @@ class QueryEngine:
     # -- execution -------------------------------------------------------------
 
     def open(self, window: int | None = None, exact: bool = False,
-             chunk_size: int | None = None,
              shards: int | None = None,
              checkpoint_every: int | None = None,
              faults=None) -> TelemetrySession:
@@ -280,54 +250,24 @@ class QueryEngine:
         mid-stream :meth:`~TelemetrySession.results` snapshots, one
         :meth:`~TelemetrySession.close`.
 
-        Args:
-            window: Accesses per schedule execution for the vector
-                split store.  Set it for unbounded streams: memory
-                stays bounded by the window (plus per-key results).
-                ``None`` (unbounded) buffers the stream and runs it as
-                one window whenever results are read — the fastest
-                schedule for a bounded trace, and what :meth:`run`
-                uses.  Mid-stream snapshots work either way, with
-                results bit-identical for every window size.
-                Must be positive when set — 0/negative raises
-                :class:`ValueError` on every engine (the row engine
-                would otherwise silently ignore it).
-            exact: Software-only exact evaluation (no hardware model —
-                what :meth:`run_exact` uses).
-            chunk_size: Batch-path chunk size of the switch pipeline.
-            shards: Hash-partitioned multi-core execution — fan every
-                ``GROUPBY`` stage out to this many worker processes
-                and combine their stores via the synthesized merges,
-                bit-identical to the single-process engines (see
-                :mod:`repro.switch.kvstore.sharded`).  Composes with
-                ``window`` (each shard runs the windowed store over
-                its key slice) but not ``refresh_interval`` or
-                ``engine="row"``.
-            checkpoint_every: Sharded sessions only — take a periodic
-                per-worker role checkpoint every this many shard posts
-                and enable crash *recovery*: a worker process that dies
-                is respawned, restored from its last checkpoint, and
-                fed only the batches since (bounded retries; see
-                :class:`~repro.telemetry.shard_exec.ShardWorkerPool`).
-                Independent of :meth:`TelemetrySession.checkpoint`,
-                which serializes the whole session on demand.
-            faults: A :class:`~repro.telemetry.faults.FaultInjector`
-                for deterministic fault injection (tests/benchmarks).
+        The arguments are the per-session knobs of
+        :class:`~repro.switch.pipeline.SessionConfig`, which documents
+        each; :meth:`run` opens with none (unbounded window), and
+        :meth:`run_exact` with ``exact=True``.
 
         Every hard diagnostic (``RPR-E*``, see ``DIAGNOSTICS.md``) is
         raised here — before any session state is allocated or shard
         worker forked — with the same code and wording the CLI ``lint``
         command and served ``REJECT`` frames report.
         """
+        config = replace(self.config, window=window, exact=exact,
+                         shards=shards, checkpoint_every=checkpoint_every,
+                         faults=faults)
         report = self.diagnostics(window=window, exact=exact, shards=shards)
         error = report.first_error
         if error is not None:
-            _raise_for(error)
-        kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
-        session = TelemetrySession(self, window=window, exact=exact,
-                                   shards=shards,
-                                   checkpoint_every=checkpoint_every,
-                                   faults=faults, **kwargs)
+            raise HardwareError(f"[{error.code}] {error.message}")
+        session = TelemetrySession(self, config)
         session.diagnostics = report
         return session
 
@@ -361,52 +301,48 @@ class QueryEngine:
         taken: feed it the remaining records (everything after
         ``session.packets_ingested``) and its results are bit-identical
         to a run that never stopped."""
-        from repro.core.errors import CheckpointError
+        payload = self._unpack_checkpoint(snapshot, "session")
+        config = replace(self.config, window=payload["window"],
+                         exact=payload["exact"], shards=payload["shards"],
+                         checkpoint_every=checkpoint_every, faults=faults)
+        session = TelemetrySession(self, config)
+        session.diagnostics = self.diagnostics(
+            window=config.window, exact=config.exact, shards=config.shards)
+        session._restore_payload(payload)
+        return session
 
+    def _unpack_checkpoint(self, snapshot: bytes, kind: str) -> dict:
+        """The payload of a ``kind`` checkpoint (``"session"`` or
+        ``"network"``) that an identically configured engine saved;
+        anything else raises
+        :class:`~repro.core.errors.CheckpointError`."""
         from .checkpoint import unpack_checkpoint
 
         payload = unpack_checkpoint(snapshot)
-        kind = payload.get("kind")
-        if kind == "network":
+        found = payload.get("kind")
+        if found != kind:
+            if found in _RESUMED_BY:
+                raise CheckpointError(
+                    f"this is a {found} checkpoint, not a {kind} one; "
+                    f"resume it with {_RESUMED_BY[found]}")
             raise CheckpointError(
-                "this is a network-deployment checkpoint; resume it "
-                "with NetworkDeployment.resume()")
-        if kind != "session":
-            raise CheckpointError(
-                f"not a session checkpoint (kind={kind!r})")
+                f"not a {kind} checkpoint (kind={found!r})")
         if payload.get("config") != self._config_fingerprint():
             raise CheckpointError(
                 "checkpoint was produced by a differently configured "
                 "engine (queries, params, geometry, policy, seed, and "
                 "the refresh/engine knobs must all match); resume on "
                 "an engine configured like the one that saved it")
-        session = TelemetrySession(
-            self, window=payload["window"], exact=payload["exact"],
-            chunk_size=payload["chunk_size"], shards=payload["shards"],
-            checkpoint_every=checkpoint_every, faults=faults)
-        session.diagnostics = self.diagnostics(
-            window=payload["window"], exact=payload["exact"],
-            shards=payload["shards"])
-        session._restore_payload(payload)
-        return session
+        return payload
 
     def _config_fingerprint(self) -> dict:
         """Plain-data identity of everything that shapes session
         results — embedded in checkpoints and compared on resume."""
-        if isinstance(self.geometry, CacheGeometry):
-            geom = self.geometry.describe()
-        else:
-            geom = {name: g.describe()
-                    for name, g in sorted(self.geometry.items())}
         return {
             "plan": self.compiled.describe(),
             "result": self.compiled.result,
             "params": sorted(self.params.items()),
-            "geometry": geom,
-            "policy": self.policy,
-            "seed": self.seed,
-            "refresh_interval": self.refresh_interval,
-            "engine": self.engine,
+            **self.config.fingerprint(),
         }
 
     def run(
@@ -428,7 +364,7 @@ class QueryEngine:
         """
         if not isinstance(records, (list, ObservationTable)):
             records = list(records)    # one-pass iterables: ingest and
-        if self.engine == "vector":    # ground truth read it twice
+        if self.config.engine == "vector":  # ground truth read it twice
             # Columnize once, up front: the session *and* the exact
             # ground-truth pass below reuse the same columnar table.
             if isinstance(records, list):
@@ -478,22 +414,25 @@ class QueryEngine:
         plans: dict[str, list[CachePlanPoint]] = {}
         for stage in self.compiled.groupby_stages:
             keys = self._stage_key_stream(stage, records)
-            use_vector = self.engine != "row" and isinstance(keys, np.ndarray)
+            use_vector = (self.config.engine != "row"
+                          and isinstance(keys, np.ndarray))
             if use_vector:
                 from repro.switch.kvstore.vector_cache import VectorCacheSim
 
-                sim = VectorCacheSim(keys, seed=self.seed)
-                stats_for = lambda g: sim.stats(g, policy=self.policy)  # noqa: E731
+                sim = VectorCacheSim(keys, seed=self.config.seed)
+                stats_for = lambda g: sim.stats(  # noqa: E731
+                    g, policy=self.config.policy)
             else:
                 if isinstance(keys, np.ndarray):
                     keys = [tuple(row) for row in keys.tolist()]
                 stats_for = lambda g: simulate_eviction_count(  # noqa: E731
-                    keys, g, policy=self.policy, seed=self.seed, engine="row")
+                    keys, g, policy=self.config.policy,
+                    seed=self.config.seed, engine="row")
             plans[stage.query_name] = [
                 CachePlanPoint(
                     query=stage.query_name,
                     geometry=geometry,
-                    policy=self.policy,
+                    policy=self.config.policy,
                     pair_bits=stage.pair_bits,
                     stats=stats_for(geometry),
                 )

@@ -68,6 +68,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
+from dataclasses import replace
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Iterator
 
@@ -378,10 +379,11 @@ class IngestServer:
             port).  Loopback only by design — the wire format trusts
             its peer.
         unix_path: Listen on a UNIX socket instead of TCP.
-        window, shards, chunk_size, checkpoint_every, faults: Session
-            knobs, passed to :meth:`QueryEngine.open` for every served
-            session (``window`` is strongly recommended: it bounds
-            memory on long-lived streams).
+        window, shards, checkpoint_every, faults: Session knobs of
+            :class:`~repro.switch.pipeline.SessionConfig`, validated
+            here and passed to :meth:`QueryEngine.open` for every
+            served session (``window`` is strongly recommended: it
+            bounds memory on long-lived streams).
         max_sessions: Admission cap on live sessions.
         max_inflight_bytes: Admission cap on total queued batch bytes
             across sessions; new sessions are rejected above it, and
@@ -404,7 +406,6 @@ class IngestServer:
                  host: str = "127.0.0.1", port: int = 0,
                  unix_path: str | Path | None = None,
                  window: int | None = None, shards: int | None = None,
-                 chunk_size: int | None = None,
                  checkpoint_every: int | None = None,
                  faults: "FaultInjector | None" = None,
                  max_sessions: int = 8,
@@ -417,6 +418,10 @@ class IngestServer:
                  checkpoint_every_batches: int | None = None,
                  include_invalid: bool = True,
                  ingest_delay: float = 0.0) -> None:
+        #: Every served session opens with this config.
+        self.config = replace(engine.config, window=window, shards=shards,
+                              checkpoint_every=checkpoint_every,
+                              faults=faults)
         if queue_low_bytes is None:
             queue_low_bytes = queue_high_bytes // 4
         if not 0 <= queue_low_bytes <= queue_high_bytes:
@@ -430,11 +435,6 @@ class IngestServer:
                 "checkpoint_every_batches requires checkpoint_dir")
         self.engine = engine
         self._host, self._port, self._unix_path = host, port, unix_path
-        self._open_kwargs: dict[str, Any] = dict(
-            window=window, shards=shards,
-            checkpoint_every=checkpoint_every, faults=faults)
-        if chunk_size is not None:
-            self._open_kwargs["chunk_size"] = chunk_size
         self.max_sessions = max_sessions
         self.max_inflight_bytes = max_inflight_bytes
         self.queue_high_bytes = queue_high_bytes
@@ -464,7 +464,10 @@ class IngestServer:
             Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
 
     def _open_session(self) -> Any:
-        return self.engine.open(**self._open_kwargs)
+        config = self.config
+        return self.engine.open(window=config.window, shards=config.shards,
+                                checkpoint_every=config.checkpoint_every,
+                                faults=config.faults)
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -48,10 +48,9 @@ from typing import TYPE_CHECKING, Iterable
 from repro.core.errors import SessionClosedError, SessionError
 from repro.core.interpreter import ResultTable
 from repro.network.records import ObservationTable
-from repro.switch.pipeline import DEFAULT_CHUNK_SIZE, SwitchPipeline
+from repro.switch.pipeline import SessionConfig, SwitchPipeline
 
 from .checkpoint import pack_checkpoint
-from .diagnostics import exc_message
 
 if TYPE_CHECKING:                                  # pragma: no cover
     from .runtime import QueryEngine, RunReport
@@ -64,61 +63,29 @@ class TelemetrySession:
     protocol.  Not thread-safe (like the stores underneath).
 
     Args:
-        engine: The compiled :class:`QueryEngine` (program, params,
-            geometry, policy, execution-engine knob).
-        window: Streaming window for the vector split store (accesses
-            per schedule execution); ``None`` is unbounded — one window
-            per results read.
-        exact: Software-only exact evaluation (no hardware model).
-        chunk_size: Batch-path chunk size of the switch pipeline.
-        shards: Fan every ``GROUPBY`` stage out to this many worker
-            processes, hash-partitioned by cache set and combined via
-            the synthesized merges — bit-identical to the unsharded
-            engines (see :mod:`repro.switch.kvstore.sharded` for the
-            mergeable/non-mergeable contract).  Implies columnar
+        engine: The compiled :class:`QueryEngine` (program, params).
+        config: Its :class:`~repro.switch.pipeline.SessionConfig` with
+            this session's knobs set.  ``shards`` implies columnar
             (vector-path) ingestion: row batches are columnized.
     """
 
-    def __init__(self, engine: "QueryEngine", window: int | None = None,
-                 exact: bool = False,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 shards: int | None = None,
-                 checkpoint_every: int | None = None,
-                 faults=None):
+    def __init__(self, engine: "QueryEngine", config: SessionConfig):
         self._engine = engine
-        self.window = window
-        self.exact = exact
-        self.shards = shards
+        self.config = config
         #: Deployability report attached by :meth:`QueryEngine.open`
         #: (``None`` when the session was constructed directly).
         self.diagnostics = None
-        # Defense in depth for direct construction: QueryEngine.open()
-        # already rejected these, with the same codes and wording.
-        if window is not None and window <= 0:
-            raise ValueError(exc_message("RPR-E004", window=window))
-        if shards is not None and shards < 1:
-            raise ValueError(exc_message("RPR-E005", shards=shards))
-        if exact and shards is not None:
-            raise ValueError(exc_message("RPR-E003"))
-        self._chunk_size = chunk_size
         self._closed = False
         self._broken: str | None = None
         self._broken_cause: BaseException | None = None
         self._saw_rows = False
         self._vector_started = False
-        self._faults = faults
-        if exact:
+        if config.exact:
             self._buffered: list[ObservationTable | list] = []
             self._pipeline = None
         else:
             self._pipeline = SwitchPipeline(
-                engine.compiled, params=engine.params,
-                geometry=engine.geometry, policy=engine.policy,
-                seed=engine.seed,
-                refresh_interval=engine.refresh_interval,
-                engine=engine.engine, window=window, shards=shards,
-                checkpoint_every=checkpoint_every, faults=faults,
-            )
+                engine.compiled, params=engine.params, config=config)
 
     # -- context manager ------------------------------------------------------
 
@@ -173,13 +140,13 @@ class TelemetrySession:
                 "session is closed; open a new one with QueryEngine.open()")
         self._check_broken()
         try:
-            if self._faults is not None:
-                self._faults.on_ingest()
+            if self.config.faults is not None:
+                self.config.faults.on_ingest()
             batch = self._normalize(batch)
-            if self.exact:
+            if self.config.exact:
                 self._buffered.append(batch)
             else:
-                self._pipeline.run(batch, chunk_size=self._chunk_size)
+                self._pipeline.run(batch)
         except Exception as exc:
             # Keep the original exception: every later SessionError on
             # this poisoned session chains it as __cause__, so the real
@@ -202,16 +169,17 @@ class TelemetrySession:
         are batch-only, so they always columnize."""
         if not isinstance(batch, (list, ObservationTable)):
             batch = list(batch)
-        columnize = self._engine.engine == "vector" or (
-            self._engine.engine == "auto" and self._vector_started) or (
-            self.shards is not None)
+        config = self.config
+        columnize = config.engine == "vector" or (
+            config.engine == "auto" and self._vector_started) or (
+            config.shards is not None)
         if columnize:
             if isinstance(batch, list):
                 batch = ObservationTable(batch)
             if not batch.is_columnar:
                 batch = ObservationTable.from_arrays(batch.columns())
         if isinstance(batch, ObservationTable) and batch.is_columnar:
-            if not self.exact and not self._saw_rows:
+            if not config.exact and not self._saw_rows:
                 self._vector_started = True
         else:
             self._saw_rows = True
@@ -230,7 +198,7 @@ class TelemetrySession:
                 "session is closed; the final report is the close() "
                 "return value")
         self._check_broken()
-        if self.exact:
+        if self.config.exact:
             return self._exact_report()
         tables, stats, writes, accuracy = \
             self._pipeline.snapshot_results(include_invalid=include_invalid)
@@ -256,7 +224,7 @@ class TelemetrySession:
                 f"open a new session, or resume from the last "
                 f"checkpoint() with QueryEngine.resume()"
             ) from self._broken_cause
-        if self.exact:
+        if self.config.exact:
             report = self._exact_report()
         else:
             report = self._final_report(include_invalid)
@@ -295,7 +263,7 @@ class TelemetrySession:
     def packets_ingested(self) -> int:
         """Observations absorbed so far — what a resumed driver skips
         when replaying its input stream."""
-        if self.exact:
+        if self.config.exact:
             return sum(len(b) for b in self._buffered)
         return self._pipeline.packets_seen
 
@@ -316,15 +284,14 @@ class TelemetrySession:
         payload = {
             "kind": "session",
             "config": self._engine._config_fingerprint(),
-            "window": self.window,
-            "exact": self.exact,
-            "shards": self.shards,
-            "chunk_size": self._chunk_size,
+            "window": self.config.window,
+            "exact": self.config.exact,
+            "shards": self.config.shards,
             "saw_rows": self._saw_rows,
             "vector_started": self._vector_started,
             "packets_ingested": self.packets_ingested,
         }
-        if self.exact:
+        if self.config.exact:
             payload["buffered"] = [_pack_batch(b) for b in self._buffered]
         else:
             payload["pipeline"] = self._pipeline.checkpoint_state()
@@ -335,7 +302,7 @@ class TelemetrySession:
         opened) session — :meth:`QueryEngine.resume` only."""
         self._saw_rows = payload["saw_rows"]
         self._vector_started = payload["vector_started"]
-        if self.exact:
+        if self.config.exact:
             self._buffered = [_unpack_batch(b) for b in payload["buffered"]]
         else:
             self._pipeline.restore_state(payload["pipeline"])
@@ -347,8 +314,8 @@ class TelemetrySession:
         the engine knob (``"auto"``: vectorized unless row batches were
         ingested — the same choice :meth:`QueryEngine.run` makes)."""
         engine = self._engine
-        if engine.engine == "row" or (engine.engine == "auto"
-                                      and self._saw_rows):
+        if self.config.engine == "row" or (self.config.engine == "auto"
+                                           and self._saw_rows):
             return engine._row_engine()
         return engine._vector_engine()
 

@@ -66,15 +66,27 @@ class TestRun:
         assert code == 0
         assert "COUNT" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("window", ["0", "-1", "-128"])
-    def test_nonpositive_window_rejected(self, trace_file, window, capsys):
+    @pytest.mark.parametrize("command, flag, value, unit", [
+        pytest.param("run", "--window", "0", "accesses", id="0"),
+        pytest.param("run", "--window", "-1", "accesses", id="-1"),
+        pytest.param("run", "--window", "-128", "accesses", id="-128"),
+        pytest.param("run", "--checkpoint-every", "0", "packets",
+                     id="checkpoint-every"),
+        pytest.param("serve", "--checkpoint-every-batches", "0", "batches",
+                     id="checkpoint-every-batches"),
+    ])
+    def test_nonpositive_window_rejected(self, trace_file, command, flag,
+                                         value, unit, capsys):
         """Regression: --window 0/-N used to be accepted at parse time
         and fail deep in the store (or be silently ignored on the row
-        engine); argparse now rejects it with a clear message."""
+        engine); argparse now rejects it, and every positive-count flag,
+        with a message naming the flag's own unit."""
+        argv = [command, "--query", "SELECT COUNT GROUPBY srcip"]
+        if command == "run":
+            argv += ["--trace", trace_file]
         with pytest.raises(SystemExit):
-            main(["run", "--query", "SELECT COUNT GROUPBY srcip",
-                  "--trace", trace_file, "--window", window])
-        assert "positive number of accesses" in capsys.readouterr().err
+            main(argv + [flag, value])
+        assert f"positive number of {unit}" in capsys.readouterr().err
 
     def test_non_integer_window_rejected(self, trace_file, capsys):
         with pytest.raises(SystemExit):

@@ -130,6 +130,22 @@ class TestRegistry:
 # -- the session/engine compatibility matrix ----------------------------------
 
 
+#: One bad session-knob combination per row, with the code it draws.
+BAD_KNOBS = [
+    (dict(engine="gpu"), "RPR-E008"),
+    (dict(window=0), "RPR-E004"),
+    (dict(window=-7), "RPR-E004"),
+    (dict(shards=0), "RPR-E005"),
+    (dict(exact=True, shards=2), "RPR-E003"),
+    (dict(engine="row", shards=2), "RPR-E001"),
+    (dict(shards=2, refresh_interval=100), "RPR-E002"),
+]
+
+#: The knobs of BAD_KNOBS that QueryEngine(...) takes; open()/serve()
+#: take the rest.
+ENGINE_KNOBS = ("engine", "refresh_interval")
+
+
 class TestSessionMatrix:
     def test_valid_combinations_are_clean(self):
         assert session_diagnostics() == []
@@ -139,15 +155,7 @@ class TestSessionMatrix:
         assert session_diagnostics(exact=True) == []
         assert session_diagnostics(window=100, refresh_interval=50) == []
 
-    @pytest.mark.parametrize("knobs, expected", [
-        (dict(engine="gpu"), "RPR-E008"),
-        (dict(window=0), "RPR-E004"),
-        (dict(window=-7), "RPR-E004"),
-        (dict(shards=0), "RPR-E005"),
-        (dict(exact=True, shards=2), "RPR-E003"),
-        (dict(engine="row", shards=2), "RPR-E001"),
-        (dict(shards=2, refresh_interval=100), "RPR-E002"),
-    ], ids=lambda v: str(v))
+    @pytest.mark.parametrize("knobs, expected", BAD_KNOBS, ids=lambda v: str(v))
     def test_bad_combination_yields_code(self, knobs, expected):
         diags = session_diagnostics(**knobs)
         assert expected in [d.code for d in diags]
@@ -164,6 +172,25 @@ class TestSessionMatrix:
 
 
 class TestOpenTimeGates:
+    @pytest.mark.parametrize("entry, knobs, expected", [
+        (entry, knobs, expected)
+        for entry in ("open", "serve") for knobs, expected in BAD_KNOBS
+        if not (entry == "serve" and "exact" in knobs)  # serve has no exact=
+    ], ids=lambda v: str(v))
+    def test_runtime_agrees_with_analyzer(self, entry, knobs, expected):
+        """Every runtime entry point raises the analyzer's code for
+        every bad row, as the type it raised before the codes shared
+        one checker: HardwareError for E001/E002, ValueError else."""
+        engine_knobs = {k: v for k, v in knobs.items() if k in ENGINE_KNOBS}
+        session_knobs = {k: v for k, v in knobs.items()
+                         if k not in ENGINE_KNOBS}
+        legacy = (HardwareError if expected in ("RPR-E001", "RPR-E002")
+                  else ValueError)
+        with pytest.raises(legacy) as err:
+            engine = QueryEngine(QUERY, geometry=GEOM, **engine_knobs)
+            getattr(engine, entry)(**session_knobs)
+        assert diagnostic_code(err.value) == expected
+
     def test_e008_unknown_engine_at_construction(self):
         with pytest.raises(ValueError) as err:
             QueryEngine(QUERY, geometry=GEOM, engine="gpu")

@@ -16,7 +16,7 @@ from repro.core.interpreter import Interpreter
 from repro.core.parser import parse_program
 from repro.core.semantics import resolve_program
 from repro.switch.kvstore.cache import CacheGeometry
-from repro.switch.pipeline import SwitchPipeline
+from repro.switch.pipeline import SessionConfig, SwitchPipeline
 from repro.telemetry.results import compare_tables
 
 from tests.conftest import make_record
@@ -81,7 +81,8 @@ def run_both(source, params, records, capacity, ways, exact_history=False):
     else:
         capacity = max(ways, capacity // ways * ways)
         geometry = CacheGeometry.set_associative(capacity, ways=ways)
-    pipeline = SwitchPipeline(program, params=params, geometry=geometry)
+    pipeline = SwitchPipeline(program, params=params,
+                              config=SessionConfig(geometry=geometry))
     pipeline.run(records)
     hardware = pipeline.results()[rp.result]
     return hardware, truth
@@ -120,7 +121,8 @@ def test_history_fold_error_is_bounded_by_eviction_count(stream, capacity):
     rp = resolve_program(parse_program(HISTORY_PROGRAM))
     truth = Interpreter(rp).run_result(stream).by_key()
     program = compile_program(rp)
-    pipeline = SwitchPipeline(program, geometry=CacheGeometry.hash_table(capacity))
+    pipeline = SwitchPipeline(program, config=SessionConfig(
+        geometry=CacheGeometry.hash_table(capacity)))
     pipeline.run(stream)
     store = pipeline.store_for(rp.result)
     hardware = store.result_table().by_key()
@@ -144,8 +146,8 @@ def test_nonlinear_valid_keys_report_exact_values(stream):
     )
     rp = resolve_program(parse_program(source))
     truth = Interpreter(rp).run_result(stream).by_key()
-    pipeline = SwitchPipeline(compile_program(rp),
-                              geometry=CacheGeometry.hash_table(2))
+    pipeline = SwitchPipeline(compile_program(rp), config=SessionConfig(
+        geometry=CacheGeometry.hash_table(2)))
     pipeline.run(stream)
     hardware = pipeline.results()[rp.result].by_key()  # valid keys only
     for key, row in hardware.items():
@@ -165,8 +167,9 @@ def test_results_independent_of_hash_seed(stream, seed_a, seed_b):
     tables = []
     for seed in (seed_a, seed_b):
         pipeline = SwitchPipeline(
-            program, params=params,
-            geometry=CacheGeometry.set_associative(8, ways=2), seed=seed)
+            program, params=params, config=SessionConfig(
+                geometry=CacheGeometry.set_associative(8, ways=2),
+                seed=seed))
         pipeline.run(stream)
         tables.append(pipeline.results()[rp.result])
     diff = compare_tables(tables[0], tables[1], abs_tol=1e-9)

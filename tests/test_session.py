@@ -254,16 +254,27 @@ class TestSessionLifecycle:
         with pytest.raises(ValueError, match="window must be a positive"):
             qe.open(window=window)
 
-    def test_network_open_rejects_nonpositive_window(self):
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_network_open_rejects_nonpositive_window(self, shards):
+        """The network gate runs before any worker forks: a sharded
+        deployment used to fork its workers and fail only at close()."""
+        import multiprocessing
+
         from repro.network.simulator import NetworkSimulator
         from repro.network.topology import linear_chain
         from repro.telemetry.deploy import NetworkDeployment
+        from repro.telemetry.diagnostics import diagnostic_code
 
         deploy = NetworkDeployment(
             "SELECT COUNT GROUPBY srcip",
             NetworkSimulator(linear_chain(2)), geometry=GEOM)
-        with pytest.raises(ValueError, match="window must be a positive"):
-            deploy.open(window=0)
+        with pytest.raises(ValueError, match="window must be a positive") as err:
+            deploy.open(window=0, shards=shards)
+        assert diagnostic_code(err.value) == "RPR-E004"
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ValueError) as err:
+            deploy.open(shards=0)
+        assert diagnostic_code(err.value) == "RPR-E005"
 
 
 class TestMidStreamSnapshots:

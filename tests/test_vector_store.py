@@ -22,7 +22,7 @@ from repro.switch.kvstore.cache import CacheGeometry
 from repro.switch.kvstore.split import SplitKeyValueStore
 from repro.switch.kvstore import windowed_store
 from repro.switch.kvstore.windowed_store import WindowedVectorStore
-from repro.switch.pipeline import SwitchPipeline
+from repro.switch.pipeline import SessionConfig, SwitchPipeline
 from repro.telemetry.runtime import QueryEngine
 
 from tests.conftest import synthetic_trace
@@ -333,9 +333,9 @@ class TestPipelineEngineKnob:
         program = compile_program(rp)
         trace = ObservationTable.from_arrays(
             synthetic_trace(n_packets=500, n_flows=10).columns())
-        pipeline = SwitchPipeline(program,
-                                  geometry=CacheGeometry.set_associative(8, ways=2),
-                                  engine="vector")
+        pipeline = SwitchPipeline(program, config=SessionConfig(
+            geometry=CacheGeometry.set_associative(8, ways=2),
+            engine="vector"))
         pipeline.run(trace)
         assert isinstance(pipeline.store_for(rp.result), WindowedVectorStore)
 
@@ -344,25 +344,25 @@ class TestPipelineEngineKnob:
         program = compile_program(rp)
         trace = ObservationTable.from_arrays(
             synthetic_trace(n_packets=500, n_flows=10).columns())
-        pipeline = SwitchPipeline(program,
-                                  geometry=CacheGeometry.set_associative(8, ways=2),
-                                  engine="row")
+        pipeline = SwitchPipeline(program, config=SessionConfig(
+            geometry=CacheGeometry.set_associative(8, ways=2),
+            engine="row"))
         pipeline.run(trace)
         assert isinstance(pipeline.store_for(rp.result), SplitKeyValueStore)
 
     def test_invalid_engine_rejected(self):
         program = compile_program(resolve_program(parse_program(COUNT)))
         with pytest.raises(HardwareError):
-            SwitchPipeline(program, engine="warp")
+            SwitchPipeline(program, config=SessionConfig(engine="warp"))
 
     def test_mixing_batch_then_record_rejected(self):
         rp = resolve_program(parse_program(COUNT))
         program = compile_program(rp)
         trace = ObservationTable.from_arrays(
             synthetic_trace(n_packets=200, n_flows=5).columns())
-        pipeline = SwitchPipeline(program,
-                                  geometry=CacheGeometry.set_associative(8, ways=2),
-                                  engine="vector")
+        pipeline = SwitchPipeline(program, config=SessionConfig(
+            geometry=CacheGeometry.set_associative(8, ways=2),
+            engine="vector"))
         pipeline.run(trace)
         with pytest.raises(HardwareError):
             pipeline.process(trace[0])
