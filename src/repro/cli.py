@@ -156,17 +156,7 @@ def _add_query_args(parser: argparse.ArgumentParser) -> None:
                         choices=("auto", "vector", "row"),
                         help="exact-evaluation engine: vectorized batch "
                              "executor, row interpreter, or auto (vector "
-                             "for columnar traces)")
-
-
-def _slice_table(table, lo: int, hi: int):
-    from repro.network.records import ObservationTable
-
-    if isinstance(table, ObservationTable) and table.is_columnar:
-        return ObservationTable.from_arrays(
-            {name: col[lo:hi] for name, col in table.columns().items()})
-    records = table.records if isinstance(table, ObservationTable) else table
-    return list(records[lo:hi])
+                             "wherever the query allows)")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -176,11 +166,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     engine = QueryEngine(source, params=params, geometry=_geometry(args),
                          policy=args.policy, exact_history=args.exact_history,
                          refresh_interval=args.refresh, engine=args.engine)
-    # The table is passed whole (not .records) so columnar traces take
-    # the batch pipeline / vectorized-executor path end to end; every
-    # run is one TelemetrySession (--window sets the streaming window,
-    # --shards the multi-core fan-out).  --resume-from restores a
-    # checkpointed session and skips the trace prefix it already saw;
+    # Every run is one TelemetrySession (--window sets the streaming
+    # window, --shards the multi-core fan-out).  --resume-from restores
+    # a checkpointed session and skips the trace prefix it already saw;
     # --checkpoint-to saves one for a later resume.
     if args.checkpoint_every and not args.checkpoint_to:
         raise SystemExit("--checkpoint-every requires --checkpoint-to")
@@ -199,11 +187,11 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"holds only {total} — resume with the original trace")
     if args.checkpoint_every:
         for lo in range(skip, total, args.checkpoint_every):
-            session.ingest(_slice_table(table, lo, min(lo + args.checkpoint_every, total)))
+            session.ingest(table[lo:lo + args.checkpoint_every])
             Path(args.checkpoint_to).write_bytes(session.checkpoint())
     else:
         if skip < total:
-            session.ingest(table if skip == 0 else _slice_table(table, skip, total))
+            session.ingest(table[skip:])
         if args.checkpoint_to:
             Path(args.checkpoint_to).write_bytes(session.checkpoint())
     report = session.close(include_invalid=args.include_invalid)
@@ -388,10 +376,9 @@ def _lint_bounds(args: argparse.Namespace):
     if args.trace:
         table = _load_trace(args.trace)
         magnitudes: dict[str, float] = {}
-        if getattr(table, "is_columnar", False):
-            for name, col in table.columns().items():
-                finite = col[~_np_isinf(col)] if col.dtype.kind == "f" else col
-                magnitudes[name] = float(abs(finite).max()) if len(finite) else 0.0
+        for name, col in table.columns().items():
+            finite = col[~_np_isinf(col)] if col.dtype.kind == "f" else col
+            magnitudes[name] = float(abs(finite).max()) if len(finite) else 0.0
         return TraceBounds(records=len(table), field_magnitude=magnitudes)
     return TraceBounds(records=args.records, field_magnitude=args.max_field)
 

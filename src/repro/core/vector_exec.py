@@ -554,9 +554,8 @@ class VectorExecutor:
 
     Drop-in counterpart of :class:`~repro.core.interpreter.Interpreter`:
     same constructor, same ``run`` / ``run_result`` / ``evaluate_stage``
-    surface, identical results.  Prefers columnar input
-    (:class:`~repro.network.records.ObservationTable` in columnar
-    authority); row input is columnized once on entry.
+    surface, identical results.  Input of any shape is columnized
+    once on entry (:func:`~repro.network.records.as_table`).
 
     Args:
         program: Output of :func:`repro.core.semantics.resolve_program`.
@@ -609,16 +608,10 @@ class VectorExecutor:
 
     def _base_input(self, records):
         """Columns + length + lazily-usable row handle for the stream."""
-        from repro.network.records import ObservationTable
+        from repro.network.records import as_table
 
-        if isinstance(records, ObservationTable):
-            columns = records.columns()
-            return columns, len(records), records
-        rows = records if isinstance(records, list) else list(records)
-        columns = ObservationTable(rows).columns() if rows else None
-        if columns is None:
-            columns = ObservationTable([]).columns()
-        return columns, len(rows), rows
+        table = as_table(records)
+        return table.columns(), len(table), table
 
     @staticmethod
     def _columns_from_table(table: ResultTable) -> tuple[dict[str, np.ndarray], int]:

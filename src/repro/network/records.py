@@ -31,13 +31,18 @@ A table is always in exactly one of two authority states:
   entered on construction from records, on :meth:`append`, or the
   first time ``.records`` is touched (callers may mutate the list, so
   the columnar copy cannot be kept coherent and is dropped).
+
+Below the public API there is only one form: every entry point passes
+its input through :func:`as_table`, which returns a columnar table —
+the fixed-width integer fields the switch parser extracts (§3.1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields as dc_fields
-from typing import Iterable, Iterator, Sequence
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -187,7 +192,13 @@ class ObservationTable:
         for values in zip(*data):
             yield PacketRecord(*values)
 
-    def __getitem__(self, index: int) -> PacketRecord:
+    def __getitem__(self, index: int | slice):
+        if isinstance(index, slice):
+            # A columnar slice is a view: numpy basic slicing, no copy.
+            if self._rows is not None:
+                return ObservationTable(self._rows[index])
+            return ObservationTable._adopt(
+                {name: col[index] for name, col in self._columns.items()})
         if self._rows is not None:
             return self._rows[index]
         columns = self._columns
@@ -211,14 +222,7 @@ class ObservationTable:
         """
         if self._columns is not None:
             return self._columns
-        rows = self._rows
-        out: dict[str, np.ndarray] = {}
-        for name in RECORD_FIELDS:
-            column = np.empty(len(rows), dtype=_COLUMN_DTYPES[name])
-            for i, record in enumerate(rows):
-                column[i] = getattr(record, name)
-            out[name] = column
-        return out
+        return _record_columns(self._rows)
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         """Columnar copy: one numpy array per field."""
@@ -227,7 +231,8 @@ class ObservationTable:
         return self.columns()
 
     @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "ObservationTable":
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray | Sequence]
+                    ) -> "ObservationTable":
         """Build a columnar table from arrays; missing columns default.
 
         This is the fast path: input arrays are cast to the canonical
@@ -245,6 +250,26 @@ class ObservationTable:
                 columns[name] = np.ascontiguousarray(arrays[name], dtype=dtype)
             else:
                 columns[name] = np.full(n, _FIELD_DEFAULTS[name], dtype=dtype)
+        return cls._adopt(columns)
+
+    @classmethod
+    def concat(cls, tables: Sequence["ObservationTable"]
+               ) -> "ObservationTable":
+        """One columnar table holding ``tables`` in order (one
+        ``np.concatenate`` per field; a single table passes through
+        :func:`as_table` uncopied)."""
+        if not tables:
+            return cls.from_arrays({})
+        if len(tables) == 1:
+            return as_table(tables[0])
+        columns = [as_table(t).columns() for t in tables]
+        return cls._adopt({name: np.concatenate([c[name] for c in columns])
+                           for name in RECORD_FIELDS})
+
+    @classmethod
+    def _adopt(cls, columns: dict[str, np.ndarray]) -> "ObservationTable":
+        """A columnar table over ``columns`` as given (canonical dtypes,
+        every field present): no cast, no copy."""
         table = cls.__new__(cls)
         table._rows = None
         table._columns = columns
@@ -293,3 +318,46 @@ class ObservationTable:
 
     def drop_count(self) -> int:
         return int(np.isinf(self.columns()["tout"]).sum())
+
+
+def _record_columns(rows: Sequence[object]) -> dict[str, np.ndarray]:
+    """One array per schema field from row objects: a single transpose
+    pass, then one ``np.array`` per column.  A value its column cannot
+    hold raises :class:`ValueError` naming the field and the record."""
+    if rows:
+        data = list(zip(*map(attrgetter(*RECORD_FIELDS), rows)))
+    else:
+        data = [()] * len(RECORD_FIELDS)
+    out: dict[str, np.ndarray] = {}
+    for name, values in zip(RECORD_FIELDS, data):
+        dtype = _COLUMN_DTYPES[name]
+        try:
+            out[name] = np.array(values, dtype=dtype)
+        except (OverflowError, TypeError, ValueError) as exc:
+            for index, value in enumerate(values):
+                try:
+                    np.array(value, dtype=dtype)
+                except (OverflowError, TypeError, ValueError):
+                    raise ValueError(
+                        f"record {index}: field {name!r} value {value!r} "
+                        f"does not fit its {dtype} column") from exc
+            raise
+    return out
+
+
+def as_table(batch: object) -> ObservationTable:
+    """The door below the public API: any batch in, one columnar
+    :class:`ObservationTable` out.
+
+    A columnar table passes through as the same object (no copy).  A
+    row-authority table, a list or any other iterable of records, or a
+    column dict (``from_arrays`` rules: missing fields default) becomes
+    a fresh columnar table; the caller's object is left untouched.
+    """
+    if isinstance(batch, ObservationTable):
+        if batch.is_columnar:
+            return batch
+        return ObservationTable._adopt(batch.columns())
+    if isinstance(batch, Mapping):
+        return ObservationTable.from_arrays(batch)
+    return ObservationTable._adopt(_record_columns(list(batch)))

@@ -319,14 +319,6 @@ class ShardedStoreProxy:
                 **{name: np.asarray(col)[sel] for name, col in cols.items()},
             })
 
-    def process(self, record: object) -> None:
-        from repro.telemetry.diagnostics import exc_message
-
-        raise HardwareError(exc_message("RPR-E006"))
-
-    def process_keyed(self, key, record: object) -> None:
-        self.process(record)
-
     # -- observables ---------------------------------------------------------
 
     def finalize(self) -> None:

@@ -199,15 +199,6 @@ class VectorSplitStore:
             *(v.needed for v in self._vec.values())
         ) if stage.folds else frozenset()
 
-    def process(self, record: object) -> None:
-        raise HardwareError(
-            "the vector split store is batch-only; use add_batch(), or "
-            "the row engine (SplitKeyValueStore) for per-packet streaming"
-        )
-
-    def process_keyed(self, key, record: object) -> None:
-        self.process(record)
-
     def finalize(self) -> None:
         """Execute everything still pending and flush every open epoch
         into the backing store (idempotent)."""

@@ -37,7 +37,7 @@ from repro.core.vector_exec import (
     eval_array,
     eval_mask,
 )
-from repro.network.records import ColumnRowView, ObservationTable
+from repro.network.records import ColumnRowView, as_table
 
 from .alu import compile_predicate, compile_scalar
 from .kvstore.cache import CacheGeometry, CacheStats
@@ -67,9 +67,11 @@ class SessionConfig:
       vectorized executor and the schedule-driven
       :class:`~repro.switch.kvstore.windowed_store.WindowedVectorStore`),
       ``"row"`` (the reference interpreter and the per-packet
-      :class:`SplitKeyValueStore`), or ``"auto"`` (vector wherever the
-      input supports it: columnar tables, integer keys).  Every engine
-      produces bit-identical results.
+      :class:`SplitKeyValueStore`, the oracle), or ``"auto"`` (vector
+      wherever the query allows: a vectorizable ``WHERE``, integer
+      keys).  Input is columnized at the door whatever its shape, so
+      the knob alone decides; every engine produces bit-identical
+      results.
     * ``geometry``: cache geometry for every ``GROUPBY`` stage, or a
       per-query-name mapping.
     * ``policy``: cache eviction policy; ``seed``: cache hash seed.
@@ -139,11 +141,6 @@ class SessionConfig:
                 "engine": self.engine}
 
 
-#: Per-chunk row views for the per-packet fallbacks (shared helper —
-#: see :class:`repro.network.records.ColumnRowView`).
-_ColumnRow = ColumnRowView
-
-
 class _LazyRowLists:
     """Per-chunk column→list conversion, deferred until a stage
     actually needs per-packet row views.
@@ -207,7 +204,7 @@ class _SelectRunner:
         except VectorizationError:
             row_lists = rows.materialize()
             for i in range(ctx.n):
-                self.process(_ColumnRow(row_lists, i))
+                self.process(ColumnRowView(row_lists, i))
             return
         self.rows.extend(dict(zip(names, values)) for values in zip(*data))
 
@@ -218,17 +215,17 @@ class _SelectRunner:
 class _GroupByRunner:
     """Match stage + split key-value store.
 
-    The config's ``engine`` selects the store implementation on the
-    batch path: ``"row"`` streams per-packet through
-    :class:`SplitKeyValueStore`; ``"vector"``/``"auto"`` feed the
-    WHERE-filtered key/value columns to a
+    The config's ``engine`` selects the store implementation:
+    ``"row"`` runs the matching packets of each chunk one by one
+    through :class:`SplitKeyValueStore`; ``"vector"``/``"auto"`` feed
+    the WHERE-filtered key/value columns to a
     :class:`~repro.switch.kvstore.windowed_store.WindowedVectorStore`,
     whose schedule-driven execution runs once per ``window`` (once per
-    read without one; bit-identical results either way).  Streams the
-    vector store cannot take (non-integer keys,
-    unvectorizable predicates, missing columns) fall back to the row
-    store — the mode is decided once, on the first chunk, and is
-    deterministic across chunks.
+    read without one; bit-identical results either way).  Queries the
+    vector store cannot take (non-integer keys, unvectorizable
+    predicates, missing fold columns) fall back to the row store —
+    the mode is decided once, on the first chunk, from the query and
+    the column dtypes, and is deterministic across chunks.
     """
 
     def __init__(self, stage: GroupByStage, geometry: CacheGeometry,
@@ -260,16 +257,7 @@ class _GroupByRunner:
             refresh_interval=config.refresh_interval, window=config.window)
 
     def process(self, record: object) -> None:
-        if self._sharded:
-            self.store.process(record)        # raises with guidance
-        if self._mode == "vector":
-            raise HardwareError(
-                "cannot mix per-record processing with vector-batch "
-                "execution (the schedule-driven store takes column "
-                "batches); build the pipeline with engine=\"row\" for "
-                "mixed streaming"
-            )
-        self._mode = "row"
+        """Row mode's per-packet fallback (unvectorizable ``WHERE``)."""
         if self.predicate(record):
             self.store.process(record)
 
@@ -277,7 +265,7 @@ class _GroupByRunner:
         if self._sharded:
             self._require_vector(ctx)
             return "vector"
-        if self.config.engine == "row" or self.store.stats.accesses > 0:
+        if self.config.engine == "row":
             return "row"
         try:
             eval_mask(self.stage.where, ctx)
@@ -346,7 +334,7 @@ class _GroupByRunner:
         except (VectorizationError, KeyError):
             row_lists = rows.materialize()
             for i in range(ctx.n):
-                self.process(_ColumnRow(row_lists, i))
+                self.process(ColumnRowView(row_lists, i))
             return
         row_lists = rows.materialize()
         indices = range(ctx.n) if mask is None else np.flatnonzero(mask).tolist()
@@ -354,11 +342,11 @@ class _GroupByRunner:
         process_keyed = self.store.process_keyed
         if mask is None:
             for i, key in enumerate(keys):
-                process_keyed(key, _ColumnRow(row_lists, i))
+                process_keyed(key, ColumnRowView(row_lists, i))
         else:
             keys = list(keys)
             for i in indices:
-                process_keyed(keys[i], _ColumnRow(row_lists, i))
+                process_keyed(keys[i], ColumnRowView(row_lists, i))
 
 
 class SwitchPipeline:
@@ -415,40 +403,20 @@ class SwitchPipeline:
 
     # -- execution -----------------------------------------------------------
 
-    def process(self, record: object) -> None:
-        """Run one observation through every stage."""
-        self.packets_seen += 1
-        for select in self._selects:
-            select.process(record)
-        for groupby in self._groupbys:
-            groupby.process(record)
-
     def run(self, records: Iterable[object]) -> "SwitchPipeline":
-        """Stream ``records`` through every stage.
-
-        A columnar :class:`ObservationTable` takes the chunked batch
-        path: per chunk, each stage's WHERE mask and key arrays are
-        computed vectorized, and only the split store's sequential
-        cache machinery runs per packet.  Any other iterable takes the
-        per-record path.  Both paths produce identical results.
-        """
-        if isinstance(records, ObservationTable) and records.is_columnar:
-            return self.run_batch(records)
-        process = self.process
-        for record in records:
-            process(record)
-        return self
-
-    def run_batch(self, table: ObservationTable) -> "SwitchPipeline":
-        """Chunked batch execution over a columnar observation table,
-        :data:`DEFAULT_CHUNK_SIZE` records per chunk."""
+        """Stream ``records`` (any form
+        :func:`~repro.network.records.as_table` accepts) through every
+        stage in chunks of :data:`DEFAULT_CHUNK_SIZE`: per chunk, each
+        stage's WHERE mask and key arrays are computed vectorized, and
+        only row mode's sequential cache machinery runs per packet."""
+        table = as_table(records)
         columns = table.columns()
         n = len(table)
         # Only the fields the program parses are ever converted to
         # Python lists for the per-packet update functions (§3.1: the
         # programmable parser extracts exactly the configured fields) —
         # and only lazily, when a stage actually runs a per-packet
-        # fallback; fully vectorized chunks never pay for the lists.
+        # path; fully vectorized chunks never pay for the lists.
         fields = tuple(self.program.parse_fields) or tuple(columns)
         for lo in range(0, n, DEFAULT_CHUNK_SIZE):
             hi = min(lo + DEFAULT_CHUNK_SIZE, n)

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.errors import SessionError
-from repro.network.records import ObservationTable
+from repro.network.records import as_table
 
 from . import wire
 
@@ -305,11 +305,13 @@ class IngestClient:
     # -- sending ---------------------------------------------------------------
 
     def send(self, batch: Any) -> None:
-        """Queue one batch (an :class:`ObservationTable`, a row list,
-        or a columns dict) and drive the pipeline; blocks while the
-        server asserts backpressure or the pipeline is full."""
+        """Queue one batch (any form
+        :func:`~repro.network.records.as_table` accepts: a table, an
+        iterable of records, a columns dict) and drive the pipeline;
+        blocks while the server asserts backpressure or the pipeline
+        is full."""
         self._check_open()
-        columns = self._columnize(batch)
+        columns = as_table(batch).columns()
         self._unsent.append((self._next_seq, columns))
         self._next_seq += 1
         self._with_retry(self._drive_sends)
@@ -324,14 +326,6 @@ class IngestClient:
             raise ClientError(
                 f"session {self.session!r} is already closed on the "
                 f"server; its final report is available via close_session()")
-
-    @staticmethod
-    def _columnize(batch: Any) -> dict:
-        if isinstance(batch, dict):
-            return ObservationTable.from_arrays(batch).columns()
-        if isinstance(batch, ObservationTable):
-            return batch.columns()
-        return ObservationTable(list(batch)).columns()
 
     def _drive_sends(self) -> None:
         """Transmit until the unsent queue is empty (respecting the

@@ -21,7 +21,7 @@ observations — and combines per-switch results in the collection layer:
 Execution rides the same :class:`~repro.telemetry.session.TelemetrySession`
 protocol as single-switch runs: :meth:`NetworkDeployment.open` yields a
 :class:`NetworkSession` holding one per-switch session; batches are
-routed to the owning switch (vectorized for columnar tables) and
+columnized at the door and routed to the owning switch, and
 ``results()``/``close()`` combine the per-switch reports.
 :meth:`NetworkDeployment.run` is the one-shot wrapper over it.
 
@@ -41,7 +41,7 @@ from repro.core.ast_nodes import Program
 from repro.core.errors import CheckpointError, SessionClosedError, SessionError
 from repro.core.eval_expr import Numeric
 from repro.core.interpreter import ResultTable, Row
-from repro.network.records import ObservationTable, PacketRecord
+from repro.network.records import ObservationTable, PacketRecord, as_table
 from repro.network.simulator import NetworkSimulator
 from repro.switch.pipeline import DEFAULT_GEOMETRY, GeometrySpec, SessionConfig
 from repro.telemetry.runtime import QueryEngine
@@ -250,9 +250,6 @@ class _NetworkShardRole:
         if op == "ingest_cols":
             self._session(switch).ingest(ObservationTable.from_arrays(arrays))
             return None
-        if op == "ingest_rows":
-            self._session(switch).ingest(meta["records"])
-            return None
         if op == "results":
             return self._session(switch).results()
         if op == "close":
@@ -300,17 +297,9 @@ class _RemoteSwitchSession:
         self._worker = worker
         self._switch = switch
 
-    def ingest(self, batch) -> "_RemoteSwitchSession":
-        if isinstance(batch, ObservationTable) and batch.is_columnar:
-            columns = batch.columns()
-            if all(not np.asarray(arr).dtype.hasobject
-                   for arr in columns.values()):
-                self._pool.post(self._worker, "ingest_cols",
-                                {"switch": self._switch}, columns)
-                return self
-            batch = batch.records
-        self._pool.post(self._worker, "ingest_rows",
-                        {"switch": self._switch, "records": list(batch)})
+    def ingest(self, batch: ObservationTable) -> "_RemoteSwitchSession":
+        self._pool.post(self._worker, "ingest_cols",
+                        {"switch": self._switch}, batch.columns())
         return self
 
     def results(self):
@@ -393,17 +382,18 @@ class NetworkSession:
     # -- ingestion ------------------------------------------------------------
 
     def ingest(self, batch: Iterable[object]) -> "NetworkSession":
-        """Route one batch of observations to the owning switches
-        (vectorized split for columnar tables; observations from
-        unmonitored queues are dropped, as in the one-shot path).
+        """Route one batch of observations (any form
+        :func:`~repro.network.records.as_table` accepts) to the owning
+        switches; observations from unmonitored queues are dropped, as
+        in the one-shot path.
 
-        Columnar batches are split with a **single** composite sort of
-        ``(owner, position)`` plus one ``searchsorted`` for the
-        per-switch segment bounds — one pass over the batch regardless
-        of fabric size, instead of one boolean mask per switch.  The
-        low sort bits are the arrival positions, so each switch's
-        segment is in arrival order: the split is bit-identical to
-        per-switch ``owner == i`` masking."""
+        The batch is columnized at the door, then split with a
+        **single** composite sort of ``(owner, position)`` plus one
+        ``searchsorted`` for the per-switch segment bounds — one pass
+        over the batch regardless of fabric size, instead of one
+        boolean mask per switch.  The low sort bits are the arrival
+        positions, so each switch's segment is in arrival order: the
+        split is bit-identical to per-switch ``owner == i`` masking."""
         if self._closed:
             raise SessionClosedError(
                 "network session is closed; open a new one with "
@@ -415,7 +405,7 @@ class NetworkSession:
                 "close() failed midway); retry close() instead of "
                 "ingesting")
         try:
-            return self._route(batch)
+            return self._route(as_table(batch))
         except Exception as exc:
             # Fail fast: some switches may have absorbed the batch and
             # others not, so the combined view can no longer be
@@ -434,38 +424,26 @@ class NetworkSession:
                 f"resume from the last checkpoint() with "
                 f"NetworkDeployment.resume())") from self._broken_cause
 
-    def _route(self, batch: Iterable[object]) -> "NetworkSession":
-        if isinstance(batch, ObservationTable) and batch.is_columnar:
-            if not len(self._owner_index):
-                return self        # no monitored queues
-            columns = batch.columns()
-            qid = columns["qid"]
-            valid = (qid >= 0) & (qid < len(self._owner_index))
-            clipped = np.clip(qid, 0, len(self._owner_index) - 1)
-            owner = np.where(valid, self._owner_index[clipped], -1)
-            comp = (owner << np.int64(32)) | np.arange(len(owner),
-                                                       dtype=np.int64)
-            comp.sort()
-            sorted_owner = comp >> np.int64(32)    # -1 first (unmonitored)
-            positions = comp & np.int64(0xFFFFFFFF)
-            bounds = np.searchsorted(
-                sorted_owner, np.arange(len(self._switch_order) + 1))
-            for i, switch in enumerate(self._switch_order):
-                lo, hi = bounds[i], bounds[i + 1]
-                if hi > lo:
-                    sel = positions[lo:hi]
-                    self.sessions[switch].ingest(ObservationTable.from_arrays(
-                        {name: arr[sel] for name, arr in columns.items()}))
-            return self
-        per_switch: dict[str, list] = {}
-        owners = self.deployment._queue_owner
-        for record in batch:
-            owner = owners.get(record.qid)
-            if owner is None:
-                continue
-            per_switch.setdefault(owner, []).append(record)
-        for switch, records in per_switch.items():
-            self.sessions[switch].ingest(records)
+    def _route(self, batch: ObservationTable) -> "NetworkSession":
+        if not len(self._owner_index):
+            return self            # no monitored queues
+        columns = batch.columns()
+        qid = columns["qid"]
+        valid = (qid >= 0) & (qid < len(self._owner_index))
+        clipped = np.clip(qid, 0, len(self._owner_index) - 1)
+        owner = np.where(valid, self._owner_index[clipped], -1)
+        comp = (owner << np.int64(32)) | np.arange(len(owner), dtype=np.int64)
+        comp.sort()
+        sorted_owner = comp >> np.int64(32)        # -1 first (unmonitored)
+        positions = comp & np.int64(0xFFFFFFFF)
+        bounds = np.searchsorted(
+            sorted_owner, np.arange(len(self._switch_order) + 1))
+        for i, switch in enumerate(self._switch_order):
+            lo, hi = bounds[i], bounds[i + 1]
+            if hi > lo:
+                sel = positions[lo:hi]
+                self.sessions[switch].ingest(ObservationTable.from_arrays(
+                    {name: arr[sel] for name, arr in columns.items()}))
         return self
 
     # -- results --------------------------------------------------------------

@@ -102,12 +102,6 @@ _REGISTRY: tuple[CodeInfo, ...] = (
         "pass a positive shard count, or omit shards= entirely",
     ),
     CodeInfo(
-        "RPR-E006", "sharded-batch-only", "error", "runtime",
-        "sharded stores are batch-only; use add_batch(), or drop "
-        "shards= for per-packet streaming",
-        "ingest columnar batches, or open the session without shards=",
-    ),
-    CodeInfo(
         "RPR-E008", "unknown-engine", "error", "compile",
         "engine must be one of {engines}, got {engine!r}",
         'pick one of "auto", "vector", "row"',

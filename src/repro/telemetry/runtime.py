@@ -46,7 +46,7 @@ from repro.core.vector_exec import (
     VectorizationError,
     eval_mask,
 )
-from repro.network.records import ObservationTable
+from repro.network.records import ColumnRowView, ObservationTable, as_table
 from repro.switch.kvstore.cache import (
     CacheGeometry,
     CacheStats,
@@ -228,15 +228,13 @@ class QueryEngine:
             self._vector = VectorExecutor(self.resolved, params=self.params)
         return self._vector
 
-    def _executor_for(self, records) -> Interpreter | VectorExecutor:
-        """Pick the exact-evaluation engine per the ``engine`` knob."""
+    def _executor(self) -> Interpreter | VectorExecutor:
+        """The exact-evaluation engine, by the ``engine`` knob alone:
+        the interpreter is the ``"row"`` oracle, everything else runs
+        vectorized (input is always columnar below the door)."""
         if self.config.engine == "row":
             return self._row_engine()
-        if self.config.engine == "vector":
-            return self._vector_engine()
-        if isinstance(records, ObservationTable) and records.is_columnar:
-            return self._vector_engine()
-        return self._row_engine()
+        return self._vector_engine()
 
     # -- execution -------------------------------------------------------------
 
@@ -352,25 +350,18 @@ class QueryEngine:
         with_ground_truth: bool = False,
     ) -> RunReport:
         """One-shot convenience over :meth:`open`: stream ``records``
+        (any form :func:`~repro.network.records.as_table` accepts)
         through a fresh session and collect every query's result
         (hardware + software stages).
 
-        Columnar observation tables keep their columnar form end to
-        end: the pipeline runs its chunked batch mode with the
-        schedule-driven vector split store (under ``engine="auto"`` /
-        ``"vector"``), and software stages and the optional ground
-        truth run on the vectorized executor.  ``engine="vector"``
-        columnizes row input first so the whole run stays array-native.
+        The input is columnized once, at the door; the session and the
+        optional ground truth share that one table.  The ``engine``
+        knob alone picks the execution path: ``"auto"`` / ``"vector"``
+        run the chunked batch pipeline with the schedule-driven vector
+        split store and the vectorized executor, ``"row"`` the
+        reference store and the interpreter over the same columns.
         """
-        if not isinstance(records, (list, ObservationTable)):
-            records = list(records)    # one-pass iterables: ingest and
-        if self.config.engine == "vector":  # ground truth read it twice
-            # Columnize once, up front: the session *and* the exact
-            # ground-truth pass below reuse the same columnar table.
-            if isinstance(records, list):
-                records = ObservationTable(records)
-            if not records.is_columnar:
-                records = ObservationTable.from_arrays(records.columns())
+        records = as_table(records)
         session = self.open()
         session.ingest(records)
         report = session.close(include_invalid=include_invalid)
@@ -411,9 +402,10 @@ class QueryEngine:
         table, otherwise ``ways``-way set-associative.
         """
         capacities = list(capacities)
+        table = as_table(records)
         plans: dict[str, list[CachePlanPoint]] = {}
         for stage in self.compiled.groupby_stages:
-            keys = self._stage_key_stream(stage, records)
+            keys = self._stage_key_stream(stage, table)
             use_vector = (self.config.engine != "row"
                           and isinstance(keys, np.ndarray))
             if use_vector:
@@ -449,30 +441,31 @@ class QueryEngine:
             return CacheGeometry.hash_table(capacity)
         return CacheGeometry.set_associative(capacity, ways=ways)
 
-    def _stage_key_stream(self, stage, records):
+    def _stage_key_stream(self, stage, table: ObservationTable):
         """The exact sequence of aggregation keys one stage's cache
         sees: WHERE-filtered, in arrival order.  Returns a 2-D int
-        array (one column per key field) for columnar tables, or a
-        list of key tuples otherwise."""
-        if isinstance(records, ObservationTable) and records.is_columnar:
-            columns = records.columns()
-            try:
-                ctx = ArrayContext(columns, self.params, len(records))
-                mask = eval_mask(stage.where, ctx)
-                cols = [columns[f] for f in stage.key.fields]
-                if all(c.dtype.kind in "iub" for c in cols):
-                    keys = np.column_stack(
-                        [c.astype(np.int64, copy=False) for c in cols])
-                    return keys if mask is None else keys[mask]
-            except (VectorizationError, KeyError):
-                pass
-        from repro.switch.alu import compile_key_extractor, compile_predicate
+        array (one column per key field) for integer keys, or a list
+        of key tuples (built from the columns) otherwise."""
+        columns = table.columns()
+        try:
+            mask = eval_mask(stage.where,
+                             ArrayContext(columns, self.params, len(table)))
+        except VectorizationError:
+            from repro.switch.alu import compile_predicate
 
-        predicate = compile_predicate(stage.where, self.params)
-        extract = compile_key_extractor(stage.key.fields)
-        if isinstance(records, ObservationTable):
-            records = records.records
-        return [extract(r) for r in records if predicate(r)]
+            predicate = compile_predicate(stage.where, self.params)
+            lists = {name: col.tolist() for name, col in columns.items()}
+            mask = np.fromiter(
+                (predicate(ColumnRowView(lists, i)) for i in range(len(table))),
+                dtype=bool, count=len(table))
+        cols = [columns[f] for f in stage.key.fields]
+        if all(c.dtype.kind in "iub" for c in cols):
+            keys = np.column_stack([c.astype(np.int64, copy=False) for c in cols])
+            return keys if mask is None else keys[mask]
+        rows = zip(*(c.tolist() for c in cols))
+        if mask is None:
+            return list(rows)
+        return [key for key, keep in zip(rows, mask.tolist()) if keep]
 
 
 def run(source: str, records: Iterable[object],

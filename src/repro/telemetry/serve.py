@@ -73,7 +73,8 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Iterator
 
 from repro.core.errors import SessionError
-from repro.network.records import RECORD_FIELDS, ObservationTable, PacketRecord
+from repro.network.records import ObservationTable
+from repro.traffic.trace_io import csv_table
 
 from . import wire
 from .diagnostics import diagnostic_code
@@ -852,9 +853,9 @@ class TraceTailer:
     * a **missing file** is waited out (the writer may not have created
       it yet).
 
-    Field parsing matches :func:`repro.traffic.trace_io.read_csv`
-    exactly: unknown columns are ignored, missing ones default, so a
-    tailed trace produces the same table an offline read would.
+    Fields parse through :func:`repro.traffic.trace_io.csv_table`, the
+    rule :func:`~repro.traffic.trace_io.read_csv` uses, so a tailed
+    trace produces the same columns an offline read would.
     """
 
     def __init__(self, path: str | Path, batch_size: int = 4096,
@@ -876,7 +877,10 @@ class TraceTailer:
         inode: int | None = None
         fields: list[str] | None = None
         pending = b""
-        rows: list[PacketRecord] = []
+        # Parsed but not yet yielded; each read parses with the header
+        # of the file it came from, so a rotation to a file with other
+        # columns cannot misparse rows still waiting here.
+        buffered = ObservationTable.from_arrays({})
         try:
             while True:
                 final = stop is not None and stop.is_set()
@@ -891,24 +895,28 @@ class TraceTailer:
                         pending += chunk
                         lines = pending.split(b"\n")
                         pending = lines.pop()    # partial tail, keep
+                        rows: list[list[str]] = []
                         for line in lines:
                             if not line.strip():
                                 continue
                             if fields is None:
-                                fields = self._header(line)
+                                fields = self._split(line)
                             else:
-                                rows.append(self._record(fields, line))
-                    while len(rows) >= self.batch_size:
-                        yield self._table(rows[:self.batch_size])
-                        del rows[:self.batch_size]
+                                rows.append(self._split(line))
+                        if rows and fields is not None:
+                            buffered = ObservationTable.concat(
+                                [buffered, csv_table(fields, rows)])
+                    while len(buffered) >= self.batch_size:
+                        yield buffered[:self.batch_size]
+                        buffered = buffered[self.batch_size:]
                     if self._stale(handle, inode):
                         handle.close()
                         handle = None
                         continue                 # reopen immediately
                 if not progressed:
                     if final:
-                        if rows:
-                            yield self._table(rows)
+                        if len(buffered):
+                            yield buffered
                         return
                     time.sleep(self.poll_interval)
         finally:
@@ -944,20 +952,5 @@ class TraceTailer:
         return False
 
     @staticmethod
-    def _header(line: bytes) -> list[str]:
+    def _split(line: bytes) -> list[str]:
         return next(csv.reader(io.StringIO(line.decode())))
-
-    @staticmethod
-    def _record(fields: list[str], line: bytes) -> PacketRecord:
-        values = next(csv.reader(io.StringIO(line.decode())))
-        kwargs: dict[str, Any] = {}
-        for name, raw in zip(fields, values):
-            if name not in RECORD_FIELDS:
-                continue
-            kwargs[name] = float(raw) if name == "tout" else int(float(raw))
-        return PacketRecord(**kwargs)
-
-    @staticmethod
-    def _table(rows: list[PacketRecord]) -> ObservationTable:
-        table = ObservationTable(list(rows))
-        return ObservationTable.from_arrays(table.columns())

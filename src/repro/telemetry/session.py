@@ -6,7 +6,7 @@ The paper's runtime monitors live switch traffic continuously; a
 shape — open once, then::
 
     session = engine.open(window=1 << 17)
-    for batch in capture:              # columnar tables or row iterables
+    for batch in capture:              # any batch; columnized at the door
         session.ingest(batch)
         if time_to_report():
             print(session.results().result.rows)   # mid-stream snapshot
@@ -30,7 +30,8 @@ Execution modes
   unbounded streams; without one, ingested batches are buffered and run
   as one window whenever results are read (fastest for a bounded
   trace).  :meth:`results` snapshots work mid-stream either way, and on
-  ``engine="row"``, which streams per packet.
+  ``engine="row"``, whose reference store takes the same columnar
+  batches packet by packet.
 * **exact** (``exact=True``): no hardware model — ingested batches are
   buffered and evaluated by the engine's exact executor (the
   interpreter or the vectorized executor) at :meth:`results`/
@@ -47,7 +48,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.core.errors import SessionClosedError, SessionError
 from repro.core.interpreter import ResultTable
-from repro.network.records import ObservationTable
+from repro.network.records import ObservationTable, as_table
 from repro.switch.pipeline import SessionConfig, SwitchPipeline
 
 from .checkpoint import pack_checkpoint
@@ -65,8 +66,7 @@ class TelemetrySession:
     Args:
         engine: The compiled :class:`QueryEngine` (program, params).
         config: Its :class:`~repro.switch.pipeline.SessionConfig` with
-            this session's knobs set.  ``shards`` implies columnar
-            (vector-path) ingestion: row batches are columnized.
+            this session's knobs set.
     """
 
     def __init__(self, engine: "QueryEngine", config: SessionConfig):
@@ -78,10 +78,8 @@ class TelemetrySession:
         self._closed = False
         self._broken: str | None = None
         self._broken_cause: BaseException | None = None
-        self._saw_rows = False
-        self._vector_started = False
         if config.exact:
-            self._buffered: list[ObservationTable | list] = []
+            self._buffered: list[ObservationTable] = []
             self._pipeline = None
         else:
             self._pipeline = SwitchPipeline(
@@ -126,9 +124,10 @@ class TelemetrySession:
     # -- ingestion ------------------------------------------------------------
 
     def ingest(self, batch: Iterable[object]) -> "TelemetrySession":
-        """Stream one batch of observations (a columnar
-        :class:`ObservationTable` or any iterable of records) through
-        every stage; returns ``self`` for chaining.
+        """Stream one batch of observations (any form
+        :func:`~repro.network.records.as_table` accepts: a table, an
+        iterable of records, a column dict) through every stage;
+        returns ``self`` for chaining.
 
         **Fail-fast poisoning:** an exception escaping mid-ingest may
         leave some stages having absorbed the batch and others not, so
@@ -142,7 +141,7 @@ class TelemetrySession:
         try:
             if self.config.faults is not None:
                 self.config.faults.on_ingest()
-            batch = self._normalize(batch)
+            batch = as_table(batch)
             if self.config.exact:
                 self._buffered.append(batch)
             else:
@@ -155,35 +154,6 @@ class TelemetrySession:
             self._broken_cause = exc
             raise
         return self
-
-    def _normalize(self, batch) -> ObservationTable | list:
-        """Mirror :meth:`QueryEngine.run`'s input handling: row input
-        stays row (and pins the ``"auto"`` software executor to the
-        interpreter), ``engine="vector"`` columnizes everything.
-
-        One asymmetry of the underlying stores is smoothed over here:
-        once a hardware session's ``GROUPBY`` stages have committed to
-        the vector store (first batch columnar under ``"auto"``), a
-        later *row* batch is columnized rather than handed to the
-        store's per-record path (which would raise).  Sharded sessions
-        are batch-only, so they always columnize."""
-        if not isinstance(batch, (list, ObservationTable)):
-            batch = list(batch)
-        config = self.config
-        columnize = config.engine == "vector" or (
-            config.engine == "auto" and self._vector_started) or (
-            config.shards is not None)
-        if columnize:
-            if isinstance(batch, list):
-                batch = ObservationTable(batch)
-            if not batch.is_columnar:
-                batch = ObservationTable.from_arrays(batch.columns())
-        if isinstance(batch, ObservationTable) and batch.is_columnar:
-            if not config.exact and not self._saw_rows:
-                self._vector_started = True
-        else:
-            self._saw_rows = True
-        return batch
 
     # -- results --------------------------------------------------------------
 
@@ -287,8 +257,6 @@ class TelemetrySession:
             "window": self.config.window,
             "exact": self.config.exact,
             "shards": self.config.shards,
-            "saw_rows": self._saw_rows,
-            "vector_started": self._vector_started,
             "packets_ingested": self.packets_ingested,
         }
         if self.config.exact:
@@ -299,9 +267,9 @@ class TelemetrySession:
 
     def _restore_payload(self, payload: dict) -> None:
         """Load a :meth:`_checkpoint_payload` dict into this (freshly
-        opened) session — :meth:`QueryEngine.resume` only."""
-        self._saw_rows = payload["saw_rows"]
-        self._vector_started = payload["vector_started"]
+        opened) session — :meth:`QueryEngine.resume` only.  Payloads
+        of earlier versions carry ``saw_rows`` / ``vector_started``
+        flags, which nothing reads any more."""
         if self.config.exact:
             self._buffered = [_unpack_batch(b) for b in payload["buffered"]]
         else:
@@ -309,23 +277,13 @@ class TelemetrySession:
 
     # -- assembly --------------------------------------------------------------
 
-    def _executor(self):
-        """The exact evaluator for software stages / exact mode, per
-        the engine knob (``"auto"``: vectorized unless row batches were
-        ingested — the same choice :meth:`QueryEngine.run` makes)."""
-        engine = self._engine
-        if self.config.engine == "row" or (self.config.engine == "auto"
-                                           and self._saw_rows):
-            return engine._row_engine()
-        return engine._vector_engine()
-
     def _assemble(self, tables: dict[str, ResultTable],
                   stats, writes, accuracy,
                   software: bool = True) -> "RunReport":
         from .runtime import RunReport
 
         if software:
-            executor = self._executor()
+            executor = self._engine._executor()
             for stage in self._engine.compiled.software_stages:
                 # Software stages read upstream *tables* only (the
                 # compiler keeps every base-stream query on-switch), so
@@ -343,50 +301,20 @@ class TelemetrySession:
     def _exact_report(self) -> "RunReport":
         from .runtime import RunReport
 
-        tables = self._executor().run(self._exact_stream())
+        tables = self._engine._executor().run(
+            ObservationTable.concat(self._buffered))
         return RunReport(tables=tables,
                          result_name=self._engine.compiled.result,
                          cache_stats={}, backing_writes={}, accuracy={})
 
-    def _exact_stream(self):
-        """Concatenate the buffered batches (single batches pass
-        through untouched — the common ``run_exact`` wrapper case)."""
-        if len(self._buffered) == 1:
-            return self._buffered[0]
-        if not self._buffered:
-            return []
-        if all(isinstance(b, ObservationTable) and b.is_columnar
-               for b in self._buffered):
-            import numpy as np
 
-            columns = self._buffered[0].columns()
-            merged = {
-                name: np.concatenate(
-                    [b.columns()[name] for b in self._buffered])
-                for name in columns
-            }
-            return ObservationTable.from_arrays(merged)
-        stream: list = []
-        for batch in self._buffered:
-            stream.extend(batch.records if isinstance(batch, ObservationTable)
-                          else batch)
-        return stream
-
-
-def _pack_batch(batch: ObservationTable | list) -> tuple:
+def _pack_batch(batch: ObservationTable) -> tuple:
     """Tag one buffered exact-mode batch as plain data (the table
     class itself stays out of the checkpoint payload)."""
-    if isinstance(batch, ObservationTable):
-        if batch.is_columnar:
-            return ("cols", dict(batch.columns()))
-        return ("table", list(batch.records))
-    return ("list", list(batch))
+    return ("cols", dict(batch.columns()))
 
 
-def _unpack_batch(packed: tuple) -> ObservationTable | list:
-    tag, data = packed
-    if tag == "cols":
-        return ObservationTable.from_arrays(data)
-    if tag == "table":
-        return ObservationTable(data)
-    return data
+def _unpack_batch(packed: tuple) -> ObservationTable:
+    # Earlier versions also wrote row batches, tagged "table" / "list"
+    # (a record list); the door columnizes them like any other input.
+    return as_table(packed[1])

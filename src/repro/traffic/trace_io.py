@@ -18,8 +18,9 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
+from typing import Iterable, Sequence
 
-from repro.network.records import RECORD_FIELDS, ObservationTable, PacketRecord
+from repro.network.records import RECORD_FIELDS, ObservationTable
 
 #: Fields written to CSV, in canonical order.
 CSV_FIELDS: tuple[str, ...] = RECORD_FIELDS
@@ -35,27 +36,36 @@ def write_csv(table: ObservationTable, path: str | Path) -> None:
 
 
 def read_csv(path: str | Path) -> ObservationTable:
-    """Read an observation table from CSV.
+    """Read an observation table from CSV, straight into columns.
 
     Unknown columns are ignored; missing columns take the record
     defaults.  ``tout`` accepts ``inf`` for drops.
     """
-    table = ObservationTable()
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            return table
-        known = [f for f in reader.fieldnames if f in RECORD_FIELDS]
-        for row in reader:
-            kwargs: dict[str, float | int] = {}
-            for name in known:
-                raw = row[name]
-                if name == "tout":
-                    kwargs[name] = float(raw)
-                else:
-                    kwargs[name] = int(float(raw))
-            table.append(PacketRecord(**kwargs))
-    return table
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            return ObservationTable.from_arrays({})
+        return csv_table(header, reader)
+
+
+def csv_table(header: Sequence[str],
+              rows: Iterable[Sequence[str]]) -> ObservationTable:
+    """The one CSV field rule, shared by :func:`read_csv` and the live
+    :class:`~repro.telemetry.serve.TraceTailer`: per-field lists of
+    parsed values (``tout`` as float, every other field as
+    ``int(float(raw))``; blank lines and unknown columns skipped, the
+    last of a duplicated column wins), one columnar table."""
+    index = {name: i for i, name in enumerate(header) if name in RECORD_FIELDS}
+    values: dict[str, list] = {name: [] for name in index}
+    for row in rows:
+        if not row:
+            continue
+        for name, i in index.items():
+            raw = row[i]
+            values[name].append(float(raw) if name == "tout"
+                                else int(float(raw)))
+    return ObservationTable.from_arrays(values)
 
 
 def write_npz(table: ObservationTable, path: str | Path) -> None:

@@ -243,17 +243,6 @@ class TestOpenTimeGates:
         assert not session.diagnostics.has_errors
         session.close()
 
-    def test_e006_sharded_store_is_batch_only(self):
-        engine = QueryEngine(QUERY, geometry=GEOM)
-        session = engine.open(shards=2)
-        try:
-            store = session._pipeline.store_for("__result__")
-            with pytest.raises(HardwareError) as err:
-                store.process(object())
-            assert diagnostic_code(err.value) == "RPR-E006"
-        finally:
-            session.close()
-
     def test_gate_fires_before_any_session_state(self):
         """A rejected open leaves the engine reusable."""
         engine = QueryEngine(QUERY, geometry=GEOM)

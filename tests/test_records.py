@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.network.records import ObservationTable
+from repro.network.records import ObservationTable, as_table
 
 from tests.conftest import make_record, synthetic_trace
 
@@ -161,3 +161,43 @@ class TestColumnarAuthority:
         assert table.columns()["srcip"].dtype == np.int64
         assert table.columns()["tout"].dtype == np.float64
         assert table[1].dropped
+
+    def test_columnar_slice_is_a_view(self):
+        columnar = self.make_columnar(n_packets=20)
+        head = columnar[0:3]
+        assert head.is_columnar and len(head) == 3
+        assert list(head) == list(columnar)[:3]
+        assert np.shares_memory(head.columns()["srcip"],
+                                columnar.columns()["srcip"])
+
+    def test_slices_agree_across_authority(self):
+        table = synthetic_trace(n_packets=20)
+        columnar = ObservationTable.from_arrays(table.to_arrays())
+        for index in (slice(0, 3), slice(2, 15, 3), slice(-4, None)):
+            assert list(columnar[index]) == list(table[index])
+
+
+class TestDoor:
+    """``as_table``: every batch form becomes one columnar table."""
+
+    def test_columnar_table_passes_through(self):
+        columnar = ObservationTable.from_arrays(
+            synthetic_trace(n_packets=10).to_arrays())
+        assert as_table(columnar) is columnar
+
+    def test_every_form_columnizes(self):
+        table = synthetic_trace(n_packets=40, n_flows=5)
+        for batch in (table, list(table), iter(list(table)),
+                      table.to_arrays()):
+            out = as_table(batch)
+            assert out.is_columnar
+            assert list(out) == list(table)
+        assert not table.is_columnar          # the caller's table is kept
+
+    def test_value_that_does_not_fit_names_field_and_record(self):
+        rows = [make_record(), make_record(srcip=2 ** 64)]
+        for convert in (lambda: ObservationTable(rows).columns(),
+                        lambda: as_table(rows)):
+            with pytest.raises(ValueError, match=r"record 1: field 'srcip'"):
+                convert()
+

@@ -1,8 +1,12 @@
 """Trace serialisation tests: CSV/NPZ round-trips and validation."""
 
 import math
+import threading
+
+import numpy as np
 
 from repro.network.records import ObservationTable
+from repro.telemetry.serve import TraceTailer
 from repro.traffic.trace_io import (
     read_csv,
     read_npz,
@@ -46,6 +50,28 @@ class TestCsv:
         path = tmp_path / "empty.csv"
         path.write_text("")
         assert len(read_csv(path)) == 0
+
+    def test_read_csv_is_columnar(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_csv(synthetic_trace(n_packets=20), path)
+        assert read_csv(path).is_columnar
+
+    def test_tailer_matches_read_csv(self, tmp_path):
+        """One field rule: a tailed file and the offline read give equal
+        columns (column subset, unknown column, ``inf`` tout, a blank
+        line)."""
+        path = tmp_path / "subset.csv"
+        path.write_text("srcip,mystery,tout,pkt_len\n1,99,5.0,100\n"
+                        "2,98,inf,64\n\n3,97,7.5,1500\n")
+        offline = read_csv(path)
+        stop = threading.Event()
+        stop.set()                          # one catch-up read, then stop
+        tailer = TraceTailer(path, batch_size=2, poll_interval=0.01)
+        tailed = ObservationTable.concat(list(tailer.batches(stop=stop)))
+        assert len(offline) == len(tailed) == 3
+        for name, column in offline.columns().items():
+            np.testing.assert_array_equal(tailed.columns()[name], column)
+        assert math.isinf(offline[1].tout) and offline[0].proto == 6
 
 
 class TestNpz:

@@ -268,9 +268,14 @@ class TestEngineKnob:
                {k: (s.accesses, s.hits, s.evictions)
                 for k, s in vec.cache_stats.items()}
 
-    def test_auto_prefers_vector_for_columnar(self, traces):
-        engine = QueryEngine("SELECT COUNT GROUPBY srcip", geometry=self.GEOM)
-        columnar = ObservationTable.from_arrays(traces[0].to_arrays())
+    def test_executor_is_chosen_by_knob(self):
+        """Input is columnar below the door, so the knob alone picks
+        the exact executor: the interpreter is the ``"row"`` oracle."""
+        from repro.core.interpreter import Interpreter
         from repro.core.vector_exec import VectorExecutor as VX
-        assert isinstance(engine._executor_for(columnar), VX)
-        assert not isinstance(engine._executor_for(traces[0].records), VX)
+
+        for engine, kind in (("auto", VX), ("vector", VX),
+                             ("row", Interpreter)):
+            qe = QueryEngine("SELECT COUNT GROUPBY srcip",
+                             geometry=self.GEOM, engine=engine)
+            assert isinstance(qe._executor(), kind)

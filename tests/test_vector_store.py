@@ -40,6 +40,9 @@ NONMT = ("def nonmt ((maxseq, nm_count), tcpseq):\n"
          "    maxseq = max(maxseq, tcpseq)\n\n"
          "SELECT 5tuple, nonmt GROUPBY 5tuple WHERE proto == TCP")
 COUNT = "SELECT COUNT GROUPBY srcip"
+LOSS = ("R1 = SELECT COUNT GROUPBY srcip\n"
+        "R2 = SELECT COUNT GROUPBY srcip WHERE tout == infinity\n"
+        "R3 = SELECT R2.COUNT/R1.COUNT FROM R1 JOIN R2 ON srcip")
 
 GEOMETRIES = {
     "hash_table": CacheGeometry.hash_table(16),
@@ -312,13 +315,6 @@ class TestStoreSurface:
         with pytest.raises(HardwareError):
             vec.add_batch(np.zeros((1, 1), dtype=np.int64), {})
 
-    def test_per_record_processing_rejected(self):
-        stage = compile_stage(COUNT)
-        vec = WindowedVectorStore(stage,
-                                  CacheGeometry.set_associative(8, ways=2))
-        with pytest.raises(HardwareError):
-            vec.process(object())
-
     def test_invalid_refresh_interval_rejected(self):
         stage = compile_stage(COUNT)
         with pytest.raises(HardwareError):
@@ -355,22 +351,94 @@ class TestPipelineEngineKnob:
         with pytest.raises(HardwareError):
             SwitchPipeline(program, config=SessionConfig(engine="warp"))
 
-    def test_mixing_batch_then_record_rejected(self):
-        rp = resolve_program(parse_program(COUNT))
-        program = compile_program(rp)
-        trace = ObservationTable.from_arrays(
-            synthetic_trace(n_packets=200, n_flows=5).columns())
-        pipeline = SwitchPipeline(program, config=SessionConfig(
-            geometry=CacheGeometry.set_associative(8, ways=2),
-            engine="vector"))
-        pipeline.run(trace)
-        with pytest.raises(HardwareError):
-            pipeline.process(trace[0])
-
-    def test_vector_engine_columnizes_row_input(self):
+    @pytest.mark.parametrize("engine", ["auto", "vector"])
+    def test_vector_engine_columnizes_row_input(self, engine):
+        """Every public door columnizes row input: a list, a generator
+        or a row-authority table gives results bit-identical to the
+        columnar table and to the ``engine="row"`` oracle, and runs
+        the vector store."""
         trace = synthetic_trace(n_packets=800, n_flows=20, seed=4)
+        columnar = ObservationTable.from_arrays(trace.to_arrays())
+        records = list(trace)
         kwargs = dict(geometry=CacheGeometry.set_associative(16, ways=4))
-        row = QueryEngine(COUNT, engine="row", **kwargs).run(trace.records)
-        vec = QueryEngine(COUNT, engine="vector", **kwargs).run(trace.records)
-        assert row.result.rows == vec.result.rows
-        assert row.cache_stats == vec.cache_stats
+        qe = QueryEngine(LOSS, engine=engine, **kwargs)
+        oracle = QueryEngine(LOSS, engine="row", **kwargs)
+
+        def observed(report):
+            return ({name: t.rows for name, t in report.tables.items()},
+                    report.cache_stats, report.backing_writes,
+                    report.accuracy)
+
+        want = observed(oracle.run(columnar))
+        assert observed(oracle.run(records)) == want
+        for batch in (records, iter(records), trace, columnar):
+            assert observed(qe.run(batch)) == want
+        for split in ((records[:300], records[300:]),
+                      (iter(records[:300]), iter(records[300:]))):
+            session = qe.open()
+            for part in split:
+                session.ingest(part)
+            assert observed(session.close()) == want
+        session = qe.open()
+        session.ingest(records)
+        assert isinstance(session._pipeline.store_for("R1"),
+                          WindowedVectorStore)
+        session.close()
+
+        def exact(tables):
+            return {name: t.rows for name, t in tables.items()}
+
+        want_exact = exact(oracle.run_exact(columnar))
+        assert exact(qe.run_exact(records)) == want_exact
+        assert exact(qe.run_exact(columnar)) == want_exact
+
+        def planned(plans):
+            return {name: [p.stats for p in points]
+                    for name, points in plans.items()}
+
+        want_plan = planned(oracle.plan_cache(columnar, [8, 16]))
+        assert planned(qe.plan_cache(records, [8, 16])) == want_plan
+        assert planned(qe.plan_cache(columnar, [8, 16])) == want_plan
+
+        def piped(config, batch):
+            pipeline = SwitchPipeline(qe.compiled, params=qe.params,
+                                      config=config).run(batch)
+            return ({name: t.rows for name, t in
+                     pipeline.results().items()}, pipeline.cache_stats())
+
+        want_piped = piped(oracle.config, columnar)
+        assert piped(qe.config, records) == want_piped
+        assert piped(qe.config, columnar) == want_piped
+
+    @pytest.mark.parametrize("engine", ["auto", "vector"])
+    def test_network_session_columnizes_row_input(self, engine):
+        from repro.network.simulator import NetworkSimulator
+        from repro.network.topology import LinkSpec, leaf_spine
+        from repro.telemetry.deploy import NetworkDeployment
+
+        topo = leaf_spine(2, 2, 2, edge_link=LinkSpec(rate_gbps=5.0))
+        sim = NetworkSimulator(topo)
+        hosts = sorted(topo.hosts())
+        for i in range(300):
+            src, dst = hosts[i % len(hosts)], hosts[(i + 3) % len(hosts)]
+            sim.inject(time_ns=2000 * i, src=src, dst=dst,
+                       pkt_len=400 + i % 900, srcport=2000 + i % 5,
+                       dstport=80)
+        columnar = sim.run()
+        records = list(columnar)
+        geometry = CacheGeometry.set_associative(16, ways=4)
+
+        def observed(deploy_engine, batch):
+            deploy = NetworkDeployment(LOSS, sim, geometry=geometry,
+                                       engine=deploy_engine)
+            session = deploy.open()
+            session.ingest(batch)
+            report = session.close()
+            return ({name: t.rows for name, t in report.combined.items()},
+                    {switch: {name: t.rows for name, t in tables.items()}
+                     for switch, tables in report.per_switch.items()})
+
+        want = observed("row", columnar)
+        assert observed(engine, records) == want
+        assert observed(engine, iter(records)) == want
+        assert observed(engine, columnar) == want
