@@ -42,7 +42,9 @@ Known semantic deltas versus the scalar evaluator (documented, not
 observable in well-formed queries): division by zero yields ``inf``/
 ``nan`` instead of raising, both branches of a conditional are
 evaluated (with the untaken side discarded), and ``and``/``or`` do not
-short-circuit.  Integer arithmetic is 64-bit.
+short-circuit.  Integer arithmetic is 64-bit; the reduction and round
+paths both hand a fold to the exact replay before a value could wrap
+(:func:`guard_int64_accumulation`, ``_FoldVectorizer.run_rounds``).
 """
 
 from __future__ import annotations
@@ -105,6 +107,62 @@ def guard_int64_accumulation(out: np.ndarray, b: np.ndarray) -> None:
         "scalar replay for this fold (slower, bit-identical to the row "
         "engine)", RuntimeWarning, stacklevel=3)
     raise VectorizationError("potential int64 accumulator overflow")
+
+
+def _max_abs(arr: np.ndarray) -> int:
+    """``max |arr|`` as a Python int (0 for an empty array)."""
+    if not arr.size:
+        return 0
+    return max(abs(int(arr.min())), abs(int(arr.max())))
+
+
+#: State bound used to probe :func:`_int_bound` for unit growth: far
+#: above any product of column, parameter and literal bounds.
+_PROBE = 1 << 4096
+
+
+def _int_bound(expr: Expr, columns: Mapping[str, int],
+               state: Mapping[str, int], params: Mapping[str, Numeric],
+               worst: list[int]) -> int | None:
+    """A bound on ``|expr|`` over every row when the expression is
+    integer-valued, ``None`` when it is float-valued (floats cannot
+    wrap).  ``columns``/``state`` bound the integer columns and state
+    arrays (float ones are absent); ``worst[0]`` collects the largest
+    bound of any integer intermediate, predicates included — a wrapped
+    comparison operand would pick the wrong branch."""
+    if isinstance(expr, Number):
+        value = expr.value
+        return None if isinstance(value, float) else abs(value)
+    if isinstance(expr, (FieldRef, ColumnRef)):
+        return columns.get(expr.name)
+    if isinstance(expr, StateRef):
+        return state.get(expr.name)
+    if isinstance(expr, ParamRef):
+        value = params.get(expr.name)
+        return abs(value) if isinstance(value, int) else None
+    if isinstance(expr, Cond):
+        _int_bound(expr.pred, columns, state, params, worst)
+        branches = [_int_bound(e, columns, state, params, worst)
+                    for e in (expr.then, expr.orelse)]
+        return None if None in branches else max(branches)
+    if isinstance(expr, UnaryOp):
+        inner = _int_bound(expr.operand, columns, state, params, worst)
+        return 1 if expr.op == "not" else inner
+    if isinstance(expr, Call):
+        args = [_int_bound(a, columns, state, params, worst)
+                for a in expr.args]
+        return None if None in args else max(args)
+    if isinstance(expr, BinOp):
+        left = _int_bound(expr.left, columns, state, params, worst)
+        right = _int_bound(expr.right, columns, state, params, worst)
+        if expr.op in ("+", "-", "*"):
+            if left is None or right is None:
+                return None
+            bound = left + right if expr.op != "*" else left * right
+            worst[0] = max(worst[0], bound)
+            return bound
+        return None if expr.op == "/" else 1
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +547,20 @@ class _FoldVectorizer:
                     np.result_type(dtype, init_arr.dtype), copy=True)
             else:
                 states[var] = np.full(layout.n_groups, init, dtype=dtype)
-        for r in range(len(round_offsets) - 1):
+        # int64 overflow guard on the integer state arrays: proved safe
+        # for the whole call up front when no update can grow the state
+        # bound by more than a fixed step per round, else advanced round
+        # by round.
+        n_rounds = len(round_offsets) - 1
+        col_bounds = {name: _max_abs(arr) for name, arr in needed.items()
+                      if arr.dtype.kind in "iu"}
+        bounds = {var: _max_abs(arr) for var, arr in states.items()
+                  if arr.dtype.kind in "iu"}
+        per_round = bool(bounds) and not self._cannot_wrap(
+            bounds, col_bounds, n_rounds)
+        for r in range(n_rounds):
+            if per_round and bounds:
+                bounds = self._advance_bounds(states, bounds, col_bounds)
             lo, hi = round_offsets[r], round_offsets[r + 1]
             idx = rows_rm[lo:hi]
             groups = gid_rm[lo:hi]
@@ -503,6 +574,56 @@ class _FoldVectorizer:
             for var, values in new_values.items():
                 _promote_assign(states, var, groups, values)
         return states
+
+    def _cannot_wrap(self, bounds: Mapping[str, int],
+                     col_bounds: Mapping[str, int], n_rounds: int) -> bool:
+        """Whether ``n_rounds`` rounds provably keep every integer value
+        below 2^63.  :func:`_int_bound` is a max of sums and products
+        of nonnegative terms, so probing it with a state bound far
+        above every constant part shows whether each integer value is
+        at most one state magnitude plus its value at zero state; if
+        so, a round adds at most that zero-state peak to the state
+        bound."""
+        def peak(state_bound: int) -> int:
+            worst = [0]
+            state = dict.fromkeys(bounds, state_bound)
+            for expr in self.update_exprs.values():
+                step = _int_bound(expr, col_bounds, state, self.params, worst)
+                worst[0] = max(worst[0], step or 0)
+            return worst[0]
+
+        base = peak(0)
+        return (peak(_PROBE) <= _PROBE + base
+                and max(bounds.values()) + (n_rounds + 1) * base < 2 ** 63)
+
+    def _advance_bounds(self, states: Mapping[str, np.ndarray],
+                        bounds: dict[str, int],
+                        col_bounds: Mapping[str, int]) -> dict[str, int]:
+        """Bounds on the integer state arrays after one more round, or
+        :class:`VectorizationError` (the exact scalar replay) when an
+        integer value of the round could reach 2^63 — the interpreter's
+        Python ints never wrap, int64 would.  A conservative bound that
+        trips is first tightened to the arrays' actual magnitudes."""
+        for attempt in range(2):
+            if attempt:
+                bounds = {var: _max_abs(arr) for var, arr in states.items()
+                          if arr.dtype.kind in "iu"}
+            worst = [0]
+            new = {var: _int_bound(self.update_exprs[var], col_bounds,
+                                   bounds, self.params, worst)
+                   for var in self.update_exprs}
+            if max(worst[0], *(b or 0 for b in new.values())) < 2 ** 63:
+                out = {}
+                for var, bound in bounds.items():
+                    step = new.get(var, bound)
+                    if step is not None:     # a float update makes it float
+                        out[var] = max(bound, step)
+                return out
+        warnings.warn(
+            "fold state may exceed int64; falling back to exact scalar "
+            "replay for this fold (slower, bit-identical to the row "
+            "engine)", RuntimeWarning, stacklevel=3)
+        raise VectorizationError("potential int64 state overflow")
 
     # -- strategy: per-fold scalar replay ------------------------------------
 

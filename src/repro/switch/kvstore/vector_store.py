@@ -35,7 +35,8 @@ Python:
    merges) via the round-major path or an exact scalar replay over the
    packed epoch layout.  Exact-history auxiliaries (first-``k`` packet
    logs, post-prefix snapshots) come from prefix-restricted segmented
-   reductions.
+   reductions, offset by each epoch's carried packet count when the
+   epoch continues from an earlier window.
 
 4. **Backing-store merge.** Closed epochs are absorbed into the backing
    store in per-key chronological order (the only order merging
@@ -92,26 +93,28 @@ from .cache import CacheGeometry, CacheStats
 
 
 class _FoldEpochs:
-    """Per-epoch end states and auxiliary registers for one fold.
+    """Per-epoch end states and merge registers for one fold.
 
-    ``values`` maps state variables to per-epoch sequences; auxiliary
-    registers are materialised lazily per epoch by :meth:`aux` (only
-    absorbed epochs pay for dict construction).
+    ``values`` maps state variables to per-epoch sequences.  The
+    vectorized paths keep the merge registers as per-epoch arrays in
+    ``regs`` (keyed as :func:`register_keys` lists them); the replay
+    fallback keeps real :data:`AuxState` dicts in ``aux_list``.
+    :meth:`aux` materialises one epoch's registers as a dict lazily
+    (only absorbed epochs pay for dict construction); :meth:`registers`
+    packs selected epochs' registers as arrays (the open-epoch carry).
     """
 
-    __slots__ = ("spec", "values", "arrays", "aux_list", "P", "log",
-                 "snapshot", "seen")
+    __slots__ = ("spec", "values", "arrays", "aux_list", "regs",
+                 "_reg_lists")
 
     def __init__(self, spec, values: dict[str, list], arrays=None,
-                 aux_list=None, P=None, log=None, snapshot=None, seen=None):
+                 aux_list=None, regs=None):
         self.spec = spec
         self.values = values
         self.arrays = arrays            # vectorized paths: the numpy originals
         self.aux_list = aux_list        # replay fallback: real AuxState dicts
-        self.P = P                      # scale: var -> per-epoch product
-        self.log = log                  # exact history: j -> field -> values
-        self.snapshot = snapshot        # exact history: var -> per-epoch value
-        self.seen = seen                # exact history: per-epoch access count
+        self.regs: dict[tuple, np.ndarray] = regs or {}
+        self._reg_lists: dict[tuple, list] | None = None
 
     def value(self, e: int) -> dict[str, Numeric]:
         return {var: lst[e] for var, lst in self.values.items()}
@@ -119,22 +122,69 @@ class _FoldEpochs:
     def aux(self, e: int) -> AuxState:
         if self.aux_list is not None:
             return self.aux_list[e]
-        aux: AuxState = {}
-        if self.P is not None:
-            aux["P"] = {var: lst[e] for var, lst in self.P.items()}
-        if self.spec.exact_history:
-            k = self.spec.history_depth
-            seen = self.seen[e]
-            aux["log"] = [
-                {f: vals[e] for f, vals in self.log[j].items()}
-                for j in range(min(k, seen))
-            ]
-            aux["snapshot"] = (
-                {var: lst[e] for var, lst in self.snapshot.items()}
-                if seen >= k else None
-            )
-            aux["seen"] = seen
-        return aux
+        if self._reg_lists is None:
+            self._reg_lists = {key: arr.tolist()
+                               for key, arr in self.regs.items()}
+        return aux_from_registers(self.spec, self._reg_lists, e)
+
+    def registers(self, eids: np.ndarray) -> dict[tuple, np.ndarray]:
+        """The merge registers of epochs ``eids`` as arrays (packed from
+        the replay fallback's dicts when the window fell back)."""
+        if self.aux_list is None:
+            return {key: arr[eids] for key, arr in self.regs.items()}
+        auxes = [self.aux_list[e] for e in eids.tolist()]
+        return {key: np.asarray([_register_value(aux, key) for aux in auxes])
+                for key in register_keys(self.spec)}
+
+
+def register_keys(spec) -> list[tuple]:
+    """The array-carried merge registers of a fold, one key each: the
+    scale product ``("P", var)``; exact history's ``("seen",)``, packet
+    log ``("log", j, field)`` and post-prefix ``("snapshot", var)``.
+    (Full-matrix products are never array-carried.)"""
+    keys: list[tuple] = []
+    if spec.strategy == "scale":
+        keys += [("P", var) for var in spec.order]
+    if spec.exact_history:
+        keys.append(("seen",))
+        keys += [("log", j, f) for j in range(spec.history_depth)
+                 for f in spec.packet_fields]
+        keys += [("snapshot", var) for var in spec.order]
+    return keys
+
+
+def aux_from_registers(spec, lists: Mapping[tuple, list], i: int) -> AuxState:
+    """Entry ``i`` of per-register value lists as the row store's
+    :data:`AuxState` dict (see :func:`repro.core.merge_synthesis.init_aux`):
+    the log holds the first ``min(k, seen)`` packets, and the snapshot
+    is defined once ``seen >= k``."""
+    aux: AuxState = {}
+    if spec.strategy == "scale":
+        aux["P"] = {var: lists[("P", var)][i] for var in spec.order}
+    if spec.exact_history:
+        k = spec.history_depth
+        seen = lists[("seen",)][i]
+        aux["log"] = [{f: lists[("log", j, f)][i] for f in spec.packet_fields}
+                      for j in range(min(k, seen))]
+        aux["snapshot"] = ({var: lists[("snapshot", var)][i]
+                            for var in spec.order} if seen >= k else None)
+        aux["seen"] = seen
+    return aux
+
+
+def _register_value(aux: AuxState, key: tuple) -> Numeric:
+    """One register of an :data:`AuxState` dict (0 where undefined: a
+    log slot not yet filled, a snapshot not yet taken)."""
+    name = key[0]
+    if name == "P":
+        return aux["P"][key[1]]
+    if name == "seen":
+        return aux["seen"]
+    if name == "log":
+        log = aux["log"]
+        return log[key[1]][key[2]] if key[1] < len(log) else 0
+    snapshot = aux["snapshot"]
+    return 0 if snapshot is None else snapshot[key[1]]
 
 
 class _FoldCont(NamedTuple):
@@ -143,10 +193,13 @@ class _FoldCont(NamedTuple):
     in the *current* window's layout), with the carried end states and
     auxiliary registers to resume from, aligned.
 
-    Folds carried this way (full-matrix merges, exact history) resume
-    only through :meth:`VectorSplitStore._replay_fold`; the vectorized
-    paths also call ``override``/``p_values``, which the windowed
-    store's array-backed continuation provides.
+    Only the folds the windowed store carries in per-key dicts —
+    full-matrix merges and exact-history ``scale`` — are continued this
+    way, always through :meth:`VectorSplitStore._replay_fold`.  Every
+    other fold is array-carried: the vectorized paths read
+    ``override``/``register`` of the windowed store's array-backed
+    continuation, which also provides these fields for the replay
+    fallback.
     """
 
     eids: np.ndarray
@@ -212,18 +265,12 @@ class VectorSplitStore:
     # -- fold evaluation -----------------------------------------------------
 
     def _eval_fold(self, fold: FoldConfig, ctx: ArrayContext,
-                   layout: GroupLayout,
-                   cont: _FoldCont | None = None) -> _FoldEpochs:
+                   layout: GroupLayout, cont=None) -> _FoldEpochs:
         """Per-epoch fold values; ``cont`` seeds epochs that continue a
         carried open epoch from an earlier window."""
         spec = fold.merge
         vec = self._vec[fold.column]
         try:
-            if cont is not None and spec.exact_history:
-                # Continuing an exact-history epoch means resuming its
-                # packet log / snapshot / seen registers mid-prefix —
-                # sequential by nature: exact scalar replay.
-                return self._replay_fold(fold, ctx, layout, cont)
             if spec.strategy == "list":
                 # Non-mergeable: only per-epoch end states are needed
                 # (the backing store keeps them as value segments).
@@ -240,11 +287,14 @@ class VectorSplitStore:
                                                 init_override=override)
                 return _FoldEpochs(spec, _tolist_states(states))
             if spec.strategy == "additive":
+                # Exact history included: its registers continue by
+                # per-epoch offsets (see _eval_additive).
                 return self._eval_additive(fold, vec, ctx, layout, cont)
             if spec.strategy == "scale" and not spec.exact_history:
                 return self._eval_scale(fold, vec, ctx, layout, cont)
             # Full-matrix merge products (and exact-history scale) are
-            # sequential and non-commutative: exact scalar replay.
+            # sequential and non-commutative: exact scalar replay — the
+            # only folds continued from carried dicts (_FoldCont).
             return self._replay_fold(fold, ctx, layout, cont)
         except VectorizationError:
             return self._replay_fold(fold, ctx, layout, cont)
@@ -254,24 +304,38 @@ class VectorSplitStore:
                        cont=None) -> _FoldEpochs:
         """Identity-matrix linear folds: per-epoch ``S = init + Σ B``
         via order-preserving ``np.add.at`` (bit-identical to the row
-        loop), with history pre-values reset per epoch; exact-history
-        snapshots are the same reduction restricted to each epoch's
-        first ``k`` packets.  ``cont`` (array-backed, see
-        :mod:`~repro.switch.kvstore.windowed_store`) seeds continuing
-        epochs' state (exact-history continuation never reaches this
-        path)."""
+        loop), with history pre-values reset per epoch.  ``cont``
+        (array-backed, see :mod:`~repro.switch.kvstore.windowed_store`)
+        seeds continuing epochs' state.
+
+        Exact-history registers continue by per-epoch offsets: with
+        ``s`` the carried ``seen`` of an epoch (0 for a fresh one), the
+        window's packet of epoch rank ``r`` is the epoch's packet
+        ``s + r``.  So ``seen`` grows by the window's count, log slot
+        ``j >= s`` takes the window packet of rank ``j - s``, and an
+        epoch with ``s < k`` takes its snapshot as the same segmented
+        reduction restricted to window ranks ``< k - s``, starting from
+        the carried state (an epoch with ``s >= k`` keeps its carried
+        snapshot)."""
         spec = fold.merge
         override = None if cont is None else \
             cont.override(fold, layout.n_groups, fold.instance.state_vars)
         pre, final = vec._history_values(ctx, layout, init_override=override)
         states = dict(final)
         k = spec.history_depth if spec.exact_history else 0
-        snapshot: dict[str, np.ndarray] = {}
+        regs: dict[tuple, np.ndarray] = {}
         if k:
-            ranks = layout.ranks_group_major()
-            prefix_pos = np.flatnonzero(ranks < k)   # (epoch, time)-ordered
+            counts = layout.counts
+            seen0 = np.zeros(layout.n_groups, dtype=np.int64)
+            if cont is not None:
+                carried_seen = cont.register(("seen",))
+                seen0[cont.eids] = carried_seen
+            regs[("seen",)] = seen0 + counts
+            room = np.repeat(k - seen0, counts)   # group-major positions
+            prefix_pos = np.flatnonzero(layout.ranks_group_major() < room)
             prefix_rows = layout.order[prefix_pos]
             prefix_eid = layout.gid[prefix_rows]
+            _continue_logs(spec, ctx, layout, seen0, cont, regs)
         bctx = ArrayContext(ctx.columns, self.params, ctx.n, state=pre)
         for var in fold.linearity.order:
             init = fold.instance.inits.get(var, 0)
@@ -288,18 +352,20 @@ class VectorSplitStore:
                 out = np.full(layout.n_groups, init, dtype=dtype)
             b = b.astype(dtype, copy=False)
             guard_int64_accumulation(out, b)
+            if k:
+                snap = out.copy()
+                np.add.at(snap, prefix_eid, b[prefix_rows])
+                if cont is not None:
+                    done = carried_seen >= k
+                    carried = cont.register(("snapshot", var))[done]
+                    snap = snap.astype(
+                        np.result_type(snap.dtype, carried.dtype), copy=False)
+                    snap[cont.eids[done]] = carried
+                regs[("snapshot", var)] = snap
             np.add.at(out, layout.gid, b)
             states[var] = out
-            if k:
-                snap = np.full(layout.n_groups, init, dtype=dtype)
-                np.add.at(snap, prefix_eid, b[prefix_rows])
-                snapshot[var] = snap
-        return _FoldEpochs(
-            spec, _tolist_states(states), arrays=states,
-            log=self._epoch_logs(spec, ctx, layout) if k else None,
-            snapshot=_tolist_states(snapshot) if k else None,
-            seen=layout.counts.tolist() if k else None,
-        )
+        return _FoldEpochs(spec, _tolist_states(states), arrays=states,
+                           regs=regs)
 
     def _eval_scale(self, fold: FoldConfig, vec: FoldVectorizer,
                     ctx: ArrayContext, layout: GroupLayout,
@@ -322,37 +388,18 @@ class VectorSplitStore:
         if any(c is not None and _references_state(c) for c in coeffs):
             pre, _ = vec._history_values(ctx, layout, init_override=override)
         pctx = ArrayContext(ctx.columns, self.params, ctx.n, state=pre)
-        P: dict[str, list] = {}
+        regs: dict[tuple, np.ndarray] = {}
         for var, coeff in zip(spec.order, coeffs):
             prod = np.ones(layout.n_groups, dtype=np.float64)
             if cont is not None and len(cont.eids):
-                prod[cont.eids] = cont.p_values(var)
+                prod[cont.eids] = cont.register(("P", var))
             if coeff is None:
                 a: np.ndarray | float = 0.0
             else:
                 a = as_column(eval_array(coeff, pctx), ctx.n)
             np.multiply.at(prod, layout.gid, a)
-            P[var] = prod.tolist()
-        return _FoldEpochs(spec, _tolist_states(states), P=P)
-
-    def _epoch_logs(self, spec, ctx: ArrayContext,
-                    layout: GroupLayout) -> list[dict[str, list]]:
-        """Exact-history packet logs: the fields of each epoch's first
-        ``k`` packets (``log[j][field][e]`` — defined for epochs with
-        more than ``j`` accesses)."""
-        logs: list[dict[str, list]] = []
-        counts = layout.counts
-        for j in range(spec.history_depth):
-            sel = np.flatnonzero(counts > j)
-            rows = layout.order[layout.offsets[:-1][sel] + j]
-            entry: dict[str, list] = {}
-            for f in spec.packet_fields:
-                vals = np.zeros(layout.n_groups,
-                                dtype=ctx.columns[f].dtype)
-                vals[sel] = ctx.columns[f][rows]
-                entry[f] = vals.tolist()
-            logs.append(entry)
-        return logs
+            regs[("P", var)] = prod
+        return _FoldEpochs(spec, _tolist_states(states), regs=regs)
 
     def _replay_fold(self, fold: FoldConfig, ctx: ArrayContext,
                      layout: GroupLayout,
@@ -414,6 +461,34 @@ class VectorSplitStore:
                    for var in spec.order):
                 return False
         return True
+
+
+def _continue_logs(spec, ctx: ArrayContext, layout: GroupLayout,
+                   seen0: np.ndarray, cont,
+                   regs: dict[tuple, np.ndarray]) -> None:
+    """Exact-history packet logs into ``regs``: log slot ``j`` of
+    an epoch holds the fields of its ``j``-th packet — carried for
+    ``j < seen0``, else the window's packet of rank ``j - seen0``
+    (0 where the epoch has no such packet yet)."""
+    counts = layout.counts
+    starts = layout.offsets[:-1]
+    for j in range(spec.history_depth):
+        rank = j - seen0
+        sel = np.flatnonzero((rank >= 0) & (rank < counts))
+        rows = layout.order[starts[sel] + rank[sel]]
+        if cont is not None:
+            keep = seen0[cont.eids] > j
+            keep_eids = cont.eids[keep]
+        for f in spec.packet_fields:
+            column = ctx.columns[f]
+            vals = np.zeros(layout.n_groups, dtype=column.dtype)
+            vals[sel] = column[rows]
+            if cont is not None:
+                carried = cont.register(("log", j, f))[keep]
+                vals = vals.astype(
+                    np.result_type(vals.dtype, carried.dtype), copy=False)
+                vals[keep_eids] = carried
+            regs[("log", j, f)] = vals
 
 
 def _copy_aux(aux: AuxState) -> AuxState:

@@ -37,17 +37,21 @@ observable stays **bit-identical** to the per-packet row store, for
 2. **Carried open epochs.** A key's current cache-residency epoch can
    span windows.  Its partial fold state (and merge registers) is
    carried — in per-key *arrays* for the vectorizable merge classes
-   (additive, scale, non-mergeable value segments), in per-key dicts
-   for the sequential ones (full-matrix, exact history) — and injected
-   as the initial per-epoch state of the next window's segmented fold
-   evaluation (``init_override`` in :mod:`repro.core.vector_exec`);
-   accumulations and round updates then perform the same scalar
-   operations in the same order as an uncut epoch, so results are
-   bit-identical.  An epoch closes — and is absorbed into the backing
-   store, in per-key chronological order — when its key misses again,
-   when a periodic-refresh boundary passes (global positions), or when
-   the key is found non-resident at a window boundary (its next access,
-   if any, must miss, so the epoch is provably complete).  Open-epoch
+   (additive, exact-history additive included, scale, non-mergeable
+   value segments), in per-key dicts only for the sequential ones
+   (full-matrix, exact-history scale) — and injected as the initial
+   per-epoch state of the next window's segmented fold evaluation
+   (``init_override`` in :mod:`repro.core.vector_exec`); accumulations
+   and round updates then perform the same scalar operations in the
+   same order as an uncut epoch, so results are bit-identical.  An
+   exact-history epoch's packet log, post-prefix snapshot and ``seen``
+   count continue by per-epoch offsets from the carried ``seen`` (see
+   ``VectorSplitStore._eval_additive``) — no replay.  An epoch
+   closes — and is absorbed into the backing store, in per-key
+   chronological order — when its key misses again, when a
+   periodic-refresh boundary passes (global positions), or when the
+   key is found non-resident at a window boundary (its next access, if
+   any, must miss, so the epoch is provably complete).  Open-epoch
    state is therefore bounded by the cache capacity.
 
 3. **Carried merges, one merged form.** The all-plain-additive fast
@@ -55,12 +59,15 @@ observable stays **bit-identical** to the per-packet row store, for
    over global key ids) instead of a materialised backing store; the
    general path absorbs into a real :class:`BackingStore` as epochs
    close.  Window keys map to persistent global ids with one
-   ``searchsorted`` over a sorted index of the known unique keys — no
-   per-access Python.  The index is built on the first lookup (a run
-   that is one window never builds it) and merged incrementally after
-   that.  Either way the merged result is read through one plain-data
-   :class:`MergedState` (key rows in first-access order plus the
-   merged arrays or the backing entries):
+   ``searchsorted`` over an index of the known unique keys sorted by
+   one 64-bit value per key (the key itself for one field, a seeded
+   mix of the row otherwise), each match verified against the full
+   key row — no per-access Python; only rows whose hash collides are
+   resolved one by one.  The index is built on the first lookup (a
+   run that is one window never builds it) and merged incrementally
+   after that.  Either way the merged result is read through one
+   plain-data :class:`MergedState` (key rows in first-access order
+   plus the merged arrays or the backing entries):
    :meth:`WindowedVectorStore.merged_state` builds it — views of the
    final state once finalized, copies with every carried open epoch
    absorbed mid-stream — and ``result_table``, ``backing``,
@@ -102,9 +109,13 @@ from .cache import CacheGeometry, CacheStats
 from .vector_cache import _FILLER, _SKIP_BLOCK_START, VectorCacheSim, \
     _collapse_runs, _replay_segments, mix_key_array
 from .split import StoreSnapshot, build_result_table
-from .vector_store import VectorSplitStore, _FoldCont, _copy_aux
+from .vector_store import VectorSplitStore, _FoldCont, _copy_aux, \
+    aux_from_registers
 
 _U = np.uint64
+#: Seed of the global key index's row hash (any fixed value: the hash
+#: only orders the index, it never picks a cache set).
+_KEY_HASH_SEED = 0x6B65795F696478
 
 
 @dataclass(eq=False)
@@ -140,8 +151,9 @@ class MergedState:
     def table(self, stage: GroupByStage, params: Mapping[str, Numeric],
               include_invalid: bool = False) -> ResultTable:
         """The stage's result table.  The all-additive path reads the
-        merged arrays; a derived column the array evaluator cannot
-        express falls back to the backing-store builder."""
+        merged arrays; the general path (and a derived column the array
+        evaluator cannot express) builds the rows from the backing
+        store and packs complete ones into columns (:func:`_columnar`)."""
         if self.merged is not None:
             n = len(self.keys)
             out: dict[str, np.ndarray] = {
@@ -161,9 +173,9 @@ class MergedState:
                 return ResultTable.from_columns(stage.output, out)
             except VectorizationError:
                 pass
-        return build_result_table(stage, self.backing(stage, params),
-                                  self.key_tuples(), params,
-                                  include_invalid=include_invalid)
+        return _columnar(build_result_table(
+            stage, self.backing(stage, params), self.key_tuples(), params,
+            include_invalid=include_invalid))
 
     def backing(self, stage: GroupByStage,
                 params: Mapping[str, Numeric]) -> BackingStore:
@@ -202,23 +214,26 @@ class MergedState:
 
 class _ArrayCont:
     """Array-backed epoch continuation over the carried open-epoch
-    arrays: ``override``/``p_values`` for the vectorized fold paths,
+    arrays: ``override``/``register`` for the vectorized fold paths,
     plus the :class:`~repro.switch.kvstore.vector_store._FoldCont`
     fields, materialised only on the replay fallback."""
 
-    __slots__ = ("eids", "gids", "_state", "_P")
+    __slots__ = ("eids", "gids", "_spec", "_state", "_regs")
 
-    def __init__(self, eids: np.ndarray, gids: np.ndarray,
+    def __init__(self, eids: np.ndarray, gids: np.ndarray, spec,
                  state: dict[str, np.ndarray],
-                 P: dict[str, np.ndarray] | None):
+                 regs: dict[tuple, np.ndarray]):
         self.eids = eids
         self.gids = gids
+        self._spec = spec
         self._state = state
-        self._P = P
+        self._regs = regs
 
-    def p_values(self, var: str) -> np.ndarray:
-        """Carried merge products for ``var``, aligned with ``eids``."""
-        return self._P[var][self.gids]
+    def register(self, key: tuple) -> np.ndarray:
+        """The carried merge register ``key`` (see
+        :func:`~repro.switch.kvstore.vector_store.register_keys`),
+        aligned with ``eids``."""
+        return self._regs[key][self.gids]
 
     def override(self, fold: FoldConfig, n_groups: int,
                  variables) -> dict[str, np.ndarray]:
@@ -243,19 +258,13 @@ class _ArrayCont:
 
     @property
     def states(self) -> list[State]:
-        lists = {var: arr[self.gids].tolist()
-                 for var, arr in self._state.items()}
-        return [{var: vals[i] for var, vals in lists.items()}
-                for i in range(len(self.gids))]
+        return _carried_dicts(self._spec, self._state, self._regs,
+                              self.gids)[0]
 
     @property
     def auxes(self) -> list[AuxState]:
-        if self._P is None:
-            return [{} for _ in range(len(self.gids))]
-        lists = {var: arr[self.gids].tolist()
-                 for var, arr in self._P.items()}
-        return [{"P": {var: vals[i] for var, vals in lists.items()}}
-                for i in range(len(self.gids))]
+        return _carried_dicts(self._spec, self._state, self._regs,
+                              self.gids)[1]
 
 
 class _LruWindowScheduler:
@@ -547,35 +556,34 @@ class WindowedVectorStore(VectorSplitStore):
         self._buffered = 0
         self._total = 0
         # Persistent key table: unique key rows in first-seen
-        # (= first-access) order, with a sorted index (built on first
-        # lookup, see _map_global) for vectorized window-key ->
+        # (= first-access) order, with a hash-sorted index (built on
+        # first lookup, see _map_global) for vectorized window-key ->
         # global-id matching, and the rows as tuples (converted on
         # demand, see _key_tuples).
         self._nkeys = 0
         self._all_keys = np.zeros((0, len(stage.key.fields)),
                                   dtype=np.int64)
-        self._sorted_view: np.ndarray | None = None
-        self._sorted_perm: np.ndarray | None = None
+        self._index_hash: np.ndarray | None = None
+        self._index_gid: np.ndarray | None = None
         self._keys_list: list[tuple] = []
         # Open epochs, bounded by cache capacity: a per-key flag/last-
-        # position pair, per-key state arrays for the vectorizable
-        # merge classes, per-key dicts for the sequential ones.
+        # position pair, per-key state and merge-register arrays for
+        # the vectorizable merge classes, per-key dicts for the
+        # sequential ones (full-matrix, exact-history scale).
         self._open_mask = np.zeros(0, dtype=bool)
         self._open_pos = np.zeros(0, dtype=np.int64)
         self._array_carry = {
-            fold.column: (fold.merge.strategy in ("additive", "scale",
-                                                  "list")
-                          and not fold.merge.exact_history)
+            fold.column: (fold.merge.strategy in ("additive", "list")
+                          or (fold.merge.strategy == "scale"
+                              and not fold.merge.exact_history))
             for fold in stage.folds
         }
         self._open_state: dict[str, dict[str, np.ndarray]] = {
             fold.column: {} for fold in stage.folds
             if self._array_carry[fold.column]
         }
-        self._open_P: dict[str, dict[str, np.ndarray]] = {
-            fold.column: {} for fold in stage.folds
-            if self._array_carry[fold.column]
-            and fold.merge.strategy == "scale"
+        self._open_aux: dict[str, dict[tuple, np.ndarray]] = {
+            col: {} for col in self._open_state
         }
         self._open_dicts: dict[int, dict[str, tuple[State, AuxState]]] = {}
         if geometry.m_slots == 1 or policy == "lru":
@@ -645,42 +653,68 @@ class WindowedVectorStore(VectorSplitStore):
     def _map_global(self, unique_cols: list[np.ndarray]) -> np.ndarray:
         """Map a window's unique key rows (first-occurrence order) to
         persistent global ids, registering unseen keys in order — one
-        ``searchsorted`` against the sorted index of the known keys.
-        The first window knows no keys and needs no index; the index is
-        built on the first lookup and merged incrementally after that."""
+        ``searchsorted`` of the rows' :func:`_key_hash` against the
+        hash-sorted index of the known keys, each match verified
+        against the full key row.  The first window knows no keys and
+        needs no index; the index is built on the first lookup and
+        merged incrementally after that."""
         rows = np.column_stack(unique_cols)
         start = self._nkeys
         if start == 0:
             l2g = np.arange(len(rows), dtype=np.int64)
             new_rows = rows
         else:
-            view = _key_view(rows)
-            sorted_view, sorted_perm = self._key_index()
-            pos = np.searchsorted(sorted_view, view)
-            found = pos < len(sorted_view)
-            safe = np.where(found, pos, 0)
-            found &= sorted_view[safe] == view
-            l2g = np.empty(len(rows), dtype=np.int64)
-            l2g[found] = sorted_perm[safe[found]]
-            fresh = ~found
+            # Search in hash order: sorted probes walk the index
+            # monotonically, several times faster than random ones.
+            hashes = _key_hash(rows)
+            order = np.argsort(hashes, kind="stable")
+            hashes = hashes[order]
+            index_hash, index_gid = self._key_index()
+            lo = np.searchsorted(index_hash, hashes, side="left")
+            hi = np.searchsorted(index_hash, hashes, side="right")
+            found = self._verify(rows[order], lo, hi)
+            unseen = np.flatnonzero(found < 0)          # hash order
+            fresh = np.zeros(len(rows), dtype=bool)
+            fresh[order[unseen]] = True
             new_rows = rows[fresh]
-            new_gids = start + np.arange(len(new_rows))
-            l2g[fresh] = new_gids
+            l2g = np.empty(len(rows), dtype=np.int64)
+            l2g[order] = found
+            l2g[fresh] = start + np.arange(len(new_rows))
             if len(new_rows):
-                # Merge the new keys into the index incrementally —
-                # O(new log new + K) instead of re-sorting all K keys.
-                new_view = view[fresh]
-                new_order = np.argsort(new_view)
-                pos = np.searchsorted(sorted_view, new_view[new_order])
-                self._sorted_view = np.insert(sorted_view, pos,
-                                              new_view[new_order])
-                self._sorted_perm = np.insert(sorted_perm, pos,
-                                              new_gids[new_order])
+                # Merge the new keys into the index at their search
+                # positions — O(new + K), no re-sort.  Equal hashes
+                # may repeat: lookups verify rows.
+                self._index_hash = np.insert(index_hash, lo[unseen],
+                                             hashes[unseen])
+                self._index_gid = np.insert(index_gid, lo[unseen],
+                                            l2g[order[unseen]])
         if len(new_rows):
             self._grow_keys(start + len(new_rows))
             self._all_keys[start:start + len(new_rows)] = new_rows
             self._nkeys = start + len(new_rows)
         return l2g
+
+    def _verify(self, rows: np.ndarray, lo: np.ndarray,
+                hi: np.ndarray) -> np.ndarray:
+        """Global ids of ``rows`` given their equal-hash index ranges
+        ``[lo, hi)`` (-1 for unseen rows): every candidate is checked
+        against the stored key row.  A range wider than one is a hash
+        collision, resolved candidate by candidate — a loop over the
+        colliding rows only."""
+        index_gid = self._index_gid
+        width = hi - lo
+        ids = np.full(len(rows), -1, dtype=np.int64)
+        single = np.flatnonzero(width == 1)
+        cand = index_gid[lo[single]]
+        match = (self._all_keys[cand] == rows[single]).all(axis=1)
+        ids[single[match]] = cand[match]
+        for i in np.flatnonzero(width > 1).tolist():
+            cands = index_gid[lo[i]:hi[i]]
+            hit = np.flatnonzero(
+                (self._all_keys[cands] == rows[i]).all(axis=1))
+            if len(hit):
+                ids[i] = cands[hit[0]]
+        return ids
 
     def _key_tuples(self) -> list[tuple]:
         """The known keys as tuples, in global-id order — the backing
@@ -693,14 +727,14 @@ class WindowedVectorStore(VectorSplitStore):
         return self._keys_list
 
     def _key_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(sorted key view, global ids in that order)`` over every
+        """``(sorted key hashes, global ids in that order)`` over every
         known key, built here on first use."""
-        if self._sorted_view is None:
-            view = _key_view(self._all_keys[:self._nkeys])
-            perm = np.argsort(view)
-            self._sorted_view = view[perm]
-            self._sorted_perm = perm.astype(np.int64, copy=False)
-        return self._sorted_view, self._sorted_perm
+        if self._index_hash is None:
+            hashes = _key_hash(self._all_keys[:self._nkeys])
+            perm = np.argsort(hashes, kind="stable")
+            self._index_hash = hashes[perm]
+            self._index_gid = perm.astype(np.int64, copy=False)
+        return self._index_hash, self._index_gid
 
     def _grow_keys(self, n: int) -> None:
         """Grow every per-key array to capacity >= n (doubling)."""
@@ -717,7 +751,7 @@ class WindowedVectorStore(VectorSplitStore):
             per_key = [self._acc, self._hist]
         else:
             per_key = []
-        for group in (*per_key, self._open_state, self._open_P):
+        for group in (*per_key, self._open_state, self._open_aux):
             for per_fold in group.values():
                 for var, arr in per_fold.items():
                     per_fold[var] = _grown(arr, cap)
@@ -797,9 +831,9 @@ class WindowedVectorStore(VectorSplitStore):
             if not len(cont_keys):
                 cont = None
             elif self._array_carry[col]:
-                cont = _ArrayCont(cont_eids, cont_keys,
+                cont = _ArrayCont(cont_eids, cont_keys, fold.merge,
                                   self._open_state[col],
-                                  self._open_P.get(col))
+                                  self._open_aux[col])
             else:
                 cont = _FoldCont(
                     cont_eids,
@@ -861,17 +895,8 @@ class WindowedVectorStore(VectorSplitStore):
                 else:
                     vals = np.asarray(fe.values[var])
                 self._scatter(target, var, vals[last_eid], win_keys)
-            if fold.merge.strategy == "scale":
-                p_target = self._open_P[col]
-                for var in fold.merge.order:
-                    if fe.P is not None:
-                        pvals = np.asarray(fe.P[var],
-                                           dtype=np.float64)[last_eid]
-                    else:                  # replay fallback window
-                        pvals = np.asarray(
-                            [fe.aux_list[e]["P"][var]
-                             for e in last_eid.tolist()])
-                    self._scatter(p_target, var, pvals, win_keys)
+            for key, vals in fe.registers(last_eid).items():
+                self._scatter(self._open_aux[col], key, vals, win_keys)
         if dict_folds:
             for j, g in enumerate(win_keys.tolist()):
                 e = int(last_eid[j])
@@ -897,30 +922,21 @@ class WindowedVectorStore(VectorSplitStore):
         """(gid, states, aux) for carried open epochs — scalars pulled
         out of the carry arrays (native Python values, like the
         in-window absorb path) and the carry dicts."""
+        per_fold = {
+            fold.column: _carried_dicts(fold.merge,
+                                        self._open_state[fold.column],
+                                        self._open_aux[fold.column], gids)
+            for fold in self.stage.folds if self._array_carry[fold.column]
+        }
         out = []
-        glist = gids.tolist()
-        per_fold: dict[str, tuple[dict[str, list], dict[str, list] | None]] = {}
-        for fold in self.stage.folds:
-            col = fold.column
-            if not self._array_carry[col]:
-                continue
-            states = {var: arr[gids].tolist()
-                      for var, arr in self._open_state[col].items()}
-            P = None
-            if fold.merge.strategy == "scale":
-                P = {var: arr[gids].tolist()
-                     for var, arr in self._open_P[col].items()}
-            per_fold[col] = (states, P)
-        for i, g in enumerate(glist):
+        for i, g in enumerate(gids.tolist()):
             states: dict[str, State] = {}
             aux: dict[str, AuxState] = {}
             for fold in self.stage.folds:
                 col = fold.column
-                if self._array_carry[col]:
-                    vals, P = per_fold[col]
-                    states[col] = {var: lst[i] for var, lst in vals.items()}
-                    aux[col] = {} if P is None else \
-                        {"P": {var: lst[i] for var, lst in P.items()}}
+                if col in per_fold:
+                    states[col] = per_fold[col][0][i]
+                    aux[col] = per_fold[col][1][i]
                 else:
                     states[col], aux[col] = self._open_dicts[g][col]
             out.append((g, states, aux))
@@ -1184,9 +1200,9 @@ class WindowedVectorStore(VectorSplitStore):
                 col: {var: arr[:nk].copy() for var, arr in per.items()}
                 for col, per in self._open_state.items()
             },
-            "open_P": {
-                col: {var: arr[:nk].copy() for var, arr in per.items()}
-                for col, per in self._open_P.items()
+            "open_aux": {
+                col: {key: arr[:nk].copy() for key, arr in per.items()}
+                for col, per in self._open_aux.items()
             },
             "open_dicts": {
                 g: {col: (dict(s), _copy_aux(a))
@@ -1246,8 +1262,8 @@ class WindowedVectorStore(VectorSplitStore):
             self._open_pos = state["open_pos"]
         self._open_state = {col: dict(per)
                             for col, per in state["open_state"].items()}
-        self._open_P = {col: dict(per)
-                        for col, per in state["open_P"].items()}
+        self._open_aux = {col: dict(per)
+                          for col, per in state["open_aux"].items()}
         self._open_dicts = {
             int(g): dict(folds) for g, folds in state["open_dicts"].items()}
         self._stats = state["stats"]
@@ -1278,21 +1294,61 @@ def _is_resident(gids: np.ndarray, resident: np.ndarray) -> np.ndarray:
     return np.isin(gids, resident)
 
 
+def _carried_dicts(spec, state: Mapping[str, np.ndarray],
+                   regs: Mapping[tuple, np.ndarray], gids: np.ndarray,
+                   ) -> tuple[list[State], list[AuxState]]:
+    """The carried open epochs of ``gids`` as the row store's per-epoch
+    state and :data:`AuxState` dicts, with native Python scalars."""
+    n = len(gids)
+    states = {var: arr[gids].tolist() for var, arr in state.items()}
+    lists = {key: arr[gids].tolist() for key, arr in regs.items()}
+    return ([{var: vals[i] for var, vals in states.items()}
+             for i in range(n)],
+            [aux_from_registers(spec, lists, i) for i in range(n)])
+
+
+def _columnar(table: ResultTable) -> ResultTable:
+    """``table`` with column authority when every row carries every
+    column (a kept invalid row may lack some): an ``int64``/``float64``
+    array for a column of only ints/floats, a value list otherwise —
+    the same values in the same order, without a dict and a boxed
+    number per cell."""
+    rows = table.rows
+    if not rows:
+        return table
+    names = list(rows[0])
+    width = len(names)
+    if any(len(row) != width for row in rows):
+        return table
+    columns: dict[str, object] = {}
+    for name in names:
+        values = [row[name] for row in rows]
+        kinds = set(map(type, values))
+        column: object = values
+        if kinds == {float}:
+            column = np.array(values, dtype=np.float64)
+        elif kinds == {int}:
+            try:
+                column = np.array(values, dtype=np.int64)
+            except OverflowError:            # beyond int64: keep exact
+                pass
+        columns[name] = column
+    return ResultTable.from_columns(table.schema, columns)
+
+
 def _row_tuples(rows: np.ndarray) -> list[tuple]:
     """Key rows as tuples of Python ints (the backing store's keys)."""
     return list(zip(*(rows[:, j].tolist() for j in range(rows.shape[1]))))
 
 
-def _key_view(rows: np.ndarray) -> np.ndarray:
-    """One sortable scalar per int64 key row: the value itself for a
-    one-field key, the row's raw bytes otherwise.  Byte order is not
-    numeric order, but it is a consistent total order — all a lookup
-    index needs — and 3-8x cheaper to sort than a structured view."""
+def _key_hash(rows: np.ndarray) -> np.ndarray:
+    """One 64-bit index value per int64 key row: the value itself for a
+    one-field key, a seeded :func:`mix_key_array` of the row otherwise.
+    Distinct rows may share a value; the index verifies every match
+    against the full row (see ``WindowedVectorStore._verify``)."""
     if rows.shape[1] == 1:
         return rows[:, 0]
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))
-                     ).ravel()
+    return mix_key_array(rows, _KEY_HASH_SEED)
 
 
 def _grown(arr: np.ndarray, n: int) -> np.ndarray:

@@ -27,7 +27,10 @@ import zlib
 from repro.core.errors import CheckpointError
 
 MAGIC = b"RPROCKPT"
-VERSION = 1
+#: Payload layout version.  2: the windowed store carries merge
+#: registers (exact-history log/snapshot/seen included) as per-key
+#: arrays under ``open_aux``; version-1 payloads are refused.
+VERSION = 2
 
 _HEADER = struct.Struct("<8sHQI")  # magic, version, payload len, crc32
 

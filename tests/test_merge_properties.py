@@ -7,7 +7,7 @@ caches (maximising eviction pressure), for a pool of linear fold
 programs spanning all three merge strategies.
 """
 
-
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,6 +102,33 @@ def test_linear_folds_are_exact_under_any_eviction_schedule(
     diff = compare_tables(hardware, truth, rel_tol=1e-9, abs_tol=1e-6)
     assert diff.key_complete, diff.describe()
     assert diff.exact, diff.describe()
+
+
+#: Round-major folds whose integer state passes 2^63: a doubling linear
+#: fold (one of the streams the property above draws, pinned) and a
+#: non-linear fold that adds one huge field per packet.
+OVERFLOWING = [
+    (LINEAR_PROGRAMS[4][0], 40),
+    ("def h (m, pkt_len): m = max(m, pkt_len) + pkt_len\n"
+     "SELECT srcip, h GROUPBY srcip", 2 ** 61),
+]
+
+
+@pytest.mark.parametrize("ways", [0, 2])
+@pytest.mark.parametrize("source,pkt_len", OVERFLOWING,
+                         ids=["doubling", "max_plus_field"])
+def test_round_major_int_state_past_int64_stays_exact(source, pkt_len, ways):
+    """The round-major path must hand such a fold to the exact scalar
+    replay (Python ints) instead of wrapping."""
+    stream = [make_record(srcip=i % 2, pkt_id=i, tin=i, tout=float(i + 1),
+                          pkt_len=pkt_len + i, qin=9) for i in range(150)]
+    with pytest.warns(RuntimeWarning, match="may exceed int64"):
+        hardware, truth = run_both(source, {}, stream, capacity=8,
+                                   ways=ways)
+    assert max(row[truth.schema.columns[-1].name] for row in truth.rows) \
+        > 2 ** 63
+    diff = compare_tables(hardware, truth, rel_tol=1e-9, abs_tol=1e-6)
+    assert diff.key_complete and diff.exact, diff.describe()
 
 
 @settings(max_examples=25, deadline=None)

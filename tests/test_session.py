@@ -17,9 +17,12 @@ import pytest
 
 from repro.core.errors import SessionClosedError
 from repro.core.interpreter import ResultTable
+from repro.core.vector_exec import VectorizationError
 from repro.network.records import ObservationTable
-from repro.queries.catalog import FIG2_QUERIES
+from repro.queries.catalog import CATALOG, FIG2_QUERIES
+from repro.switch.kvstore import windowed_store
 from repro.switch.kvstore.cache import CacheGeometry
+from repro.switch.kvstore.vector_store import VectorSplitStore
 from repro.switch.kvstore.windowed_store import WindowedVectorStore
 from repro.telemetry import QueryEngine, compare_tables
 
@@ -362,9 +365,10 @@ class TestCarriedStateInternals:
         assert store._total == 120
 
     def test_key_index_built_on_first_lookup(self):
-        """The sorted key index serves window-to-window lookups only: a
-        run that is one window never builds it; later windows build it
-        once and merge new keys in, for one- and multi-field keys."""
+        """The hash-sorted key index serves window-to-window lookups
+        only: a run that is one window never builds it; later windows
+        build it once and merge new keys in, for one- and multi-field
+        keys."""
         for source, n_fields in (("SELECT COUNT GROUPBY srcip", 1),
                                  ("SELECT COUNT GROUPBY srcip, dstip", 2)):
             stage = QueryEngine(source).compiled.groupby_stages[0]
@@ -373,12 +377,12 @@ class TestCarriedStateInternals:
             unbounded = WindowedVectorStore(stage, GEOM)
             unbounded.add_batch(keys, {})
             unbounded.finalize()
-            assert unbounded._sorted_view is None
+            assert unbounded._index_hash is None
             windowed = WindowedVectorStore(stage, GEOM, window=100)
             for lo in range(0, len(keys), 100):
                 windowed.add_batch(keys[lo:lo + 100], {})
             windowed.finalize()
-            assert len(windowed._sorted_view) == windowed._nkeys
+            assert len(windowed._index_hash) == windowed._nkeys
             assert windowed.result_table().rows == \
                 unbounded.result_table().rows
 
@@ -391,6 +395,172 @@ class TestCarriedStateInternals:
         store.finalize()
         with pytest.raises(HardwareError):
             store.add_batch(np.ones((10, 1), dtype=np.int64), {})
+
+
+class TestExactHistoryContinuation:
+    """Exact-history additive folds continue an open epoch across
+    window cuts by per-epoch offsets (packet log, post-prefix snapshot,
+    ``seen``): every cut — including cuts inside an epoch's first ``k``
+    packets — must match the per-packet row oracle."""
+
+    D2 = ("def d2 ((a, b, c), (tcpseq)):\n"
+          "    if b + 2 > tcpseq:\n"
+          "        c = c + 1\n"
+          "    b = a\n"
+          "    a = tcpseq\n\n"
+          "SELECT 5tuple, d2 GROUPBY 5tuple")
+    FOLDS = {"tcp_out_of_sequence": CATALOG["tcp_out_of_sequence"].source,
+             "d2": D2}
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        # Small, jittered sequence numbers make the history-dependent
+        # conditions flip, so a wrongly resumed log or snapshot shows.
+        columns = synthetic_trace(400, n_flows=40, seed=33).columns()
+        rng = np.random.default_rng(7)
+        columns["tcpseq"] = rng.integers(0, 8, len(columns["tcpseq"]))
+        columns["payload_len"] = rng.integers(0, 3, len(columns["tcpseq"]))
+        return ObservationTable.from_arrays(columns)
+
+    def engines(self, fold, ways, refresh=None):
+        geometry = CacheGeometry.set_associative(16 * ways, ways=ways)
+        return [QueryEngine(self.FOLDS[fold], geometry=geometry,
+                            exact_history=True, refresh_interval=refresh,
+                            engine=engine) for engine in ("row", "vector")]
+
+    def test_d2_is_a_depth_two_exact_history_fold(self):
+        merge = self.engines("d2", 2)[1].compiled.groupby_stages[0] \
+            .folds[0].merge
+        assert (merge.strategy, merge.exact_history) == ("additive", True)
+        assert merge.history_depth == 2
+        assert merge.packet_fields == ("tcpseq",)
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 7, 193, None])
+    @pytest.mark.parametrize("ways", [2, 4])
+    @pytest.mark.parametrize("fold", sorted(FOLDS))
+    def test_every_cut_matches_row_oracle(self, fold, ways, window, trace):
+        row, vec = self.engines(fold, ways)
+        base = observables(row.run(trace, include_invalid=True))
+        for chunk in (1, 5, 777):
+            report = session_report(vec, trace, window, chunk=chunk)
+            assert observables(report) == base, (chunk, window)
+
+    @pytest.mark.parametrize("fold", sorted(FOLDS))
+    def test_refresh_cuts_match_row_oracle(self, fold, trace):
+        row, vec = self.engines(fold, 2, refresh=97)
+        base = observables(row.run(trace, include_invalid=True))
+        for window in (3, 193):
+            report = session_report(vec, trace, window, chunk=5)
+            assert observables(report) == base, window
+
+    @pytest.mark.parametrize("fold", sorted(FOLDS))
+    def test_replay_fallback_windows_interleave(self, fold, trace,
+                                                monkeypatch):
+        """Every other window falls back to the scalar replay: the
+        registers it leaves behind must continue on the vectorized path
+        and the other way round."""
+        calls = []
+        vectorized = VectorSplitStore._eval_additive
+
+        def alternate(self, *args, **kwargs):
+            calls.append(None)
+            if len(calls) % 2:
+                raise VectorizationError("forced")
+            return vectorized(self, *args, **kwargs)
+
+        monkeypatch.setattr(VectorSplitStore, "_eval_additive", alternate)
+        row, vec = self.engines(fold, 2)
+        base = observables(row.run(trace, include_invalid=True))
+        for window in (1, 3, 7):
+            report = session_report(vec, trace, window, chunk=5)
+            assert observables(report) == base, window
+        assert len(calls) > 2
+
+    def test_resume_inside_the_log_prefix(self, trace):
+        """Checkpoint where an open epoch has logged 1 of its k = 2
+        packets: the resumed stream closes bit-identical."""
+        _, vec = self.engines("d2", 2)
+        stage = vec.compiled.groupby_stages[0]
+        batches = list(chunked(trace, 1))
+        session = vec.open(window=3)
+        cut = None
+        for i, batch in enumerate(batches, 1):
+            session.ingest(batch)
+            store = session._pipeline.store_for(stage.query_name)
+            nk = store._nkeys
+            seen = store._open_aux[stage.folds[0].column].get(("seen",))
+            if seen is not None and i > len(batches) // 3 and np.any(
+                    (seen[:nk] == 1) & store._open_mask[:nk]):
+                cut = i
+                break
+        assert cut is not None
+        resumed = vec.resume(session.checkpoint())
+        for batch in batches[cut:]:
+            session.ingest(batch)
+            resumed.ingest(batch)
+        want = observables(session.close(include_invalid=True))
+        assert observables(resumed.close(include_invalid=True)) == want
+        assert want == observables(
+            self.engines("d2", 2)[0].run(trace, include_invalid=True))
+
+
+class TestCatalogNeverReplays:
+    """The vectorized fold paths cover the whole catalog with exact
+    history on: no window, continuing or not, falls back to the scalar
+    replay."""
+
+    @pytest.mark.parametrize("window", [193, 1024])
+    @pytest.mark.parametrize("entry", FIG2_QUERIES, ids=lambda e: e.name)
+    def test_no_scalar_replay(self, entry, window, monkeypatch):
+        calls = []
+        replay = VectorSplitStore._replay_fold
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[0].column)
+            return replay(self, *args, **kwargs)
+
+        monkeypatch.setattr(VectorSplitStore, "_replay_fold", counted)
+        qe = QueryEngine(entry.source, params=entry.default_params,
+                         geometry=GEOM, exact_history=True)
+        session = qe.open(window=window)
+        for batch in chunked(synthetic_trace(2500, seed=20), 300):
+            session.ingest(batch)
+            session.results()
+        session.close()
+        assert calls == []
+
+
+class TestKeyIndexCollisions:
+    """The global key index orders keys by a 64-bit hash and verifies
+    every match against the full row: a degenerate hash (every key in
+    one of four buckets) must change nothing."""
+
+    @pytest.mark.parametrize("window", [7, 193])
+    @pytest.mark.parametrize("key", ["srcip", "srcip, dstip", "pkt_uniq"])
+    def test_degenerate_hash_is_exact(self, key, window, monkeypatch):
+        monkeypatch.setattr(windowed_store, "_key_hash",
+                            lambda rows: rows[:, 0] & 3)
+        source = f"SELECT COUNT, SUM(pkt_len) GROUPBY {key}"
+        trace = synthetic_trace(900, n_flows=60, seed=41)
+        base = observables(QueryEngine(source, geometry=GEOM, engine="row")
+                           .run(trace, include_invalid=True))
+        qe = QueryEngine(source, geometry=GEOM)
+        stage = qe.compiled.groupby_stages[0]
+        batches = list(chunked(trace, 100))
+        session = qe.open(window=window)
+        for i, batch in enumerate(batches, 1):
+            session.ingest(batch)
+            if i == len(batches) // 2:      # the index is rebuilt
+                session = qe.resume(session.checkpoint())
+        session.results()
+        store = session._pipeline.store_for(stage.query_name)
+        columns = trace.columns()
+        rows = np.column_stack([columns[f].astype(np.int64)
+                                for f in stage.key.fields])
+        _, first = np.unique(rows, axis=0, return_index=True)
+        assert np.array_equal(store._all_keys[:store._nkeys],
+                              rows[np.sort(first)])
+        assert observables(session.close(include_invalid=True)) == base
 
 
 class TestNetworkSessions:

@@ -268,6 +268,26 @@ class TestStoreSurface:
         assert vec_bulk.accuracy() == vec_mat.accuracy()
         assert vec_bulk.backing_writes == vec_mat.backing.writes
 
+    def test_general_path_tables_are_columnar(self, trace):
+        """Backing-store tables come back with column authority — typed
+        arrays for all-int / all-float columns — and the row store's
+        exact rows; a kept invalid row missing a cell keeps the rows."""
+        stage = compile_stage(NONMT)
+        row, vec = run_both(stage, trace, CacheGeometry.set_associative(8, ways=2))
+        table = vec.result_table(include_invalid=True)
+        assert table.is_columnar
+        assert all(isinstance(col, np.ndarray) and col.dtype.kind in "if"
+                   for col in table.columns().values())
+        assert table.rows == row.result_table(include_invalid=True).rows
+        ragged = windowed_store.ResultTable(schema=table.schema)
+        ragged.rows = [{"srcip": 1, "x": 2}, {"srcip": 3}]
+        assert windowed_store._columnar(ragged) is ragged
+        mixed = windowed_store.ResultTable(schema=table.schema)
+        mixed.rows = [{"srcip": 1, "x": 2}, {"srcip": 3, "x": 2.5}]
+        columnar = windowed_store._columnar(mixed)
+        assert columnar.columns()["x"] == [2, 2.5]
+        assert columnar.rows == [{"srcip": 1, "x": 2}, {"srcip": 3, "x": 2.5}]
+
     def test_derived_column_table_fallback(self, monkeypatch):
         """A derived column the array evaluator cannot express falls back
         to the backing-store table builder — in run(), in a windowed
