@@ -15,8 +15,8 @@ valid keys.  Windows are expressed as fractions of the paper's
 5-minute trace so the scaled trace reproduces the 1/3/5-minute series.
 
 Execution knobs (see :mod:`repro.analysis.sweep_exec`): ``engine``
-selects the per-cell cache simulator (vector / row / auto, identical
-results) and ``workers`` fans the (capacity, window) grid across
+selects the per-cell cache simulator (vector — which ``auto`` is — or
+row, identical results) and ``workers`` fans the (capacity, window) grid across
 processes sharing one generated key stream.
 """
 
@@ -75,14 +75,16 @@ def _window_validity(keys, geometry: CacheGeometry, seed: int,
     fold's values, so this tracks epoch counts directly — semantically
     identical to running the full split store with a non-linear fold.
 
-    ``engine="vector"`` runs the array-native simulator (a key's epoch
-    count equals its miss count, so per-key miss tallies suffice);
-    ``"row"`` replays the reference cache; ``"auto"`` picks vector for
-    integer array streams.  Both produce identical numbers.
+    ``engine="vector"`` (and ``"auto"``, the same engine) runs the
+    array-native simulator (a key's epoch count equals its miss count,
+    so per-key miss tallies suffice), whose door takes any integer key
+    stream — an empty one included — and rejects anything else;
+    ``"row"`` replays the reference cache over any hashable keys.  Both
+    produce identical numbers.
     """
-    from repro.analysis.sweep_exec import resolve_engine
+    from repro.analysis.sweep_exec import check_engine
 
-    if resolve_engine(engine, keys) == "vector":
+    if check_engine(engine) != "row":
         from repro.switch.kvstore.vector_cache import window_validity_vector
 
         return window_validity_vector(keys, geometry, seed=seed)
@@ -126,7 +128,7 @@ def run_accuracy_sweep(
         return run_accuracy_sweep_parallel(
             scale=scale, capacities=capacities, windows=windows,
             seed=seed, engine=engine, workers=workers)
-    from repro.analysis.sweep_exec import resolve_engine
+    from repro.analysis.sweep_exec import check_engine
 
     windows = windows or WINDOW_FRACTIONS
     keys = generate_key_stream(CaidaTraceConfig(scale=scale, seed=seed))
@@ -134,7 +136,7 @@ def run_accuracy_sweep(
     # One validity oracle per window prefix: on the vector engine each
     # prefix gets one shared simulator, so the capacity sweep reuses
     # its hashing/layout work; on the row engine, one Python key list.
-    use_vector = resolve_engine(engine, keys) == "vector"
+    use_vector = check_engine(engine) != "row"
     oracles: dict[int, object] = {}
     for fraction in windows.values():
         window_len = max(1, int(n * fraction))

@@ -15,8 +15,8 @@ matches the paper's operating points.
 
 Execution knobs (see :mod:`repro.analysis.sweep_exec`): ``engine``
 selects the cache simulator per grid cell (``"vector"`` — array-native,
-bit-identical, ~an order of magnitude faster; ``"row"`` — the
-per-access reference; ``"auto"``), and ``workers`` fans the grid across
+bit-identical, ~an order of magnitude faster, and what ``"auto"``
+runs; ``"row"`` — the per-access reference), and ``workers`` fans the grid across
 processes sharing one generated key stream, which makes multi-10M-access
 sweeps (scale 1/64 and up) practical.
 """
@@ -109,8 +109,8 @@ def run_eviction_sweep(
 
     ``engine`` picks the cache simulator per cell (``"vector"`` — the
     array-native engine, bit-identical counters and an order of
-    magnitude faster, ``"row"`` — the per-access reference, ``"auto"``
-    — vector for this module's integer key streams); ``workers`` > 1
+    magnitude faster, and what ``"auto"`` runs; ``"row"`` — the
+    per-access reference); ``workers`` > 1
     fans the (geometry, capacity) grid across processes via
     :mod:`repro.analysis.sweep_exec`, sharing one generated key stream.
     """

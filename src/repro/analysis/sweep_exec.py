@@ -17,11 +17,13 @@ Two knobs, mirrored on :func:`repro.analysis.eviction.run_eviction_sweep`,
   cell: the array-native vector engine
   (:class:`repro.switch.kvstore.vector_cache.VectorCacheSim`,
   bit-identical counters, all four eviction policies — LRU via stack
-  distances, FIFO/random via the packed per-set replay), the
-  per-access row reference, or ``auto`` (vector for integer array
-  streams).  Mirrors :class:`repro.telemetry.runtime.QueryEngine`'s
-  knob.  Replay state derives from the cell's ``seed`` alone, so row,
-  vector, and windowed-session runs of the same cell agree exactly
+  distances, FIFO/random via the packed per-set replay; ``"auto"`` is
+  the same engine) or the per-access row reference.  Mirrors
+  :class:`repro.telemetry.runtime.QueryEngine`'s knob.  The key stream
+  is columnized once, at the simulator's door
+  (:func:`repro.switch.kvstore.vector_cache.key_array`).  Replay state
+  derives from the cell's ``seed`` alone, so row, vector, and
+  windowed-session runs of the same cell agree exactly
   (``tests/test_replay_packed.py``).
 * ``workers`` (CLI: ``--sweep-workers``) — number of worker processes;
   ``None``/``0``/``1`` runs serially in-process.
@@ -48,7 +50,7 @@ import numpy as np
 
 from repro.core.errors import HardwareError
 from repro.switch.kvstore.cache import ENGINES, CacheStats, simulate_eviction_count
-from repro.switch.kvstore.vector_cache import VectorCacheSim, _as_key_array
+from repro.switch.kvstore.vector_cache import VectorCacheSim
 from repro.telemetry.shard_exec import release_shared_memory
 
 #: Per-worker shared state, installed by the pool initializer.
@@ -64,25 +66,17 @@ def check_engine(engine: str) -> str:
     return engine
 
 
-def resolve_engine(engine: str, keys) -> str:
-    """Collapse ``auto`` to the engine that will actually run."""
-    check_engine(engine)
-    if engine != "auto":
-        return engine
-    return "vector" if _as_key_array(keys) is not None else "row"
-
-
 def stats_fn(keys, seed: int, engine: str):
     """A ``(geometry, policy) -> CacheStats`` closure over one stream,
     sharing state across calls: the vector engine keeps one
     :class:`VectorCacheSim` (memoized layouts/chains), the row engine
     materialises the Python key list once for all cells."""
-    if resolve_engine(engine, keys) == "vector":
-        sim = VectorCacheSim(_as_key_array(keys), seed=seed)
-        return lambda geometry, policy="lru": sim.stats(geometry, policy)
-    key_list = keys.tolist() if isinstance(keys, np.ndarray) else keys
-    return lambda geometry, policy="lru": simulate_eviction_count(
-        key_list, geometry, policy=policy, seed=seed, engine="row")
+    if check_engine(engine) == "row":
+        key_list = keys.tolist() if isinstance(keys, np.ndarray) else keys
+        return lambda geometry, policy="lru": simulate_eviction_count(
+            key_list, geometry, policy=policy, seed=seed, engine="row")
+    sim = VectorCacheSim(keys, seed=seed)
+    return lambda geometry, policy="lru": sim.stats(geometry, policy)
 
 
 def _init_worker(shm_name: str, shape: tuple[int, ...], dtype: str) -> None:
@@ -119,12 +113,12 @@ def _eviction_cell(args) -> tuple[int, int, int, int, int]:
     from repro.analysis.eviction import GEOMETRIES
 
     geometry = GEOMETRIES[geometry_name](scaled)
-    if resolve_engine(engine, _WORKER_KEYS) == "vector":
-        s = _worker_sim(seed, len(_WORKER_KEYS)).stats(geometry, policy)
-    else:
+    if engine == "row":
         s = simulate_eviction_count(_worker_row_keys(len(_WORKER_KEYS)),
                                     geometry, policy=policy,
                                     seed=seed, engine="row")
+    else:
+        s = _worker_sim(seed, len(_WORKER_KEYS)).stats(geometry, policy)
     return (s.accesses, s.hits, s.misses, s.insertions, s.evictions)
 
 
@@ -144,10 +138,10 @@ def _accuracy_cell(args) -> tuple[int, int]:
     from repro.switch.kvstore.cache import CacheGeometry
 
     geometry = CacheGeometry.set_associative(scaled, ways=8)
-    if resolve_engine(engine, _WORKER_KEYS) == "vector":
-        return _worker_sim(seed, window_len).validity(geometry)
-    return _window_validity(_worker_row_keys(window_len), geometry, seed,
-                            engine="row")
+    if engine == "row":
+        return _window_validity(_worker_row_keys(window_len), geometry,
+                                seed, engine="row")
+    return _worker_sim(seed, window_len).validity(geometry)
 
 
 def _fan(keys: np.ndarray, worker, tasks: Sequence[tuple], workers: int):

@@ -155,8 +155,8 @@ def _add_query_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", default="auto",
                         choices=("auto", "vector", "row"),
                         help="exact-evaluation engine: vectorized batch "
-                             "executor, row interpreter, or auto (vector "
-                             "wherever the query allows)")
+                             "executor, row interpreter, or auto (the "
+                             "vector engine)")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -555,7 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--engine", default="auto",
                          choices=("auto", "vector", "row"),
                          help="cache simulator: array-native vector engine, "
-                              "per-access row reference, or auto")
+                              "per-access row reference, or auto (the "
+                              "vector engine)")
     sweep_p.add_argument("--sweep-workers", type=int, default=0, metavar="N",
                          help="fan the sweep grid across N worker processes "
                               "(0 = serial)")

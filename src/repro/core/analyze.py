@@ -13,7 +13,8 @@ module lifts them into one compile-time pass:
     :class:`~repro.switch.kvstore.sharded.ShardedStoreProxy` computes at
     routing time, derived here from the synthesized merge strategies;
 (b) the **engine/session compatibility matrix** (row vs vector vs
-    windowed vs sharded vs ``exact`` vs ``refresh_interval``);
+    windowed vs sharded vs ``exact`` vs ``refresh_interval``), and the
+    integer-key rule every hardware store relies on;
 (c) **value-range inference** over fold accumulators: given trace
     bounds (record count x max field magnitude), predict the int64
     overflow fallback that
@@ -34,7 +35,7 @@ report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from repro.switch import area
 from repro.switch.kvstore.cache import ENGINES, CacheGeometry
@@ -53,6 +54,7 @@ from .ast_nodes import (
     UnaryOp,
     walk,
 )
+from .errors import HardwareError
 from .eval_expr import Numeric
 from .plan import FoldConfig, GroupByStage, SwitchProgram
 from .schema import FIELDS
@@ -67,6 +69,8 @@ __all__ = [
     "StageAnalysis",
     "TraceBounds",
     "analyze_program",
+    "key_diagnostics",
+    "require_integer_keys",
     "session_diagnostics",
 ]
 
@@ -201,6 +205,28 @@ def session_diagnostics(
         if refresh_interval is not None:
             out.append(make("RPR-E002"))
     return out
+
+
+def key_diagnostics(stages: Iterable[GroupByStage]) -> list[Diagnostic]:
+    """``RPR-E302`` for every key field of ``stages`` whose schema
+    carrier type is not an integer: the switch parser extracts
+    fixed-width integer header fields (§3.1), and the vector store
+    would truncate a float key."""
+    return [make("RPR-E302", stage=stage.query_name, field=name,
+                 dtype=_FIELD_DTYPE[name])
+            for stage in stages for name in stage.key.fields
+            if _FIELD_DTYPE[name] != "int"]
+
+
+def require_integer_keys(stages: Iterable[GroupByStage]) -> None:
+    """Raise the first :func:`key_diagnostics` error as
+    :class:`HardwareError` — the guard of the paths that key a cache
+    without :meth:`QueryEngine.open`: a directly built
+    :class:`~repro.switch.pipeline.SwitchPipeline` (before any store is
+    allocated) and :meth:`QueryEngine.plan_cache`."""
+    errors = key_diagnostics(stages)
+    if errors:
+        raise HardwareError(f"[{errors[0].code}] {errors[0].message}")
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +500,8 @@ def analyze_program(
                         bound=bound.per_record_bound,
                         safe=bound.safe_records,
                     ))
+        if not exact:
+            diags.extend(key_diagnostics([stage]))
         if (analysis.mergeable and analysis.serialize_cause
                 and shards is not None and shards > 1 and not exact):
             diags.append(make("RPR-W102", stage=stage.query_name))

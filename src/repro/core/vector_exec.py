@@ -33,10 +33,10 @@ Evaluates a resolved program over *columns* instead of rows:
     array evaluator does not support.  Only the affected fold is
     replayed; the other folds of the stage stay vectorized.
 
-``JOIN`` stages and anything else outside the vector path are delegated
-to an embedded :class:`~repro.core.interpreter.Interpreter`, so the
-executor is *always* exact — vectorization changes the speed, never the
-result.
+``JOIN`` stages run over (small) post-aggregation tables on an
+embedded :class:`~repro.core.interpreter.Interpreter`; every other
+stage runs on the array path, exact by the strategies above —
+vectorization changes the speed, never the result.
 
 Known semantic deltas versus the scalar evaluator (documented, not
 observable in well-formed queries): division by zero yields ``inf``/
@@ -75,10 +75,11 @@ from .semantics import FoldInstance, ResolvedProgram, ResolvedQuery
 
 
 class VectorizationError(Exception):
-    """Internal: this expression/stage cannot run on the array path.
+    """Internal: this expression cannot run on the array path.
 
-    Raising it triggers a fallback (per-fold replay or whole-stage
-    interpreter evaluation); it never escapes the executor.
+    Raising it inside a fold evaluation triggers that fold's exact
+    scalar replay; resolved programs over columnized input never
+    raise it anywhere else.
     """
 
 
@@ -702,12 +703,12 @@ class VectorExecutor:
 
     def run(self, records) -> dict[str, ResultTable]:
         """Evaluate every query; returns tables keyed by query name."""
-        base_columns, base_n, rows = self._base_input(records)
+        base_columns, base_n = self._base_input(records)
         tables: dict[str, ResultTable] = {}
         column_cache: dict[str, tuple[dict[str, np.ndarray], int]] = {}
         for query in self.program.queries:
             tables[query.name] = self._eval_query(
-                query, base_columns, base_n, rows, tables, column_cache
+                query, base_columns, base_n, tables, column_cache
             )
         return tables
 
@@ -720,19 +721,19 @@ class VectorExecutor:
         """Evaluate one named query over already-materialised upstream
         ``tables`` (and ``records`` for base-table queries) — the
         entry point the telemetry runtime uses for software stages."""
-        base_columns, base_n, rows = self._base_input(records)
+        base_columns, base_n = self._base_input(records)
         return self._eval_query(
-            self.program.by_name(query_name), base_columns, base_n, rows, tables, {}
+            self.program.by_name(query_name), base_columns, base_n, tables, {}
         )
 
     # -- input handling ---------------------------------------------------------
 
     def _base_input(self, records):
-        """Columns + length + lazily-usable row handle for the stream."""
+        """Columns + length of the stream."""
         from repro.network.records import as_table
 
         table = as_table(records)
-        return table.columns(), len(table), table
+        return table.columns(), len(table)
 
     @staticmethod
     def _columns_from_table(table: ResultTable) -> tuple[dict[str, np.ndarray], int]:
@@ -747,13 +748,13 @@ class VectorExecutor:
 
     # -- query dispatch ----------------------------------------------------------
 
-    def _eval_query(self, query: ResolvedQuery, base_columns, base_n, rows,
+    def _eval_query(self, query: ResolvedQuery, base_columns, base_n,
                     tables: dict[str, ResultTable],
                     column_cache: dict) -> ResultTable:
         if query.kind == "join":
             # Joins run over (small) post-aggregation tables; the
             # relational part stays on the reference interpreter.
-            return self._interp.evaluate_stage(query.name, [], tables)
+            return self._interp._eval_join(query, tables)
         if query.source is None:
             columns, n = base_columns, base_n
         elif query.source in column_cache:
@@ -762,18 +763,12 @@ class VectorExecutor:
             columns, n = self._columns_from_table(tables[query.source])
             column_cache[query.source] = (columns, n)
         ctx = ArrayContext(columns, self.params, n)
-        try:
-            if query.kind == "select":
-                table, out_columns = self._eval_select(query, ctx)
-            elif query.kind == "groupby":
-                table, out_columns = self._eval_groupby(query, ctx)
-            else:
-                raise InterpreterError(f"unknown query kind {query.kind!r}")
-        except VectorizationError:
-            # Whole-stage fallback: evaluate this stage on the reference
-            # interpreter over row views.
-            stream = list(rows) if not isinstance(rows, list) else rows
-            return self._interp.evaluate_stage(query.name, stream, tables)
+        if query.kind == "select":
+            table, out_columns = self._eval_select(query, ctx)
+        elif query.kind == "groupby":
+            table, out_columns = self._eval_groupby(query, ctx)
+        else:
+            raise InterpreterError(f"unknown query kind {query.kind!r}")
         column_cache[query.name] = (out_columns, len(table))
         return table
 
@@ -817,10 +812,7 @@ class VectorExecutor:
                  if name in needed},
                 self.params, len(sel),
             )
-        try:
-            key_arrays = [sel_ctx.columns[k] for k in query.groupby_keys]
-        except KeyError as exc:
-            raise VectorizationError(f"no key column {exc.args[0]!r}") from None
+        key_arrays = [sel_ctx.columns[k] for k in query.groupby_keys]
         gid, unique_keys, n_groups = factorize(key_arrays)
         layout = _GroupLayout(gid, n_groups)
 

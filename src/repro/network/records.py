@@ -46,6 +46,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.schema import FIELDS
+
 INFINITY = math.inf
 
 
@@ -102,8 +104,8 @@ class ColumnRowView:
     per-packet functions (ALU updates, predicates, merge replays) run
     unchanged over columnar batches; the underlying values are native
     Python scalars, so arithmetic is bit-identical to the
-    row-at-a-time path.  Shared by the switch pipeline's batch
-    fallbacks and the vectorized split store's replay path.
+    row-at-a-time path.  Shared by the switch pipeline's row engine
+    and the vectorized split store's replay path.
     """
 
     __slots__ = ("_columns", "_index")
@@ -118,9 +120,12 @@ class ColumnRowView:
         except KeyError:
             raise AttributeError(name) from None
 
-#: numpy dtypes used by the columnar representation.
-_COLUMN_DTYPES: dict[str, str] = {name: "int64" for name in RECORD_FIELDS}
-_COLUMN_DTYPES["tout"] = "float64"
+#: numpy dtypes used by the columnar representation: the carrier type
+#: of each field in the schema (:data:`repro.core.schema.FIELDS`), the
+#: one table the analyzer's key rule also reads.
+_COLUMN_DTYPES: dict[str, str] = {
+    f.name: "float64" if f.dtype == "float" else "int64" for f in FIELDS
+}
 
 #: Per-field default values (the PacketRecord dataclass defaults),
 #: used to fill columns absent from ``from_arrays`` input.

@@ -329,28 +329,23 @@ def simulate_eviction_count(keys: "Iterator[int] | list[int]",
     matter.  Semantically identical to driving :class:`KeyValueCache`
     with unit values.
 
-    ``keys`` may be any iterable of hashable keys — including a numpy
-    array, which is consumed natively (no Python-list round trip at the
-    call sites).  ``engine`` selects the implementation: ``"row"`` is
-    this per-access reference loop, ``"vector"`` the array-native
-    simulator of :mod:`repro.switch.kvstore.vector_cache` (bit-identical
-    counters, orders of magnitude faster on large integer streams), and
-    ``"auto"`` picks the vector engine whenever the stream is an
-    integer array (anything else — tuples, arbitrary hashables — falls
-    back to the row loop).
+    ``engine`` selects the implementation: ``"row"`` is this
+    per-access reference loop, which takes any iterable of hashable
+    keys; ``"vector"`` (and ``"auto"``, the same engine) is the
+    array-native simulator of :mod:`repro.switch.kvstore.vector_cache`
+    (bit-identical counters, orders of magnitude faster on large
+    streams), whose door
+    (:func:`~repro.switch.kvstore.vector_cache.key_array`) takes an
+    integer array or any iterable of integer keys or integer tuples,
+    types an empty stream as int64, and rejects anything else with a
+    :class:`HardwareError` that names ``engine="row"``.
     """
     if engine not in ENGINES:
         raise HardwareError(f"engine must be one of {ENGINES}, got {engine!r}")
     if engine != "row":
-        from .vector_cache import VectorCacheSim, _as_key_array
+        from .vector_cache import VectorCacheSim
 
-        arr = _as_key_array(keys)
-        if arr is not None:
-            return VectorCacheSim(arr, seed=seed).stats(geometry, policy=policy)
-        if engine == "vector":
-            arr = np.asarray([tuple(k) if isinstance(k, tuple) else k
-                              for k in keys])
-            return VectorCacheSim(arr, seed=seed).stats(geometry, policy=policy)
+        return VectorCacheSim(keys, seed=seed).stats(geometry, policy=policy)
     if isinstance(keys, np.ndarray):
         # The row loop is fastest over native ints; tolist() also makes
         # hashing/equality trivially identical to historical list input.

@@ -600,7 +600,8 @@ class VectorCacheSim:
 
     Args:
         keys: 1-D integer array (scalar keys) or 2-D ``(n, k)`` array
-            (tuple keys, one column per part).
+            (tuple keys, one column per part), or any iterable
+            :func:`key_array` turns into one.
         seed: Hash seed (and RNG seed for the random policy).
         key_ids: Optional precomputed dense key ids (equal key ⇔ equal
             id, values in ``[0, 2^31)``) — callers that already
@@ -610,21 +611,16 @@ class VectorCacheSim:
 
     def __init__(self, keys: np.ndarray, seed: int = 0,
                  key_ids: np.ndarray | None = None):
-        keys = np.asarray(keys)
-        if keys.dtype.kind not in "iub":
-            raise HardwareError(
-                f"vector cache engine needs integer keys, got {keys.dtype}")
+        keys = key_array(keys)
         self.seed = seed
         if keys.ndim == 2:
             self._hashes = mix_key_array(keys, seed)
             self._ids = key_ids.astype(np.int32, copy=False) \
                 if key_ids is not None else _factorize_rows(keys)
-        elif keys.ndim == 1:
+        else:
             self._hashes = None      # lazy: single-bucket paths never hash
             self._ids = None         # lazy: dense int32 ids, on first use
             self._raw = keys
-        else:
-            raise HardwareError("key array must be 1-D or 2-D")
         if len(keys) >= 1 << 31:
             raise HardwareError("vector cache engine caps streams at 2^31")
         self.n = len(keys)
@@ -1032,19 +1028,30 @@ def _factorize_rows(keys: np.ndarray) -> np.ndarray:
     return ids
 
 
-def _as_key_array(keys) -> np.ndarray | None:
-    """Try to view ``keys`` as an integer numpy array; None if the
-    stream is not representable (non-integers, oversized ints, ...)."""
-    if isinstance(keys, np.ndarray):
-        arr = keys
-    else:
+def key_array(keys) -> np.ndarray:
+    """The vector cache engine's door: ``keys`` — an integer array, or
+    any iterable of integer keys or equal-length integer tuples — as a
+    1-D (scalar keys) or 2-D (tuple keys, one column per part) integer
+    array.  An empty stream is int64 whatever it came as.  Any other
+    stream raises :class:`HardwareError`: arbitrary hashable keys run
+    on ``engine="row"``."""
+    if not isinstance(keys, np.ndarray):
+        if not isinstance(keys, (list, tuple)):
+            keys = list(keys)
         try:
-            arr = np.asarray(keys)
-        except (TypeError, ValueError, OverflowError):
-            return None
-    if arr.ndim not in (1, 2) or arr.dtype.kind not in "iub":
-        return None
-    return arr
+            keys = np.asarray(keys)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise HardwareError(
+                f"vector cache engine needs integer keys ({exc}); pass "
+                'engine="row" for arbitrary hashable keys') from None
+    if keys.size == 0:
+        keys = keys.astype(np.int64)
+    if keys.ndim not in (1, 2) or keys.dtype.kind not in "iub":
+        raise HardwareError(
+            f"vector cache engine needs 1-D or 2-D integer keys, got a "
+            f"{keys.ndim}-D {keys.dtype} stream; pass "
+            'engine="row" for arbitrary hashable keys')
+    return keys
 
 
 def simulate_eviction_count_vector(keys, geometry: CacheGeometry,
@@ -1052,10 +1059,7 @@ def simulate_eviction_count_vector(keys, geometry: CacheGeometry,
                                    seed: int = 0) -> CacheStats:
     """One-shot vector-engine counterpart of
     :func:`repro.switch.kvstore.cache.simulate_eviction_count`."""
-    arr = _as_key_array(keys)
-    if arr is None:
-        arr = np.asarray(list(keys), dtype=np.int64)
-    return VectorCacheSim(arr, seed=seed).stats(geometry, policy=policy)
+    return VectorCacheSim(keys, seed=seed).stats(geometry, policy=policy)
 
 
 def window_validity_vector(keys, geometry: CacheGeometry,
@@ -1063,7 +1067,4 @@ def window_validity_vector(keys, geometry: CacheGeometry,
                            policy: str = "lru") -> tuple[int, int]:
     """(valid, total) keys for one window — the vector engine behind
     ``repro.analysis.accuracy._window_validity``."""
-    arr = _as_key_array(keys)
-    if arr is None:
-        arr = np.asarray(list(keys), dtype=np.int64)
-    return VectorCacheSim(arr, seed=seed).validity(geometry, policy=policy)
+    return VectorCacheSim(keys, seed=seed).validity(geometry, policy=policy)

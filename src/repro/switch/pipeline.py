@@ -16,38 +16,30 @@ program's software stages over the collected results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
 from repro.core.errors import (
     CheckpointError,
     CompileError,
-    HardwareError,
     InterpreterError,
     SessionConfigError,
 )
 from repro.core.eval_expr import Numeric
 from repro.core.interpreter import ResultTable, Row
 from repro.core.plan import GroupByStage, SelectStage, SwitchProgram
-from repro.core.vector_exec import (
-    ArrayContext,
-    VectorizationError,
-    as_column,
-    eval_array,
-    eval_mask,
-)
+from repro.core.vector_exec import ArrayContext, as_column, eval_array, eval_mask
 from repro.network.records import ColumnRowView, as_table
 
-from .alu import compile_predicate, compile_scalar
 from .kvstore.cache import CacheGeometry, CacheStats
 from .kvstore.split import SplitKeyValueStore
 from .kvstore.windowed_store import WindowedVectorStore
 from .parser_model import ParserConfig, configure_parser
 
 #: Chunk size for the batch execution path: large enough to amortise
-#: the per-chunk vector work, small enough to keep the per-chunk Python
-#: lists cache-friendly.
+#: the per-chunk vector work, small enough to keep the row engine's
+#: per-chunk Python lists cache-friendly.
 DEFAULT_CHUNK_SIZE = 1 << 16
 
 #: Default cache geometry: the paper's target configuration — 32 Mbit
@@ -67,11 +59,10 @@ class SessionConfig:
       vectorized executor and the schedule-driven
       :class:`~repro.switch.kvstore.windowed_store.WindowedVectorStore`),
       ``"row"`` (the reference interpreter and the per-packet
-      :class:`SplitKeyValueStore`, the oracle), or ``"auto"`` (vector
-      wherever the query allows: a vectorizable ``WHERE``, integer
-      keys).  Input is columnized at the door whatever its shape, so
-      the knob alone decides; every engine produces bit-identical
-      results.
+      :class:`SplitKeyValueStore`, the oracle); ``"auto"`` is
+      ``"vector"``.  Input is columnized at the door whatever its
+      shape, so the knob alone decides; every engine produces
+      bit-identical results.
     * ``geometry``: cache geometry for every ``GROUPBY`` stage, or a
       per-query-name mapping.
     * ``policy``: cache eviction policy; ``seed``: cache hash seed.
@@ -141,71 +132,30 @@ class SessionConfig:
                 "engine": self.engine}
 
 
-class _LazyRowLists:
-    """Per-chunk column→list conversion, deferred until a stage
-    actually needs per-packet row views.
-
-    The vector-store path never does, so fully vectorized runs skip
-    the per-chunk ``tolist`` round trip entirely; row-path stages and
-    vectorization fallbacks materialise once per chunk, exactly like
-    the previous eager behaviour.
-    """
-
-    __slots__ = ("_chunk", "_fields", "_lists")
-
-    def __init__(self, chunk: Mapping[str, np.ndarray],
-                 fields: tuple[str, ...]):
-        self._chunk = chunk
-        self._fields = fields
-        self._lists: dict[str, list] | None = None
-
-    def materialize(self) -> dict[str, list]:
-        if self._lists is None:
-            self._lists = {name: self._chunk[name].tolist()
-                           for name in self._fields}
-        return self._lists
-
-
 class _SelectRunner:
-    """Per-packet filter + projection stage."""
+    """Per-packet filter + projection stage, evaluated per chunk: one
+    mask evaluation plus one array expression per output column."""
 
     def __init__(self, stage: SelectStage, params: Mapping[str, Numeric]):
         self.stage = stage
         self.params = params
-        self.predicate = compile_predicate(stage.where, params)
-        self.extractors: list[tuple[str, Callable]] = [
-            (col.name, compile_scalar(col.expr, params)) for col in stage.columns
-        ]
         self.rows: list[Row] = []
 
-    def process(self, record: object) -> None:
-        if not self.predicate(record):
-            return
-        self.rows.append({name: fn(record) for name, fn in self.extractors})
-
-    def process_batch(self, ctx: ArrayContext, rows: _LazyRowLists) -> None:
-        """Vectorized chunk: one mask evaluation plus one array
-        expression per output column, instead of per-packet calls."""
-        try:
-            mask = eval_mask(self.stage.where, ctx)
-            if mask is None:
-                sel_ctx = ctx
-            else:
-                sel = np.flatnonzero(mask)
-                sel_ctx = ArrayContext(
-                    {name: arr[sel] for name, arr in ctx.columns.items()},
-                    self.params, len(sel),
-                )
-            names = [col.name for col in self.stage.columns]
-            data = [
-                as_column(eval_array(col.expr, sel_ctx), sel_ctx.n).tolist()
-                for col in self.stage.columns
-            ]
-        except VectorizationError:
-            row_lists = rows.materialize()
-            for i in range(ctx.n):
-                self.process(ColumnRowView(row_lists, i))
-            return
+    def process_batch(self, ctx: ArrayContext) -> None:
+        mask = eval_mask(self.stage.where, ctx)
+        if mask is None:
+            sel_ctx = ctx
+        else:
+            sel = np.flatnonzero(mask)
+            sel_ctx = ArrayContext(
+                {name: arr[sel] for name, arr in ctx.columns.items()},
+                self.params, len(sel),
+            )
+        names = [col.name for col in self.stage.columns]
+        data = [
+            as_column(eval_array(col.expr, sel_ctx), sel_ctx.n).tolist()
+            for col in self.stage.columns
+        ]
         self.rows.extend(dict(zip(names, values)) for values in zip(*data))
 
     def result_table(self) -> ResultTable:
@@ -215,138 +165,65 @@ class _SelectRunner:
 class _GroupByRunner:
     """Match stage + split key-value store.
 
-    The config's ``engine`` selects the store implementation:
-    ``"row"`` runs the matching packets of each chunk one by one
-    through :class:`SplitKeyValueStore`; ``"vector"``/``"auto"`` feed
+    The config's ``engine`` builds the store once: ``"row"`` runs the
+    matching packets of each chunk one by one through
+    :class:`SplitKeyValueStore` (the oracle); every other engine feeds
     the WHERE-filtered key/value columns to a
-    :class:`~repro.switch.kvstore.windowed_store.WindowedVectorStore`,
-    whose schedule-driven execution runs once per ``window`` (once per
-    read without one; bit-identical results either way).  Queries the
-    vector store cannot take (non-integer keys, unvectorizable
-    predicates, missing fold columns) fall back to the row store —
-    the mode is decided once, on the first chunk, from the query and
-    the column dtypes, and is deterministic across chunks.
+    :class:`~repro.switch.kvstore.windowed_store.WindowedVectorStore`
+    (or to the sharded proxy over one per worker), whose
+    schedule-driven execution runs once per ``window`` (once per read
+    without one; bit-identical results either way).  Key columns are
+    integers by construction: the analyzer rejects a non-integer key
+    field (``RPR-E302``) before any store is built.
     """
 
     def __init__(self, stage: GroupByStage, geometry: CacheGeometry,
                  params: Mapping[str, Numeric], config: SessionConfig,
                  shard_pool=None, shard_index: int = 0):
         self.stage = stage
-        self.params = params
-        self.config = config
-        self.predicate = compile_predicate(stage.where, params)
-        self._geometry = geometry
-        self._sharded = shard_pool is not None
-        if self._sharded:
+        self.mode = "row" if config.engine == "row" else "vector"
+        if shard_pool is not None:
             from .kvstore.sharded import ShardedStoreProxy
 
             self.store = ShardedStoreProxy(
                 stage, shard_index, shard_pool, geometry,
                 params=params, seed=config.seed)
-        else:
+        elif self.mode == "row":
             self.store = SplitKeyValueStore(
                 stage, geometry, params=params, policy=config.policy,
                 seed=config.seed, refresh_interval=config.refresh_interval)
-        self._mode: str | None = None
+        else:
+            self.store = WindowedVectorStore(
+                stage, geometry, params=params, policy=config.policy,
+                seed=config.seed, refresh_interval=config.refresh_interval,
+                window=config.window)
 
-    def _make_vector_store(self) -> WindowedVectorStore:
-        config = self.config
-        return WindowedVectorStore(
-            self.stage, self._geometry, params=self.params,
-            policy=config.policy, seed=config.seed,
-            refresh_interval=config.refresh_interval, window=config.window)
-
-    def process(self, record: object) -> None:
-        """Row mode's per-packet fallback (unvectorizable ``WHERE``)."""
-        if self.predicate(record):
-            self.store.process(record)
-
-    def _decide_mode(self, ctx: ArrayContext) -> str:
-        if self._sharded:
-            self._require_vector(ctx)
-            return "vector"
-        if self.config.engine == "row":
-            return "row"
-        try:
-            eval_mask(self.stage.where, ctx)
-        except VectorizationError:
-            return "row"
-        columns = ctx.columns
-        if not all(f in columns and columns[f].dtype.kind in "iub"
-                   for f in self.stage.key.fields):
-            return "row"
-        vstore = self._make_vector_store()
-        if not all(f in columns for f in vstore.needed_fields):
-            return "row"
-        self.store = vstore
-        return "vector"
-
-    def _require_vector(self, ctx: ArrayContext) -> None:
-        """Sharded stages have no row fallback — the conditions
-        ``"auto"`` would silently fall back on raise instead."""
-        try:
-            eval_mask(self.stage.where, ctx)
-        except VectorizationError as exc:
-            raise HardwareError(
-                f"sharded execution needs a vectorizable WHERE for "
-                f"stage {self.stage.query_name!r}: {exc}") from exc
-        columns = ctx.columns
-        bad = [f for f in self.stage.key.fields
-               if f not in columns or columns[f].dtype.kind not in "iub"]
-        if bad:
-            raise HardwareError(
-                f"sharded execution needs integer key columns; stage "
-                f"{self.stage.query_name!r} is missing {bad[0]!r} (or it "
-                f"is non-integer)")
-        missing = [f for f in self.store.needed_fields if f not in columns]
-        if missing:
-            raise HardwareError(
-                f"sharded execution is missing fold input column "
-                f"{missing[0]!r} for stage {self.stage.query_name!r}")
-
-    def process_batch(self, ctx: ArrayContext, rows: _LazyRowLists) -> None:
+    def process_batch(self, ctx: ArrayContext,
+                      row_lists: Mapping[str, list] | None) -> None:
         """Chunk path: the WHERE mask and the key columns are extracted
         once per chunk.  Vector mode queues the filtered arrays for the
         schedule-driven store; row mode runs the sequential cache
-        machinery per matching packet with pre-built keys."""
-        if self._mode is None:
-            self._mode = self._decide_mode(ctx)
-        if self._mode == "vector":
-            mask = eval_mask(self.stage.where, ctx)
-            keys = np.column_stack([
-                ctx.columns[f].astype(np.int64, copy=False)
-                for f in self.stage.key.fields
-            ])
-            needed = self.store.needed_fields
-            if mask is None:
-                cols = {f: ctx.columns[f] for f in needed}
-            else:
-                sel = np.flatnonzero(mask)
-                keys = keys[sel]
-                cols = {f: ctx.columns[f][sel] for f in needed}
-            self.store.add_batch(keys, cols)
-            return
-        try:
-            mask = eval_mask(self.stage.where, ctx)
-            key_columns = [
-                ctx.columns[f].tolist() for f in self.stage.key.fields
-            ]
-        except (VectorizationError, KeyError):
-            row_lists = rows.materialize()
-            for i in range(ctx.n):
-                self.process(ColumnRowView(row_lists, i))
-            return
-        row_lists = rows.materialize()
-        indices = range(ctx.n) if mask is None else np.flatnonzero(mask).tolist()
-        keys = zip(*key_columns)
-        process_keyed = self.store.process_keyed
-        if mask is None:
-            for i, key in enumerate(keys):
-                process_keyed(key, ColumnRowView(row_lists, i))
-        else:
-            keys = list(keys)
+        machinery per matching packet with pre-built keys, over
+        ``row_lists`` (the chunk's parsed fields as Python lists)."""
+        mask = eval_mask(self.stage.where, ctx)
+        key_columns = [ctx.columns[f] for f in self.stage.key.fields]
+        if self.mode == "row":
+            keys = list(zip(*(c.tolist() for c in key_columns)))
+            indices = (range(ctx.n) if mask is None
+                       else np.flatnonzero(mask).tolist())
+            process_keyed = self.store.process_keyed
             for i in indices:
                 process_keyed(keys[i], ColumnRowView(row_lists, i))
+            return
+        keys = np.column_stack(key_columns)
+        needed = self.store.needed_fields
+        if mask is None:
+            cols = {f: ctx.columns[f] for f in needed}
+        else:
+            sel = np.flatnonzero(mask)
+            keys = keys[sel]
+            cols = {f: ctx.columns[f][sel] for f in needed}
+        self.store.add_batch(keys, cols)
 
 
 class SwitchPipeline:
@@ -375,6 +252,11 @@ class SwitchPipeline:
         if missing:
             raise InterpreterError(f"unbound query parameters: {sorted(missing)}")
         self.parser: ParserConfig = configure_parser(program.parse_fields)
+        # Deferred import, as in SessionConfig: no store is allocated
+        # for a key the hardware cannot parse.
+        from repro.core.analyze import require_integer_keys
+
+        require_integer_keys(program.groupby_stages)
         self._selects = [_SelectRunner(s, self.params) for s in program.select_stages]
         geometries = [self._geometry_for(s.query_name, config.geometry)
                       for s in program.groupby_stages]
@@ -408,25 +290,27 @@ class SwitchPipeline:
         :func:`~repro.network.records.as_table` accepts) through every
         stage in chunks of :data:`DEFAULT_CHUNK_SIZE`: per chunk, each
         stage's WHERE mask and key arrays are computed vectorized, and
-        only row mode's sequential cache machinery runs per packet."""
+        only the row engine's sequential cache machinery runs per
+        packet."""
         table = as_table(records)
         columns = table.columns()
         n = len(table)
-        # Only the fields the program parses are ever converted to
-        # Python lists for the per-packet update functions (§3.1: the
-        # programmable parser extracts exactly the configured fields) —
-        # and only lazily, when a stage actually runs a per-packet
-        # path; fully vectorized chunks never pay for the lists.
+        # The row engine's per-packet update functions read the fields
+        # the program parses (§3.1: the programmable parser extracts
+        # exactly the configured fields) as Python lists, converted
+        # once per chunk; the vector stores never need them.
         fields = tuple(self.program.parse_fields) or tuple(columns)
+        row_engine = self.config.engine == "row"
         for lo in range(0, n, DEFAULT_CHUNK_SIZE):
             hi = min(lo + DEFAULT_CHUNK_SIZE, n)
             chunk = {name: arr[lo:hi] for name, arr in columns.items()}
-            rows = _LazyRowLists(chunk, fields)
+            row_lists = ({name: chunk[name].tolist() for name in fields}
+                         if row_engine else None)
             ctx = ArrayContext(chunk, self.params, hi - lo)
             for select in self._selects:
-                select.process_batch(ctx, rows)
+                select.process_batch(ctx)
             for groupby in self._groupbys:
-                groupby.process_batch(ctx, rows)
+                groupby.process_batch(ctx, row_lists)
             self.packets_seen += hi - lo
         return self
 
@@ -492,27 +376,26 @@ class SwitchPipeline:
 
     def checkpoint_state(self) -> dict:
         """Plain-data snapshot of every stage: accumulated select rows,
-        each groupby runner's decided mode and store state (collected
+        each groupby runner's store mode and store state (collected
         per worker over the shard fabric when sharded)."""
         state = {
             "packets_seen": self.packets_seen,
             "selects": [list(s.rows) for s in self._selects],
-            "modes": [g._mode for g in self._groupbys],
+            "modes": [g.mode for g in self._groupbys],
             "sharded": self._shard_pool is not None,
         }
         if self._shard_pool is not None:
             state["workers"] = self._shard_pool.checkpoint_workers()
             state["proxy_pos"] = [g.store._pos for g in self._groupbys]
         else:
-            state["stores"] = [
-                g.store.checkpoint_state() if g._mode is not None else None
-                for g in self._groupbys
-            ]
+            state["stores"] = [g.store.checkpoint_state()
+                               for g in self._groupbys]
         return state
 
     def restore_state(self, state: dict) -> None:
         """Load a :meth:`checkpoint_state` payload into this (freshly
-        constructed) pipeline."""
+        constructed) pipeline.  A stage recorded with mode ``None`` and
+        no store state was never fed; its fresh store stays as built."""
         if self.packets_seen:
             raise CheckpointError("restore target pipeline must be fresh")
         if (len(state["selects"]) != len(self._selects)
@@ -523,24 +406,23 @@ class SwitchPipeline:
             raise CheckpointError(
                 "snapshot was taken with a different shards= setting; "
                 "resume with the same shard count it was saved with")
+        for g, mode in zip(self._groupbys, state["modes"]):
+            if mode not in (None, g.mode):
+                raise CheckpointError(
+                    f"stage {g.stage.query_name!r} was checkpointed on "
+                    f"the {mode} store; this session runs the {g.mode} "
+                    f"store")
         self.packets_seen = state["packets_seen"]
         for select, rows in zip(self._selects, state["selects"]):
             select.rows = list(rows)
         if self._shard_pool is not None:
             self._shard_pool.restore_workers(state["workers"])
-            for g, pos, mode in zip(self._groupbys, state["proxy_pos"],
-                                    state["modes"]):
+            for g, pos in zip(self._groupbys, state["proxy_pos"]):
                 g.store._pos = pos
-                g._mode = mode
         else:
-            for g, store_state, mode in zip(self._groupbys, state["stores"],
-                                            state["modes"]):
-                g._mode = mode
-                if store_state is None:
-                    continue
-                if mode == "vector":
-                    g.store = g._make_vector_store()
-                g.store.restore_state(store_state)
+            for g, store_state in zip(self._groupbys, state["stores"]):
+                if store_state is not None:
+                    g.store.restore_state(store_state)
 
     def cache_stats(self) -> dict[str, CacheStats]:
         return {g.stage.query_name: g.store.stats for g in self._groupbys}

@@ -16,7 +16,8 @@ Code families
 
 ``RPR-E0xx``  session/engine configuration errors (hard; raised at
               open time before any shard worker forks)
-``RPR-E3xx``  resource infeasibility (hard; §4 area model)
+``RPR-E3xx``  hardware infeasibility (hard; §3.1 key parser, §4 area
+              model)
 ``RPR-W1xx``  mergeability/shardability degradations (§3.2)
 ``RPR-W2xx``  value-range / overflow risks
 ``RPR-W4xx``  program hygiene (dead stages)
@@ -106,7 +107,7 @@ _REGISTRY: tuple[CodeInfo, ...] = (
         "engine must be one of {engines}, got {engine!r}",
         'pick one of "auto", "vector", "row"',
     ),
-    # -- resource infeasibility (§3.3/§4 area model) -----------------------
+    # -- hardware infeasibility (§3.1 key parser, §3.3/§4 area model) -----
     CodeInfo(
         "RPR-E301", "sram-wont-fit", "error", "open",
         "stage {stage!r} cache will not fit: {pairs} pairs x "
@@ -114,6 +115,13 @@ _REGISTRY: tuple[CodeInfo, ...] = (
         "{chip:.0f} mm2 die (budget {budget_pct:.1f}%)",
         "shrink the cache geometry, narrow the key/value layout, or "
         "raise area_budget",
+    ),
+    CodeInfo(
+        "RPR-E302", "non-integer-key", "error", "open",
+        "stage {stage!r} groups by {field!r}, a {dtype} field; the "
+        "switch keys its cache on fixed-width integer header fields",
+        "group by integer fields; use a float field in WHERE or as a "
+        "fold value",
     ),
     # -- mergeability / shardability (§3.2) --------------------------------
     CodeInfo(

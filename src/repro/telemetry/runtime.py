@@ -40,13 +40,8 @@ from repro.core.interpreter import Interpreter, ResultTable
 from repro.core.parser import parse_program
 from repro.core.plan import SwitchProgram
 from repro.core.semantics import ResolvedProgram, resolve_program
-from repro.core.vector_exec import (
-    ArrayContext,
-    VectorExecutor,
-    VectorizationError,
-    eval_mask,
-)
-from repro.network.records import ColumnRowView, ObservationTable, as_table
+from repro.core.vector_exec import ArrayContext, VectorExecutor, eval_mask
+from repro.network.records import ObservationTable, as_table
 from repro.switch.kvstore.cache import (
     CacheGeometry,
     CacheStats,
@@ -356,8 +351,9 @@ class QueryEngine:
 
         The input is columnized once, at the door; the session and the
         optional ground truth share that one table.  The ``engine``
-        knob alone picks the execution path: ``"auto"`` / ``"vector"``
-        run the chunked batch pipeline with the schedule-driven vector
+        knob alone picks the execution path: ``"vector"`` (and
+        ``"auto"``, which is the same engine) run the chunked batch
+        pipeline with the schedule-driven vector
         split store and the vectorized executor, ``"row"`` the
         reference store and the interpreter over the same columns.
         """
@@ -389,9 +385,9 @@ class QueryEngine:
 
         This is the §4 methodology as an operator tool: the stage's key
         stream is extracted from ``records`` once (WHERE mask + key
-        columns, vectorized for columnar tables), then each candidate
-        geometry is simulated with the engine the ``engine`` knob
-        selects — under ``"auto"``/``"vector"`` the array-native
+        columns), then each candidate geometry is simulated with the
+        engine the ``engine`` knob selects — under ``"auto"`` /
+        ``"vector"`` the array-native
         :class:`~repro.switch.kvstore.vector_cache.VectorCacheSim`,
         which shares layout work across the capacity sweep.  The
         predicted counters are bit-identical to what :meth:`run` with
@@ -401,25 +397,25 @@ class QueryEngine:
         ``ways`` mirrors the CLI: 0 = fully associative, 1 = hash
         table, otherwise ``ways``-way set-associative.
         """
+        from repro.core.analyze import require_integer_keys
+
+        require_integer_keys(self.compiled.groupby_stages)
         capacities = list(capacities)
         table = as_table(records)
         plans: dict[str, list[CachePlanPoint]] = {}
         for stage in self.compiled.groupby_stages:
             keys = self._stage_key_stream(stage, table)
-            use_vector = (self.config.engine != "row"
-                          and isinstance(keys, np.ndarray))
-            if use_vector:
+            if self.config.engine == "row":
+                key_list = [tuple(row) for row in keys.tolist()]
+                stats_for = lambda g: simulate_eviction_count(  # noqa: E731
+                    key_list, g, policy=self.config.policy,
+                    seed=self.config.seed, engine="row")
+            else:
                 from repro.switch.kvstore.vector_cache import VectorCacheSim
 
                 sim = VectorCacheSim(keys, seed=self.config.seed)
                 stats_for = lambda g: sim.stats(  # noqa: E731
                     g, policy=self.config.policy)
-            else:
-                if isinstance(keys, np.ndarray):
-                    keys = [tuple(row) for row in keys.tolist()]
-                stats_for = lambda g: simulate_eviction_count(  # noqa: E731
-                    keys, g, policy=self.config.policy,
-                    seed=self.config.seed, engine="row")
             plans[stage.query_name] = [
                 CachePlanPoint(
                     query=stage.query_name,
@@ -443,29 +439,14 @@ class QueryEngine:
 
     def _stage_key_stream(self, stage, table: ObservationTable):
         """The exact sequence of aggregation keys one stage's cache
-        sees: WHERE-filtered, in arrival order.  Returns a 2-D int
-        array (one column per key field) for integer keys, or a list
-        of key tuples (built from the columns) otherwise."""
+        sees: WHERE-filtered, in arrival order, as a 2-D int64 array
+        (one column per key field)."""
         columns = table.columns()
-        try:
-            mask = eval_mask(stage.where,
-                             ArrayContext(columns, self.params, len(table)))
-        except VectorizationError:
-            from repro.switch.alu import compile_predicate
-
-            predicate = compile_predicate(stage.where, self.params)
-            lists = {name: col.tolist() for name, col in columns.items()}
-            mask = np.fromiter(
-                (predicate(ColumnRowView(lists, i)) for i in range(len(table))),
-                dtype=bool, count=len(table))
-        cols = [columns[f] for f in stage.key.fields]
-        if all(c.dtype.kind in "iub" for c in cols):
-            keys = np.column_stack([c.astype(np.int64, copy=False) for c in cols])
-            return keys if mask is None else keys[mask]
-        rows = zip(*(c.tolist() for c in cols))
-        if mask is None:
-            return list(rows)
-        return [key for key, keep in zip(rows, mask.tolist()) if keep]
+        mask = eval_mask(stage.where,
+                         ArrayContext(columns, self.params, len(table)))
+        keys = np.column_stack([columns[f].astype(np.int64, copy=False)
+                                for f in stage.key.fields])
+        return keys if mask is None else keys[mask]
 
 
 def run(source: str, records: Iterable[object],

@@ -27,6 +27,18 @@ class TestPacketRecord:
         record = make_record(qid=7, srcip=1)
         assert record.key(("qid", "srcip")) == (7, 1)
 
+    def test_fields_and_column_dtypes_follow_the_schema(self):
+        """The door builds columns per record field with the schema's
+        carrier type, the table the analyzer's key rule reads."""
+        from repro.core.schema import FIELDS
+        from repro.network.records import RECORD_FIELDS
+
+        assert RECORD_FIELDS == tuple(f.name for f in FIELDS)
+        columns = as_table([make_record()]).columns()
+        for spec in FIELDS:
+            kind = "f" if spec.dtype == "float" else "i"
+            assert columns[spec.name].dtype.kind == kind, spec.name
+
 
 class TestColumnarConversion:
     def test_round_trip(self):

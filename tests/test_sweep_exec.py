@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from repro.core.errors import HardwareError
-from repro.analysis.accuracy import run_accuracy_sweep
+from repro.analysis.accuracy import _window_validity, run_accuracy_sweep
 from repro.analysis.eviction import run_eviction_sweep, scaled_capacity
 from repro.analysis.sweep_exec import (
-    resolve_engine,
     run_eviction_sweep_parallel,
     stats_fn,
 )
@@ -38,10 +37,22 @@ class TestEngines:
         row = run_accuracy_sweep(scale=SCALE, engine="row")
         assert accuracy_tuples(vec) == accuracy_tuples(row)
 
-    def test_auto_resolves_by_stream_type(self):
-        assert resolve_engine("auto", np.arange(4)) == "vector"
-        assert resolve_engine("auto", ["x", "y"]) == "row"
-        assert resolve_engine("row", np.arange(4)) == "row"
+    def test_auto_runs_vector_for_every_stream(self):
+        flat = np.tile(np.arange(50, dtype=np.int64), 8)
+        geometry = CacheGeometry.set_associative(16, 4)
+        for stream in (flat, flat.tolist(),
+                       [(k, k % 3) for k in flat.tolist()], []):
+            assert (stats_fn(stream, 5, "auto")(geometry)
+                    == stats_fn(stream, 5, "vector")(geometry))
+            assert (_window_validity(stream, geometry, 5, engine="auto")
+                    == _window_validity(stream, geometry, 5, engine="vector"))
+        for engine in ("auto", "vector"):
+            with pytest.raises(HardwareError, match='engine="row"'):
+                stats_fn(["x", "y"], 5, engine)
+            with pytest.raises(HardwareError, match='engine="row"'):
+                _window_validity(["x", "y"], geometry, 5, engine=engine)
+        fully = CacheGeometry.fully_associative(8)
+        assert stats_fn(["x", "y", "x"], 5, "row")(fully).hits == 1
 
     def test_invalid_engine_rejected(self):
         with pytest.raises(HardwareError):

@@ -219,10 +219,43 @@ class TestEngineDispatch:
         assert counters(simulate_eviction_count(keys, geometry, engine="row")) \
             == counters(simulate_eviction_count(keys, geometry, engine="vector"))
 
-    def test_auto_falls_back_for_hashables(self):
-        keys = [("a", 1), ("b", 2), ("a", 1)]
-        stats = simulate_eviction_count(keys, CacheGeometry.fully_associative(8))
-        assert stats.hits == 1
+    @pytest.mark.parametrize("form", ["array", "ints", "tuples",
+                                      "generator", "empty"])
+    def test_auto_is_vector_for_every_integer_stream(self, form):
+        rng = np.random.default_rng(11)
+        flat = rng.integers(0, 40, 600)
+        pairs = rng.integers(0, 8, (600, 2))
+        streams = {
+            "array": lambda: flat.astype(np.int64),
+            "ints": lambda: flat.tolist(),
+            "tuples": lambda: [tuple(r) for r in pairs.tolist()],
+            "generator": lambda: (k for k in flat.tolist()),
+            "empty": lambda: [],
+        }
+        geometry = CacheGeometry.set_associative(16, 4)
+        auto = simulate_eviction_count(streams[form](), geometry, engine="auto")
+        vec = simulate_eviction_count(streams[form](), geometry,
+                                      engine="vector")
+        row = simulate_eviction_count(streams[form](), geometry, engine="row")
+        assert auto == vec == row
+
+    @pytest.mark.parametrize("engine", ["auto", "vector"])
+    @pytest.mark.parametrize("keys", [
+        [("a", 1), ("b", 2), ("a", 1)],
+        [1.5, 2.5],
+        [(1, 2), (3,)],
+        [1 << 70],
+    ])
+    def test_non_integer_keys_name_the_row_engine(self, engine, keys):
+        with pytest.raises(HardwareError, match='engine="row"'):
+            simulate_eviction_count(keys, CacheGeometry.fully_associative(8),
+                                    engine=engine)
+
+    def test_row_engine_accepts_hashables(self):
+        keys = [("a", 1), ("b", 2), ("a", 1), 2.5, "x", 2.5]
+        stats = simulate_eviction_count(keys, CacheGeometry.fully_associative(8),
+                                        engine="row")
+        assert (stats.accesses, stats.hits) == (6, 2)
 
     def test_row_engine_accepts_tuple_key_arrays(self):
         rows = np.random.default_rng(4).integers(0, 20, (2000, 2))
@@ -235,6 +268,24 @@ class TestEngineDispatch:
         with pytest.raises(HardwareError):
             simulate_eviction_count([1], CacheGeometry.hash_table(4),
                                     engine="warp")
+
+
+class TestEmptyStreams:
+    """The cache-sim door types an empty stream as int64, so every
+    engine agrees on it whatever container it arrives in."""
+
+    EMPTY = {"list": lambda: [],
+             "int64": lambda: np.zeros(0, dtype=np.int64),
+             "pairs": lambda: np.zeros((0, 2))}
+
+    @pytest.mark.parametrize("form", sorted(EMPTY))
+    @pytest.mark.parametrize("engine", ["auto", "vector", "row"])
+    def test_empty_streams_agree_across_engines(self, form, engine):
+        geometry = CacheGeometry.set_associative(16, 4)
+        keys = self.EMPTY[form]()
+        stats = simulate_eviction_count(keys, geometry, engine=engine)
+        assert counters(stats) == (0, 0, 0, 0, 0)
+        assert _window_validity(keys, geometry, seed=3, engine=engine) == (0, 0)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(HardwareError):
