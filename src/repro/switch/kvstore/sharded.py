@@ -17,11 +17,12 @@ Every shard runs the unmodified single-process engine over its slice:
 * each key lives wholly in one shard, so the shard-local merged value
   *is* the final value.  Each worker ships its store's
   :class:`~repro.switch.kvstore.windowed_store.MergedState` (the one
-  merged-result form the single-process store's observables read) with
+  merged-result form the single-process store's observables read, for
+  every merge class: per-key arrays plus key-major segment logs) with
   each key's global first-access position, and the combine
-  concatenates those states — per-key arrays, or the union of the
-  backing entries — with a stable re-sort by first-access position,
-  which reproduces the single-process engines' result order exactly.
+  concatenates those states with a stable re-sort by first-access
+  position — the segment logs permuted with their keys — which
+  reproduces the single-process engines' result order exactly.
   The combined state answers every observable the same way the
   store's own does;
 * the windowed store is bit-identical for every window partitioning,
@@ -204,34 +205,38 @@ def _sum_stats(parts) -> CacheStats:
 
 def _combine(payloads: Sequence[dict]) -> tuple[CacheStats, MergedState]:
     """Shard payloads combined into one stage-level result.  Keys are
-    disjoint across shards, so the combine is a concatenation (or, on
-    the general path, a union of the backing entries) re-sorted stably
-    into global first-access key order.  Every shard of a stage runs
-    the same path: it is fixed by the stage when a store is built."""
+    disjoint across shards, so the combine is a concatenation re-sorted
+    stably into global first-access key order; the segment logs move
+    with their keys."""
     stats = _sum_stats(p["stats"] for p in payloads)
     live = [p for p in payloads if len(p["state"].keys)] or payloads[:1]
     states = [p["state"] for p in live]
     order = np.argsort(np.concatenate(
         [np.asarray(p["first_pos"], dtype=np.int64) for p in live]),
         kind="stable")
-    keys = np.concatenate([s.keys for s in states])[order]
-    writes = sum(s.writes for s in states)
-    if states[0].merged is not None:
-        merged = {
-            col: {var: np.concatenate([s.merged[col][var] for s in states])
-                  [order] for var in per_var}
-            for col, per_var in states[0].merged.items()
-        }
-        epochs = np.concatenate([s.epochs for s in states])[order]
-        return stats, MergedState(keys, writes, merged=merged, epochs=epochs)
-    pooled_keys = [key for s in states for key in s.key_tuples()]
-    key_list = [pooled_keys[i] for i in order.tolist()]
-    pooled = {}
-    for s in states:
-        pooled.update(s.entries)
-    entries = {key: pooled[key] for key in key_list if key in pooled}
-    return stats, MergedState(keys, writes, entries=entries,
-                              key_list=key_list)
+    epochs = np.concatenate([s.epochs for s in states])
+    take = _segment_order(epochs, order)
+    return stats, MergedState(
+        np.concatenate([s.keys for s in states])[order],
+        sum(s.writes for s in states),
+        epochs[order],
+        {col: {var: np.concatenate([s.merged[col][var] for s in states])
+               [order] for var in per}
+         for col, per in states[0].merged.items()},
+        {col: {var: np.concatenate([s.segments[col][var] for s in states])
+               [take] for var in per}
+         for col, per in states[0].segments.items()},
+    )
+
+
+def _segment_order(counts: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Positions that reorder a key-major segment log (``counts``
+    segments per key) into key order ``order``."""
+    starts = np.cumsum(counts) - counts
+    lens = counts[order]
+    ends = np.cumsum(lens)
+    return np.repeat(starts[order] - (ends - lens), lens) + \
+        np.arange(int(ends[-1]) if len(ends) else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +355,7 @@ class ShardedStoreProxy:
 
     def accuracy(self) -> float:
         self.finalize()
-        return self._final[1].accuracy(self.stage, self.params)
+        return self._final[1].accuracy()
 
     def snapshot(self, include_invalid: bool = False) -> StoreSnapshot:
         """Mid-stream combined observables: every worker snapshots its
@@ -363,4 +368,4 @@ class ShardedStoreProxy:
             table=state.table(self.stage, self.params,
                               include_invalid=include_invalid),
             stats=stats, backing_writes=state.writes,
-            accuracy=state.accuracy(self.stage, self.params))
+            accuracy=state.accuracy())

@@ -38,16 +38,21 @@ Python:
    reductions, offset by each epoch's carried packet count when the
    epoch continues from an earlier window.
 
-4. **Backing-store merge.** Closed epochs are absorbed into the backing
-   store in per-key chronological order (the only order merging
-   observes — a key has at most one open epoch at a time).  The common
-   all-additive case is itself vectorized: with zero initial state the
-   row store's nested ``evicted + (backing - init)`` merges reassociate
-   to a plain segmented sum (IEEE addition is commutative), so per-key
-   merged values fall out of ``np.add.at`` over the epoch values.
+4. **Backing-store merge.** Closed epochs are absorbed in per-key
+   chronological order (the only order merging observes — a key has at
+   most one open epoch at a time) into per-key merged arrays, for every
+   merge class, by one array mirror of
+   :func:`~repro.core.merge_synthesis.merge_values`
+   (:func:`absorb_epochs`).  Plain-additive folds (zero initial state)
+   are one ``np.add.at``: the row store's nested
+   ``evicted + (backing - init)`` merges reassociate to a segmented sum
+   (IEEE addition is commutative).  Every other merge — ``scale``,
+   ``matrix``, exact history's log replay — runs in rounds by each
+   key's closed-epoch rank, with a short tail on a scalar loop.  The
+   ``list`` class keeps no merged value: its segments are logged.
 
-:class:`VectorSplitStore` is the window-independent kernel — step 3,
-which every epoch layout shares.  The one concrete store is
+:class:`VectorSplitStore` is the window-independent kernel — steps 3
+and 4, which every epoch layout shares.  The one concrete store is
 :class:`~repro.switch.kvstore.windowed_store.WindowedVectorStore`, which
 runs steps 1, 2 and 4 once per window with carried state (one window
 for the whole stream when it is unbounded), exactly as a switch sees
@@ -61,7 +66,8 @@ catalog, every eviction policy, and adversarial streams.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple
+import warnings
+from typing import Mapping
 
 import numpy as np
 
@@ -73,6 +79,7 @@ from repro.core.merge_synthesis import (
     AuxState,
     State,
     init_aux,
+    merge_values,
     note_post_prefix_state,
     update_aux,
 )
@@ -83,6 +90,8 @@ from repro.core.vector_exec import (
     FoldVectorizer,
     GroupLayout,
     VectorizationError,
+    _int_bound,
+    _max_abs,
     as_column,
     eval_array,
     guard_int64_accumulation,
@@ -95,56 +104,42 @@ from .cache import CacheGeometry, CacheStats
 class _FoldEpochs:
     """Per-epoch end states and merge registers for one fold.
 
-    ``values`` maps state variables to per-epoch sequences.  The
+    ``arrays`` maps state variables to per-epoch arrays.  The
     vectorized paths keep the merge registers as per-epoch arrays in
     ``regs`` (keyed as :func:`register_keys` lists them); the replay
     fallback keeps real :data:`AuxState` dicts in ``aux_list``.
-    :meth:`aux` materialises one epoch's registers as a dict lazily
-    (only absorbed epochs pay for dict construction); :meth:`registers`
-    packs selected epochs' registers as arrays (the open-epoch carry).
+    :meth:`registers` packs selected epochs' registers as arrays (what
+    the merge kernel and the open-epoch carry read).
     """
 
-    __slots__ = ("spec", "values", "arrays", "aux_list", "regs",
-                 "_reg_lists")
+    __slots__ = ("spec", "arrays", "aux_list", "regs")
 
-    def __init__(self, spec, values: dict[str, list], arrays=None,
-                 aux_list=None, regs=None):
+    def __init__(self, spec, arrays: dict[str, np.ndarray], aux_list=None,
+                 regs=None):
         self.spec = spec
-        self.values = values
-        self.arrays = arrays            # vectorized paths: the numpy originals
+        self.arrays = arrays
         self.aux_list = aux_list        # replay fallback: real AuxState dicts
         self.regs: dict[tuple, np.ndarray] = regs or {}
-        self._reg_lists: dict[tuple, list] | None = None
-
-    def value(self, e: int) -> dict[str, Numeric]:
-        return {var: lst[e] for var, lst in self.values.items()}
-
-    def aux(self, e: int) -> AuxState:
-        if self.aux_list is not None:
-            return self.aux_list[e]
-        if self._reg_lists is None:
-            self._reg_lists = {key: arr.tolist()
-                               for key, arr in self.regs.items()}
-        return aux_from_registers(self.spec, self._reg_lists, e)
 
     def registers(self, eids: np.ndarray) -> dict[tuple, np.ndarray]:
         """The merge registers of epochs ``eids`` as arrays (packed from
         the replay fallback's dicts when the window fell back)."""
         if self.aux_list is None:
             return {key: arr[eids] for key, arr in self.regs.items()}
-        auxes = [self.aux_list[e] for e in eids.tolist()]
-        return {key: np.asarray([_register_value(aux, key) for aux in auxes])
-                for key in register_keys(self.spec)}
+        return pack_registers(self.spec,
+                              [self.aux_list[e] for e in eids.tolist()])
 
 
 def register_keys(spec) -> list[tuple]:
     """The array-carried merge registers of a fold, one key each: the
-    scale product ``("P", var)``; exact history's ``("seen",)``, packet
-    log ``("log", j, field)`` and post-prefix ``("snapshot", var)``.
-    (Full-matrix products are never array-carried.)"""
+    scale product ``("P", var)`` or the full-matrix product
+    ``("P", i, j)``; exact history's ``("seen",)``, packet log
+    ``("log", j, field)`` and post-prefix ``("snapshot", var)``."""
     keys: list[tuple] = []
     if spec.strategy == "scale":
         keys += [("P", var) for var in spec.order]
+    elif spec.strategy == "matrix":
+        keys += [("P", i, j) for i in spec.order for j in spec.order]
     if spec.exact_history:
         keys.append(("seen",))
         keys += [("log", j, f) for j in range(spec.history_depth)
@@ -161,6 +156,9 @@ def aux_from_registers(spec, lists: Mapping[tuple, list], i: int) -> AuxState:
     aux: AuxState = {}
     if spec.strategy == "scale":
         aux["P"] = {var: lists[("P", var)][i] for var in spec.order}
+    elif spec.strategy == "matrix":
+        aux["P"] = {(a, b): lists[("P", a, b)][i]
+                    for a in spec.order for b in spec.order}
     if spec.exact_history:
         k = spec.history_depth
         seen = lists[("seen",)][i]
@@ -172,12 +170,19 @@ def aux_from_registers(spec, lists: Mapping[tuple, list], i: int) -> AuxState:
     return aux
 
 
+def pack_registers(spec, auxes: list[AuxState]) -> dict[tuple, np.ndarray]:
+    """:data:`AuxState` dicts as per-register arrays (the inverse of
+    :func:`aux_from_registers`)."""
+    return {key: exact_array([_register_value(aux, key) for aux in auxes])
+            for key in register_keys(spec)}
+
+
 def _register_value(aux: AuxState, key: tuple) -> Numeric:
     """One register of an :data:`AuxState` dict (0 where undefined: a
     log slot not yet filled, a snapshot not yet taken)."""
     name = key[0]
     if name == "P":
-        return aux["P"][key[1]]
+        return aux["P"][key[1] if len(key) == 2 else key[1:]]
     if name == "seen":
         return aux["seen"]
     if name == "log":
@@ -187,24 +192,16 @@ def _register_value(aux: AuxState, key: tuple) -> Numeric:
     return 0 if snapshot is None else snapshot[key[1]]
 
 
-class _FoldCont(NamedTuple):
-    """Epoch-continuation inputs for one fold in one window: epochs of
-    the current window that resume a carried open epoch (``eids``, ids
-    in the *current* window's layout), with the carried end states and
-    auxiliary registers to resume from, aligned.
-
-    Only the folds the windowed store carries in per-key dicts —
-    full-matrix merges and exact-history ``scale`` — are continued this
-    way, always through :meth:`VectorSplitStore._replay_fold`.  Every
-    other fold is array-carried: the vectorized paths read
-    ``override``/``register`` of the windowed store's array-backed
-    continuation, which also provides these fields for the replay
-    fallback.
-    """
-
-    eids: np.ndarray
-    states: list[State]
-    auxes: list[AuxState]
+def exact_array(values: list) -> np.ndarray:
+    """Python numbers as an array without losing an integer: ``int64``
+    when every value is an int that fits, ``object`` (exact Python
+    ints) when one does not, numpy's choice otherwise."""
+    if values and all(type(v) is int for v in values):
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            return np.array(values, dtype=object)
+    return np.asarray(values)
 
 
 class VectorSplitStore:
@@ -214,11 +211,12 @@ class VectorSplitStore:
     :class:`~repro.switch.kvstore.split.SplitKeyValueStore`, fed whole
     column batches via ``add_batch`` instead of per-packet calls.
 
-    The schedule, the epoch cut and the backing-store merge belong to
+    The schedule, the epoch cut and the absorption target belong to
     the concrete store,
     :class:`~repro.switch.kvstore.windowed_store.WindowedVectorStore`,
-    which implements :meth:`finalize` and :meth:`result_table` (and the
-    rest of the observable surface).
+    which merges through :func:`absorb_epochs` and implements
+    :meth:`finalize` and :meth:`result_table` (and the rest of the
+    observable surface).
     """
 
     def __init__(
@@ -285,7 +283,7 @@ class VectorSplitStore:
                     else:
                         states = vec.run_rounds(ctx, layout,
                                                 init_override=override)
-                return _FoldEpochs(spec, _tolist_states(states))
+                return _FoldEpochs(spec, states)
             if spec.strategy == "additive":
                 # Exact history included: its registers continue by
                 # per-epoch offsets (see _eval_additive).
@@ -293,8 +291,7 @@ class VectorSplitStore:
             if spec.strategy == "scale" and not spec.exact_history:
                 return self._eval_scale(fold, vec, ctx, layout, cont)
             # Full-matrix merge products (and exact-history scale) are
-            # sequential and non-commutative: exact scalar replay — the
-            # only folds continued from carried dicts (_FoldCont).
+            # sequential and non-commutative: exact scalar replay.
             return self._replay_fold(fold, ctx, layout, cont)
         except VectorizationError:
             return self._replay_fold(fold, ctx, layout, cont)
@@ -364,8 +361,7 @@ class VectorSplitStore:
                 regs[("snapshot", var)] = snap
             np.add.at(out, layout.gid, b)
             states[var] = out
-        return _FoldEpochs(spec, _tolist_states(states), arrays=states,
-                           regs=regs)
+        return _FoldEpochs(spec, states, regs=regs)
 
     def _eval_scale(self, fold: FoldConfig, vec: FoldVectorizer,
                     ctx: ArrayContext, layout: GroupLayout,
@@ -399,17 +395,16 @@ class VectorSplitStore:
                 a = as_column(eval_array(coeff, pctx), ctx.n)
             np.multiply.at(prod, layout.gid, a)
             regs[("P", var)] = prod
-        return _FoldEpochs(spec, _tolist_states(states), regs=regs)
+        return _FoldEpochs(spec, states, regs=regs)
 
     def _replay_fold(self, fold: FoldConfig, ctx: ArrayContext,
-                     layout: GroupLayout,
-                     cont: _FoldCont | None = None) -> _FoldEpochs:
+                     layout: GroupLayout, cont=None) -> _FoldEpochs:
         """Exact scalar replay over the packed epoch layout — the same
         update/aux calls as the row store's per-packet path, minus the
         cache machinery.  Safety net for full-matrix merges and
         anything the array evaluator cannot express.  ``cont`` seeds
-        continuing epochs with (copies of) the carried state and
-        auxiliary registers."""
+        continuing epochs (``cont.eids``) with the carried state and
+        auxiliary registers as fresh dicts (``cont.dicts()``)."""
         spec = fold.merge
         update = compile_update(fold.alu.update_exprs, self.params)
         needs_aux = spec.strategy in ("scale", "matrix") or spec.exact_history
@@ -423,10 +418,11 @@ class VectorSplitStore:
         states: list[dict | None] = [None] * n_epochs
         auxes: list[AuxState | None] = [None] * n_epochs
         if cont is not None:
-            for e, state, aux in zip(cont.eids.tolist(), cont.states,
-                                     cont.auxes):
-                states[e] = dict(state)
-                auxes[e] = _copy_aux(aux)
+            carried_states, carried_auxes = cont.dicts()
+            for e, state, aux in zip(cont.eids.tolist(), carried_states,
+                                     carried_auxes):
+                states[e] = state
+                auxes[e] = aux
         exact_history = spec.exact_history
         for i in layout.order.tolist():      # epoch-major, time within
             e = gid_list[i]
@@ -441,26 +437,11 @@ class VectorSplitStore:
             state.update(update(row, state))
             if exact_history:
                 note_post_prefix_state(spec, auxes[e], state)
-        values = {
-            var: [state[var] for state in states]
+        arrays = {
+            var: exact_array([state[var] for state in states])
             for var in fold.instance.state_vars
         }
-        return _FoldEpochs(spec, values, aux_list=auxes)
-
-    # -- backing-store absorption --------------------------------------------
-
-    def _all_plain_additive(self) -> bool:
-        """True when every fold merges by plain addition from zero
-        initial state — the case where the row store's nested merges
-        reassociate to one segmented sum (see module docstring)."""
-        for fold in self.stage.folds:
-            spec = fold.merge
-            if spec.strategy != "additive" or spec.exact_history:
-                return False
-            if any(fold.instance.inits.get(var, 0) != 0
-                   for var in spec.order):
-                return False
-        return True
+        return _FoldEpochs(spec, arrays, aux_list=auxes)
 
 
 def _continue_logs(spec, ctx: ArrayContext, layout: GroupLayout,
@@ -491,27 +472,329 @@ def _continue_logs(spec, ctx: ArrayContext, layout: GroupLayout,
             regs[("log", j, f)] = vals
 
 
-def _copy_aux(aux: AuxState) -> AuxState:
-    """Copy carried auxiliary registers deeply enough that a replay
-    continuation cannot mutate the original (``update_aux`` mutates the
-    ``P`` dict in place and appends to the log list; the other entries
-    are replaced, never mutated)."""
-    out: AuxState = {}
-    for name, value in aux.items():
-        if isinstance(value, dict):
-            out[name] = dict(value)
-        elif isinstance(value, list):
-            out[name] = list(value)
-        else:
-            out[name] = value
-    return out
-
-
-def _tolist_states(states: dict[str, np.ndarray]) -> dict[str, list]:
-    """Per-epoch state arrays to native-scalar lists (the merge and the
-    result table operate on Python numbers, like the row store)."""
-    return {var: np.asarray(arr).tolist() for var, arr in states.items()}
-
-
 def _references_state(expr) -> bool:
     return any(isinstance(node, StateRef) for node in walk(expr))
+
+
+# ---------------------------------------------------------------------------
+# The merge kernel: closed epochs into per-key merged arrays
+# ---------------------------------------------------------------------------
+
+#: A merge round with fewer epochs than this — and every round after
+#: it, since a key's epochs come in consecutive rounds — runs on the
+#: scalar loop: per-round array overhead beats per-epoch Python there.
+_SCALAR_TAIL = 16
+
+
+def absorb_epochs(folds, params: Mapping[str, Numeric],
+                  merged: dict[str, dict[str, np.ndarray]],
+                  epochs: np.ndarray, gids: np.ndarray,
+                  values: Mapping[str, Mapping[str, np.ndarray]],
+                  regs: Mapping[str, Mapping[tuple, np.ndarray]]) -> None:
+    """Merge closed epochs into per-key merged arrays: the array form of
+    :meth:`~repro.switch.kvstore.backing.BackingStore.absorb` for every
+    mergeable fold, element for element.
+
+    ``gids[i]`` is the key of epoch ``i``; each key's epochs are
+    contiguous and chronological.  ``values[col][var]`` and
+    ``regs[col][reg]`` are aligned with ``gids``.  ``merged[col][var]``
+    are per-key arrays of length ``len(epochs)``, updated in place
+    (created, and dtype-promoted, by replacing the dict entry).
+    ``epochs`` counts each key's absorbed epochs: a key at 0 has no
+    backing value, and its first epoch is copied.  The caller counts
+    the new epochs and logs the ``list`` folds' segments.
+
+    Plain-additive folds (identity merge from zero initial state) add
+    with one order-preserving ``np.add.at``.  Every other merge applies
+    in rounds by each key's closed-epoch rank — per-key chronological,
+    so floats stay bit-identical — and finishes a short tail of rounds
+    on the scalar loop (:func:`merge_values` itself).
+    """
+    n = len(gids)
+    if not n or not merged:                 # nothing to merge
+        return
+    fresh = epochs[gids] == 0
+    run_start = np.empty(n, dtype=bool)
+    run_start[0] = True
+    np.not_equal(gids[1:], gids[:-1], out=run_start[1:])
+    if run_start.all():
+        # One epoch per key (every open-epoch absorption): one round.
+        last: np.ndarray | slice = slice(None)
+        rounds = (np.arange(n), np.array([0, n]))
+    else:
+        starts = np.flatnonzero(run_start)
+        lengths = np.diff(np.append(starts, n))
+        rank = np.arange(n) - np.repeat(starts, lengths)
+        fresh &= rank == 0
+        last = np.append(starts[1:], n) - 1
+        rounds = None
+    for fold in folds:
+        spec = fold.merge
+        if not spec.mergeable:
+            continue
+        target = merged[fold.column]
+        evicted = values[fold.column]
+        if _plain_additive(fold):
+            _absorb_additive(spec, target, len(epochs), gids, evicted,
+                             fresh, last)
+            continue
+        if rounds is None:
+            offsets = np.zeros(int(lengths.max()) + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rank), out=offsets[1:])
+            rounds = (np.argsort(rank, kind="stable"), offsets)
+        _merge_rounds(fold, params, target, len(epochs), gids, evicted,
+                      regs[fold.column], fresh, rounds)
+
+
+def _plain_additive(fold: FoldConfig) -> bool:
+    """Identity merge from zero initial state: the row store's nested
+    ``evicted + (backing - 0)`` merges are one segmented sum (IEEE
+    addition is commutative)."""
+    spec = fold.merge
+    return (spec.strategy == "additive" and not spec.exact_history
+            and all(fold.instance.inits.get(var, 0) == 0
+                    for var in spec.order))
+
+
+def _absorb_additive(spec, target: dict[str, np.ndarray], size: int,
+                     gids: np.ndarray, evicted: Mapping[str, np.ndarray],
+                     fresh: np.ndarray, last: np.ndarray | slice) -> None:
+    """Plain-additive folds: a key's first epoch is copied and the
+    rest added with one ``np.add.at`` per order variable; every other
+    variable takes the key's last epoch (``merge_values`` keeps the
+    evicted copy)."""
+    first_only = bool(fresh.all())          # then ``last`` takes them all
+    for var, vals in evicted.items():
+        if first_only or var not in spec.order:
+            scatter_promote(target, var, gids[last], vals[last], size)
+            continue
+        scatter_promote(target, var, gids[fresh], vals[fresh], size)
+        rest = ~fresh
+        g, v = gids[rest], vals[rest]
+        arr = target[var]
+        if (arr.dtype.kind in "iu" and v.dtype.kind in "iu" and len(v)
+                and _max_abs(arr[g]) + len(v) * _max_abs(v) >= 2 ** 63):
+            _warn_exact(var)
+            arr = target[var] = arr.astype(object)
+            v = v.astype(object)
+        np.add.at(arr, g, v)
+
+
+def _merge_rounds(fold: FoldConfig, params: Mapping[str, Numeric],
+                  target: dict[str, np.ndarray], size: int,
+                  gids: np.ndarray, evicted: Mapping[str, np.ndarray],
+                  regs: Mapping[tuple, np.ndarray], fresh: np.ndarray,
+                  rounds: tuple[np.ndarray, np.ndarray]) -> None:
+    """Apply one fold's merges round by round (round ``r`` merges every
+    key's ``r``-th closed epoch), then the scalar tail."""
+    spec = fold.merge
+    init = fold.instance.initial_state()
+    order, offsets = rounds
+    for var, vals in evicted.items():       # allocate before any gather
+        scatter_promote(target, var, gids[:0], vals[:0], size)
+    for r in range(len(offsets) - 1):
+        lo, hi = offsets[r], offsets[r + 1]
+        if hi - lo < _SCALAR_TAIL:
+            _merge_tail(spec, params, init, target, size, gids, evicted,
+                        regs, fresh, np.sort(order[lo:]))
+            return
+        idx = order[lo:hi]
+        if r == 0:                          # first epochs are copied
+            first = fresh[idx]
+            g = gids[idx[first]]
+            for var, vals in evicted.items():
+                scatter_promote(target, var, g, vals[idx[first]], size)
+            idx = idx[~first]
+            if not len(idx):
+                continue
+        g = gids[idx]
+        out = merge_arrays(
+            spec,
+            {var: vals[idx] for var, vals in evicted.items()},
+            {key: arr[idx] for key, arr in regs.items()},
+            {var: arr[g] for var, arr in target.items()},
+            init, params)
+        for var, vals in out.items():
+            scatter_promote(target, var, g, vals, size)
+
+
+def _merge_tail(spec, params: Mapping[str, Numeric], init: State,
+                target: dict[str, np.ndarray], size: int, gids: np.ndarray,
+                evicted: Mapping[str, np.ndarray],
+                regs: Mapping[tuple, np.ndarray], fresh: np.ndarray,
+                pos: np.ndarray) -> None:
+    """The scalar loop over the epochs at ``pos`` (ascending: key-major,
+    chronological): :func:`merge_values` on native scalars read from,
+    and written back to, the same arrays."""
+    g = gids[pos].tolist()
+    ev = {var: vals[pos].tolist() for var, vals in evicted.items()}
+    reg_lists = {key: arr[pos].tolist() for key, arr in regs.items()}
+    is_fresh = fresh[pos].tolist()
+    keys: list[int] = []
+    results: list[State] = []
+    for i, key in enumerate(g):
+        if not keys or keys[-1] != key:
+            keys.append(key)
+            results.append(None if is_fresh[i] else
+                           {var: arr.item(key) for var, arr in
+                            target.items()})
+        results[-1] = merge_values(
+            spec, evicted={var: vals[i] for var, vals in ev.items()},
+            aux=aux_from_registers(spec, reg_lists, i),
+            backing=results[-1], init_state=init, params=params)
+    key_arr = np.asarray(keys, dtype=np.int64)
+    for var in results[0]:
+        scatter_promote(target, var, key_arr,
+                        exact_array([state[var] for state in results]), size)
+
+
+def merge_arrays(spec, evicted: Mapping[str, np.ndarray],
+                 regs: Mapping[tuple, np.ndarray],
+                 backing: Mapping[str, np.ndarray], init_state: State,
+                 params: Mapping[str, Numeric]) -> dict[str, np.ndarray]:
+    """:func:`~repro.core.merge_synthesis.merge_values` over arrays of
+    epochs whose keys already hold a backing value: the same operations
+    in the same order on each element.  Integer operations that could
+    pass 2^63 run on exact Python ints (``object`` arrays) instead."""
+    if not spec.exact_history:
+        return _compose(spec, evicted, regs, backing, init_state)
+    # A nonempty epoch has a nonempty log: replay it against the true
+    # prior state.  An epoch that ended inside its replay prefix keeps
+    # the replayed state; the others compose the rest affinely.
+    state = _replay_log(spec, dict(backing), regs, params)
+    done = np.flatnonzero(regs[("seen",)] >= spec.history_depth)
+    if len(done):
+        composed = _compose(
+            spec,
+            {var: vals[done] for var, vals in evicted.items()},
+            {key: arr[done] for key, arr in regs.items()},
+            {var: arr[done] for var, arr in state.items()},
+            {var: regs[("snapshot", var)][done] for var in spec.order})
+        n = len(regs[("seen",)])
+        for var, vals in composed.items():
+            scatter_promote(state, var, done, vals, n)
+    return state
+
+
+def _compose(spec, evicted: Mapping[str, np.ndarray],
+             regs: Mapping[tuple, np.ndarray], base: Mapping[str, object],
+             ref: Mapping[str, object]) -> dict[str, np.ndarray]:
+    """``evicted + P·(base - ref)`` per merge strategy, with every other
+    variable kept from ``evicted`` (the non-replay half of
+    ``merge_values``)."""
+    merged = dict(evicted)
+    if spec.strategy == "additive":
+        for var in spec.order:
+            merged[var] = _int_safe(
+                np.add, evicted[var],
+                _int_safe(np.subtract, base[var], ref[var]))
+    elif spec.strategy == "scale":
+        for var in spec.order:
+            delta = _int_safe(np.subtract, base[var], ref[var])
+            merged[var] = _int_safe(
+                np.add, evicted[var],
+                _int_safe(np.multiply, regs[("P", var)], delta))
+    else:                                   # matrix
+        delta = {v: _int_safe(np.subtract, base[v], ref[v])
+                 for v in spec.order}
+        for i in spec.order:
+            correction: object = 0          # Python's sum() starts at int 0
+            for j in spec.order:
+                correction = _int_safe(
+                    np.add, correction,
+                    _int_safe(np.multiply, regs[("P", i, j)], delta[j]))
+            merged[i] = _int_safe(np.add, evicted[i], correction)
+    return merged
+
+
+def _replay_log(spec, state: dict[str, np.ndarray],
+                regs: Mapping[tuple, np.ndarray],
+                params: Mapping[str, Numeric]) -> dict[str, np.ndarray]:
+    """Replay each epoch's logged packets (its first ``min(k, seen)``)
+    through the if-converted update expressions, starting from
+    ``state``: log slot ``j`` is one array round over the epochs that
+    logged it.  An int64 step that could wrap runs on exact ints."""
+    seen = regs[("seen",)]
+    n = len(seen)
+    for j in range(spec.history_depth):
+        rows = np.flatnonzero(seen > j)
+        if not len(rows):
+            break
+        columns = {f: regs[("log", j, f)][rows] for f in spec.packet_fields}
+        pre = {var: arr[rows] for var, arr in state.items()}
+        if _may_wrap(spec.update_exprs, columns, pre, params):
+            _warn_exact(", ".join(spec.update_exprs))
+            columns = {f: _exact(c) for f, c in columns.items()}
+            pre = {var: _exact(a) for var, a in pre.items()}
+        ctx = ArrayContext(columns, params, len(rows), state=pre)
+        new = {var: as_column(eval_array(expr, ctx), len(rows))
+               for var, expr in spec.update_exprs.items()}
+        for var, vals in new.items():
+            scatter_promote(state, var, rows, vals, n)
+    return state
+
+
+def _may_wrap(exprs: Mapping[str, object], columns: Mapping[str, np.ndarray],
+              state: Mapping[str, np.ndarray],
+              params: Mapping[str, Numeric]) -> bool:
+    """Whether one round of ``exprs`` could produce an integer value (or
+    intermediate) of 2^63 or more (bounds as in the round-major fold
+    path, :func:`repro.core.vector_exec._int_bound`)."""
+    col_bounds = {f: _max_abs(c) for f, c in columns.items()
+                  if c.dtype.kind in "iu"}
+    state_bounds = {var: _max_abs(a) for var, a in state.items()
+                    if a.dtype.kind in "iu"}
+    worst = [0]
+    for expr in exprs.values():
+        bound = _int_bound(expr, col_bounds, state_bounds, params, worst)
+        worst[0] = max(worst[0], bound or 0)
+    return worst[0] >= 2 ** 63
+
+
+def _int_safe(op, a, b):
+    """``op(a, b)`` (add, subtract or multiply), on exact Python ints
+    when both operands are integers whose result could pass 2^63."""
+    if _is_int(a) and _is_int(b):
+        ba, bb = _bound(a), _bound(b)
+        if (ba * bb if op is np.multiply else ba + bb) >= 2 ** 63:
+            _warn_exact(op.__name__)
+            a, b = _exact(a), _exact(b)
+    return op(a, b)
+
+
+def _is_int(x) -> bool:
+    if isinstance(x, np.ndarray):
+        return x.dtype.kind in "iu"
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _bound(x) -> int:
+    return _max_abs(x) if isinstance(x, np.ndarray) else abs(int(x))
+
+
+def _exact(x):
+    """An integer array (or scalar) as exact Python ints."""
+    if isinstance(x, np.ndarray):
+        return x.astype(object) if x.dtype.kind in "iu" else x
+    return int(x) if isinstance(x, np.integer) else x
+
+
+def _warn_exact(what: str) -> None:
+    warnings.warn(
+        f"backing-store merge ({what}) may exceed int64; switching to "
+        f"exact Python-int arithmetic (slower, bit-identical to the row "
+        f"engine)", RuntimeWarning, stacklevel=4)
+
+
+def scatter_promote(target: dict, key, idx: np.ndarray, vals: np.ndarray,
+                    size: int) -> None:
+    """``target[key][idx] = vals``, creating the array (length ``size``)
+    or promoting its dtype (ints to floats, anything to ``object``) as
+    the values need."""
+    arr = target.get(key)
+    if arr is None:
+        arr = target[key] = np.zeros(size, dtype=vals.dtype)
+    promoted = np.result_type(arr.dtype, vals.dtype)
+    if promoted != arr.dtype:
+        arr = target[key] = arr.astype(promoted)
+    arr[idx] = vals

@@ -36,40 +36,43 @@ observable stays **bit-identical** to the per-packet row store, for
 
 2. **Carried open epochs.** A key's current cache-residency epoch can
    span windows.  Its partial fold state (and merge registers) is
-   carried — in per-key *arrays* for the vectorizable merge classes
-   (additive, exact-history additive included, scale, non-mergeable
-   value segments), in per-key dicts only for the sequential ones
-   (full-matrix, exact-history scale) — and injected as the initial
-   per-epoch state of the next window's segmented fold evaluation
-   (``init_override`` in :mod:`repro.core.vector_exec`); accumulations
+   carried in per-key *arrays*, for every merge class, and injected as
+   the initial per-epoch state of the next window's segmented fold
+   evaluation (``init_override`` in :mod:`repro.core.vector_exec`; the
+   sequential classes — full-matrix, exact-history scale — resume
+   their scalar replay from the same arrays as dicts); accumulations
    and round updates then perform the same scalar operations in the
    same order as an uncut epoch, so results are bit-identical.  An
    exact-history epoch's packet log, post-prefix snapshot and ``seen``
    count continue by per-epoch offsets from the carried ``seen`` (see
    ``VectorSplitStore._eval_additive``) — no replay.  An epoch
-   closes — and is absorbed into the backing store, in per-key
-   chronological order — when its key misses again, when a
-   periodic-refresh boundary passes (global positions), or when the
-   key is found non-resident at a window boundary (its next access, if
-   any, must miss, so the epoch is provably complete).  Open-epoch
-   state is therefore bounded by the cache capacity.
+   closes — and is absorbed, in per-key chronological order — when its
+   key misses again, when a periodic-refresh boundary passes (global
+   positions), or when the key is found non-resident at a window
+   boundary (its next access, if any, must miss, so the epoch is
+   provably complete).  Open-epoch state is therefore bounded by the
+   cache capacity.
 
-3. **Carried merges, one merged form.** The all-plain-additive fast
-   path keeps per-key accumulator arrays (one ``np.add.at`` per window
-   over global key ids) instead of a materialised backing store; the
-   general path absorbs into a real :class:`BackingStore` as epochs
-   close.  Window keys map to persistent global ids with one
-   ``searchsorted`` over an index of the known unique keys sorted by
-   one 64-bit value per key (the key itself for one field, a seeded
-   mix of the row otherwise), each match verified against the full
-   key row — no per-access Python; only rows whose hash collides are
-   resolved one by one.  The index is built on the first lookup (a
-   run that is one window never builds it) and merged incrementally
-   after that.  Either way the merged result is read through one
-   plain-data :class:`MergedState` (key rows in first-access order
-   plus the merged arrays or the backing entries):
+3. **Carried merges, one merged form for every merge class.** The
+   absorption target is one set of per-key arrays over persistent
+   global key ids: each key's absorbed-epoch count, each mergeable
+   fold's merged state (written by the merge kernel,
+   :func:`~repro.switch.kvstore.vector_store.absorb_epochs`, which
+   mirrors ``merge_values`` element for element), and each ``list``
+   fold's segment log (state values key-major; a key's segment count
+   is its epoch count).  No per-epoch Python dict is built: the row
+   engine's :class:`BackingStore` is the oracle, and is materialised
+   here only on demand for the ``.backing`` API.  Window keys map to
+   global ids with one ``searchsorted`` over an index of the known
+   unique keys sorted by one 64-bit value per key (the key itself for
+   one field, a seeded mix of the row otherwise), each match verified
+   against the full key row — no per-access Python; only rows whose
+   hash collides are resolved one by one.  The index is built on the
+   first lookup (a run that is one window never builds it) and merged
+   incrementally after that.  The merged result is read through one
+   plain-data :class:`MergedState`:
    :meth:`WindowedVectorStore.merged_state` builds it — views of the
-   final state once finalized, copies with every carried open epoch
+   final arrays once finalized, copies with every carried open epoch
    absorbed mid-stream — and ``result_table``, ``backing``,
    ``backing_writes``, ``accuracy`` and ``snapshot`` all read it.  A
    shard worker ships the same form, and the shard combine
@@ -84,14 +87,13 @@ intervals that cut mid-window.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
 
 from repro.core.errors import CheckpointError, HardwareError
-from repro.core.eval_expr import Numeric
+from repro.core.eval_expr import EvalContext, Numeric, evaluate
 from repro.core.interpreter import ResultTable
 from repro.core.merge_synthesis import AuxState, State
 from repro.core.plan import FoldConfig, GroupByStage
@@ -108,9 +110,9 @@ from .backing import BackingStore, KeyEntry
 from .cache import CacheGeometry, CacheStats
 from .vector_cache import _FILLER, _SKIP_BLOCK_START, VectorCacheSim, \
     _collapse_runs, _replay_segments, mix_key_array
-from .split import StoreSnapshot, build_result_table
-from .vector_store import VectorSplitStore, _FoldCont, _copy_aux, \
-    aux_from_registers
+from .split import StoreSnapshot
+from .vector_store import VectorSplitStore, absorb_epochs, \
+    aux_from_registers, exact_array, scatter_promote
 
 _U = np.uint64
 #: Seed of the global key index's row hash (any fixed value: the hash
@@ -126,97 +128,183 @@ class MergedState:
     data (it crosses the shard pipe): observables take the stage and
     params as arguments.
 
-    ``keys`` holds the key rows (2-D int64).  The all-plain-additive
-    path carries ``merged`` (fold -> state variable -> per-key array)
-    and per-key ``epochs``; the general path carries the backing
-    store's ``entries`` and the keys as tuples (``key_list``).
+    ``keys`` holds the key rows (2-D int64) and ``epochs`` each key's
+    absorbed epochs — also its segment count in every ``list`` fold.
+    ``merged`` maps each mergeable fold to its per-key state arrays
+    (fold -> variable -> array); ``segments`` maps each ``list`` fold
+    to its segment log (fold -> variable -> values key-major, each
+    key's segments chronological).
     """
 
     keys: np.ndarray
     writes: int
-    merged: dict[str, dict[str, np.ndarray]] | None = None
-    epochs: np.ndarray | None = None
-    entries: dict[tuple, KeyEntry] | None = None
-    key_list: list[tuple] | None = None
+    epochs: np.ndarray
+    merged: dict[str, dict[str, np.ndarray]]
+    segments: dict[str, dict[str, np.ndarray]]
     _backing: BackingStore | None = field(default=None, init=False,
                                           repr=False)
 
     def key_tuples(self) -> list[tuple]:
-        """The keys as tuples, in row order — built on demand on the
-        all-additive path, whose table reads the key columns directly."""
-        if self.key_list is not None:
-            return self.key_list
+        """The keys as tuples of Python ints, in row order."""
         return _row_tuples(self.keys)
+
+    def valid(self) -> np.ndarray | None:
+        """Per-key validity (§3.2: a key is invalid once a ``list`` fold
+        holds more than one segment for it); ``None`` when the stage has
+        no ``list`` fold."""
+        if not self.segments:
+            return None
+        return self.epochs <= 1
 
     def table(self, stage: GroupByStage, params: Mapping[str, Numeric],
               include_invalid: bool = False) -> ResultTable:
-        """The stage's result table.  The all-additive path reads the
-        merged arrays; the general path (and a derived column the array
-        evaluator cannot express) builds the rows from the backing
-        store and packs complete ones into columns (:func:`_columnar`)."""
-        if self.merged is not None:
-            n = len(self.keys)
-            out: dict[str, np.ndarray] = {
-                name: self.keys[:, j]
-                for j, name in enumerate(stage.key.fields)
-            }
-            try:
-                for col in stage.output.columns:
-                    if col.kind == "agg":
-                        out[col.name] = self.merged[col.fold][col.state_var]
-                    elif col.kind == "derived":
-                        dctx = ArrayContext({}, params, n,
-                                            state=self.merged[col.fold])
-                        with np.errstate(divide="ignore", invalid="ignore"):
-                            out[col.name] = as_column(
-                                eval_array(col.read_expr, dctx), n)
-                return ResultTable.from_columns(stage.output, out)
-            except VectorizationError:
-                pass
-        return _columnar(build_result_table(
-            stage, self.backing(stage, params), self.key_tuples(), params,
-            include_invalid=include_invalid))
+        """The stage's result table, built as columns.  A ``list`` fold
+        reads each key's last segment — its one segment when the key is
+        valid; an invalid key's row is dropped, or with
+        ``include_invalid`` kept without its derived cells over a
+        ``list`` fold (the row store's table)."""
+        n = len(self.keys)
+        states = dict(self.merged)
+        if self.segments:
+            last = np.cumsum(self.epochs) - 1
+            for col, values in self.segments.items():
+                states[col] = {var: vals[last]
+                               for var, vals in values.items()}
+        out: dict[str, np.ndarray] = {
+            name: self.keys[:, j] for j, name in enumerate(stage.key.fields)
+        }
+        for col in stage.output.columns:
+            if col.kind == "agg":
+                out[col.name] = states[col.fold][col.state_var]
+            elif col.kind == "derived":
+                out[col.name] = _derived(col.read_expr, states[col.fold],
+                                         params, n)
+        valid = self.valid()
+        if valid is None or valid.all():
+            return ResultTable.from_columns(stage.output, out)
+        if not include_invalid:
+            keep = np.flatnonzero(valid)
+            return ResultTable.from_columns(
+                stage.output, {name: col[keep] for name, col in out.items()})
+        table = ResultTable.from_columns(stage.output, out)
+        blank = [col.name for col in stage.output.columns
+                 if col.kind == "derived" and col.fold in self.segments]
+        if blank:
+            rows = table.rows
+            for i in np.flatnonzero(~valid).tolist():
+                for name in blank:
+                    del rows[i][name]
+        return table
 
     def backing(self, stage: GroupByStage,
                 params: Mapping[str, Numeric]) -> BackingStore:
-        """A real per-key :class:`BackingStore` over this state (built
-        once; on the all-additive path it is materialised from the
-        merged arrays)."""
+        """A real per-key :class:`BackingStore` over this state,
+        materialised once, on demand (the ``.backing`` API)."""
         if self._backing is None:
             backing = BackingStore(stage.folds, params=params)
             backing.writes = self.writes
-            if self.entries is not None:
-                backing.data = self.entries
-            else:
-                columns = [
-                    (col, [(var, arr.tolist()) for var, arr in per_var.items()])
-                    for col, per_var in self.merged.items()
-                ]
-                counts = self.epochs.tolist()
-                data = backing.data
-                for g, key in enumerate(self.key_tuples()):
-                    data[key] = KeyEntry(
-                        merged={col: {var: vals[g] for var, vals in items}
-                                for col, items in columns},
-                        epochs=counts[g],
-                    )
+            merged = [(col, [(var, arr.tolist()) for var, arr in per.items()])
+                      for col, per in self.merged.items()]
+            segments = [(col, [(var, arr.tolist())
+                               for var, arr in per.items()])
+                        for col, per in self.segments.items()]
+            start = 0
+            for g, (key, count) in enumerate(zip(self.key_tuples(),
+                                                 self.epochs.tolist())):
+                end = start + count
+                backing.data[key] = KeyEntry(
+                    merged={col: {var: vals[g] for var, vals in items}
+                            for col, items in merged},
+                    segments={col: [{var: vals[s] for var, vals in items}
+                                    for s in range(start, end)]
+                              for col, items in segments},
+                    epochs=count,
+                )
+                start = end
             self._backing = backing
         return self._backing
 
-    def accuracy(self, stage: GroupByStage,
-                 params: Mapping[str, Numeric]) -> float:
-        """Fig. 6 accuracy (1.0 on the all-additive path: every fold
-        merges)."""
-        if self.merged is not None:
+    def accuracy(self) -> float:
+        """Fig. 6 accuracy: the valid fraction of keys (1.0 with no
+        ``list`` fold, or no key)."""
+        valid = self.valid()
+        if valid is None or not len(valid):
             return 1.0
-        return self.backing(stage, params).accuracy
+        return int(np.count_nonzero(valid)) / len(valid)
+
+
+def _derived(expr, state: Mapping[str, np.ndarray],
+             params: Mapping[str, Numeric], n: int) -> np.ndarray:
+    """A derived column over per-key states: one array evaluation, or
+    the scalar evaluator per key where the array evaluator cannot
+    express the expression."""
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return as_column(
+                eval_array(expr, ArrayContext({}, params, n, state=state)), n)
+    except VectorizationError:
+        lists = {var: arr.tolist() for var, arr in state.items()}
+        return exact_array([
+            evaluate(expr, EvalContext(
+                state={var: vals[i] for var, vals in lists.items()},
+                params=params))
+            for i in range(n)])
+
+
+class _SegmentLog:
+    """One ``list`` fold's absorbed segments (§3.2): state values
+    key-major, each key's segments chronological, with each segment's
+    global key id (a key's count is its epoch count).  Absorbed chunks
+    wait in arrival order and merge in on the next :meth:`read`; the
+    arrays are replaced, never mutated, so a read stays valid."""
+
+    __slots__ = ("gids", "values", "_pending")
+
+    def __init__(self, gids: np.ndarray, values: dict[str, np.ndarray]):
+        self.gids = gids
+        self.values = values
+        self._pending: list[tuple[np.ndarray, Mapping[str, np.ndarray]]] = []
+
+    def append(self, gids: np.ndarray,
+               values: Mapping[str, np.ndarray]) -> None:
+        self._pending.append((gids, values))
+
+    def read(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        if self._pending:
+            gids = np.concatenate([g for g, _ in self._pending])
+            order = np.argsort(gids, kind="stable")
+            new = {var: np.concatenate([v[var] for _, v in self._pending])
+                   [order] for var in self._pending[0][1]}
+            self.gids, self.values = _insert_segments(
+                self.gids, self.values, gids[order], new)
+            self._pending.clear()
+        return self.gids, self.values
+
+
+def _insert_segments(gids: np.ndarray, values: Mapping[str, np.ndarray],
+                     new_gids: np.ndarray,
+                     new_values: Mapping[str, np.ndarray],
+                     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """A key-major segment log with new segments (``new_gids``
+    ascending, each key's chronological) placed after each key's
+    existing ones — new arrays, one linear merge."""
+    pos = np.searchsorted(gids, new_gids, side="right")
+    out = {}
+    for var, vals in new_values.items():
+        old = values.get(var)
+        if old is None:
+            old = vals[:0]
+        dtype = np.result_type(old.dtype, vals.dtype)
+        out[var] = np.insert(old.astype(dtype, copy=False), pos, vals)
+    return np.insert(gids, pos, new_gids), out
 
 
 class _ArrayCont:
-    """Array-backed epoch continuation over the carried open-epoch
-    arrays: ``override``/``register`` for the vectorized fold paths,
-    plus the :class:`~repro.switch.kvstore.vector_store._FoldCont`
-    fields, materialised only on the replay fallback."""
+    """Epoch continuation over the carried open-epoch arrays: epochs of
+    the current window that resume a carried open epoch (``eids``, ids
+    in the window's layout; ``gids``, their keys), read through
+    ``override``/``register`` on the vectorized fold paths and as
+    per-epoch dicts (:meth:`dicts`) on the replay."""
 
     __slots__ = ("eids", "gids", "_spec", "_state", "_regs")
 
@@ -254,17 +342,11 @@ class _ArrayCont:
             out[var] = arr
         return out
 
-    # Replay fallback only: per-epoch scalar dicts.
-
-    @property
-    def states(self) -> list[State]:
+    def dicts(self) -> tuple[list[State], list[AuxState]]:
+        """The carried epochs as fresh per-epoch state and
+        :data:`AuxState` dicts (the replay's form)."""
         return _carried_dicts(self._spec, self._state, self._regs,
-                              self.gids)[0]
-
-    @property
-    def auxes(self) -> list[AuxState]:
-        return _carried_dicts(self._spec, self._state, self._regs,
-                              self.gids)[1]
+                              self.gids)
 
 
 class _LruWindowScheduler:
@@ -558,58 +640,35 @@ class WindowedVectorStore(VectorSplitStore):
         # Persistent key table: unique key rows in first-seen
         # (= first-access) order, with a hash-sorted index (built on
         # first lookup, see _map_global) for vectorized window-key ->
-        # global-id matching, and the rows as tuples (converted on
-        # demand, see _key_tuples).
+        # global-id matching.
         self._nkeys = 0
         self._all_keys = np.zeros((0, len(stage.key.fields)),
                                   dtype=np.int64)
         self._index_hash: np.ndarray | None = None
         self._index_gid: np.ndarray | None = None
-        self._keys_list: list[tuple] = []
         # Open epochs, bounded by cache capacity: a per-key flag/last-
-        # position pair, per-key state and merge-register arrays for
-        # the vectorizable merge classes, per-key dicts for the
-        # sequential ones (full-matrix, exact-history scale).
+        # position pair, per-key state and merge-register arrays.
         self._open_mask = np.zeros(0, dtype=bool)
         self._open_pos = np.zeros(0, dtype=np.int64)
-        self._array_carry = {
-            fold.column: (fold.merge.strategy in ("additive", "list")
-                          or (fold.merge.strategy == "scale"
-                              and not fold.merge.exact_history))
-            for fold in stage.folds
-        }
         self._open_state: dict[str, dict[str, np.ndarray]] = {
-            fold.column: {} for fold in stage.folds
-            if self._array_carry[fold.column]
-        }
+            fold.column: {} for fold in stage.folds}
         self._open_aux: dict[str, dict[tuple, np.ndarray]] = {
-            col: {} for col in self._open_state
-        }
-        self._open_dicts: dict[int, dict[str, tuple[State, AuxState]]] = {}
+            fold.column: {} for fold in stage.folds}
         if geometry.m_slots == 1 or policy == "lru":
             self._sched = _LruWindowScheduler(geometry, policy, seed)
         else:
             self._sched = _PackedWindowScheduler(geometry, policy, seed)
-        # Absorption target: per-key accumulator arrays when every fold
-        # merges by plain addition from zero, a real backing store
-        # otherwise (materialised from the arrays on demand).
-        self._bulk_mode = self._all_plain_additive()
-        self._backing: BackingStore | None = None
+        # Absorption target (module docstring, item 3): per-key epoch
+        # counts, merged arrays per mergeable fold, a segment log per
+        # list fold.
+        self._epochs = np.zeros(0, dtype=np.int64)
+        self._merged: dict[str, dict[str, np.ndarray]] = {
+            fold.column: {} for fold in stage.folds if fold.merge.mergeable}
+        self._segments = {
+            fold.column: _SegmentLog(np.zeros(0, dtype=np.int64), {})
+            for fold in stage.folds if not fold.merge.mergeable}
         self._writes = 0
         self._final_state: MergedState | None = None
-        if self._bulk_mode:
-            self._acc: dict[str, dict[str, np.ndarray]] = {
-                fold.column: {} for fold in stage.folds}
-            self._hist: dict[str, dict[str, np.ndarray]] = {
-                fold.column: {} for fold in stage.folds}
-            self._epochs = np.zeros(0, dtype=np.int64)
-            #: Running |value| bound per (fold, var) for the int64
-            #: overflow guard on the cross-window accumulators (each
-            #: window's reduction is guarded in vector_exec; the
-            #: per-key accumulation across windows needs its own).
-            self._acc_bound: dict[tuple[str, str], int] = {}
-        else:
-            self._backing = BackingStore(stage.folds, params=self.params)
 
     # -- ingestion -----------------------------------------------------------
 
@@ -716,16 +775,6 @@ class WindowedVectorStore(VectorSplitStore):
                 ids[i] = cands[hit[0]]
         return ids
 
-    def _key_tuples(self) -> list[tuple]:
-        """The known keys as tuples, in global-id order — the backing
-        store's keys.  Converted on demand: the all-additive result
-        table reads the key columns directly and never needs them."""
-        done = len(self._keys_list)
-        if done < self._nkeys:
-            self._keys_list.extend(
-                _row_tuples(self._all_keys[done:self._nkeys]))
-        return self._keys_list
-
     def _key_index(self) -> tuple[np.ndarray, np.ndarray]:
         """``(sorted key hashes, global ids in that order)`` over every
         known key, built here on first use."""
@@ -746,12 +795,8 @@ class WindowedVectorStore(VectorSplitStore):
         self._all_keys = grown
         self._open_mask = _grown(self._open_mask, cap)
         self._open_pos = _grown(self._open_pos, cap)
-        if self._bulk_mode:
-            self._epochs = _grown(self._epochs, cap)
-            per_key = [self._acc, self._hist]
-        else:
-            per_key = []
-        for group in (*per_key, self._open_state, self._open_aux):
+        self._epochs = _grown(self._epochs, cap)
+        for group in (self._merged, self._open_state, self._open_aux):
             for per_fold in group.values():
                 for var, arr in per_fold.items():
                     per_fold[var] = _grown(arr, cap)
@@ -819,46 +864,31 @@ class WindowedVectorStore(VectorSplitStore):
         cont_keys = win_keys[cont_mask]
         cont_eids = eid_sorted[start_pos][cont_mask]
         self._open_mask[cont_keys] = False
-        cont_dicts = [self._open_dicts.pop(int(g), None)
-                      for g in cont_keys] if self._open_dicts else \
-            [None] * len(cont_keys)
 
         # Per-epoch fold values, with continuation injection.
         ctx = ArrayContext(columns, self.params, n)
         fold_epochs = {}
         for fold in self.stage.folds:
             col = fold.column
-            if not len(cont_keys):
-                cont = None
-            elif self._array_carry[col]:
-                cont = _ArrayCont(cont_eids, cont_keys, fold.merge,
-                                  self._open_state[col],
-                                  self._open_aux[col])
-            else:
-                cont = _FoldCont(
-                    cont_eids,
-                    [d[col][0] for d in cont_dicts],
-                    [d[col][1] for d in cont_dicts],
-                )
+            cont = _ArrayCont(cont_eids, cont_keys, fold.merge,
+                              self._open_state[col], self._open_aux[col]) \
+                if len(cont_keys) else None
             fold_epochs[col] = self._eval_fold(fold, ctx, layout, cont)
 
         # Absorb every epoch that provably closed inside the window
-        # (all but each key's last), then stash the still-open ones.
+        # (all but each key's last; epoch ids are key-major, so each
+        # key's closed epochs are a chronological run), then stash the
+        # still-open ones.
         is_open = np.zeros(n_epochs, dtype=bool)
         is_open[last_eid] = True
-        if self._bulk_mode:
-            self._bulk_absorb_closed(fold_epochs, epoch_key, ~is_open)
-        else:
-            items = list(fold_epochs.items())
-            keys_list = self._key_tuples()
-            absorb = self._backing.absorb
-            open_list = is_open.tolist()
-            for e, g in enumerate(epoch_key.tolist()):
-                if open_list[e]:
-                    continue
-                absorb(keys_list[g],
-                       {col: fe.value(e) for col, fe in items},
-                       {col: fe.aux(e) for col, fe in items})
+        closed = np.flatnonzero(~is_open)
+        if len(closed):
+            self._absorb(
+                epoch_key[closed],
+                {col: {var: arr[closed] for var, arr in fe.arrays.items()}
+                 for col, fe in fold_epochs.items()},
+                {col: fe.registers(closed)
+                 for col, fe in fold_epochs.items()})
         self._stash_open(win_keys, last_eid,
                          offset + sorted_idx[end_pos], fold_epochs)
 
@@ -878,182 +908,49 @@ class WindowedVectorStore(VectorSplitStore):
     def _stash_open(self, win_keys: np.ndarray, last_eid: np.ndarray,
                     last_pos: np.ndarray, fold_epochs) -> None:
         """Record each window key's still-open last epoch in the carry
-        storage (vectorized for the array-carried folds)."""
+        arrays."""
         self._open_mask[win_keys] = True
         self._open_pos[win_keys] = last_pos
-        dict_folds = []
-        for fold in self.stage.folds:
-            col = fold.column
-            fe = fold_epochs[col]
-            if not self._array_carry[col]:
-                dict_folds.append((col, fe))
-                continue
-            target = self._open_state[col]
-            for var in fold.instance.state_vars:
-                if fe.arrays is not None:
-                    vals = fe.arrays[var]
-                else:
-                    vals = np.asarray(fe.values[var])
-                self._scatter(target, var, vals[last_eid], win_keys)
+        size = len(self._open_mask)
+        for col, fe in fold_epochs.items():
+            for var, vals in fe.arrays.items():
+                scatter_promote(self._open_state[col], var, win_keys,
+                                vals[last_eid], size)
             for key, vals in fe.registers(last_eid).items():
-                self._scatter(self._open_aux[col], key, vals, win_keys)
-        if dict_folds:
-            for j, g in enumerate(win_keys.tolist()):
-                e = int(last_eid[j])
-                self._open_dicts[g] = {
-                    col: (fe.value(e), fe.aux(e)) for col, fe in dict_folds
-                }
+                scatter_promote(self._open_aux[col], key, win_keys, vals,
+                                size)
 
-    def _scatter(self, target: dict[str, np.ndarray], var: str,
-                 vals: np.ndarray, gids: np.ndarray) -> None:
-        """``target[var][gids] = vals`` with creation/promotion."""
-        arr = target.get(var)
-        if arr is None:
-            arr = np.zeros(len(self._open_mask), dtype=vals.dtype)
-            target[var] = arr
-        promoted = np.result_type(arr.dtype, vals.dtype)
-        if promoted != arr.dtype:
-            arr = arr.astype(promoted)
-            target[var] = arr
-        arr[gids] = vals
-
-    def _open_payloads(self, gids: np.ndarray) -> list[
-            tuple[int, dict[str, State], dict[str, AuxState]]]:
-        """(gid, states, aux) for carried open epochs — scalars pulled
-        out of the carry arrays (native Python values, like the
-        in-window absorb path) and the carry dicts."""
-        per_fold = {
-            fold.column: _carried_dicts(fold.merge,
-                                        self._open_state[fold.column],
-                                        self._open_aux[fold.column], gids)
-            for fold in self.stage.folds if self._array_carry[fold.column]
-        }
-        out = []
-        for i, g in enumerate(gids.tolist()):
-            states: dict[str, State] = {}
-            aux: dict[str, AuxState] = {}
-            for fold in self.stage.folds:
-                col = fold.column
-                if col in per_fold:
-                    states[col] = per_fold[col][0][i]
-                    aux[col] = per_fold[col][1][i]
-                else:
-                    states[col], aux[col] = self._open_dicts[g][col]
-            out.append((g, states, aux))
-        return out
+    def _open_payload(self, gids: np.ndarray) -> tuple[
+            dict[str, dict[str, np.ndarray]],
+            dict[str, dict[tuple, np.ndarray]]]:
+        """The carried open epochs of ``gids`` as the merge kernel's
+        per-fold state and register arrays."""
+        return ({col: {var: arr[gids] for var, arr in per.items()}
+                 for col, per in self._open_state.items()},
+                {col: {key: arr[gids] for key, arr in per.items()}
+                 for col, per in self._open_aux.items()})
 
     # -- absorption ----------------------------------------------------------
 
+    def _absorb(self, gids: np.ndarray,
+                values: Mapping[str, Mapping[str, np.ndarray]],
+                regs: Mapping[str, Mapping[tuple, np.ndarray]]) -> None:
+        """Absorb closed epochs (each key's a contiguous chronological
+        run in ``gids``) into the merged arrays and the segment logs."""
+        absorb_epochs(self.stage.folds, self.params, self._merged,
+                      self._epochs, gids, values, regs)
+        for col, log in self._segments.items():
+            log.append(gids, values[col])
+        np.add.at(self._epochs, gids, 1)
+        self._writes += len(gids)
+
     def _absorb_open(self, gids: np.ndarray) -> None:
         """Close and absorb the carried open epochs of ``gids``
-        (vectorized on the all-additive path)."""
+        (ascending)."""
         if len(gids) == 0:
             return
-        if self._bulk_mode:
-            for fold in self.stage.folds:
-                col = fold.column
-                history = fold.linearity.history
-                for var in fold.instance.state_vars:
-                    vals = self._open_state[col][var][gids]
-                    target = self._hist if var in history else self._acc
-                    arr = self._target_array(target[col], var, vals.dtype)
-                    if var in history:
-                        arr[gids] = vals
-                    else:
-                        arr = self._guard_acc(target[col], col, var, arr,
-                                              vals)
-                        arr[gids] += vals      # unique ids: plain fancy add
-            self._epochs[gids] += 1
-            self._writes += len(gids)
-        else:
-            absorb = self._backing.absorb
-            keys_list = self._key_tuples()
-            for g, states, aux in self._open_payloads(gids):
-                absorb(keys_list[g], states, aux)
+        self._absorb(gids, *self._open_payload(gids))
         self._open_mask[gids] = False
-        if self._open_dicts:
-            for g in gids.tolist():
-                self._open_dicts.pop(g, None)
-
-    def _bulk_absorb_closed(self, fold_epochs, epoch_key: np.ndarray,
-                            closed: np.ndarray) -> None:
-        """Vectorized absorption of the window's closed epochs on the
-        all-additive path: one ``np.add.at`` per order variable, a
-        last-epoch-per-key assignment per history variable."""
-        closed_e = np.flatnonzero(closed)
-        if len(closed_e) == 0:
-            return
-        closed_g = epoch_key[closed_e]
-        # Epoch ids ascend per key, so each key's closed epochs are a
-        # contiguous, chronological run; its last one carries the
-        # history values.
-        run_last = np.empty(len(closed_g), dtype=bool)
-        run_last[-1] = True
-        np.not_equal(closed_g[1:], closed_g[:-1], out=run_last[:-1])
-        for fold in self.stage.folds:
-            fe = fold_epochs[fold.column]
-            history = fold.linearity.history
-            for var in fold.instance.state_vars:
-                if fe.arrays is not None:
-                    vals = fe.arrays[var]
-                else:
-                    vals = np.asarray(fe.values[var])
-                vals = vals[closed_e]
-                target = self._hist if var in history else self._acc
-                arr = self._target_array(target[fold.column], var,
-                                         vals.dtype)
-                if var in history:
-                    arr[closed_g[run_last]] = vals[run_last]
-                else:
-                    arr = self._guard_acc(target[fold.column], fold.column,
-                                          var, arr, vals)
-                    np.add.at(arr, closed_g, vals)
-        np.add.at(self._epochs, closed_g, 1)
-        self._writes += len(closed_e)
-
-    def _target_array(self, target: dict[str, np.ndarray], var: str,
-                      dtype) -> np.ndarray:
-        """The per-key accumulator for ``var``, created/promoted on
-        demand at the shared capacity."""
-        arr = target.get(var)
-        if arr is None:
-            arr = np.zeros(len(self._open_mask), dtype=dtype)
-            target[var] = arr
-        promoted = np.result_type(arr.dtype, dtype)
-        if promoted != arr.dtype:
-            arr = arr.astype(promoted)
-            target[var] = arr
-        return arr
-
-    def _guard_acc(self, target: dict[str, np.ndarray], col: str, var: str,
-                   arr: np.ndarray, vals: np.ndarray,
-                   persist: bool = True) -> np.ndarray:
-        """int64 overflow guard for the bulk path's cross-window
-        accumulators: tracks a conservative running bound on the
-        accumulated magnitude and, before it can reach 2^63, promotes
-        the accumulator to ``object`` dtype — exact Python-int
-        arithmetic, matching the row engine's unbounded ints — with a
-        warning.  Bounds are computed with Python ints (``np.abs`` on
-        ``int64.min`` would itself wrap)."""
-        if arr.dtype.kind not in "iu":
-            return arr
-        v = np.asarray(vals)
-        if v.dtype.kind not in "iu" or v.size == 0:
-            return arr
-        step = int(v.size) * max(abs(int(v.min())), abs(int(v.max())))
-        bound = self._acc_bound.get((col, var), 0) + step
-        if persist:
-            self._acc_bound[(col, var)] = bound
-        if bound < 2 ** 63:
-            return arr
-        warnings.warn(
-            f"fold {col!r} state {var!r} may exceed int64 while merging "
-            f"epochs across windows; switching the accumulator to exact "
-            f"Python-int arithmetic (slower, bit-identical to the row "
-            f"engine)", RuntimeWarning, stacklevel=4)
-        arr = arr.astype(object)
-        target[var] = arr
-        return arr
 
     # -- end of run / observables --------------------------------------------
 
@@ -1069,65 +966,50 @@ class WindowedVectorStore(VectorSplitStore):
     def merged_state(self) -> MergedState:
         """The merged per-key results as if the stream ended now.
 
-        After :meth:`finalize` it wraps views of the final arrays (or
-        the real backing store's entries) and is cached.  Mid-stream,
-        pending input runs first (results are partition-independent, so
-        this is observation-neutral) and every carried open epoch is
-        absorbed into *copies*; streaming continues untouched."""
+        After :meth:`finalize` it wraps views of the final arrays and is
+        cached.  Mid-stream, pending input runs first (results are
+        partition-independent, so this is observation-neutral) and
+        every carried open epoch is absorbed into *copies*; streaming
+        continues untouched."""
         if self._final_state is not None:
             return self._final_state
         final = self._finalized
         if not final:
             self._drain()
         nk = self._nkeys
-        keys = self._all_keys[:nk]        # registered rows never change
+        epochs = self._epochs[:nk] if final else self._epochs[:nk].copy()
+        merged = {col: {var: arr[:nk] if final else arr[:nk].copy()
+                        for var, arr in per.items()}
+                  for col, per in self._merged.items()}
+        segments = {col: dict(log.read()[1])
+                    for col, log in self._segments.items()}
+        writes = self._writes
         open_gids = np.flatnonzero(self._open_mask[:nk])   # none once final
-        if self._bulk_mode:
-            merged: dict[str, dict[str, np.ndarray]] = {}
-            for fold in self.stage.folds:
-                col = fold.column
-                history = fold.linearity.history
-                per_var = merged[col] = {}
-                for var in fold.instance.state_vars:
-                    target = self._hist if var in history else self._acc
-                    arr = target[col].get(var)
-                    if arr is None:
-                        init = fold.instance.inits.get(var, 0)
-                        arr = np.full(max(nk, 1), init)
-                    arr = arr[:nk] if final else arr[:nk].copy()
-                    if len(open_gids):
-                        vals = self._open_state[col][var][open_gids]
-                        promoted = np.result_type(arr.dtype, vals.dtype)
-                        if promoted != arr.dtype:
-                            arr = arr.astype(promoted)
-                        if var in history:
-                            arr[open_gids] = vals
-                        else:
-                            arr = self._guard_acc(per_var, col, var, arr,
-                                                  vals, persist=False)
-                            arr[open_gids] += vals
-                    per_var[var] = arr
-            epochs = self._epochs[:nk] if final else self._epochs[:nk].copy()
+        if len(open_gids):
+            values, regs = self._open_payload(open_gids)
+            absorb_epochs(self.stage.folds, self.params, merged, epochs,
+                          open_gids, values, regs)
+            for col, log in self._segments.items():
+                segments[col] = _insert_segments(
+                    log.gids, segments[col], open_gids, values[col])[1]
             epochs[open_gids] += 1
-            state = MergedState(keys, self._writes + len(open_gids),
-                                merged=merged, epochs=epochs)
-        else:
-            backing = self._backing if final else self._backing.clone()
-            keys_list = self._key_tuples()
-            for g, states, aux in self._open_payloads(open_gids):
-                backing.absorb(keys_list[g],
-                               {col: dict(s) for col, s in states.items()},
-                               {col: _copy_aux(a) for col, a in aux.items()})
-            state = MergedState(keys, backing.writes, entries=backing.data,
-                                key_list=list(keys_list))
+            writes += len(open_gids)
+        for fold in self.stage.folds:       # a store that absorbed nothing
+            per = merged[fold.column] if fold.merge.mergeable \
+                else segments[fold.column]
+            for var in fold.instance.state_vars:
+                if var not in per:
+                    per[var] = np.full(0, fold.instance.inits.get(var, 0))
+        state = MergedState(self._all_keys[:nk], writes, epochs, merged,
+                            segments)
         if final:
             self._final_state = state
         return state
 
     @property
     def backing(self) -> BackingStore:
-        """The end-of-run backing store (materialised from the merged
-        arrays on first access on the all-additive path)."""
+        """The end-of-run backing store, materialised from the merged
+        arrays and segment logs on first access."""
         self.finalize()
         return self.merged_state().backing(self.stage, self.params)
 
@@ -1143,7 +1025,7 @@ class WindowedVectorStore(VectorSplitStore):
 
     def accuracy(self) -> float:
         self.finalize()
-        return self.merged_state().accuracy(self.stage, self.params)
+        return self.merged_state().accuracy()
 
     def snapshot(self, include_invalid: bool = False) -> StoreSnapshot:
         """Observable state as if the stream ended now, without ending
@@ -1154,7 +1036,7 @@ class WindowedVectorStore(VectorSplitStore):
                               include_invalid=include_invalid),
             stats=replace(self._stats),
             backing_writes=state.writes,
-            accuracy=state.accuracy(self.stage, self.params),
+            accuracy=state.accuracy(),
         )
 
     @property
@@ -1172,8 +1054,9 @@ class WindowedVectorStore(VectorSplitStore):
         """Plain-data snapshot of *everything* the continuation needs:
         pending (undrained) input, the persistent key table, carried
         residency (scheduler state incl. RNG counters), carried open
-        epochs, and the absorption target (bulk accumulators with their
-        overflow bounds, or the general backing store).  Pending input
+        epochs, and the absorption target (per-key epoch counts and
+        merged arrays, and the key-major segment logs — their per-key
+        counts are the epoch counts).  Pending input
         is serialized as-is — not drained — so a restored store runs
         the byte-for-byte same window schedule as an uninterrupted one.
         """
@@ -1183,7 +1066,6 @@ class WindowedVectorStore(VectorSplitStore):
         state = {
             "kind": "windowed",
             "window": self.window,
-            "bulk": self._bulk_mode,
             "buffered": self._buffered,
             "pending_keys": np.concatenate(self._key_chunks)
             if self._key_chunks else None,
@@ -1204,31 +1086,19 @@ class WindowedVectorStore(VectorSplitStore):
                 col: {key: arr[:nk].copy() for key, arr in per.items()}
                 for col, per in self._open_aux.items()
             },
-            "open_dicts": {
-                g: {col: (dict(s), _copy_aux(a))
-                    for col, (s, a) in folds.items()}
-                for g, folds in self._open_dicts.items()
-            },
             "stats": replace(self._stats),
             "refreshes": self.refreshes,
             "sched": self._sched.checkpoint_state(),
+            "epochs": self._epochs[:nk].copy(),
+            "merged": {
+                col: {var: arr[:nk].copy() for var, arr in per.items()}
+                for col, per in self._merged.items()
+            },
+            # Log arrays are replaced, never mutated: no copy needed.
+            "segments": {col: log.read()[1]
+                         for col, log in self._segments.items()},
+            "writes": self._writes,
         }
-        if self._bulk_mode:
-            state["acc"] = {
-                col: {var: arr[:nk].copy() for var, arr in per.items()}
-                for col, per in self._acc.items()
-            }
-            state["hist"] = {
-                col: {var: arr[:nk].copy() for var, arr in per.items()}
-                for col, per in self._hist.items()
-            }
-            state["epochs"] = self._epochs[:nk].copy()
-            state["acc_bound"] = dict(self._acc_bound)
-            state["writes"] = self._writes
-        else:
-            backing = self._backing.clone()
-            state["backing_data"] = backing.data
-            state["backing_writes"] = backing.writes
         return state
 
     def restore_state(self, state: dict) -> None:
@@ -1241,11 +1111,10 @@ class WindowedVectorStore(VectorSplitStore):
                 f"{state.get('kind')!r}, expected 'windowed'")
         if self._finalized or self._total or self._nkeys or self._buffered:
             raise CheckpointError("restore target store must be fresh")
-        if state["window"] != self.window or state["bulk"] != self._bulk_mode:
+        if state["window"] != self.window:
             raise CheckpointError(
                 "store configuration mismatch: snapshot was taken with "
-                f"window={state['window']} bulk={state['bulk']}, store has "
-                f"window={self.window} bulk={self._bulk_mode}")
+                f"window={state['window']}, store has window={self.window}")
         self._buffered = state["buffered"]
         if state["pending_keys"] is not None:
             self._key_chunks = [state["pending_keys"]]
@@ -1264,21 +1133,15 @@ class WindowedVectorStore(VectorSplitStore):
                             for col, per in state["open_state"].items()}
         self._open_aux = {col: dict(per)
                           for col, per in state["open_aux"].items()}
-        self._open_dicts = {
-            int(g): dict(folds) for g, folds in state["open_dicts"].items()}
         self._stats = state["stats"]
         self.refreshes = state["refreshes"]
         self._sched.restore_state(state["sched"])
-        if self._bulk_mode:
-            self._acc = {col: dict(per) for col, per in state["acc"].items()}
-            self._hist = {col: dict(per)
-                          for col, per in state["hist"].items()}
-            self._epochs = state["epochs"]
-            self._acc_bound = dict(state["acc_bound"])
-            self._writes = state["writes"]
-        else:
-            self._backing.data = state["backing_data"]
-            self._backing.writes = state["backing_writes"]
+        self._epochs = state["epochs"]
+        self._writes = state["writes"]
+        self._merged = {col: dict(per) for col, per in state["merged"].items()}
+        owner = np.repeat(np.arange(nk, dtype=np.int64), self._epochs[:nk])
+        self._segments = {col: _SegmentLog(owner, dict(values))
+                          for col, values in state["segments"].items()}
 
 
 def _is_resident(gids: np.ndarray, resident: np.ndarray) -> np.ndarray:
@@ -1305,35 +1168,6 @@ def _carried_dicts(spec, state: Mapping[str, np.ndarray],
     return ([{var: vals[i] for var, vals in states.items()}
              for i in range(n)],
             [aux_from_registers(spec, lists, i) for i in range(n)])
-
-
-def _columnar(table: ResultTable) -> ResultTable:
-    """``table`` with column authority when every row carries every
-    column (a kept invalid row may lack some): an ``int64``/``float64``
-    array for a column of only ints/floats, a value list otherwise —
-    the same values in the same order, without a dict and a boxed
-    number per cell."""
-    rows = table.rows
-    if not rows:
-        return table
-    names = list(rows[0])
-    width = len(names)
-    if any(len(row) != width for row in rows):
-        return table
-    columns: dict[str, object] = {}
-    for name in names:
-        values = [row[name] for row in rows]
-        kinds = set(map(type, values))
-        column: object = values
-        if kinds == {float}:
-            column = np.array(values, dtype=np.float64)
-        elif kinds == {int}:
-            try:
-                column = np.array(values, dtype=np.int64)
-            except OverflowError:            # beyond int64: keep exact
-                pass
-        columns[name] = column
-    return ResultTable.from_columns(table.schema, columns)
 
 
 def _row_tuples(rows: np.ndarray) -> list[tuple]:

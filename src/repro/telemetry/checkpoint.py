@@ -27,10 +27,12 @@ import zlib
 from repro.core.errors import CheckpointError
 
 MAGIC = b"RPROCKPT"
-#: Payload layout version.  2: the windowed store carries merge
-#: registers (exact-history log/snapshot/seen included) as per-key
-#: arrays under ``open_aux``; version-1 payloads are refused.
-VERSION = 2
+#: Payload layout version.  3: the windowed store's absorption target
+#: is per-key arrays for every merge class — ``epochs``, ``merged`` and
+#: key-major ``segments`` — where version 2 carried a pickled backing
+#: store (``backing_data``) or a ``bulk`` flag; older payloads are
+#: refused.
+VERSION = 3
 
 _HEADER = struct.Struct("<8sHQI")  # magic, version, payload len, crc32
 

@@ -128,6 +128,18 @@ class TestCheckpointFormat:
                            match=f"unsupported checkpoint version {VERSION + 1}"):
             unpack_checkpoint(data)
 
+    def test_version_2_blob_names_both_versions(self, trace):
+        """A version-2 checkpoint (pickled backing-store entries) is
+        refused by the version-3 reader, which names both versions."""
+        assert VERSION == 3
+        session = ingest_upto(make_engine().open(window=128), trace, 300)
+        body = session.checkpoint()[_HEADER.size:]
+        session.close()
+        data = _HEADER.pack(MAGIC, 2, len(body), zlib.crc32(body)) + body
+        with pytest.raises(CheckpointError,
+                           match=r"version 2 \(this build reads version 3\)"):
+            make_engine().resume(data)
+
     def test_truncated_payload(self):
         data = pack_checkpoint({"kind": "session", "pad": list(range(64))})
         with pytest.raises(CheckpointError, match="header promises"):

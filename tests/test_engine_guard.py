@@ -4,7 +4,9 @@ run only under ``engine="row"``.
 
 The guard patches the row engine's entry points to raise and drives
 every Fig. 2 query through each entry point under ``"auto"``, so a
-silent fallback to the row engine fails here.  A ``GROUPBY`` on the
+silent fallback to the row engine fails here.  A second guard does the
+same for the per-epoch backing-store dicts: the vector store absorbs
+into per-key arrays for every merge class.  A ``GROUPBY`` on the
 float field ``tout`` is rejected with ``RPR-E302`` on every engine,
 before any store is built.
 """
@@ -15,6 +17,7 @@ from repro.cli import main
 from repro.core.errors import CheckpointError, HardwareError
 from repro.core.interpreter import Interpreter
 from repro.queries.catalog import FIG2_QUERIES
+from repro.switch.kvstore.backing import BackingStore
 from repro.switch.kvstore.cache import CacheGeometry
 from repro.switch.kvstore.split import SplitKeyValueStore
 from repro.switch.kvstore.windowed_store import WindowedVectorStore
@@ -98,6 +101,39 @@ class TestAutoNeverEntersRowEngine:
 
         exact = qe.run_exact(trace)
         assert exact[qe.compiled.result].rows
+
+
+@pytest.fixture
+def backing_dicts_refused(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-epoch backing-store dicts under 'auto'")
+
+    monkeypatch.setattr(BackingStore, "absorb", refuse)
+    monkeypatch.setattr(BackingStore, "clone", refuse)
+
+
+@pytest.mark.usefixtures("backing_dicts_refused")
+class TestAutoNeverAbsorbsPerEpoch:
+    @pytest.mark.parametrize("entry", FIG2_QUERIES, ids=lambda e: e.name)
+    def test_every_entry_point(self, entry, trace):
+        qe = engine_for(entry)
+        base = observables(qe.run(trace, include_invalid=True))
+
+        half = len(trace) // 2
+        columns = trace.columns()
+        head = {name: col[:half] for name, col in columns.items()}
+        tail = {name: col[half:] for name, col in columns.items()}
+        session = qe.open(window=997)
+        session.ingest(trace.from_arrays(head))
+        session.results(include_invalid=True)
+        resumed = engine_for(entry).resume(session.checkpoint())
+        session.close()
+        resumed.ingest(trace.from_arrays(tail))
+        assert observables(resumed.close(include_invalid=True)) == base
+
+        sharded = qe.open(shards=2)
+        sharded.ingest(trace)
+        assert observables(sharded.close(include_invalid=True)) == base
 
 
 class TestFloatKeyRejected:

@@ -204,6 +204,22 @@ class TestMergeableContract:
         base = qe.run(trace, include_invalid=True)
         assert observables(report) == observables(base)
 
+    def test_combine_permutes_segment_logs(self, trace):
+        """Forced to fan out anyway, a list-fold stage's shard payloads
+        interleave in first-access order; the combine moves each key's
+        segments with it, so the table matches the one-process run."""
+        entry = CATALOG["tcp_non_monotonic"]
+        qe = QueryEngine(entry.source, params=entry.default_params,
+                         geometry=GEOM)
+        session = qe.open(window=257, shards=2)
+        for stage in qe.compiled.groupby_stages:
+            session._pipeline.store_for(stage.query_name)._single = False
+        session.ingest(trace)
+        report = session.close(include_invalid=True)
+        base = qe.run(trace, include_invalid=True)
+        assert min(base.accuracy.values()) < 1.0
+        assert observables(report) == observables(base)
+
     def test_mergeable_stage_actually_fans_out(self, trace):
         entry = CATALOG["per_flow_counters"]
         qe = QueryEngine(entry.source, params=entry.default_params,

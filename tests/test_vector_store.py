@@ -256,8 +256,8 @@ class TestRefreshBatch:
 
 class TestStoreSurface:
     def test_bulk_and_materialised_results_agree(self):
-        """The columnar bulk result path and the generic backing-store
-        builder must produce identical tables."""
+        """The columnar result path and the materialised backing store
+        must agree."""
         stage = compile_stage(COUNT)
         trace = synthetic_trace(n_packets=1500, n_flows=40, seed=2)
         _, vec_bulk = run_both(stage, trace, CacheGeometry.set_associative(8, ways=2))
@@ -269,24 +269,17 @@ class TestStoreSurface:
         assert vec_bulk.backing_writes == vec_mat.backing.writes
 
     def test_general_path_tables_are_columnar(self, trace):
-        """Backing-store tables come back with column authority — typed
-        arrays for all-int / all-float columns — and the row store's
-        exact rows; a kept invalid row missing a cell keeps the rows."""
+        """List-fold tables come back with column authority — typed
+        arrays read off the segment log — and the row store's exact
+        rows, invalid keys included."""
         stage = compile_stage(NONMT)
         row, vec = run_both(stage, trace, CacheGeometry.set_associative(8, ways=2))
+        assert vec.accuracy() < 1.0
         table = vec.result_table(include_invalid=True)
         assert table.is_columnar
         assert all(isinstance(col, np.ndarray) and col.dtype.kind in "if"
                    for col in table.columns().values())
         assert table.rows == row.result_table(include_invalid=True).rows
-        ragged = windowed_store.ResultTable(schema=table.schema)
-        ragged.rows = [{"srcip": 1, "x": 2}, {"srcip": 3}]
-        assert windowed_store._columnar(ragged) is ragged
-        mixed = windowed_store.ResultTable(schema=table.schema)
-        mixed.rows = [{"srcip": 1, "x": 2}, {"srcip": 3, "x": 2.5}]
-        columnar = windowed_store._columnar(mixed)
-        assert columnar.columns()["x"] == [2, 2.5]
-        assert columnar.rows == [{"srcip": 1, "x": 2}, {"srcip": 3, "x": 2.5}]
 
     def test_derived_column_table_fallback(self, monkeypatch):
         """A derived column the array evaluator cannot express falls back
@@ -462,3 +455,261 @@ class TestPipelineEngineKnob:
         assert observed(engine, records) == want
         assert observed(engine, iter(records)) == want
         assert observed(engine, columnar) == want
+
+
+# -- every merge class against the row store ---------------------------------
+
+MATRIX = ("def mix ((a, b), (tin, pkt_len)):\n"
+          "    a = 0.5 * a + 0.25 * b + tin\n"
+          "    b = 0.75 * b + pkt_len\n\n"
+          "SELECT srcip, mix GROUPBY srcip")
+HIST_SCALE = ("def hewma ((last, e), (tin, pkt_len)):\n"
+              "    if last > tin - 100:\n"
+              "        e = 0.5 * e + pkt_len\n"
+              "    else:\n"
+              "        e = 0.875 * e + 1\n"
+              "    last = tin\n\n"
+              "SELECT srcip, hewma GROUPBY srcip")
+AVG = "SELECT AVG(pkt_len) GROUPBY srcip"
+#: Per-epoch values fit int64; a key's merged sum of a few epochs does not.
+BIG_SUM = ("def big (s, tcpseq):\n"
+           "    s = s + 2305843009213693952\n\n"
+           "SELECT srcip, big GROUPBY srcip")
+BIG_HIST = ("def bigh ((last, s), tcpseq):\n"
+            "    if last != tcpseq:\n"
+            "        s = s + 2305843009213693952\n"
+            "    last = tcpseq\n\n"
+            "SELECT srcip, bigh GROUPBY srcip")
+#: History depth 2: a one-packet epoch ends inside its replay prefix, so
+#: its merged value is the replayed state alone.
+BIG_HIST2 = ("def bigh2 ((p1, p2, s), tcpseq):\n"
+             "    if p2 != tcpseq:\n"
+             "        s = s + 2305843009213693952\n"
+             "    p2 = p1\n"
+             "    p1 = tcpseq\n\n"
+             "SELECT srcip, bigh2 GROUPBY srcip")
+
+
+def as_list_fold(stage):
+    """``stage`` with every fold forced onto the ``list`` merge class
+    (the language has no non-linear fold with a derived column: this
+    puts AVG's derived column over a list fold)."""
+    from dataclasses import replace
+    folds = tuple(replace(f, merge=replace(f.merge, strategy="list"))
+                  for f in stage.folds)
+    return replace(stage, folds=folds)
+
+
+def with_inits(stage, inits):
+    """``stage`` with nonzero initial fold state (no query syntax sets
+    one for a linear fold; the merge then subtracts ``init``)."""
+    from dataclasses import replace
+    folds = tuple(replace(f, instance=replace(f.instance, inits=inits))
+                  for f in stage.folds)
+    return replace(stage, folds=folds)
+
+
+MERGE_CLASSES = {
+    "matrix": lambda: compile_stage(MATRIX),
+    "hist_scale": lambda: compile_stage(HIST_SCALE, exact_history=True),
+    "hist_additive": lambda: compile_stage(OOS, exact_history=True),
+    "list": lambda: compile_stage(NONMT),
+    "list_derived": lambda: as_list_fold(compile_stage(AVG)),
+    "additive_init": lambda: with_inits(compile_stage(AVG),
+                                        {"sum": 0.5, "count": 3}),
+    "scale": lambda: compile_stage(EWMA),
+}
+
+
+class TestEveryMergeClass:
+    """Every merge class — including the ``matrix`` and exact-history
+    ``scale`` folds no catalog query exercises — absorbed into the
+    vector store's per-key arrays and segment logs, against the row
+    store: tables, counters, writes, accuracy and the per-key backing
+    surface (value, segments, validity)."""
+
+    PARAMS = {"alpha": 0.25}
+    GEOM = CacheGeometry.set_associative(16, ways=4)
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return synthetic_trace(n_packets=1200, n_flows=40, seed=13)
+
+    def streams(self, stage, trace):
+        predicate = compile_predicate(stage.where, self.PARAMS)
+        mask = np.asarray([bool(predicate(r)) for r in trace], dtype=bool)
+        columns = trace.columns()
+        keys = np.column_stack([columns[f].astype(np.int64)
+                                for f in stage.key.fields])[mask]
+        return keys, {f: col[mask] for f, col in columns.items()}
+
+    def row_store(self, stage, trace, geometry, **kwargs):
+        row = SplitKeyValueStore(stage, geometry, params=self.PARAMS,
+                                 **kwargs)
+        predicate = compile_predicate(stage.where, self.PARAMS)
+        extract = compile_key_extractor(stage.key.fields)
+        for record in trace:
+            if predicate(record):
+                row.process_keyed(extract(record), record)
+        return row
+
+    def feed(self, vec, keys, columns, lo, hi, chunk):
+        for start in range(lo, hi, chunk):
+            end = min(start + chunk, hi)
+            vec.add_batch(keys[start:end],
+                          {f: columns[f][start:end] for f in vec.needed_fields})
+
+    def assert_same(self, row, vec, stage):
+        assert_identical(row, vec)
+        assert vec.result_table(include_invalid=True).rows == \
+            row.result_table(include_invalid=True).rows
+        assert set(vec.backing.keys()) == set(row.backing.keys())
+        for key in row.backing.keys():
+            assert vec.backing.is_valid(key) == row.backing.is_valid(key)
+            for fold in stage.folds:
+                assert vec.backing.value_of(key, fold.column) == \
+                    row.backing.value_of(key, fold.column)
+                assert vec.backing.segments_of(key, fold.column) == \
+                    row.backing.segments_of(key, fold.column)
+
+    @pytest.mark.parametrize("window", [1, 7, 257, None])
+    @pytest.mark.parametrize("name", sorted(MERGE_CLASSES))
+    def test_windows(self, name, window, trace):
+        stage = MERGE_CLASSES[name]()
+        row = self.row_store(stage, trace, self.GEOM)
+        vec = WindowedVectorStore(stage, self.GEOM, params=self.PARAMS,
+                                  window=window)
+        keys, columns = self.streams(stage, trace)
+        self.feed(vec, keys, columns, 0, len(keys), min(window or 100, 100))
+        assert row.stats.evictions > 0
+        self.assert_same(row, vec, stage)
+
+    @pytest.mark.parametrize("name", sorted(MERGE_CLASSES))
+    def test_refresh_cuts_mid_window(self, name, trace):
+        stage = MERGE_CLASSES[name]()
+        row = self.row_store(stage, trace, self.GEOM, refresh_interval=90)
+        vec = WindowedVectorStore(stage, self.GEOM, params=self.PARAMS,
+                                  window=257, refresh_interval=90)
+        keys, columns = self.streams(stage, trace)
+        self.feed(vec, keys, columns, 0, len(keys), 64)
+        self.assert_same(row, vec, stage)
+
+    @pytest.mark.parametrize("cut, chunk", [(514, 257), (400, 100)],
+                             ids=["boundary", "mid_window"])
+    @pytest.mark.parametrize("name", sorted(MERGE_CLASSES))
+    def test_checkpoint_resume(self, name, cut, chunk, trace):
+        from repro.telemetry.checkpoint import (pack_checkpoint,
+                                                unpack_checkpoint)
+        stage = MERGE_CLASSES[name]()
+        row = self.row_store(stage, trace, self.GEOM)
+        keys, columns = self.streams(stage, trace)
+        first = WindowedVectorStore(stage, self.GEOM, params=self.PARAMS,
+                                    window=257)
+        self.feed(first, keys, columns, 0, cut, chunk)
+        assert (first._buffered == 0) == (chunk == 257)
+        mid = first.snapshot(include_invalid=True)
+        state = unpack_checkpoint(pack_checkpoint(first.checkpoint_state()))
+        vec = WindowedVectorStore(stage, self.GEOM, params=self.PARAMS,
+                                  window=257)
+        vec.restore_state(state)
+        self.feed(first, keys, columns, cut, len(keys), chunk)
+        self.feed(vec, keys, columns, cut, len(keys), chunk)
+        self.assert_same(row, vec, stage)
+        self.assert_same(row, first, stage)
+        prefix = self.row_store(
+            stage, ObservationTable.from_arrays(
+                {f: col[:cut] for f, col in columns.items()}), self.GEOM) \
+            if stage.where is None else None
+        if prefix is not None:
+            want = prefix.snapshot(include_invalid=True)
+            assert mid.table.rows == want.table.rows
+            assert (mid.stats, mid.backing_writes, mid.accuracy) == \
+                (want.stats, want.backing_writes, want.accuracy)
+
+    @pytest.mark.parametrize("name", sorted(MERGE_CLASSES))
+    def test_scalar_tail(self, name):
+        """One set, one way, two alternating keys: every access evicts,
+        each key has one closed epoch per window round — fewer than the
+        vectorized rounds take, so the scalar tail merges them all."""
+        stage = MERGE_CLASSES[name]()
+        n = 400
+        rng = np.random.default_rng(3)
+        trace = ObservationTable.from_arrays({
+            "srcip": np.tile(np.array([5, 9], dtype=np.int64), n // 2),
+            "dstip": np.zeros(n, dtype=np.int64),
+            "srcport": np.full(n, 1024, dtype=np.int64),
+            "dstport": np.full(n, 80, dtype=np.int64),
+            "proto": np.full(n, 6, dtype=np.int64),
+            "tin": np.cumsum(rng.integers(10, 200, size=n)),
+            "tout": np.cumsum(rng.integers(10, 200, size=n)) + 5000.0,
+            "pkt_len": rng.integers(40, 1500, size=n),
+            "payload_len": rng.integers(0, 1460, size=n),
+            "tcpseq": rng.integers(0, 1 << 20, size=n),
+        })
+        geometry = CacheGeometry.set_associative(1, ways=1)
+        row = self.row_store(stage, trace, geometry)
+        keys, columns = self.streams(stage, trace)
+        for window in (None, 57):
+            vec = WindowedVectorStore(stage, geometry, params=self.PARAMS,
+                                      window=window)
+            self.feed(vec, keys, columns, 0, len(keys), 50)
+            assert row.stats.evictions == n - 1
+            self.assert_same(row, vec, stage)
+
+    @pytest.mark.parametrize("source, exact", [
+        (MATRIX, False), (HIST_SCALE, True), (OOS, True), (EWMA, False)],
+        ids=["matrix", "hist_scale", "hist_additive", "scale"])
+    def test_shards(self, source, exact, trace):
+        kwargs = dict(params=self.PARAMS, geometry=self.GEOM,
+                      exact_history=exact)
+        want = QueryEngine(source, engine="row", **kwargs).run(
+            trace, include_invalid=True)
+        session = QueryEngine(source, **kwargs).open(window=257, shards=2)
+        session.ingest(trace)
+        mid = session.results(include_invalid=True)
+        got = session.close(include_invalid=True)
+        for report in (mid, got):
+            assert {q: t.rows for q, t in report.tables.items()} == \
+                {q: t.rows for q, t in want.tables.items()}
+            assert report.cache_stats == want.cache_stats
+            assert report.backing_writes == want.backing_writes
+            assert report.accuracy == want.accuracy
+
+
+class TestMergeInt64Guard:
+    """Merged integers beyond int64 promote to exact Python ints (with
+    a RuntimeWarning) and match the row store's unbounded ints."""
+
+    @pytest.mark.parametrize("source, exact, inits", [
+        (BIG_SUM, False, None), (BIG_SUM, False, {"s": 1}),
+        (BIG_HIST, True, None), (BIG_HIST2, True, None)],
+        ids=["additive", "additive_init", "hist_compose", "hist_replay"])
+    @pytest.mark.parametrize("window", [None, 64])
+    def test_merged_ints_pass_2_63(self, source, exact, inits, window):
+        stage = compile_stage(source, exact_history=exact)
+        if inits:
+            stage = with_inits(stage, inits)
+        n = 480                   # 40 keys x 12 one-packet epochs
+        trace = ObservationTable.from_arrays({
+            "srcip": np.tile(np.arange(40, dtype=np.int64), n // 40),
+            "tcpseq": np.arange(n, dtype=np.int64) * 7,
+            "tin": np.arange(n, dtype=np.int64),
+        })
+        geometry = CacheGeometry.set_associative(1, ways=1)
+        row = SplitKeyValueStore(stage, geometry)
+        extract = compile_key_extractor(stage.key.fields)
+        for record in trace:
+            row.process_keyed(extract(record), record)
+        vec = WindowedVectorStore(stage, geometry, window=window)
+        columns = trace.columns()
+        with pytest.warns(RuntimeWarning, match="backing-store merge"):
+            for lo in range(0, n, 48):
+                vec.add_batch(columns["srcip"][lo:lo + 48, None],
+                              {f: columns[f][lo:lo + 48]
+                               for f in vec.needed_fields})
+            table = vec.result_table()
+        rows = row.result_table().rows
+        assert max(v for r in rows for k, v in r.items()
+                   if k != "srcip") > 2 ** 63
+        assert table.rows == rows
+        assert vec.backing_writes == row.backing_writes
