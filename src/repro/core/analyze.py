@@ -15,12 +15,12 @@ module lifts them into one compile-time pass:
 (b) the **engine/session compatibility matrix** (row vs vector vs
     windowed vs sharded vs ``exact`` vs ``refresh_interval``), and the
     integer-key rule every hardware store relies on;
-(c) **value-range inference** over fold accumulators: given trace
-    bounds (record count x max field magnitude), predict the int64
-    overflow fallback that
-    :func:`~repro.core.vector_exec.guard_int64_accumulation` otherwise
-    discovers mid-run — the static bound is exactly the guard's
-    conservative formula, so the verdicts agree by construction;
+(c) **value-range inference** over every fold's state: given trace
+    bounds (record count x max field magnitude), predict where the
+    vector engine will switch a fold to exact Python ints mid-run —
+    the analyzer and the runtime call one walker
+    (:mod:`repro.core.intbound`), fed trace bounds here and data bounds
+    there, so the verdicts agree by construction;
 (d) **SRAM/area feasibility** per stage via :mod:`repro.switch.area`
     ("won't fit" before deployment, §4's 38%-of-die example);
 (e) **unused-field / dead-stage detection** over the resolved program
@@ -41,19 +41,7 @@ from repro.switch import area
 from repro.switch.kvstore.cache import ENGINES, CacheGeometry
 from repro.telemetry.diagnostics import Diagnostic, DiagnosticsReport, make
 
-from .ast_nodes import (
-    BinOp,
-    Call,
-    ColumnRef,
-    Cond,
-    Expr,
-    FieldRef,
-    Number,
-    ParamRef,
-    StateRef,
-    UnaryOp,
-    walk,
-)
+from . import intbound
 from .errors import HardwareError
 from .eval_expr import Numeric
 from .plan import FoldConfig, GroupByStage, SwitchProgram
@@ -84,8 +72,6 @@ DEFAULT_AREA_BUDGET = 0.25
 #: Default per-field magnitude bound: every schema field is at most 64
 #: bits, but absent better knowledge we assume 32-bit payloads.
 DEFAULT_FIELD_MAGNITUDE = 2 ** 32
-
-_INT64_LIMIT = 2 ** 63
 
 _FIELD_DTYPE = {f.name: f.dtype for f in FIELDS}
 
@@ -119,8 +105,8 @@ class OverflowBound:
     var: str
     per_record_bound: int
     init_magnitude: int
-    total_bound: int           # |init| + records * per_record_bound
-    overflows: bool            # total_bound >= 2^63
+    total_bound: int           # bound on the fold's values over the trace
+    overflows: bool            # a value may reach 2^63 within the trace
     safe_records: int | None   # largest N proven safe (None: unbounded)
 
 
@@ -234,86 +220,6 @@ def require_integer_keys(stages: Iterable[GroupByStage]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _is_int_expr(expr: Expr, params: Mapping[str, Numeric],
-                 history: Mapping[str, Expr]) -> bool:
-    """Whether ``expr`` evaluates on the integer array path.
-
-    Mirrors the vector store's dtype derivation: float literals,
-    division, float-typed fields/params, or unbound params (unknown
-    type) all push the accumulator to float64, where int64 overflow
-    cannot happen.
-    """
-    for node in walk(expr):
-        if isinstance(node, Number) and isinstance(node.value, float):
-            return False
-        if isinstance(node, BinOp) and node.op == "/":
-            return False
-        if isinstance(node, (FieldRef, ColumnRef)):
-            if _FIELD_DTYPE.get(node.name) == "float":
-                return False
-        if isinstance(node, ParamRef):
-            if node.name not in params:
-                return False
-            if isinstance(params[node.name], float):
-                return False
-        if isinstance(node, StateRef):
-            dep = history.get(node.name)
-            if dep is None or not _is_int_expr(dep, params, history):
-                return False
-    return True
-
-
-def _abs_bound(expr: Expr, bounds: TraceBounds,
-               params: Mapping[str, Numeric],
-               history_bounds: Mapping[str, Numeric]) -> Numeric:
-    """Conservative bound on ``|expr|`` over any in-bounds record."""
-    if isinstance(expr, Number):
-        return abs(expr.value)
-    if isinstance(expr, (FieldRef, ColumnRef)):
-        return bounds.bound_for(expr.name)
-    if isinstance(expr, ParamRef):
-        value = params.get(expr.name)
-        return abs(value) if value is not None else DEFAULT_FIELD_MAGNITUDE
-    if isinstance(expr, StateRef):
-        # Only history variables may appear in B (state-free by
-        # construction); their pre-value is bounded by their own update.
-        return history_bounds.get(expr.name, DEFAULT_FIELD_MAGNITUDE)
-    if isinstance(expr, UnaryOp):
-        if expr.op == "-":
-            return _abs_bound(expr.operand, bounds, params, history_bounds)
-        return 1  # "not" yields 0/1
-    if isinstance(expr, BinOp):
-        left = _abs_bound(expr.left, bounds, params, history_bounds)
-        right = _abs_bound(expr.right, bounds, params, history_bounds)
-        if expr.op in ("+", "-"):
-            return left + right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "/":
-            return left  # denominators are >= 1 in integer queries
-        return 1  # comparisons / and / or yield 0/1
-    if isinstance(expr, Call):
-        args = [_abs_bound(a, bounds, params, history_bounds)
-                for a in expr.args]
-        return max(args, default=0)  # max / min / abs
-    if isinstance(expr, Cond):
-        return max(
-            _abs_bound(expr.then, bounds, params, history_bounds),
-            _abs_bound(expr.orelse, bounds, params, history_bounds),
-        )
-    return DEFAULT_FIELD_MAGNITUDE
-
-
-def _history_bounds(fold: FoldConfig, bounds: TraceBounds,
-                    params: Mapping[str, Numeric]) -> dict[str, Numeric]:
-    """Bounds for history variables, resolved in depth order."""
-    lin = fold.linearity
-    out: dict[str, Numeric] = {}
-    for var, _depth in sorted(lin.history.items(), key=lambda kv: kv[1]):
-        out[var] = _abs_bound(lin.update_exprs[var], bounds, params, out)
-    return out
-
-
 def _as_int(value: Numeric) -> int:
     """Round a bound up to an int (bounds only ever over-approximate)."""
     i = int(value)
@@ -322,37 +228,61 @@ def _as_int(value: Numeric) -> int:
 
 def _overflow_bounds(fold: FoldConfig, bounds: TraceBounds,
                      params: Mapping[str, Numeric]) -> tuple[OverflowBound, ...]:
-    """Accumulation bounds for an additive fold's integer variables.
+    """Bounds on a fold's integer values over the trace, per state
+    variable (a float variable is reported when an integer value of its
+    update may wrap).
 
-    The additive strategy updates ``s = s + B(pkt)`` per record, so
-    after ``N`` records ``|s| <= |init| + N * max|B|`` — the same
-    conservative formula
-    :func:`~repro.core.vector_exec.guard_int64_accumulation` applies to
-    a batch at runtime, evaluated here against the trace bounds.
+    The runtime's decision made early, with its walker
+    (:mod:`repro.core.intbound`) fed trace bounds — integer fields at
+    their magnitudes, ``records`` packets on one key.  Identity-linear
+    folds add ``B`` per packet to each variable, so ``|s| <= |init| +
+    N * max|B|``, and ``B``'s intermediates (and the history pre-values'
+    it reads) must stay below 2^63 on their own; every other fold runs
+    in rounds, bounded fold-wide by :func:`~repro.core.intbound.growth`.
     """
-    spec = fold.merge
-    if spec.strategy != "additive":
-        return ()
-    history_exprs = {v: fold.linearity.update_exprs[v]
-                     for v in fold.linearity.history}
-    hist_bounds = _history_bounds(fold, bounds, params)
-    inits = fold.instance.initial_state()
-    out: list[OverflowBound] = []
-    for var in spec.order:
-        init = inits.get(var, 0)
-        offset = spec.offset.get(var, Number(0))
-        if isinstance(init, float) or not _is_int_expr(
-                offset, params, history_exprs):
+    column = {f.name: _as_int(bounds.bound_for(f.name))
+              for f in FIELDS if f.dtype == "int"}.get
+    lin, records = fold.linearity, bounds.records
+    inits = {var: abs(int(init)) for var, init in
+             fold.instance.initial_state().items()
+             if not isinstance(init, float)}
+    if not (lin.linear and lin.matrix_kind == "identity"):
+        grown = intbound.growth(lin.update_exprs, column, inits, params,
+                                records)
+        # Float state cannot wrap, but an integer value inside its
+        # update can: then the fold is reported on every variable.
+        return tuple(OverflowBound(
+            var, grown.step, start, grown.total,
+            grown.safe is not None and grown.safe < records, grown.safe)
+            for var, start in (inits or dict.fromkeys(
+                fold.instance.state_vars, 0)).items())
+    history: dict[str, int] = {}
+    pre = [0]
+    for var in sorted(lin.history, key=lin.history.get):
+        post = intbound.bound(lin.update_exprs[var], column, history.get,
+                              params, pre)
+        pre[0] = max(pre[0], post or 0)
+        if post is not None and var in inits:
+            history[var] = max(post, inits[var])
+    out = []
+    for var in lin.order:
+        worst = list(pre)
+        incr = intbound.bound(lin.offset[var], column, history.get, params,
+                              worst)
+        if worst[0] >= intbound.LIMIT:      # wraps whatever the state is
+            out.append(OverflowBound(var, incr or 0, inits.get(var, 0),
+                                     worst[0], True, 0))
             continue
-        incr = _as_int(_abs_bound(offset, bounds, params, hist_bounds))
-        init_mag = abs(int(init))
-        total = init_mag + bounds.records * incr
-        safe = None if incr == 0 else (_INT64_LIMIT - 1 - init_mag) // incr
+        if incr is None or var not in inits:
+            continue
+        start = inits[var]
+        if max(worst[0], incr, start) >= intbound.LIMIT:
+            safe: int | None = 0
+        else:
+            safe = (intbound.LIMIT - 1 - start) // incr if incr else None
         out.append(OverflowBound(
-            var=var, per_record_bound=incr, init_magnitude=init_mag,
-            total_bound=total, overflows=total >= _INT64_LIMIT,
-            safe_records=safe,
-        ))
+            var, incr, start, start + records * incr,
+            safe is not None and safe < records, safe))
     return tuple(out)
 
 

@@ -42,18 +42,18 @@ Known semantic deltas versus the scalar evaluator (documented, not
 observable in well-formed queries): division by zero yields ``inf``/
 ``nan`` instead of raising, both branches of a conditional are
 evaluated (with the untaken side discarded), and ``and``/``or`` do not
-short-circuit.  Integer arithmetic is 64-bit; the reduction and round
-paths both hand a fold to the exact replay before a value could wrap
-(:func:`guard_int64_accumulation`, ``_FoldVectorizer.run_rounds``).
+short-circuit.  Integer arithmetic is 64-bit; an evaluation, an
+accumulation or a round that :mod:`repro.core.intbound` cannot prove
+below 2^63 runs on exact Python ints instead.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, Mapping
 
 import numpy as np
 
+from . import intbound
 from .ast_nodes import (
     BinOp,
     Call,
@@ -83,89 +83,6 @@ class VectorizationError(Exception):
     """
 
 
-def guard_int64_accumulation(out: np.ndarray, b: np.ndarray) -> None:
-    """Reject an ``np.add.at`` accumulation that could exceed int64.
-
-    The reference interpreter runs on unbounded Python ints; the array
-    path runs on int64, which would *silently wrap*.  A conservative
-    bound — current accumulator magnitude plus ``len(b) * max|b|`` —
-    costs two array reductions and proves the common case safe.  When
-    the bound reaches 2^63 this warns and raises
-    :class:`VectorizationError`, which the callers turn into the exact
-    scalar replay fallback (bit-identical to the interpreter).  Bounds
-    use Python ints throughout: ``abs(np.int64.min)`` would itself
-    wrap.
-    """
-    if out.dtype.kind not in "iu" or b.dtype.kind not in "iu" or not b.size:
-        return
-    max_abs_b = max(abs(int(b.min())), abs(int(b.max())))
-    base = 0 if not out.size else max(abs(int(out.min())),
-                                      abs(int(out.max())))
-    if base + int(b.size) * max_abs_b < 2 ** 63:
-        return
-    warnings.warn(
-        "fold accumulation may exceed int64; falling back to exact "
-        "scalar replay for this fold (slower, bit-identical to the row "
-        "engine)", RuntimeWarning, stacklevel=3)
-    raise VectorizationError("potential int64 accumulator overflow")
-
-
-def _max_abs(arr: np.ndarray) -> int:
-    """``max |arr|`` as a Python int (0 for an empty array)."""
-    if not arr.size:
-        return 0
-    return max(abs(int(arr.min())), abs(int(arr.max())))
-
-
-#: State bound used to probe :func:`_int_bound` for unit growth: far
-#: above any product of column, parameter and literal bounds.
-_PROBE = 1 << 4096
-
-
-def _int_bound(expr: Expr, columns: Mapping[str, int],
-               state: Mapping[str, int], params: Mapping[str, Numeric],
-               worst: list[int]) -> int | None:
-    """A bound on ``|expr|`` over every row when the expression is
-    integer-valued, ``None`` when it is float-valued (floats cannot
-    wrap).  ``columns``/``state`` bound the integer columns and state
-    arrays (float ones are absent); ``worst[0]`` collects the largest
-    bound of any integer intermediate, predicates included — a wrapped
-    comparison operand would pick the wrong branch."""
-    if isinstance(expr, Number):
-        value = expr.value
-        return None if isinstance(value, float) else abs(value)
-    if isinstance(expr, (FieldRef, ColumnRef)):
-        return columns.get(expr.name)
-    if isinstance(expr, StateRef):
-        return state.get(expr.name)
-    if isinstance(expr, ParamRef):
-        value = params.get(expr.name)
-        return abs(value) if isinstance(value, int) else None
-    if isinstance(expr, Cond):
-        _int_bound(expr.pred, columns, state, params, worst)
-        branches = [_int_bound(e, columns, state, params, worst)
-                    for e in (expr.then, expr.orelse)]
-        return None if None in branches else max(branches)
-    if isinstance(expr, UnaryOp):
-        inner = _int_bound(expr.operand, columns, state, params, worst)
-        return 1 if expr.op == "not" else inner
-    if isinstance(expr, Call):
-        args = [_int_bound(a, columns, state, params, worst)
-                for a in expr.args]
-        return None if None in args else max(args)
-    if isinstance(expr, BinOp):
-        left = _int_bound(expr.left, columns, state, params, worst)
-        right = _int_bound(expr.right, columns, state, params, worst)
-        if expr.op in ("+", "-", "*"):
-            if left is None or right is None:
-                return None
-            bound = left + right if expr.op != "*" else left * right
-            worst[0] = max(worst[0], bound)
-            return bound
-        return None if expr.op == "/" else 1
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Array expression evaluation
 # ---------------------------------------------------------------------------
@@ -177,9 +94,12 @@ class ArrayContext:
     ``columns`` maps field/column names to arrays of length ``n`` (the
     current batch); ``state`` maps state-variable names to arrays (one
     element per group or per row, depending on the caller).
+    The column magnitudes :func:`eval_array` proves int64 safety from
+    are computed lazily, once per context; ``proved`` skips that proof
+    where the caller has made it.
     """
 
-    __slots__ = ("columns", "state", "params", "n")
+    __slots__ = ("columns", "state", "params", "n", "bounds", "proved")
 
     def __init__(
         self,
@@ -187,11 +107,34 @@ class ArrayContext:
         params: Mapping[str, Numeric],
         n: int,
         state: Mapping[str, np.ndarray] | None = None,
+        proved: bool = False,
     ):
         self.columns = columns
         self.state = state
         self.params = params
         self.n = n
+        self.bounds: dict[str, int | None] = {}
+        self.proved = proved
+
+    def column_bound(self, name: str) -> int | None:
+        if name not in self.bounds:
+            self.bounds[name] = intbound.value_bound(self.columns.get(name))
+        return self.bounds[name]
+
+    def state_bound(self, name: str) -> int | None:
+        return intbound.value_bound((self.state or {}).get(name))
+
+    def exact(self, expr: Expr) -> "ArrayContext":
+        """A proved context over exact copies of what ``expr`` reads."""
+        names = {getattr(node, "name", None) for node in walk(expr)}
+
+        def pick(values):
+            return {name: intbound.exact(value)
+                    for name, value in values.items() if name in names}
+
+        return ArrayContext(pick(self.columns), pick(self.params), self.n,
+                            None if self.state is None else pick(self.state),
+                            proved=True)
 
 
 def _truthy(value) -> np.ndarray:
@@ -205,9 +148,23 @@ def _as_pred_int(value) -> np.ndarray:
     return _truthy(value).astype(np.int64)
 
 
-def eval_array(expr: Expr, ctx: ArrayContext):
+def eval_array(expr: Expr, ctx: ArrayContext,
+               what: str = "integer expression"):
     """Evaluate a resolved expression over columns; returns an array of
-    length ``ctx.n`` or a scalar (for inputs with no row dependence)."""
+    length ``ctx.n`` or a scalar (for inputs with no row dependence).
+
+    Unless ``ctx`` is proved, an integer value of the evaluation that
+    may reach 2^63 (:func:`repro.core.intbound.peak`) makes all of it
+    run on exact Python ints, after a warning naming ``what``.
+    """
+    if not ctx.proved:
+        if intbound.peak(expr, ctx.column_bound, ctx.state_bound,
+                         ctx.params) < intbound.LIMIT:
+            ctx = ArrayContext(ctx.columns, ctx.params, ctx.n, ctx.state,
+                               proved=True)
+        else:
+            intbound.warn(what)
+            ctx = ctx.exact(expr)
     if isinstance(expr, Number):
         return expr.value
     if isinstance(expr, FieldRef):
@@ -487,26 +444,34 @@ class _FoldVectorizer:
         performs the same additions in the same order as the scalar
         loop resuming from that value.
         """
-        pre_history, final_history = self._history_values(
-            ctx, layout, init_override=init_override)
-        states: dict[str, np.ndarray] = dict(final_history)
-        for var in self.linearity.order:
-            init = self.fold.inits.get(var, 0)
-            b_expr = self.linearity.offset[var]
-            bctx = ArrayContext(ctx.columns, self.params, ctx.n, state=pre_history)
-            b = as_column(eval_array(b_expr, bctx), ctx.n)
-            if init_override is not None and var in init_override:
-                init_arr = init_override[var]
-                dtype = np.result_type(np.asarray(b).dtype, init_arr.dtype)
-                out = init_arr.astype(dtype, copy=True)
-            else:
-                dtype = np.result_type(np.asarray(b).dtype, _init_dtype(init))
-                out = np.full(layout.n_groups, init, dtype=dtype)
-            b = np.asarray(b).astype(dtype, copy=False)
-            guard_int64_accumulation(out, b)
+        pre, states = self._history_values(ctx, layout, init_override)
+        for var, out, b in self.addends(ctx, layout, pre, init_override):
             np.add.at(out, layout.gid, b)
             states[var] = out
         return states
+
+    def addends(self, ctx: ArrayContext, layout: _GroupLayout,
+                pre: Mapping[str, np.ndarray],
+                init_override: Mapping[str, np.ndarray] | None = None):
+        """``(var, start, B)`` per accumulated variable: the per-group
+        starting values and the per-row offsets read against the
+        history pre-values ``pre``, proved safe to add in int64 or made
+        exact (:func:`repro.core.intbound.addends`)."""
+        bctx = ArrayContext(ctx.columns, self.params, ctx.n, state=pre)
+        most = int(layout.counts.max()) if layout.n_groups else 0
+        for var in self.linearity.order:
+            init = self.fold.inits.get(var, 0)
+            b = np.asarray(as_column(
+                eval_array(self.linearity.offset[var], bctx), ctx.n))
+            if init_override is not None and var in init_override:
+                init_arr = init_override[var]
+                dtype = np.result_type(b.dtype, init_arr.dtype)
+                out = init_arr.astype(dtype, copy=True)
+            else:
+                dtype = np.result_type(b.dtype, _init_dtype(init))
+                out = np.full(layout.n_groups, init, dtype=dtype)
+            yield (var, *intbound.addends(out, b.astype(dtype, copy=False),
+                                          most, f"fold accumulation ({var})"))
 
     # -- strategy: round-major elementwise iteration -------------------------
 
@@ -548,26 +513,22 @@ class _FoldVectorizer:
                     np.result_type(dtype, init_arr.dtype), copy=True)
             else:
                 states[var] = np.full(layout.n_groups, init, dtype=dtype)
-        # int64 overflow guard on the integer state arrays: proved safe
-        # for the whole call up front when no update can grow the state
-        # bound by more than a fixed step per round, else advanced round
-        # by round.
+        # int64: one proof for the whole call, else every evaluation of
+        # a round proves itself from the round's values (eval_array).
         n_rounds = len(round_offsets) - 1
-        col_bounds = {name: _max_abs(arr) for name, arr in needed.items()
-                      if arr.dtype.kind in "iu"}
-        bounds = {var: _max_abs(arr) for var, arr in states.items()
-                  if arr.dtype.kind in "iu"}
-        per_round = bool(bounds) and not self._cannot_wrap(
-            bounds, col_bounds, n_rounds)
+        bounds = {var: intbound.value_bound(arr)
+                  for var, arr in states.items() if arr.dtype.kind in "iu"}
+        safe = intbound.growth(self.update_exprs, ctx.column_bound, bounds,
+                               self.params, n_rounds).safe
+        proved = safe is None or safe >= n_rounds
         for r in range(n_rounds):
-            if per_round and bounds:
-                bounds = self._advance_bounds(states, bounds, col_bounds)
             lo, hi = round_offsets[r], round_offsets[r + 1]
             idx = rows_rm[lo:hi]
             groups = gid_rm[lo:hi]
             columns = {name: arr[idx] for name, arr in needed.items()}
             state_view = {var: arr[groups] for var, arr in states.items()}
-            rctx = ArrayContext(columns, self.params, hi - lo, state=state_view)
+            rctx = ArrayContext(columns, self.params, hi - lo,
+                                state=state_view, proved=proved)
             new_values = {
                 var: as_column(eval_array(expr, rctx), hi - lo)
                 for var, expr in self.update_exprs.items()
@@ -575,56 +536,6 @@ class _FoldVectorizer:
             for var, values in new_values.items():
                 _promote_assign(states, var, groups, values)
         return states
-
-    def _cannot_wrap(self, bounds: Mapping[str, int],
-                     col_bounds: Mapping[str, int], n_rounds: int) -> bool:
-        """Whether ``n_rounds`` rounds provably keep every integer value
-        below 2^63.  :func:`_int_bound` is a max of sums and products
-        of nonnegative terms, so probing it with a state bound far
-        above every constant part shows whether each integer value is
-        at most one state magnitude plus its value at zero state; if
-        so, a round adds at most that zero-state peak to the state
-        bound."""
-        def peak(state_bound: int) -> int:
-            worst = [0]
-            state = dict.fromkeys(bounds, state_bound)
-            for expr in self.update_exprs.values():
-                step = _int_bound(expr, col_bounds, state, self.params, worst)
-                worst[0] = max(worst[0], step or 0)
-            return worst[0]
-
-        base = peak(0)
-        return (peak(_PROBE) <= _PROBE + base
-                and max(bounds.values()) + (n_rounds + 1) * base < 2 ** 63)
-
-    def _advance_bounds(self, states: Mapping[str, np.ndarray],
-                        bounds: dict[str, int],
-                        col_bounds: Mapping[str, int]) -> dict[str, int]:
-        """Bounds on the integer state arrays after one more round, or
-        :class:`VectorizationError` (the exact scalar replay) when an
-        integer value of the round could reach 2^63 — the interpreter's
-        Python ints never wrap, int64 would.  A conservative bound that
-        trips is first tightened to the arrays' actual magnitudes."""
-        for attempt in range(2):
-            if attempt:
-                bounds = {var: _max_abs(arr) for var, arr in states.items()
-                          if arr.dtype.kind in "iu"}
-            worst = [0]
-            new = {var: _int_bound(self.update_exprs[var], col_bounds,
-                                   bounds, self.params, worst)
-                   for var in self.update_exprs}
-            if max(worst[0], *(b or 0 for b in new.values())) < 2 ** 63:
-                out = {}
-                for var, bound in bounds.items():
-                    step = new.get(var, bound)
-                    if step is not None:     # a float update makes it float
-                        out[var] = max(bound, step)
-                return out
-        warnings.warn(
-            "fold state may exceed int64; falling back to exact scalar "
-            "replay for this fold (slower, bit-identical to the row "
-            "engine)", RuntimeWarning, stacklevel=3)
-        raise VectorizationError("potential int64 state overflow")
 
     # -- strategy: per-fold scalar replay ------------------------------------
 

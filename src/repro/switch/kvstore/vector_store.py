@@ -66,12 +66,12 @@ catalog, every eviction policy, and adversarial streams.
 
 from __future__ import annotations
 
-import warnings
 from typing import Mapping
 
 import numpy as np
 
-from repro.core.ast_nodes import StateRef, walk
+from repro.core import intbound
+from repro.core.ast_nodes import BinOp, Expr, Number, StateRef, walk
 from repro.core.errors import HardwareError
 from repro.core.eval_expr import Numeric
 from repro.core.interpreter import ResultTable
@@ -90,11 +90,8 @@ from repro.core.vector_exec import (
     FoldVectorizer,
     GroupLayout,
     VectorizationError,
-    _int_bound,
-    _max_abs,
     as_column,
     eval_array,
-    guard_int64_accumulation,
 )
 
 from ..alu import compile_update
@@ -272,18 +269,11 @@ class VectorSplitStore:
             if spec.strategy == "list":
                 # Non-mergeable: only per-epoch end states are needed
                 # (the backing store keeps them as value segments).
-                if cont is None:
-                    states = vec.evaluate(ctx, layout)
-                else:
-                    override = cont.override(fold, layout.n_groups,
-                                             fold.instance.state_vars)
-                    if vec.strategy == "reduction":
-                        states = vec.reduce(ctx, layout,
-                                            init_override=override)
-                    else:
-                        states = vec.run_rounds(ctx, layout,
-                                                init_override=override)
-                return _FoldEpochs(spec, states)
+                override = None if cont is None else cont.override(
+                    fold, layout.n_groups, fold.instance.state_vars)
+                run = vec.reduce if vec.strategy == "reduction" \
+                    else vec.run_rounds
+                return _FoldEpochs(spec, run(ctx, layout, override))
             if spec.strategy == "additive":
                 # Exact history included: its registers continue by
                 # per-epoch offsets (see _eval_additive).
@@ -317,8 +307,7 @@ class VectorSplitStore:
         spec = fold.merge
         override = None if cont is None else \
             cont.override(fold, layout.n_groups, fold.instance.state_vars)
-        pre, final = vec._history_values(ctx, layout, init_override=override)
-        states = dict(final)
+        pre, states = vec._history_values(ctx, layout, override)
         k = spec.history_depth if spec.exact_history else 0
         regs: dict[tuple, np.ndarray] = {}
         if k:
@@ -333,22 +322,7 @@ class VectorSplitStore:
             prefix_rows = layout.order[prefix_pos]
             prefix_eid = layout.gid[prefix_rows]
             _continue_logs(spec, ctx, layout, seen0, cont, regs)
-        bctx = ArrayContext(ctx.columns, self.params, ctx.n, state=pre)
-        for var in fold.linearity.order:
-            init = fold.instance.inits.get(var, 0)
-            b = np.asarray(as_column(
-                eval_array(fold.linearity.offset[var], bctx), ctx.n))
-            if override is not None:
-                init_arr = override[var]
-                dtype = np.result_type(b.dtype, init_arr.dtype)
-                out = init_arr.astype(dtype, copy=True)
-            else:
-                dtype = np.result_type(
-                    b.dtype,
-                    np.float64 if isinstance(init, float) else np.int64)
-                out = np.full(layout.n_groups, init, dtype=dtype)
-            b = b.astype(dtype, copy=False)
-            guard_int64_accumulation(out, b)
+        for var, out, b in vec.addends(ctx, layout, pre, override):
             if k:
                 snap = out.copy()
                 np.add.at(snap, prefix_eid, b[prefix_rows])
@@ -571,12 +545,9 @@ def _absorb_additive(spec, target: dict[str, np.ndarray], size: int,
         scatter_promote(target, var, gids[fresh], vals[fresh], size)
         rest = ~fresh
         g, v = gids[rest], vals[rest]
-        arr = target[var]
-        if (arr.dtype.kind in "iu" and v.dtype.kind in "iu" and len(v)
-                and _max_abs(arr[g]) + len(v) * _max_abs(v) >= 2 ** 63):
-            _warn_exact(var)
-            arr = target[var] = arr.astype(object)
-            v = v.astype(object)
+        arr, v = intbound.addends(target[var], v, len(v),
+                                  f"backing-store merge ({var})", touched=g)
+        target[var] = arr
         np.add.at(arr, g, v)
 
 
@@ -654,8 +625,8 @@ def merge_arrays(spec, evicted: Mapping[str, np.ndarray],
                  params: Mapping[str, Numeric]) -> dict[str, np.ndarray]:
     """:func:`~repro.core.merge_synthesis.merge_values` over arrays of
     epochs whose keys already hold a backing value: the same operations
-    in the same order on each element.  Integer operations that could
-    pass 2^63 run on exact Python ints (``object`` arrays) instead."""
+    in the same order on each element, as array evaluations (exact
+    Python ints wherever an int64 value could wrap)."""
     if not spec.exact_history:
         return _compose(spec, evicted, regs, backing, init_state)
     # A nonempty epoch has a nonempty log: replay it against the true
@@ -681,29 +652,33 @@ def _compose(spec, evicted: Mapping[str, np.ndarray],
              ref: Mapping[str, object]) -> dict[str, np.ndarray]:
     """``evicted + P·(base - ref)`` per merge strategy, with every other
     variable kept from ``evicted`` (the non-replay half of
-    ``merge_values``)."""
+    ``merge_values``), operation for operation — the matrix correction
+    starts, like Python's ``sum``, at int 0 — as one array evaluation
+    per order variable over the names ``ev.v``, ``base.v``, ``ref.v``
+    and ``P.v`` / ``P.i.j``."""
+    state = {".".join(map(str, key)): arr for key, arr in regs.items()
+             if key[0] == "P"}
+    for var in spec.order:
+        state.update({f"ev.{var}": evicted[var], f"base.{var}": base[var],
+                      f"ref.{var}": ref[var]})
+    ctx = ArrayContext({}, {}, len(evicted[spec.order[0]]), state=state)
+
+    def delta(var: str) -> Expr:
+        return BinOp("-", StateRef(f"base.{var}"), StateRef(f"ref.{var}"))
+
     merged = dict(evicted)
-    if spec.strategy == "additive":
-        for var in spec.order:
-            merged[var] = _int_safe(
-                np.add, evicted[var],
-                _int_safe(np.subtract, base[var], ref[var]))
-    elif spec.strategy == "scale":
-        for var in spec.order:
-            delta = _int_safe(np.subtract, base[var], ref[var])
-            merged[var] = _int_safe(
-                np.add, evicted[var],
-                _int_safe(np.multiply, regs[("P", var)], delta))
-    else:                                   # matrix
-        delta = {v: _int_safe(np.subtract, base[v], ref[v])
-                 for v in spec.order}
-        for i in spec.order:
-            correction: object = 0          # Python's sum() starts at int 0
+    for i in spec.order:
+        if spec.strategy == "additive":
+            correction = delta(i)
+        elif spec.strategy == "scale":
+            correction = BinOp("*", StateRef(f"P.{i}"), delta(i))
+        else:                               # matrix
+            correction = Number(0)
             for j in spec.order:
-                correction = _int_safe(
-                    np.add, correction,
-                    _int_safe(np.multiply, regs[("P", i, j)], delta[j]))
-            merged[i] = _int_safe(np.add, evicted[i], correction)
+                correction = BinOp("+", correction, BinOp(
+                    "*", StateRef(f"P.{i}.{j}"), delta(j)))
+        merged[i] = eval_array(BinOp("+", StateRef(f"ev.{i}"), correction),
+                               ctx, f"backing-store merge ({i})")
     return merged
 
 
@@ -713,77 +688,22 @@ def _replay_log(spec, state: dict[str, np.ndarray],
     """Replay each epoch's logged packets (its first ``min(k, seen)``)
     through the if-converted update expressions, starting from
     ``state``: log slot ``j`` is one array round over the epochs that
-    logged it.  An int64 step that could wrap runs on exact ints."""
+    logged it."""
     seen = regs[("seen",)]
     n = len(seen)
+    what = f"backing-store merge ({', '.join(spec.update_exprs)})"
     for j in range(spec.history_depth):
         rows = np.flatnonzero(seen > j)
         if not len(rows):
             break
         columns = {f: regs[("log", j, f)][rows] for f in spec.packet_fields}
         pre = {var: arr[rows] for var, arr in state.items()}
-        if _may_wrap(spec.update_exprs, columns, pre, params):
-            _warn_exact(", ".join(spec.update_exprs))
-            columns = {f: _exact(c) for f, c in columns.items()}
-            pre = {var: _exact(a) for var, a in pre.items()}
         ctx = ArrayContext(columns, params, len(rows), state=pre)
-        new = {var: as_column(eval_array(expr, ctx), len(rows))
+        new = {var: as_column(eval_array(expr, ctx, what), len(rows))
                for var, expr in spec.update_exprs.items()}
         for var, vals in new.items():
             scatter_promote(state, var, rows, vals, n)
     return state
-
-
-def _may_wrap(exprs: Mapping[str, object], columns: Mapping[str, np.ndarray],
-              state: Mapping[str, np.ndarray],
-              params: Mapping[str, Numeric]) -> bool:
-    """Whether one round of ``exprs`` could produce an integer value (or
-    intermediate) of 2^63 or more (bounds as in the round-major fold
-    path, :func:`repro.core.vector_exec._int_bound`)."""
-    col_bounds = {f: _max_abs(c) for f, c in columns.items()
-                  if c.dtype.kind in "iu"}
-    state_bounds = {var: _max_abs(a) for var, a in state.items()
-                    if a.dtype.kind in "iu"}
-    worst = [0]
-    for expr in exprs.values():
-        bound = _int_bound(expr, col_bounds, state_bounds, params, worst)
-        worst[0] = max(worst[0], bound or 0)
-    return worst[0] >= 2 ** 63
-
-
-def _int_safe(op, a, b):
-    """``op(a, b)`` (add, subtract or multiply), on exact Python ints
-    when both operands are integers whose result could pass 2^63."""
-    if _is_int(a) and _is_int(b):
-        ba, bb = _bound(a), _bound(b)
-        if (ba * bb if op is np.multiply else ba + bb) >= 2 ** 63:
-            _warn_exact(op.__name__)
-            a, b = _exact(a), _exact(b)
-    return op(a, b)
-
-
-def _is_int(x) -> bool:
-    if isinstance(x, np.ndarray):
-        return x.dtype.kind in "iu"
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _bound(x) -> int:
-    return _max_abs(x) if isinstance(x, np.ndarray) else abs(int(x))
-
-
-def _exact(x):
-    """An integer array (or scalar) as exact Python ints."""
-    if isinstance(x, np.ndarray):
-        return x.astype(object) if x.dtype.kind in "iu" else x
-    return int(x) if isinstance(x, np.integer) else x
-
-
-def _warn_exact(what: str) -> None:
-    warnings.warn(
-        f"backing-store merge ({what}) may exceed int64; switching to "
-        f"exact Python-int arithmetic (slower, bit-identical to the row "
-        f"engine)", RuntimeWarning, stacklevel=4)
 
 
 def scatter_promote(target: dict, key, idx: np.ndarray, vals: np.ndarray,

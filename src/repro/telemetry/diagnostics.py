@@ -153,12 +153,12 @@ _REGISTRY: tuple[CodeInfo, ...] = (
     # -- value-range / overflow ---------------------------------------------
     CodeInfo(
         "RPR-W201", "int64-overflow-risk", "warning", "compile",
-        "fold {column!r} state {var!r} may exceed int64: |init| {init} "
-        "+ {records} records x per-record bound {bound} reaches 2^63 "
-        "(safe up to {safe} records); the vector engine will fall back "
-        "to exact scalar replay mid-run",
+        "fold {column!r} state {var!r} may exceed int64 within "
+        "{records} records: from |init| {init} at per-record bound "
+        "{bound} it is safe up to {safe} records; the vector engine "
+        "will switch the fold to exact Python ints mid-run",
         "shorten the trace / shrink the field magnitude, or accept the "
-        "slower bit-identical scalar replay fallback",
+        "slower bit-identical exact-int arithmetic",
     ),
     # -- resource accounting -------------------------------------------------
     CodeInfo(

@@ -24,7 +24,9 @@ that sharded *sessions* can stream through:
 * **Crash propagation and recovery.** A worker exception travels back
   as a formatted traceback and re-raises in the parent as
   :class:`ShardError` — handler failures are deterministic and are
-  never retried.  A *dead* worker (EOF/broken pipe/killed process) is
+  never retried.  A worker's warnings travel back the same way and
+  are re-issued in the parent, so the caller's warning filters apply
+  to them.  A *dead* worker (EOF/broken pipe/killed process) is
   different: when the pool was built with ``checkpoint_every``, the
   parent keeps each role's pristine pre-fork copy, takes a synchronous
   role checkpoint every ``checkpoint_every`` journaled posts (the FIFO
@@ -58,6 +60,7 @@ import sys
 import threading
 import time
 import traceback
+import warnings
 import weakref
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Mapping, Sequence
@@ -205,15 +208,21 @@ def _worker_main(role, conn) -> None:
                 continue
             conn.send(("ack", token))
             try:
-                if op == "__checkpoint__":
-                    result = role.checkpoint()
-                elif op == "__restore__":
-                    result = role.restore(meta)
-                else:
-                    result = role.handle(op, meta, arrays)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    if op == "__checkpoint__":
+                        result = role.checkpoint()
+                    elif op == "__restore__":
+                        result = role.restore(meta)
+                    else:
+                        result = role.handle(op, meta, arrays)
             except Exception:
                 conn.send(("error", token, traceback.format_exc()))
                 continue
+            notes = list(dict.fromkeys((w.category, str(w.message))
+                                       for w in caught))
+            if notes:
+                conn.send(("warn", token, notes))
             if reply:
                 conn.send(("result", token, result))
     except (BrokenPipeError, OSError):   # parent went away mid-send
@@ -759,6 +768,11 @@ class ShardWorkerPool:
         elif kind == "result":
             w.results[msg[1]] = msg[2]
             w.awaiting.discard(msg[1])
+        elif kind == "warn":
+            # Re-issued here, so the caller's filters decide (a worker
+            # records every warning of an op and ships it back).
+            for category, message in msg[2]:
+                warnings.warn(message, category, stacklevel=2)
         else:                                    # ("error", token, tb)
             w.failed = msg[2]
             raise ShardError(

@@ -17,6 +17,7 @@ Plus: the registry's internal consistency, warning/info emission
 and servers, and the served ``REJECT`` frame carrying the code.
 """
 
+import time
 import warnings
 
 import numpy as np
@@ -360,9 +361,10 @@ class TestShardabilityDifferential:
 
 
 class TestOverflowDifferential:
-    """The analyzer's bound is `|init| + N * max|B| >= 2^63` — the same
-    formula `guard_int64_accumulation` evaluates per batch.  On a trace
-    of N constant-magnitude records the two must agree exactly."""
+    """The analyzer and the runtime bound integers with one walker
+    (`core/intbound.py`): for a sum, `|init| + N * max|B| >= 2^63`,
+    the formula the runtime evaluates per batch.  On a trace of N
+    constant-magnitude records the two must agree exactly."""
 
     QUERY = "SELECT SUM(pkt_len) GROUPBY srcip"
 
@@ -402,6 +404,92 @@ class TestOverflowDifferential:
         # Either path stays exact: the fallback replays in Python ints.
         assert report.result.rows[0]["SUM(pkt_len)"] == records * magnitude
 
+    @staticmethod
+    def nonzero_init():
+        from repro.core.builder import field, fold, program, query
+        f = fold("f", ["s"], ["pkt_len"]).init(s=3).let(
+            "s", field("s") + field("pkt_len"))
+        return program(folds=[f],
+                       result=query().select("srcip", "f").groupby("srcip"))
+
+    #: One fold per merge class — plain sum, nonzero init (the merge
+    #: composes ``evicted + (backing - init)``), exact history, scale,
+    #: round-major, and float state behind an integer predicate:
+    #: (source, exact history, merge strategy, field magnitudes, the
+    #: fewest records whose bound reaches 2^63 — ``None``: three records
+    #: at any count, the magnitudes are the boundary).
+    CLASSES = {
+        "plain_sum": (
+            "def ps (s, (pkt_len, qin)): s = s + pkt_len * qin\n"
+            "SELECT srcip, ps GROUPBY srcip", False, "additive",
+            {"pkt_len": 2 ** 31, "qin": 2 ** 30}, 4),
+        "nonzero_init": (
+            None, False, "additive", {"pkt_len": 2 ** 61}, 4),
+        "exact_history": (
+            "def h ((last, s), (tcpseq, pkt_len)):\n"
+            "    if last != tcpseq: s = s + pkt_len\n"
+            "    last = tcpseq\n"
+            "SELECT srcip, h GROUPBY srcip", True, "additive",
+            {"tcpseq": 7, "pkt_len": 2 ** 61}, 4),
+        "scale": (
+            "def sc (s, pkt_len): s = 2 * s + pkt_len\n"
+            "SELECT srcip, sc GROUPBY srcip", False, "scale",
+            {"pkt_len": 2 ** 58}, 6),
+        "round_major": (
+            "def rm (s, pkt_len):\n"
+            "    if s >= 0 then s = s + pkt_len else s = s - pkt_len\n"
+            "SELECT srcip, rm GROUPBY srcip", False, "list",
+            {"pkt_len": 2 ** 61}, 4),
+        "predicate_float": (
+            "def pf (s, pkt_len):\n"
+            "    if pkt_len * pkt_len > 5: s = s + 1.5\n"
+            "SELECT srcip, pf GROUPBY srcip", False, "additive",
+            {"pkt_len": 3037000500}, None),   # ceil(sqrt(2^63))
+    }
+
+    @pytest.mark.parametrize("below", [0, 1], ids=["boundary", "below"])
+    @pytest.mark.parametrize("cls", sorted(CLASSES))
+    def test_every_fold_class_agrees_at_the_boundary(self, cls, below):
+        """W201 fires exactly when the runtime warns — through run(),
+        run_exact() and a two-record window alike; one record (or one
+        unit of magnitude) below the boundary both stay silent."""
+        source, exact_history, strategy, magnitudes, boundary = \
+            self.CLASSES[cls]
+        if boundary is None:
+            records = 3
+            magnitudes = {name: m - below for name, m in magnitudes.items()}
+        else:
+            records = boundary - below
+        engine = QueryEngine(source or self.nonzero_init(), geometry=GEOM,
+                             exact_history=exact_history)
+        analysis = engine.analyze(trace_bounds=TraceBounds(
+            records=records, field_magnitude=magnitudes))
+        fold = analysis.stage("__result__").folds[0]
+        assert fold.strategy == strategy
+        static = bool(analysis.report.by_code("RPR-W201"))
+        assert static == (not below)
+        trace = ObservationTable.from_arrays({
+            "srcip": np.zeros(records, dtype=np.int64),
+            **{name: np.full(records, m, dtype=np.int64)
+               for name, m in magnitudes.items()}})
+        want = QueryEngine(source or self.nonzero_init(), geometry=GEOM,
+                           engine="row").run_exact(trace)["__result__"].rows
+
+        def window():
+            session = engine.open(window=2)
+            session.ingest(trace)
+            return session.close().tables
+
+        for run in (lambda: engine.run(trace).tables,
+                    lambda: engine.run_exact(trace), window):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                tables = run()
+            warned = any("may exceed int64" in str(w.message)
+                         for w in caught)
+            assert warned == static
+            assert tables["__result__"].rows == want
+
     def test_w201_reports_the_safe_record_count(self):
         engine = QueryEngine(self.QUERY, geometry=GEOM)
         bound = self.verdict(engine, 2, 2 ** 62)
@@ -410,6 +498,23 @@ class TestOverflowDifferential:
             records=2, field_magnitude={"pkt_len": 2 ** 62}))
         w201 = analysis.report.by_code("RPR-W201")
         assert len(w201) == 1 and "safe up to 1 records" in w201[0].message
+
+    def test_polynomial_growth_is_proven_for_the_iterated_rounds(self):
+        """``s`` grows by ``c``, ``c`` by one: neither unit nor geometric
+        growth.  The analyzer iterates a bounded number of rounds, not
+        one per record, and proves no more than those."""
+        source = ("def tri ((c, s), pkt_len):\n"
+                  "    c = c + 1\n"
+                  "    s = s + c\n"
+                  "SELECT srcip, tri GROUPBY srcip")
+        engine = QueryEngine(source, geometry=GEOM)
+        started = time.perf_counter()
+        analysis = engine.analyze(trace_bounds=TraceBounds(records=10 ** 12))
+        assert time.perf_counter() - started < 5
+        bounds = analysis.stage("__result__").folds[0].overflow
+        assert {b.var for b in bounds} == {"c", "s"}
+        assert all(b.overflows and b.safe_records == 256 for b in bounds)
+        assert len(analysis.report.by_code("RPR-W201")) == 2
 
     def test_no_bounds_no_overflow_verdicts(self):
         engine = QueryEngine(self.QUERY, geometry=GEOM)

@@ -7,6 +7,8 @@ caches (maximising eviction pressure), for a pool of linear fold
 programs spanning all three merge strategies.
 """
 
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,15 +100,23 @@ def run_both(source, params, records, capacity, ways, exact_history=False):
 def test_linear_folds_are_exact_under_any_eviction_schedule(
         stream, program_index, capacity, ways):
     source, params = LINEAR_PROGRAMS[program_index]
-    hardware, truth = run_both(source, params, stream, capacity, ways)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        hardware, truth = run_both(source, params, stream, capacity, ways)
+    # The doubling fold passes 2^63 on some long streams: its state then
+    # runs on exact ints, announced by the one int64 warning.
+    assert all("may exceed int64" in str(w.message) for w in caught)
+    if any(type(v) is int and abs(v) >= 2 ** 63
+           for row in truth.rows for v in row.values()):
+        assert caught
     diff = compare_tables(hardware, truth, rel_tol=1e-9, abs_tol=1e-6)
     assert diff.key_complete, diff.describe()
     assert diff.exact, diff.describe()
 
 
-#: Round-major folds whose integer state passes 2^63: a doubling linear
-#: fold (one of the streams the property above draws, pinned) and a
-#: non-linear fold that adds one huge field per packet.
+#: Folds whose integer state passes 2^63: a doubling linear fold (one
+#: of the streams the property above draws, pinned) and a non-linear
+#: fold that adds one huge field per packet.
 OVERFLOWING = [
     (LINEAR_PROGRAMS[4][0], 40),
     ("def h (m, pkt_len): m = max(m, pkt_len) + pkt_len\n"
@@ -118,8 +128,7 @@ OVERFLOWING = [
 @pytest.mark.parametrize("source,pkt_len", OVERFLOWING,
                          ids=["doubling", "max_plus_field"])
 def test_round_major_int_state_past_int64_stays_exact(source, pkt_len, ways):
-    """The round-major path must hand such a fold to the exact scalar
-    replay (Python ints) instead of wrapping."""
+    """Such a fold must run on exact Python ints instead of wrapping."""
     stream = [make_record(srcip=i % 2, pkt_id=i, tin=i, tout=float(i + 1),
                           pkt_len=pkt_len + i, qin=9) for i in range(150)]
     with pytest.warns(RuntimeWarning, match="may exceed int64"):
@@ -129,6 +138,74 @@ def test_round_major_int_state_past_int64_stays_exact(source, pkt_len, ways):
         > 2 ** 63
     diff = compare_tables(hardware, truth, rel_tol=1e-9, abs_tol=1e-6)
     assert diff.key_complete and diff.exact, diff.describe()
+
+
+#: Integer values that pass 2^63 where no accumulator does: an offset
+#: squared before it is summed, a fold predicate (integer and float
+#: state), a WHERE mask and a projection read by a later stage — each
+#: over three identical records on one key.
+WRAPS = {
+    "square_sum": ("SELECT srcip, SUM(pkt_len * pkt_len) GROUPBY srcip",
+                   2 ** 32 + 1),
+    "predicate": ("def big (s, pkt_len):\n"
+                  "    if pkt_len * pkt_len > 5: s = s + 1\n\n"
+                  "SELECT srcip, big GROUPBY srcip", 2 ** 32),
+    "predicate_float": ("def big (s, pkt_len):\n"
+                        "    if pkt_len * pkt_len > 5: s = s + 1.5\n\n"
+                        "SELECT srcip, big GROUPBY srcip", 2 ** 32),
+    "where": ("SELECT srcip, COUNT GROUPBY srcip WHERE pkt_len * pkt_len > 5",
+              2 ** 32),
+    "projection": ("R1 = SELECT srcip, pkt_len * pkt_len AS sq FROM T\n"
+                   "SELECT srcip, SUM(sq) FROM R1 GROUPBY srcip", 2 ** 32),
+    # A filtered SELECT over the same chunk first: its sub-context sees
+    # only the rows its WHERE keeps (none), which must not bound the
+    # full column the next stage reads.
+    "after_filtered_select": (
+        "R1 = SELECT srcip, pkt_len AS x FROM T WHERE pkt_len < 10\n"
+        "SELECT srcip, COUNT GROUPBY srcip WHERE pkt_len * pkt_len > 5",
+        2 ** 32),
+}
+
+
+@pytest.mark.parametrize("entry", ["run", "run_exact", "window"])
+@pytest.mark.parametrize("engine", ["row", "auto"])
+@pytest.mark.parametrize("case", sorted(WRAPS))
+def test_int64_intermediates_match_interpreter(case, engine, entry):
+    """Every array evaluation proves its integer values below 2^63 or
+    runs on exact Python ints, with one warning: the result equals the
+    interpreter's.  The row engine evaluates only WHERE masks and
+    projections on arrays (its folds and its exact path run on Python
+    ints)."""
+    from repro.network.records import ObservationTable
+    from repro.telemetry.runtime import QueryEngine
+
+    source, pkt_len = WRAPS[case]
+    table = ObservationTable([make_record(pkt_len=pkt_len, pkt_id=i)
+                              for i in range(3)])
+    rp = resolve_program(parse_program(source))
+    want = Interpreter(rp).run_result(table).rows
+    engine_ = QueryEngine(source, engine=engine)
+
+    def rows():
+        if entry == "run_exact":
+            return engine_.run_exact(table)[rp.result].rows
+        if entry == "run":
+            return engine_.run(table).result.rows
+        session = engine_.open(window=2)
+        session.ingest(table)
+        return session.close().result.rows
+
+    arrays = engine == "auto" or (
+        entry != "run_exact"
+        and case in ("where", "projection", "after_filtered_select"))
+    if arrays:
+        with pytest.warns(RuntimeWarning, match="may exceed int64"):
+            got = rows()
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = rows()
+    assert got == want and want
 
 
 @settings(max_examples=25, deadline=None)

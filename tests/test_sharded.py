@@ -13,6 +13,8 @@ lifecycle (ack-bounded segments, crash propagation, unlink on every
 failure path).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -403,14 +405,17 @@ class TestInt64OverflowGuard:
         assert report.result.rows == want
 
     def test_sharded_overflow_stays_exact(self):
-        # The warning fires inside the worker processes; the parent
-        # still gets the exact (object-dtype) accumulators back.
+        # The warning fires inside the worker processes and is
+        # re-issued in the parent, which also gets the exact
+        # (object-dtype) accumulators back.
         table = big_sum_trace(2000, 2 ** 55, flows=4)
         want = self.exact_rows(table)
         qe = QueryEngine(self.SOURCE, geometry=GEOM)
         session = qe.open(window=64, shards=2)
-        session.ingest(table)
-        assert session.close().result.rows == want
+        with pytest.warns(RuntimeWarning, match="may exceed int64"):
+            session.ingest(table)
+            rows = session.close().result.rows
+        assert rows == want
 
 
 # -- worker-pool transport -----------------------------------------------------
@@ -420,6 +425,9 @@ class EchoRole:
     def handle(self, op, meta, arrays):
         if op == "boom":
             raise ValueError("kaboom")
+        if op == "warn":
+            warnings.warn(meta, RuntimeWarning)
+            return meta
         if op == "sum":
             return {name: arr.sum().item() for name, arr in arrays.items()}
         if op == "meta":
@@ -444,6 +452,18 @@ class TestShardWorkerPool:
             # Every segment was acked and unlinked by the time the
             # synchronous call returned (FIFO pipe ordering).
             assert not pool._workers[1].pending
+
+    def test_worker_warnings_reach_the_caller(self):
+        from repro.telemetry.shard_exec import ShardWorkerPool
+
+        with ShardWorkerPool([EchoRole()]) as pool:
+            with pytest.warns(RuntimeWarning, match="from the worker"):
+                assert pool.call(0, "warn", meta="from the worker") == \
+                    "from the worker"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(RuntimeWarning, match="escalated"):
+                    pool.call(0, "warn", meta="escalated")
 
     def test_worker_exception_propagates_and_poisons(self):
         from repro.telemetry.shard_exec import ShardError, ShardWorkerPool
