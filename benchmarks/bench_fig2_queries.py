@@ -2,7 +2,8 @@
 
 Regenerates the paper's query table end-to-end: every query is
 compiled, run through the switch hardware model on a datacenter trace
-with planted anomalies, checked against the reference interpreter, and
+with planted anomalies, checked against ``run_exact`` (the same
+pipeline on a cache that never evicts, exact for every fold), and
 its linear-in-state verdict compared with the paper's column.
 
 Benchmark timings measure the full telemetry run (compile once, stream

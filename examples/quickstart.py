@@ -14,7 +14,7 @@ workload:
    batches, pulling a mid-stream result snapshot along the way (the
    way a live monitor would);
 4. read final results from the backing store and check them against
-   the exact reference interpreter.
+   ``run_exact``: the same pipeline on a cache that never evicts.
 
 Run:  python examples/quickstart.py
 """
@@ -85,7 +85,7 @@ def main() -> None:
 
     # The merge machinery makes the split store exact for linear folds:
     diff = compare_tables(report.result, report.ground_truth[report.result_name])
-    print(f"\nvs exact interpreter: {diff.describe()}")
+    print(f"\nvs never-evicting run: {diff.describe()}")
     assert diff.exact
 
 

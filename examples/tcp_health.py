@@ -68,7 +68,7 @@ def main() -> None:
     print(f"  evictions: {stats.evictions} "
           f"({100 * stats.eviction_fraction:.1f}% of packets)")
     print(f"  out-of-sequence events: {total_oos}")
-    print(f"  flows mismatching exact interpreter: {mism} (expect 0)\n")
+    print(f"  flows mismatching the never-evicting run: {mism} (expect 0)\n")
 
     # -- not linear in state: validity accounting ------------------------
     nonmt = QueryEngine(NON_MONOTONIC, geometry=GEOMETRY).run(

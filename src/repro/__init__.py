@@ -48,7 +48,7 @@ adopts externally produced columns without per-record work::
         "pkt_len": lengths, "tin": tin_ns, "tout": tout_ns,
     })
     engine = QueryEngine("SELECT COUNT GROUPBY srcip, dstip")
-    exact = engine.run_exact(table)     # vectorized (engine="auto")
+    exact = engine.run_exact(table)     # the session, never evicting
 
 Columnar tables take the batch execution path end to end: ``WHERE``
 predicates become boolean masks, linear-in-state ``GROUPBY`` folds

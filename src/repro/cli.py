@@ -4,7 +4,7 @@ Commands:
 
 ``run``       Compile a query and run it over a trace file (CSV/NPZ),
               printing the result table (and optionally checking it
-              against the exact interpreter).
+              against the same program on a cache that never evicts).
 ``plan``      Show the compiled switch configuration for a query.
 ``generate``  Produce a workload trace file (caida / datacenter /
               incast).
@@ -154,9 +154,10 @@ def _add_query_args(parser: argparse.ArgumentParser) -> None:
                              "with --engine row and --refresh)")
     parser.add_argument("--engine", default="auto",
                         choices=("auto", "vector", "row"),
-                        help="exact-evaluation engine: vectorized batch "
-                             "executor, row interpreter, or auto (the "
-                             "vector engine)")
+                        help="execution engine of the session and of "
+                             "--check's never-evicting run: vector store "
+                             "and executor, row reference store and "
+                             "interpreter, or auto (the vector engine)")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -215,9 +216,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         truth = report.ground_truth[report.result_name]
         if result.schema.keyed and truth.schema.keyed:
             diff = compare_tables(result, truth, rel_tol=1e-6)
-            print(f"\nvs exact interpreter: {diff.describe()}")
+            print(f"\nvs never-evicting run: {diff.describe()}")
             return 0 if diff.exact else 1
-        print(f"\nvs exact interpreter: {len(result)} vs {len(truth)} rows")
+        print(f"\nvs never-evicting run: {len(result)} vs {len(truth)} rows")
         return 0 if len(result) == len(truth) else 1
     return 0
 
@@ -413,7 +414,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
             policy=args.policy, exact_history=args.exact_history,
             refresh_interval=args.refresh, engine=args.engine)
         analyses[name] = engine.analyze(
-            window=args.window, shards=args.shards, exact=args.exact,
+            window=args.window, shards=args.shards,
             trace_bounds=bounds, area_budget=args.area_budget)
     total_errors = sum(len(a.report.errors) for a in analyses.values())
 
@@ -508,7 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--include-invalid", action="store_true",
                        help="include invalid (multi-epoch) keys in results")
     run_p.add_argument("--check", action="store_true",
-                       help="verify against the exact interpreter")
+                       help="verify against the same program on a cache "
+                            "that never evicts (exact for every fold)")
     run_p.add_argument("--checkpoint-to", metavar="PATH",
                        help="write a durable session checkpoint to PATH "
                             "(after ingest, or per batch with "
@@ -639,8 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="intended window= for the session")
     lint_p.add_argument("--shards", type=int, default=None, metavar="N",
                         help="intended shards= for the session")
-    lint_p.add_argument("--exact", action="store_true",
-                        help="intended exact= (software-only) session")
     lint_p.add_argument("--records", type=int, default=10_000_000,
                         metavar="N",
                         help="assumed trace length for the int64-overflow "

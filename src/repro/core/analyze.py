@@ -13,7 +13,7 @@ module lifts them into one compile-time pass:
     :class:`~repro.switch.kvstore.sharded.ShardedStoreProxy` computes at
     routing time, derived here from the synthesized merge strategies;
 (b) the **engine/session compatibility matrix** (row vs vector vs
-    windowed vs sharded vs ``exact`` vs ``refresh_interval``), and the
+    windowed vs sharded vs ``refresh_interval``), and the
     integer-key rule every hardware store relies on;
 (c) **value-range inference** over every fold's state: given trace
     bounds (record count x max field magnitude), predict where the
@@ -166,7 +166,6 @@ def session_diagnostics(
     engine: str = "auto",
     window: int | None = None,
     shards: int | None = None,
-    exact: bool = False,
     refresh_interval: int | None = None,
 ) -> list[Diagnostic]:
     """Statically check one session-knob combination.
@@ -183,9 +182,7 @@ def session_diagnostics(
         out.append(make("RPR-E004", window=window))
     if shards is not None and shards < 1:
         out.append(make("RPR-E005", shards=shards))
-    if exact and shards is not None:
-        out.append(make("RPR-E003"))
-    elif shards is not None:
+    if shards is not None:
         if engine == "row":
             out.append(make("RPR-E001"))
         if refresh_interval is not None:
@@ -383,21 +380,20 @@ def analyze_program(
     engine: str = "auto",
     window: int | None = None,
     shards: int | None = None,
-    exact: bool = False,
     refresh_interval: int | None = None,
     trace_bounds: TraceBounds | None = None,
     area_budget: float = DEFAULT_AREA_BUDGET,
 ) -> ProgramAnalysis:
     """Run every deployability analysis over one compiled program.
 
-    Session knobs (``window``/``shards``/``exact``/...) describe the
+    Session knobs (``window``/``shards``/...) describe the
     *intended* session; pass none of them to lint the program itself.
     ``trace_bounds`` enables the overflow analysis; without it no
     value-range verdicts are produced.
     """
     params = dict(params or {})
     diags: list[Diagnostic] = list(session_diagnostics(
-        engine=engine, window=window, shards=shards, exact=exact,
+        engine=engine, window=window, shards=shards,
         refresh_interval=refresh_interval))
 
     stages: list[StageAnalysis] = []
@@ -430,10 +426,9 @@ def analyze_program(
                         bound=bound.per_record_bound,
                         safe=bound.safe_records,
                     ))
-        if not exact:
-            diags.extend(key_diagnostics([stage]))
+        diags.extend(key_diagnostics([stage]))
         if (analysis.mergeable and analysis.serialize_cause
-                and shards is not None and shards > 1 and not exact):
+                and shards is not None and shards > 1):
             diags.append(make("RPR-W102", stage=stage.query_name))
         if geom is not None:
             diags.append(make(
@@ -443,7 +438,7 @@ def analyze_program(
                 pct=100 * analysis.area_fraction,
                 chip=area.CHIP_AREA_MM2,
             ))
-            if not exact and analysis.area_fraction > area_budget:
+            if analysis.area_fraction > area_budget:
                 diags.append(make(
                     "RPR-E301", stage=stage.query_name,
                     pairs=analysis.n_pairs, pair_bits=analysis.pair_bits,

@@ -85,7 +85,6 @@ class SessionConfig:
       the vector path (not ``engine="row"``) and no
       ``refresh_interval``: refresh epochs cut at global stream
       positions, which per-shard streams cannot see.
-    * ``exact``: software-only exact evaluation, no hardware model.
     * ``checkpoint_every``: sharded sessions only — a per-worker role
       checkpoint every this many shard posts, which enables crash
       recovery (see :class:`~repro.telemetry.shard_exec.ShardWorkerPool`).
@@ -104,7 +103,6 @@ class SessionConfig:
     refresh_interval: int | None = None
     window: int | None = None
     shards: int | None = None
-    exact: bool = False
     checkpoint_every: int | None = None
     faults: Any = None
 
@@ -115,7 +113,7 @@ class SessionConfig:
 
         errors = session_diagnostics(
             engine=self.engine, window=self.window, shards=self.shards,
-            exact=self.exact, refresh_interval=self.refresh_interval)
+            refresh_interval=self.refresh_interval)
         if errors:
             raise SessionConfigError(f"[{errors[0].code}] {errors[0].message}")
 

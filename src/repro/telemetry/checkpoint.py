@@ -27,12 +27,11 @@ import zlib
 from repro.core.errors import CheckpointError
 
 MAGIC = b"RPROCKPT"
-#: Payload layout version.  3: the windowed store's absorption target
-#: is per-key arrays for every merge class — ``epochs``, ``merged`` and
-#: key-major ``segments`` — where version 2 carried a pickled backing
-#: store (``backing_data``) or a ``bulk`` flag; older payloads are
-#: refused.
-VERSION = 3
+#: Payload layout version.  4: every session checkpoints its pipeline;
+#: version 3 could instead carry an exact-mode session's buffered input
+#: (``exact`` / ``buffered``), and version 2 a pickled backing store
+#: (``backing_data``).  Older payloads are refused.
+VERSION = 4
 
 _HEADER = struct.Struct("<8sHQI")  # magic, version, payload len, crc32
 
@@ -91,7 +90,6 @@ def describe_checkpoint(data: bytes) -> dict:
         "bytes": len(data),
         "kind": payload.get("kind"),
         "window": payload.get("window"),
-        "exact": payload.get("exact", False),
         "shards": payload.get("shards"),
         "packets_ingested": payload.get("packets_ingested"),
     }

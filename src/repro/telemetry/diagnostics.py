@@ -84,13 +84,6 @@ _REGISTRY: tuple[CodeInfo, ...] = (
         "drop one of shards= / refresh_interval=",
     ),
     CodeInfo(
-        "RPR-E003", "exact-cannot-shard", "error", "open",
-        "exact sessions have no hardware stores to shard; drop shards= "
-        "(or exact=True)",
-        "drop shards= for exact evaluation, or drop exact=True to run "
-        "the hardware model",
-    ),
-    CodeInfo(
         "RPR-E004", "invalid-window", "error", "open",
         "window must be a positive number of accesses, got {window!r} "
         "(omit it for an unbounded window)",

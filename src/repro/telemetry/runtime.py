@@ -11,7 +11,7 @@ the compiler it leaves as future work):
    program's *software stages* (downstream composed queries, joins)
    over them;
 5. expose results, cache/eviction statistics, and an optional exact
-   ground-truth comparison computed by the reference interpreter.
+   ground truth: the same pipeline on a cache that never evicts.
 
 Typical use::
 
@@ -186,7 +186,7 @@ class QueryEngine:
     def describe_plan(self) -> str:
         return self.compiled.describe()
 
-    def analyze(self, *, window: int | None = None, exact: bool = False,
+    def analyze(self, *, window: int | None = None,
                 shards: int | None = None, trace_bounds=None,
                 area_budget: float | None = None):
         """Run the compile-time deployability analysis
@@ -198,7 +198,7 @@ class QueryEngine:
         return analyze_program(
             self.compiled, self.resolved, params=self.params,
             geometry=self.config.geometry, engine=self.config.engine,
-            window=window, shards=shards, exact=exact,
+            window=window, shards=shards,
             refresh_interval=self.config.refresh_interval,
             trace_bounds=trace_bounds,
             area_budget=(DEFAULT_AREA_BUDGET if area_budget is None
@@ -224,7 +224,7 @@ class QueryEngine:
         return self._vector
 
     def _executor(self) -> Interpreter | VectorExecutor:
-        """The exact-evaluation engine, by the ``engine`` knob alone:
+        """The software-stage executor, by the ``engine`` knob alone:
         the interpreter is the ``"row"`` oracle, everything else runs
         vectorized (input is always columnar below the door)."""
         if self.config.engine == "row":
@@ -233,7 +233,7 @@ class QueryEngine:
 
     # -- execution -------------------------------------------------------------
 
-    def open(self, window: int | None = None, exact: bool = False,
+    def open(self, window: int | None = None,
              shards: int | None = None,
              checkpoint_every: int | None = None,
              faults=None) -> TelemetrySession:
@@ -245,18 +245,16 @@ class QueryEngine:
 
         The arguments are the per-session knobs of
         :class:`~repro.switch.pipeline.SessionConfig`, which documents
-        each; :meth:`run` opens with none (unbounded window), and
-        :meth:`run_exact` with ``exact=True``.
+        each; :meth:`run` opens with none (unbounded window).
 
         Every hard diagnostic (``RPR-E*``, see ``DIAGNOSTICS.md``) is
         raised here — before any session state is allocated or shard
         worker forked — with the same code and wording the CLI ``lint``
         command and served ``REJECT`` frames report.
         """
-        config = replace(self.config, window=window, exact=exact,
-                         shards=shards, checkpoint_every=checkpoint_every,
-                         faults=faults)
-        report = self.diagnostics(window=window, exact=exact, shards=shards)
+        config = replace(self.config, window=window, shards=shards,
+                         checkpoint_every=checkpoint_every, faults=faults)
+        report = self.diagnostics(window=window, shards=shards)
         error = report.first_error
         if error is not None:
             raise HardwareError(f"[{error.code}] {error.message}")
@@ -296,11 +294,11 @@ class QueryEngine:
         to a run that never stopped."""
         payload = self._unpack_checkpoint(snapshot, "session")
         config = replace(self.config, window=payload["window"],
-                         exact=payload["exact"], shards=payload["shards"],
+                         shards=payload["shards"],
                          checkpoint_every=checkpoint_every, faults=faults)
         session = TelemetrySession(self, config)
         session.diagnostics = self.diagnostics(
-            window=config.window, exact=config.exact, shards=config.shards)
+            window=config.window, shards=config.shards)
         session._restore_payload(payload)
         return session
 
@@ -366,10 +364,25 @@ class QueryEngine:
         return report
 
     def run_exact(self, records: Iterable[object]) -> dict[str, ResultTable]:
-        """Exact evaluation only (no hardware model), on the engine the
-        ``engine`` knob selects — an *exact* session under the hood."""
-        session = self.open(exact=True)
-        session.ingest(records)
+        """Exact evaluation: :meth:`run`'s session on the engine the
+        ``engine`` knob selects, over a cache that never evicts.
+
+        The backing store only ever sees evicted values (§3.2), so
+        with one fully associative slot per record every key is
+        written once, by the final flush, and every fold — linear or
+        not — is exact.  Policy and seed cannot matter without an
+        eviction; ``"lru"`` keeps the vector schedule on its array
+        path.  No refresh pushes either: a push is a merge, and merges
+        reassociate floating-point folds.  The ``open()`` area gate is
+        skipped, since this cache is never deployed; ``RPR-E302`` is
+        raised by the pipeline as on every session."""
+        table = as_table(records)
+        config = replace(
+            self.config, policy="lru", refresh_interval=None, window=None,
+            shards=None, geometry=CacheGeometry.fully_associative(
+                max(1, len(table))))
+        session = TelemetrySession(self, config)
+        session.ingest(table)
         return session.close().tables
 
     # -- deploy-time cache planning ---------------------------------------------

@@ -14,31 +14,23 @@ shape — open once, then::
 
 Every entry point of the runtime compiles down to one of these
 sessions: :meth:`QueryEngine.run` is open–ingest–close,
-:meth:`QueryEngine.run_exact` is an *exact* session (software-only
-evaluation, no hardware model), and
+:meth:`QueryEngine.run_exact` is the same session on a cache that
+never evicts (the paper's §3.2 split store is exact for every key it
+never evicts, linear fold or not), and
 :class:`~repro.telemetry.deploy.NetworkDeployment` drives one session
-per switch — software, hardware, and network-wide paths share this one
+per switch — exact, hardware, and network-wide paths share this one
 code path.
 
-Execution modes
----------------
+Batches stream through a :class:`~repro.switch.pipeline.SwitchPipeline`.
+``GROUPBY`` stages on the vector path run the windowed split store:
+with ``window`` set, memory stays bounded by the window (plus per-key
+results) on unbounded streams; without one, ingested batches are
+buffered and run as one window whenever results are read (fastest for
+a bounded trace).  :meth:`results` snapshots work mid-stream either
+way, and on ``engine="row"``, whose reference store takes the same
+columnar batches packet by packet.
 
-* **hardware** (default): batches stream through a
-  :class:`~repro.switch.pipeline.SwitchPipeline`.  ``GROUPBY`` stages
-  on the vector path run the windowed split store: with ``window`` set,
-  memory stays bounded by the window (plus per-key results) on
-  unbounded streams; without one, ingested batches are buffered and run
-  as one window whenever results are read (fastest for a bounded
-  trace).  :meth:`results` snapshots work mid-stream either way, and on
-  ``engine="row"``, whose reference store takes the same columnar
-  batches packet by packet.
-* **exact** (``exact=True``): no hardware model — ingested batches are
-  buffered and evaluated by the engine's exact executor (the
-  interpreter or the vectorized executor) at :meth:`results`/
-  :meth:`close`.  Exact evaluation is whole-stream by nature, so this
-  mode's memory grows with the stream.
-
-Results are **bit-identical** across every mode/engine/window
+Results are **bit-identical** across every engine/window/shard
 combination, and to what :meth:`QueryEngine.run` produces.
 """
 
@@ -48,7 +40,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.core.errors import SessionClosedError, SessionError
 from repro.core.interpreter import ResultTable
-from repro.network.records import ObservationTable, as_table
+from repro.network.records import as_table
 from repro.switch.pipeline import SessionConfig, SwitchPipeline
 
 from .checkpoint import pack_checkpoint
@@ -78,12 +70,8 @@ class TelemetrySession:
         self._closed = False
         self._broken: str | None = None
         self._broken_cause: BaseException | None = None
-        if config.exact:
-            self._buffered: list[ObservationTable] = []
-            self._pipeline = None
-        else:
-            self._pipeline = SwitchPipeline(
-                engine.compiled, params=engine.params, config=config)
+        self._pipeline = SwitchPipeline(
+            engine.compiled, params=engine.params, config=config)
 
     # -- context manager ------------------------------------------------------
 
@@ -141,11 +129,7 @@ class TelemetrySession:
         try:
             if self.config.faults is not None:
                 self.config.faults.on_ingest()
-            batch = as_table(batch)
-            if self.config.exact:
-                self._buffered.append(batch)
-            else:
-                self._pipeline.run(batch)
+            self._pipeline.run(as_table(batch))
         except Exception as exc:
             # Keep the original exception: every later SessionError on
             # this poisoned session chains it as __cause__, so the real
@@ -168,8 +152,6 @@ class TelemetrySession:
                 "session is closed; the final report is the close() "
                 "return value")
         self._check_broken()
-        if self.config.exact:
-            return self._exact_report()
         tables, stats, writes, accuracy = \
             self._pipeline.snapshot_results(include_invalid=include_invalid)
         return self._assemble(tables, stats, writes, accuracy)
@@ -186,18 +168,14 @@ class TelemetrySession:
             # report the breakage: a broken session has no trustworthy
             # final report to return.
             self._closed = True
-            if self._pipeline is not None:
-                self._pipeline.release()
+            self._pipeline.release()
             raise SessionError(
                 f"closing a broken session (an earlier ingest() failed: "
                 f"{self._broken}); its partial state was discarded — "
                 f"open a new session, or resume from the last "
                 f"checkpoint() with QueryEngine.resume()"
             ) from self._broken_cause
-        if self.config.exact:
-            report = self._exact_report()
-        else:
-            report = self._final_report(include_invalid)
+        report = self._final_report(include_invalid)
         self._closed = True
         return report
 
@@ -213,9 +191,7 @@ class TelemetrySession:
             accuracy)
 
     def cache_stats(self):
-        """Per-stage cache counters so far (hardware sessions; exact
-        sessions have no hardware model and return an empty dict).
-        After :meth:`close` raises
+        """Per-stage cache counters so far.  After :meth:`close` raises
         :class:`~repro.core.errors.SessionClosedError` — final counters
         are on the report :meth:`close` returned."""
         if self._closed:
@@ -223,8 +199,6 @@ class TelemetrySession:
                 "session is closed; final cache stats are on the "
                 "close() report")
         self._check_broken()
-        if self._pipeline is None:
-            return {}
         return self._pipeline.cache_stats()
 
     # -- durable checkpoints ---------------------------------------------------
@@ -233,8 +207,6 @@ class TelemetrySession:
     def packets_ingested(self) -> int:
         """Observations absorbed so far — what a resumed driver skips
         when replaying its input stream."""
-        if self.config.exact:
-            return sum(len(b) for b in self._buffered)
         return self._pipeline.packets_seen
 
     def checkpoint(self) -> bytes:
@@ -251,45 +223,33 @@ class TelemetrySession:
         return pack_checkpoint(self._checkpoint_payload())
 
     def _checkpoint_payload(self) -> dict:
-        payload = {
+        return {
             "kind": "session",
             "config": self._engine._config_fingerprint(),
             "window": self.config.window,
-            "exact": self.config.exact,
             "shards": self.config.shards,
             "packets_ingested": self.packets_ingested,
+            "pipeline": self._pipeline.checkpoint_state(),
         }
-        if self.config.exact:
-            payload["buffered"] = [_pack_batch(b) for b in self._buffered]
-        else:
-            payload["pipeline"] = self._pipeline.checkpoint_state()
-        return payload
 
     def _restore_payload(self, payload: dict) -> None:
         """Load a :meth:`_checkpoint_payload` dict into this (freshly
-        opened) session — :meth:`QueryEngine.resume` only.  Payloads
-        of earlier versions carry ``saw_rows`` / ``vector_started``
-        flags, which nothing reads any more."""
-        if self.config.exact:
-            self._buffered = [_unpack_batch(b) for b in payload["buffered"]]
-        else:
-            self._pipeline.restore_state(payload["pipeline"])
+        opened) session — :meth:`QueryEngine.resume` only."""
+        self._pipeline.restore_state(payload["pipeline"])
 
     # -- assembly --------------------------------------------------------------
 
     def _assemble(self, tables: dict[str, ResultTable],
-                  stats, writes, accuracy,
-                  software: bool = True) -> "RunReport":
+                  stats, writes, accuracy) -> "RunReport":
         from .runtime import RunReport
 
-        if software:
-            executor = self._engine._executor()
-            for stage in self._engine.compiled.software_stages:
-                # Software stages read upstream *tables* only (the
-                # compiler keeps every base-stream query on-switch), so
-                # the session never retains the stream.
-                tables[stage.query.name] = executor.evaluate_stage(
-                    stage.query.name, [], tables)
+        executor = self._engine._executor()
+        for stage in self._engine.compiled.software_stages:
+            # Software stages read upstream *tables* only (the compiler
+            # keeps every base-stream query on-switch), so the session
+            # never retains the stream.
+            tables[stage.query.name] = executor.evaluate_stage(
+                stage.query.name, [], tables)
         return RunReport(
             tables=tables,
             result_name=self._engine.compiled.result,
@@ -297,24 +257,3 @@ class TelemetrySession:
             backing_writes=writes,
             accuracy=accuracy,
         )
-
-    def _exact_report(self) -> "RunReport":
-        from .runtime import RunReport
-
-        tables = self._engine._executor().run(
-            ObservationTable.concat(self._buffered))
-        return RunReport(tables=tables,
-                         result_name=self._engine.compiled.result,
-                         cache_stats={}, backing_writes={}, accuracy={})
-
-
-def _pack_batch(batch: ObservationTable) -> tuple:
-    """Tag one buffered exact-mode batch as plain data (the table
-    class itself stays out of the checkpoint payload)."""
-    return ("cols", dict(batch.columns()))
-
-
-def _unpack_batch(packed: tuple) -> ObservationTable:
-    # Earlier versions also wrote row batches, tagged "table" / "list"
-    # (a record list); the door columnizes them like any other input.
-    return as_table(packed[1])

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.network.records import ObservationTable, PacketRecord
+from repro.network.records import ObservationTable, PacketRecord, as_table
 
 
 def make_record(**kwargs) -> PacketRecord:
@@ -55,6 +55,14 @@ def synthetic_trace(n_packets: int = 5000, n_flows: int = 50,
             pkt_path=flow % 3,
         ))
     return table
+
+
+def oracle_tables(engine, records) -> dict:
+    """Exact evaluation of ``engine``'s program by the executor its
+    ``engine`` knob picks — the interpreter on ``"row"``, the
+    vectorized executor otherwise — with no store involved: the oracle
+    that both the hardware path and ``run_exact`` are held to."""
+    return engine._executor().run(as_table(records))
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ from repro.core.interpreter import Interpreter
 from repro.core.parser import parse_program
 from repro.core.semantics import resolve_program
 
-from tests.conftest import synthetic_trace
+from tests.conftest import oracle_tables, synthetic_trace
 
 
 def run_built(prog, records, params=None):
@@ -183,6 +183,6 @@ class TestBuilderThroughHardware:
         engine = QueryEngine(built,
                              geometry=CacheGeometry.set_associative(8, ways=2))
         records = synthetic_trace(n_packets=800, n_flows=30).records
-        report = engine.run(records, with_ground_truth=True)
-        truth = report.ground_truth[report.result_name]
+        report = engine.run(records)
+        truth = oracle_tables(engine, records)[report.result_name]
         assert report.result.by_key() == truth.by_key()

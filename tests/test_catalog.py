@@ -8,7 +8,7 @@ from repro.switch.kvstore.cache import CacheGeometry
 from repro.telemetry.results import compare_tables
 from repro.telemetry.runtime import QueryEngine
 
-from tests.conftest import synthetic_trace
+from tests.conftest import oracle_tables, synthetic_trace
 
 GEOM = CacheGeometry.set_associative(64, ways=8)
 
@@ -50,8 +50,8 @@ class TestEveryEntry:
         engine = QueryEngine(entry.source, params=entry.default_params,
                              geometry=CacheGeometry.set_associative(16, ways=4),
                              exact_history=True)
-        report = engine.run(trace.records, with_ground_truth=True)
-        truth = report.ground_truth[report.result_name]
+        report = engine.run(trace.records)
+        truth = oracle_tables(engine, trace)[report.result_name]
         if report.result.schema.keyed:
             diff = compare_tables(report.result, truth, rel_tol=1e-6)
             assert diff.exact, f"{entry.name}: {diff.describe()}"
@@ -93,7 +93,7 @@ class TestDetection:
         entry = get("per_flow_high_latency")
         engine = QueryEngine(entry.source, params={"L": 1_000_000},
                              geometry=GEOM)
-        report = engine.run(trace.records, with_ground_truth=True)
+        report = engine.run(trace.records)
         diff = compare_tables(report.result,
-                              report.ground_truth[report.result_name])
+                              oracle_tables(engine, trace)[report.result_name])
         assert diff.exact, diff.describe()

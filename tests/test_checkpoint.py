@@ -130,14 +130,14 @@ class TestCheckpointFormat:
 
     def test_version_2_blob_names_both_versions(self, trace):
         """A version-2 checkpoint (pickled backing-store entries) is
-        refused by the version-3 reader, which names both versions."""
-        assert VERSION == 3
+        refused by the version-4 reader, which names both versions."""
+        assert VERSION == 4
         session = ingest_upto(make_engine().open(window=128), trace, 300)
         body = session.checkpoint()[_HEADER.size:]
         session.close()
         data = _HEADER.pack(MAGIC, 2, len(body), zlib.crc32(body)) + body
         with pytest.raises(CheckpointError,
-                           match=r"version 2 \(this build reads version 3\)"):
+                           match=r"version 2 \(this build reads version 4\)"):
             make_engine().resume(data)
 
     def test_truncated_payload(self):
@@ -170,6 +170,7 @@ class TestCheckpointFormat:
         assert info["packets_ingested"] == 500
         assert info["policy"] == "lru"
         assert info["version"] == VERSION
+        assert "exact" not in info
 
 
 # -- differential property: mid-stream checkpoint ≡ uninterrupted ------------
@@ -229,20 +230,6 @@ class TestMidStreamBitIdentity:
         second.close()
         assert finish_from(engine.resume(snap2), trace) == base
 
-    def test_exact_session_roundtrip(self, trace):
-        engine = make_engine()
-        full = engine.open(exact=True)
-        for batch in chunked(trace, CHUNK):
-            full.ingest(batch)
-        base = {q: t.rows for q, t in full.close().tables.items()}
-        partial = ingest_upto(engine.open(exact=True), trace, 400)
-        snapshot = partial.checkpoint()
-        partial.close()
-        resumed = engine.resume(snapshot)
-        assert resumed.packets_ingested == 400
-        report_tables = finish_from(resumed, trace)[0]
-        assert report_tables == base
-
     def test_unwindowed_cut_matches_uninterrupted(self, trace):
         """Without a window the checkpoint carries the buffered input
         as-is; the resumed session runs it to the same report."""
@@ -265,6 +252,28 @@ class TestMidStreamBitIdentity:
                      "pending_cols": stores[0]["pending_cols"]}
         with pytest.raises(CheckpointError, match="oneshot"):
             engine.resume(pack_checkpoint(payload))
+
+    def test_retired_exact_session_payload_rejected(self, trace):
+        """Version 3 could checkpoint an exact-mode session as its
+        buffered input (``exact`` / ``buffered``, no ``pipeline``);
+        exact evaluation is a never-evicting session now, and resuming
+        such a payload raises CheckpointError rather than misreading
+        it."""
+        import pickle
+
+        engine = make_engine()
+        session = ingest_upto(engine.open(), trace, 300)
+        payload = unpack_checkpoint(session.checkpoint())
+        session.close()
+        columns = trace.columns()
+        del payload["pipeline"]
+        payload.update(exact=True, buffered=[
+            ("cols", {f: col[:300] for f, col in columns.items()})])
+        body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        data = _HEADER.pack(MAGIC, 3, len(body), zlib.crc32(body)) + body
+        with pytest.raises(CheckpointError,
+                           match=r"version 3 \(this build reads version 4\)"):
+            engine.resume(data)
 
     def test_retired_replay_scheduler_kind_rejected(self, trace):
         """Few-set FIFO/random stores used to checkpoint a per-access

@@ -29,7 +29,7 @@ class TestRun:
                      "--cache-pairs", "8", "--ways", "2"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "vs exact interpreter" in out
+        assert "vs never-evicting run" in out
 
     def test_catalog_query_with_defaults(self, trace_file, capsys):
         code = main(["run", "--catalog", "per_flow_loss_rate",

@@ -42,7 +42,7 @@ from repro.telemetry.diagnostics import (
     render,
 )
 
-from tests.conftest import synthetic_trace
+from tests.conftest import oracle_tables, synthetic_trace
 
 GEOM = CacheGeometry.set_associative(128, ways=4)
 QUERY = "SELECT COUNT, SUM(pkt_len) GROUPBY srcip"
@@ -98,16 +98,16 @@ class TestRegistry:
         report = DiagnosticsReport((
             make("RPR-I301", stage="s", pairs=1, pair_bits=2, mbit=0.1,
                  pct=0.1, chip=200.0),
-            make("RPR-E003"),
+            make("RPR-E001"),
             make("RPR-W102", stage="s"),
         ))
         assert report.has_errors
-        assert report.first_error.code == "RPR-E003"
-        assert codes_of(report.errors) == ["RPR-E003"]
+        assert report.first_error.code == "RPR-E001"
+        assert codes_of(report.errors) == ["RPR-E001"]
         assert codes_of(report.warnings) == ["RPR-W102"]
         assert codes_of(report.infos) == ["RPR-I301"]
         text = report.format()
-        assert text.splitlines()[0].startswith("RPR-E003")  # errors first
+        assert text.splitlines()[0].startswith("RPR-E001")  # errors first
         assert "1 error(s), 1 warning(s), 1 info(s)" in text
         assert report.to_json()["errors"] == 1
 
@@ -137,7 +137,6 @@ BAD_KNOBS = [
     (dict(window=0), "RPR-E004"),
     (dict(window=-7), "RPR-E004"),
     (dict(shards=0), "RPR-E005"),
-    (dict(exact=True, shards=2), "RPR-E003"),
     (dict(engine="row", shards=2), "RPR-E001"),
     (dict(shards=2, refresh_interval=100), "RPR-E002"),
 ]
@@ -153,7 +152,6 @@ class TestSessionMatrix:
         assert session_diagnostics(window=100) == []
         assert session_diagnostics(window=100, shards=4) == []
         assert session_diagnostics(engine="row") == []
-        assert session_diagnostics(exact=True) == []
         assert session_diagnostics(window=100, refresh_interval=50) == []
 
     @pytest.mark.parametrize("knobs, expected", BAD_KNOBS, ids=lambda v: str(v))
@@ -176,7 +174,6 @@ class TestOpenTimeGates:
     @pytest.mark.parametrize("entry, knobs, expected", [
         (entry, knobs, expected)
         for entry in ("open", "serve") for knobs, expected in BAD_KNOBS
-        if not (entry == "serve" and "exact" in knobs)  # serve has no exact=
     ], ids=lambda v: str(v))
     def test_runtime_agrees_with_analyzer(self, entry, knobs, expected):
         """Every runtime entry point raises the analyzer's code for
@@ -210,12 +207,6 @@ class TestOpenTimeGates:
             engine.open(shards=0)
         assert diagnostic_code(err.value) == "RPR-E005"
 
-    def test_e003_exact_cannot_shard(self):
-        engine = QueryEngine(QUERY, geometry=GEOM)
-        with pytest.raises(ValueError) as err:
-            engine.open(exact=True, shards=2)
-        assert diagnostic_code(err.value) == "RPR-E003"
-
     def test_e001_row_engine_cannot_shard(self):
         engine = QueryEngine(QUERY, geometry=GEOM, engine="row")
         with pytest.raises(HardwareError) as err:
@@ -237,12 +228,14 @@ class TestOpenTimeGates:
             engine.open()
         assert diagnostic_code(err.value) == "RPR-E301"
 
-    def test_e301_suppressed_for_exact_sessions(self):
+    def test_e301_does_not_gate_run_exact(self):
+        """run_exact's never-evicting cache is never deployed, so the
+        engine's oversized geometry does not stop it."""
         engine = QueryEngine("SELECT COUNT GROUPBY 5tuple",
                              geometry=HUGE_GEOM)
-        session = engine.open(exact=True)   # no hardware store to size
-        assert not session.diagnostics.has_errors
-        session.close()
+        trace = synthetic_trace(50, seed=3)
+        assert engine.run_exact(trace)["__result__"].rows == \
+            oracle_tables(engine, trace)["__result__"].rows
 
     def test_gate_fires_before_any_session_state(self):
         """A rejected open leaves the engine reusable."""

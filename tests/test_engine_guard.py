@@ -7,8 +7,8 @@ every Fig. 2 query through each entry point under ``"auto"``, so a
 silent fallback to the row engine fails here.  A second guard does the
 same for the per-epoch backing-store dicts: the vector store absorbs
 into per-key arrays for every merge class.  A ``GROUPBY`` on the
-float field ``tout`` is rejected with ``RPR-E302`` on every engine,
-before any store is built.
+float field ``tout`` is rejected with ``RPR-E302`` on every engine
+and by ``run_exact``, before any store is built.
 """
 
 import pytest
@@ -150,6 +150,9 @@ class TestFloatKeyRejected:
             qe.run(trace)
         with pytest.raises(HardwareError, match=r"\[RPR-E302\]"):
             qe.open(window=997)
+        # run_exact is the same pipeline on a never-evicting cache.
+        with pytest.raises(HardwareError, match=r"\[RPR-E302\].*'tout'"):
+            qe.run_exact(trace)
 
     @pytest.mark.parametrize("engine", ["auto", "vector", "row"])
     def test_lint_reports_the_code(self, engine, capsys):
@@ -163,10 +166,6 @@ class TestFloatKeyRejected:
             qe.plan_cache(trace, [64])
         with pytest.raises(HardwareError, match=r"\[RPR-E302\]"):
             SwitchPipeline(qe.compiled)
-
-    def test_exact_sessions_build_no_store_and_are_exempt(self, trace):
-        qe = QueryEngine(FLOAT_KEY, geometry=GEOM)
-        assert qe.run_exact(trace)["__result__"].rows
 
 
 class TestCheckpointModes:

@@ -174,8 +174,9 @@ def test_int64_intermediates_match_interpreter(case, engine, entry):
     """Every array evaluation proves its integer values below 2^63 or
     runs on exact Python ints, with one warning: the result equals the
     interpreter's.  The row engine evaluates only WHERE masks and
-    projections on arrays (its folds and its exact path run on Python
-    ints)."""
+    projections on arrays (its folds run on Python ints); ``run_exact``
+    is the same session on a never-evicting cache, so it follows
+    ``run``'s rule."""
     from repro.network.records import ObservationTable
     from repro.telemetry.runtime import QueryEngine
 
@@ -195,9 +196,8 @@ def test_int64_intermediates_match_interpreter(case, engine, entry):
         session.ingest(table)
         return session.close().result.rows
 
-    arrays = engine == "auto" or (
-        entry != "run_exact"
-        and case in ("where", "projection", "after_filtered_select"))
+    arrays = engine == "auto" or case in (
+        "where", "projection", "after_filtered_select")
     if arrays:
         with pytest.warns(RuntimeWarning, match="may exceed int64"):
             got = rows()

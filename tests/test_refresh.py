@@ -13,7 +13,7 @@ from repro.switch.kvstore.split import SplitKeyValueStore
 from repro.telemetry.results import compare_tables
 from repro.telemetry.runtime import QueryEngine
 
-from tests.conftest import synthetic_trace
+from tests.conftest import oracle_tables, synthetic_trace
 
 COUNT = "SELECT COUNT GROUPBY srcip"
 GEOM = CacheGeometry.set_associative(64, ways=8)
@@ -116,8 +116,8 @@ class TestThroughEngine:
     def test_engine_passes_refresh_interval(self):
         trace = synthetic_trace(n_packets=1000, n_flows=30)
         engine = QueryEngine(COUNT, geometry=GEOM, refresh_interval=100)
-        report = engine.run(trace.records, with_ground_truth=True)
-        truth = report.ground_truth[report.result_name]
+        report = engine.run(trace.records)
+        truth = oracle_tables(engine, trace)[report.result_name]
         assert compare_tables(report.result, truth).exact
         # Refresh inflates the write rate — the §3.2 freshness cost.
         plain = QueryEngine(COUNT, geometry=GEOM).run(trace.records)

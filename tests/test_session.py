@@ -7,7 +7,7 @@ counts — across the full query catalog, both engines, and multiple
 window sizes (including windows far smaller and far larger than the
 ingest chunks, so schedule windows and ingest boundaries interleave
 every way).  Plus: refresh boundaries falling mid-chunk, mid-stream
-snapshots, session lifecycle errors, exact sessions, the windowed
+snapshots, session lifecycle errors, the windowed
 store's carried-state internals, network-wide sessions, and the lazy
 columnar ``ResultTable``.
 """
@@ -181,16 +181,6 @@ class TestSessionLifecycle:
         with pytest.raises(SessionClosedError):
             session.cache_stats()
 
-    def test_exact_session_post_close_reads_raise(self, tiny_trace):
-        qe = QueryEngine("SELECT COUNT GROUPBY srcip", geometry=GEOM)
-        session = qe.open(exact=True)
-        session.ingest(tiny_trace)
-        session.close()
-        with pytest.raises(SessionClosedError):
-            session.results()
-        with pytest.raises(SessionClosedError):
-            session.cache_stats()
-
     def test_snapshot_with_zero_matching_records(self, tiny_trace):
         """A WHERE that filters everything: mid-stream snapshots and
         close both return empty tables (no carry arrays ever exist)."""
@@ -310,29 +300,6 @@ class TestMidStreamSnapshots:
         final = session.close(include_invalid=True)
         assert observables(final) == observables(
             qe.run(trace, include_invalid=True))
-
-
-class TestExactSessions:
-    def test_exact_session_matches_run_exact(self, trace):
-        qe = QueryEngine("SELECT COUNT, SUM(pkt_len) GROUPBY srcip",
-                         geometry=GEOM)
-        session = qe.open(exact=True)
-        for batch in chunked(trace, 1111):
-            session.ingest(batch)
-        mid_tables = session.results().tables   # pre-close snapshot
-        chunked_tables = session.close().tables
-        whole = qe.run_exact(trace)
-        assert {q: t.rows for q, t in chunked_tables.items()} == \
-            {q: t.rows for q, t in whole.items()}
-        assert {q: t.rows for q, t in mid_tables.items()} == \
-            {q: t.rows for q, t in whole.items()}
-
-    def test_run_exact_row_input_uses_interpreter_results(self, tiny_trace):
-        qe = QueryEngine("SELECT COUNT GROUPBY srcip", geometry=GEOM,
-                         engine="auto")
-        name = qe.compiled.result
-        assert qe.run_exact(tiny_trace.records)[name].rows == \
-            qe.run_exact(tiny_trace)[name].rows
 
 
 class TestCarriedStateInternals:

@@ -253,11 +253,6 @@ class TestErrorContracts:
             with pytest.raises(ValueError, match="positive"):
                 qe.open(shards=bad)
 
-    def test_exact_sessions_cannot_shard(self):
-        qe = QueryEngine("SELECT COUNT GROUPBY srcip", geometry=GEOM)
-        with pytest.raises(ValueError, match="exact"):
-            qe.open(exact=True, shards=2)
-
     def test_sharded_sessions_are_batch_only(self, trace):
         """Sharded stores take column batches only: every batch reaches
         them columnized at the door."""

@@ -7,7 +7,7 @@ from repro.switch.kvstore.cache import CacheGeometry
 from repro.telemetry.results import compare_tables
 from repro.telemetry.runtime import QueryEngine, run
 
-from tests.conftest import synthetic_trace
+from tests.conftest import oracle_tables, synthetic_trace
 
 GEOM = CacheGeometry.set_associative(64, ways=8)
 
@@ -31,8 +31,10 @@ class TestEngineBasics:
     def test_ground_truth_attached(self, tiny_trace):
         engine = QueryEngine("SELECT COUNT GROUPBY srcip", geometry=GEOM)
         report = engine.run(tiny_trace.records, with_ground_truth=True)
-        diff = compare_tables(report.result,
-                              report.ground_truth[report.result_name])
+        truth = oracle_tables(engine, tiny_trace)
+        assert {q: t.rows for q, t in report.ground_truth.items()} == \
+            {q: t.rows for q, t in truth.items()}
+        diff = compare_tables(report.result, truth[report.result_name])
         assert diff.exact
 
 
@@ -72,8 +74,9 @@ class TestSoftwareStages:
 
     def test_join_over_hardware_tables(self, trace):
         engine = QueryEngine(self.LOSS, geometry=GEOM)
-        report = engine.run(trace.records, with_ground_truth=True)
-        diff = compare_tables(report.result, report.ground_truth["R3"],
+        report = engine.run(trace.records)
+        diff = compare_tables(report.result,
+                              oracle_tables(engine, trace)["R3"],
                               rel_tol=1e-9)
         assert diff.exact, diff.describe()
 
@@ -88,8 +91,8 @@ class TestSoftwareStages:
             "R2 = SELECT * FROM R1 WHERE COUNT > 50\n"
         )
         engine = QueryEngine(source, geometry=GEOM)
-        report = engine.run(trace.records, with_ground_truth=True)
-        diff = compare_tables(report.result, report.ground_truth["R2"])
+        report = engine.run(trace.records)
+        diff = compare_tables(report.result, oracle_tables(engine, trace)["R2"])
         assert diff.exact
 
 
