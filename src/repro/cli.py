@@ -498,10 +498,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Performance-query system from 'Hardware-Software "
                     "Co-Design for Network Performance Measurement' "
-                    "(HotNets 2016)")
+                    "(HotNets 2016)",
+        allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run a query over a trace file")
+    run_p = sub.add_parser("run", help="run a query over a trace file",
+                           allow_abbrev=False)
     _add_query_args(run_p)
     run_p.add_argument("--trace", required=True, help="trace file (.csv/.npz)")
     run_p.add_argument("--limit", type=int, default=20,
@@ -527,11 +529,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "(bit-identical to an uninterrupted run)")
     run_p.set_defaults(func=cmd_run)
 
-    plan_p = sub.add_parser("plan", help="show the compiled switch config")
+    plan_p = sub.add_parser("plan", help="show the compiled switch config",
+                            allow_abbrev=False)
     _add_query_args(plan_p)
     plan_p.set_defaults(func=cmd_plan)
 
-    gen_p = sub.add_parser("generate", help="generate a workload trace")
+    gen_p = sub.add_parser("generate", help="generate a workload trace",
+                           allow_abbrev=False)
     gen_p.add_argument("kind", choices=("caida", "datacenter", "incast"))
     gen_p.add_argument("--out", required=True, help="output file (.csv/.npz)")
     gen_p.add_argument("--scale", type=float, default=1 / 1024,
@@ -548,7 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen_p.set_defaults(func=cmd_generate)
 
     sweep_p = sub.add_parser(
-        "sweep", help="run the Fig. 5/6 cache-design sweeps")
+        "sweep", help="run the Fig. 5/6 cache-design sweeps",
+        allow_abbrev=False)
     sweep_p.add_argument("figure", choices=("fig5", "fig6"),
                          help="fig5: eviction rates; fig6: accuracy")
     sweep_p.add_argument("--scale", type=float, default=1 / 256,
@@ -568,7 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.set_defaults(func=cmd_sweep)
 
     serve_p = sub.add_parser(
-        "serve", help="run the live ingest service (socket front end)")
+        "serve", help="run the live ingest service (socket front end)",
+        allow_abbrev=False)
     _add_query_args(serve_p)
     serve_p.add_argument("--host", default="127.0.0.1",
                          help="TCP listen host (loopback only by design)")
@@ -611,7 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.set_defaults(func=cmd_serve)
 
     lint_p = sub.add_parser(
-        "lint", help="static deployability analysis (no trace needed)")
+        "lint", help="static deployability analysis (no trace needed)",
+        allow_abbrev=False)
     lint_p.add_argument("query", nargs="?", default=None,
                         help="query text to lint")
     lint_p.add_argument("--query", dest="query_opt", default=None,
@@ -663,7 +670,8 @@ def build_parser() -> argparse.ArgumentParser:
     check_p = sub.add_parser(
         "check",
         help="concurrency & resource-safety static analysis over the "
-             "runtime's own source (RPR-Cxxx codes)")
+             "runtime's own source (RPR-Cxxx codes)",
+        allow_abbrev=False)
     check_p.add_argument("paths", nargs="*", metavar="PATH",
                          help="files or directories to analyze "
                               "(default: the installed repro package)")
@@ -678,12 +686,14 @@ def build_parser() -> argparse.ArgumentParser:
                               "parses this)")
     check_p.set_defaults(func=cmd_check)
 
-    cat_p = sub.add_parser("catalog", help="list or show catalog queries")
+    cat_p = sub.add_parser("catalog", help="list or show catalog queries",
+                           allow_abbrev=False)
     cat_p.add_argument("--show", help="print one query's source")
     cat_p.set_defaults(func=cmd_catalog)
 
     ckpt_p = sub.add_parser(
-        "checkpoint", help="inspect a session checkpoint file")
+        "checkpoint", help="inspect a session checkpoint file",
+        allow_abbrev=False)
     ckpt_p.add_argument("snapshot",
                         help="checkpoint written by run --checkpoint-to "
                              "or TelemetrySession.checkpoint()")

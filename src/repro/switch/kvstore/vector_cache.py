@@ -50,26 +50,31 @@ Three execution paths, chosen per geometry/policy:
    (:func:`replay_victim_array` here), consumed in array chunks — a
    pure function of ``(seed, set, per-set eviction count)``, so per-set
    replay (and the windowed store's carried replay) consumes exactly
-   the reference loop's draws.  Streams without enough per-set
-   parallelism (``max segment length * _PACKED_MIN_PARALLELISM > n``,
-   e.g. a fully associative cache's single set) run every segment on
-   the one scalar loop (:func:`_finish_tails`) that also finishes the
-   packed rounds' long tails, mirroring
-   :class:`~repro.switch.kvstore.cache.KeyValueCache` exactly.
+   the reference loop's draws.  Once fewer than
+   :data:`_PACKED_MIN_ACTIVE` sets are still active (a few-set
+   geometry from the start, or the long tail of a skewed stream), the
+   survivors finish on the one scalar loop (:func:`_finish_tails`),
+   mirroring :class:`~repro.switch.kvstore.cache.KeyValueCache`
+   exactly.
 
-Use :class:`VectorCacheSim` directly when sweeping many geometries over
-one stream (layouts and distances are shared), or the one-shot
+:class:`CacheSchedule` is the one place that picks between them
+(stack distances for LRU and direct-mapped geometries, the ring replay
+for the rest) and the one owner of carried replacement state: the
+windowed store feeds it window by window, and a
+:class:`VectorCacheSim` run is a fresh schedule over the whole stream.
+Use :class:`VectorCacheSim` directly when sweeping many geometries
+over one stream (layouts and distances are shared), or the one-shot
 :func:`simulate_eviction_count_vector` /
 :func:`window_validity_vector` wrappers.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from repro.core.errors import HardwareError
+from repro.core.errors import CheckpointError, HardwareError
 from .cache import (
     _VICTIM_BUCKET_MULT,
     _VICTIM_COUNT_MULT,
@@ -85,14 +90,6 @@ _U = np.uint64
 #: Target chunk size for the kept-subset merge counter: chunks are cut
 #: at set boundaries so each merge stays cache-resident.
 _MERGE_CHUNK = 1 << 16
-
-#: The packed FIFO/random replay runs one vectorized step per in-set
-#: position, so it needs enough sets progressing in parallel to beat
-#: the scalar per-access loop: it is used when the longest set
-#: segment times this factor fits in the stream (i.e. average
-#: parallelism is at least this many sets).  Tests monkeypatch it to
-#: force either path.
-_PACKED_MIN_PARALLELISM = 16
 
 #: Round cutoff inside one packed replay batch: once fewer than this
 #: many sets are still active (the long tail of a skewed segment
@@ -410,11 +407,10 @@ def _finish_tails(keys, miss, lo, hi, rows, set_ids, m, policy, seed,
     """The scalar per-access FIFO/random loop: state row ``rows[i]``
     replays ``keys[lo[i]:hi[i]]``, starting from (and writing back) its
     ring state and residency flags.  It finishes the long tails of
-    :func:`_replay_segments` and runs whole segments when a stream has
-    too little per-set parallelism for the packed rounds.  The
-    written-back FIFO state is canonicalised to ``head=0`` — an
-    equivalent representation of the same queue.  Returns the eviction
-    count."""
+    :func:`_replay_segments` (every segment, when fewer than
+    :data:`_PACKED_MIN_ACTIVE` sets start active).  The written-back
+    FIFO state is canonicalised to ``head=0`` — an equivalent
+    representation of the same queue.  Returns the eviction count."""
     randomized = policy == "random"
     evictions = 0
     for row, a, b in zip(rows.tolist(), lo.tolist(), hi.tolist()):
@@ -603,24 +599,20 @@ class VectorCacheSim:
             (tuple keys, one column per part), or any iterable
             :func:`key_array` turns into one.
         seed: Hash seed (and RNG seed for the random policy).
-        key_ids: Optional precomputed dense key ids (equal key ⇔ equal
-            id, values in ``[0, 2^31)``) — callers that already
-            factorized the stream (the vectorized split store) skip the
-            internal factorization sort.
+        key_ids: Optional precomputed key ids (equal key ⇔ equal id,
+            values in ``[0, 2^31)``) — callers that already factorized
+            the stream (:class:`CacheSchedule`) skip the internal
+            factorization sort.
     """
 
     def __init__(self, keys: np.ndarray, seed: int = 0,
                  key_ids: np.ndarray | None = None):
         keys = key_array(keys)
         self.seed = seed
-        if keys.ndim == 2:
-            self._hashes = mix_key_array(keys, seed)
-            self._ids = key_ids.astype(np.int32, copy=False) \
-                if key_ids is not None else _factorize_rows(keys)
-        else:
-            self._hashes = None      # lazy: single-bucket paths never hash
-            self._ids = None         # lazy: dense int32 ids, on first use
-            self._raw = keys
+        self._raw = keys
+        self._hashes: np.ndarray | None = None   # lazy: one-set paths never hash
+        self._ids = None if key_ids is None \
+            else key_ids.astype(np.int32, copy=False)   # lazy otherwise
         if len(keys) >= 1 << 31:
             raise HardwareError("vector cache engine caps streams at 2^31")
         self.n = len(keys)
@@ -637,10 +629,13 @@ class VectorCacheSim:
     def _key_ids(self) -> np.ndarray:
         """Keys as int32 ids (equal key, equal id): cheaper to sort,
         gather, and compare than raw 64-bit key values.  Streams whose
-        values already fit int32 are just cast; anything wider is
-        factorized through one sort."""
+        values already fit int32 are just cast; anything wider, and
+        every tuple stream, is factorized through one sort."""
         if self._ids is None:
             raw = self._raw
+            if raw.ndim == 2:
+                self._ids = _factorize_rows(raw)
+                return self._ids
             if raw.dtype.itemsize <= 4 and raw.dtype.kind != "u" or (
                     len(raw) and raw.dtype.kind in "iu"
                     and int(raw.min()) >= np.iinfo(np.int32).min
@@ -810,118 +805,71 @@ class VectorCacheSim:
         cuts = np.concatenate(([0], cuts[cuts > 0], [nk]))
         return zip(cuts[:-1], cuts[1:])
 
-    # -- per-path counter computation ------------------------------------------
+    # -- the schedule ----------------------------------------------------------
 
-    def _direct(self, geometry: CacheGeometry, per_key: bool):
+    def _run(self, geometry: CacheGeometry, policy: str,
+             carry: CacheSchedule | None = None) -> _Run:
+        """The schedule of the whole stream under ``(geometry, policy)``,
+        on the algorithm :class:`CacheSchedule` picks — from ``carry``'s
+        replacement state, or from empty."""
+        sched = carry if carry is not None \
+            else CacheSchedule(geometry, policy, self.seed)
+        if self.n == 0:
+            empty = np.zeros(0, dtype=np.int32)
+            return _Run(None, None, empty, np.zeros(0, dtype=bool), 0)
+        if not sched.stacked:
+            return self._replay(sched, carried=carry is not None)
+        if geometry.m_slots == 1:
+            return self._direct(geometry)
+        return self._lru(geometry)
+
+    def _direct(self, geometry: CacheGeometry) -> _Run:
         """m == 1: the resident key of a bucket is its previous access."""
         layout = self._layout(geometry.n_buckets)
         kz, segstart = layout.kz, layout.segstart
-        n = self.n
-        hit1 = (~segstart[1:]) & (kz[1:] == kz[:-1])
-        misses = n - int(np.count_nonzero(hit1))
+        miss = np.ones(self.n, dtype=bool)
+        miss[1:] = segstart[1:] | (kz[1:] != kz[:-1])
         # A miss evicts unless it starts a bucket's occupancy, i.e.
         # unless it is the first access of its bucket.
-        first = int(np.count_nonzero(segstart))
-        stats = CacheStats(accesses=n, hits=n - misses, misses=misses,
-                           insertions=misses, evictions=misses - first)
-        if not per_key:
-            return stats, None
-        miss = np.ones(n, dtype=bool)
-        miss[1:] = ~hit1
-        return stats, _single_miss_validity(kz[miss])
+        evictions = int(np.count_nonzero(miss)) - \
+            int(np.count_nonzero(segstart))
+        return _Run(layout, None, kz, miss, evictions)
 
-    def _lru(self, geometry: CacheGeometry, per_key: bool):
+    def _lru(self, geometry: CacheGeometry) -> _Run:
         n, m = geometry.n_buckets, geometry.m_slots
         chains, miss = self._lru_miss_mask(n, m)
-        misses = int(np.count_nonzero(miss))
         cs = np.cumsum(miss, dtype=np.int64)
         starts = chains.segstarts2
         ends = np.append(starts[1:], chains.n2)
         seg_misses = cs[ends - 1] - cs[starts] + miss[starts]
         evictions = int(np.maximum(0, seg_misses - m).sum())
-        stats = CacheStats(accesses=self.n, hits=self.n - misses,
-                           misses=misses, insertions=misses,
-                           evictions=evictions)
-        if not per_key:
-            return stats, None
-        return stats, _single_miss_validity(chains.kz2[miss])
+        return _Run(self._layout(n), chains.keep_idx, chains.kz2, miss,
+                    evictions)
 
-    def _replay(self, geometry: CacheGeometry, policy: str, per_key: bool,
-                miss_out: np.ndarray | None = None):
-        """Exact replay of the FIFO/random ablation policies.
-
-        Runs the packed per-set array replay (:func:`_replay_segments`)
-        from empty state whenever the stream has enough per-set
-        parallelism to win — its Python-level iteration count is the
-        longest set segment, so it needs many sets progressing
-        together — and otherwise (e.g. a fully associative cache's
-        single set) hands every segment to the scalar loop
-        (:func:`_finish_tails`) that also finishes the packed rounds'
-        tails.  Both are bit-identical to :class:`KeyValueCache`.
-        ``miss_out`` (bool, stream order) records the per-access miss
-        flags for the schedule-driven store."""
-        m = geometry.m_slots
-        layout = self._layout(geometry.n_buckets)
-        # Runs of the same key inside a set are collapsed (guaranteed
-        # hits that leave FIFO/random state untouched — hits never
-        # reorder these policies), like the LRU path.
+    def _replay(self, sched: CacheSchedule, carried: bool) -> _Run:
+        """Exact replay of the FIFO/random ablation policies: the packed
+        per-set ring replay of ``sched``.  Runs of the same key inside a
+        set are collapsed (guaranteed hits that leave FIFO/random state
+        untouched), like the LRU path."""
+        layout = self._layout(sched.geometry.n_buckets)
         keep_idx, kz2, starts, lens = _collapse_runs(layout.kz,
                                                      layout.segstart)
-        # Membership is a residency-flag gather, so the key ids must
-        # index a flag array: raw narrow int streams can be too sparse
-        # for one and are densified through one sort.
-        kmin = int(kz2.min())
-        span = int(kz2.max()) - kmin + 1
-        if span > 4 * len(kz2) + 1024:
-            _, kz2 = np.unique(kz2, return_inverse=True)
-            span = int(kz2.max()) + 1
-        elif kmin:
-            kz2 = kz2.astype(np.int64) - kmin
-        in_cache = np.zeros(span, dtype=bool)
-        n_segs = len(starts)
-        ring = np.full((n_segs, m), _FILLER, dtype=np.int64)
-        head = np.zeros(n_segs, dtype=np.int64)
-        count = np.zeros(n_segs, dtype=np.int64)
-        counters = np.zeros(n_segs, dtype=np.uint64) \
-            if policy == "random" else None
-        if int(lens.max()) * _PACKED_MIN_PARALLELISM > len(kz2):
-            miss_kept = np.zeros(len(kz2), dtype=bool)
-            evictions = _finish_tails(
-                kz2, miss_kept, starts, starts + lens, np.arange(n_segs),
-                layout.segbuckets, m, policy, self.seed, ring, head, count,
-                counters, in_cache)
-        else:
-            miss_kept, evictions, _ = _replay_segments(
-                kz2, starts, lens, layout.segbuckets, m, policy,
-                self.seed, ring, head, count, counters, in_cache)
-        misses = int(np.count_nonzero(miss_kept))
-        stats = CacheStats(accesses=self.n, hits=self.n - misses,
-                           misses=misses, insertions=misses,
-                           evictions=evictions)
-        if miss_out is not None:
-            miss_layout = np.zeros(self.n, dtype=bool)
-            miss_layout[keep_idx] = miss_kept
-            miss_out[:] = self._to_stream_order(layout, miss_layout)
-        if not per_key:
-            return stats, None
-        return stats, _single_miss_validity(kz2[miss_kept])
+        if not carried:
+            kz2 = _dense_ids(kz2)
+        miss, evictions = sched._replay(kz2, starts, lens, layout.segbuckets)
+        return _Run(layout, keep_idx, kz2, miss, evictions)
 
-    def _run(self, geometry: CacheGeometry, policy: str, per_key: bool):
-        if policy not in KeyValueCache.POLICIES:
-            raise HardwareError(f"unknown eviction policy {policy!r}")
-        if self.n == 0:
-            return CacheStats(), (0, 0)
-        if geometry.m_slots == 1:
-            return self._direct(geometry, per_key)
-        if policy == "lru":
-            return self._lru(geometry, per_key)
-        return self._replay(geometry, policy, per_key)
+    def _stats(self, run: _Run) -> CacheStats:
+        misses = int(np.count_nonzero(run.miss))
+        return CacheStats(accesses=self.n, hits=self.n - misses,
+                          misses=misses, insertions=misses,
+                          evictions=run.evictions)
 
     # -- public API ------------------------------------------------------------
 
     def stats(self, geometry: CacheGeometry, policy: str = "lru") -> CacheStats:
         """Counters of a full run, bit-identical to the row engine."""
-        return self._run(geometry, policy, per_key=False)[0]
+        return self._stats(self._run(geometry, policy))
 
     def miss_schedule(self, geometry: CacheGeometry,
                       policy: str = "lru") -> np.ndarray:
@@ -932,64 +880,29 @@ class VectorCacheSim:
         value, possibly evicting); False when it hits the resident
         entry.  Exactly the hit/miss decisions
         :meth:`KeyValueCache.access` would make, access by access:
-
-        * direct-mapped: a bucket's resident key is its previous
-          access, so the flags fall out of the adjacent in-bucket key
-          comparisons of the counter path;
-        * LRU: the per-kept-access mask of :meth:`_lru_miss_mask`
-          scattered back through the run-collapse (collapsed duplicate
-          accesses are guaranteed hits) and the layout permutation;
-        * FIFO/random: the packed per-set replay (or its scalar loop),
-          recording per access.
+        collapsed duplicate accesses (a key's repeats inside its set)
+        are guaranteed hits, and every kept access's flag is scattered
+        back through the layout permutation.
         """
-        if policy not in KeyValueCache.POLICIES:
-            raise HardwareError(f"unknown eviction policy {policy!r}")
-        n = self.n
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        if geometry.m_slots == 1:
-            layout = self._layout(geometry.n_buckets)
-            kz, segstart = layout.kz, layout.segstart
-            miss_layout = np.ones(n, dtype=bool)
-            miss_layout[1:] = segstart[1:] | (kz[1:] != kz[:-1])
-            return self._to_stream_order(layout, miss_layout)
-        if policy == "lru":
-            chains, miss_kept = self._lru_miss_mask(geometry.n_buckets,
-                                                    geometry.m_slots)
-            layout = self._layout(geometry.n_buckets)
-            miss_layout = np.zeros(n, dtype=bool)
-            miss_layout[chains.keep_idx] = miss_kept
-            return self._to_stream_order(layout, miss_layout)
-        miss = np.zeros(n, dtype=bool)
-        self._replay(geometry, policy, per_key=False, miss_out=miss)
-        return miss
+        return self.stats_and_schedule(geometry, policy)[1]
 
     def stats_and_schedule(self, geometry: CacheGeometry,
-                           policy: str = "lru"
+                           policy: str = "lru",
+                           carry: CacheSchedule | None = None,
                            ) -> tuple[CacheStats, np.ndarray]:
-        """Counters and per-access miss flags together.
-
-        For the direct-mapped and LRU paths the two share all memoized
-        work anyway; for the FIFO/random policies this runs the replay
-        **once** for both (the schedule-driven store's entry point).
-        """
-        if self.n and geometry.m_slots > 1 and policy in ("fifo", "random"):
-            miss = np.zeros(self.n, dtype=bool)
-            stats, _ = self._replay(geometry, policy, per_key=False,
-                                    miss_out=miss)
-            return stats, miss
-        return (self.stats(geometry, policy=policy),
-                self.miss_schedule(geometry, policy=policy))
-
-    @staticmethod
-    def _to_stream_order(layout: _Layout, values: np.ndarray) -> np.ndarray:
-        """Scatter a layout-ordered per-access array back to stream
-        order (single-bucket layouts are already in stream order)."""
-        if layout.order is None:
-            return values
-        out = np.empty_like(values)
-        out[layout.order] = values
-        return out
+        """Counters and per-access miss flags (stream order) of one run.
+        ``carry`` continues a :class:`CacheSchedule`'s replacement state
+        (the stream's key ids must then be the schedule's)."""
+        run = self._run(geometry, policy, carry)
+        # Scatter only the miss positions back to stream order.
+        pos = np.flatnonzero(run.miss)
+        if run.keep_idx is not None:
+            pos = run.keep_idx[pos]
+        if run.layout is not None and run.layout.order is not None:
+            pos = run.layout.order[pos]
+        miss = np.zeros(self.n, dtype=bool)
+        miss[pos] = True
+        return self._stats(run), miss
 
     def validity(self, geometry: CacheGeometry,
                  policy: str = "lru") -> tuple[int, int]:
@@ -1000,7 +913,257 @@ class VectorCacheSim:
         or final flush), so a key is *valid* iff it missed exactly
         once.  Matches ``repro.analysis.accuracy._window_validity``.
         """
-        return self._run(geometry, policy, per_key=True)[1]
+        run = self._run(geometry, policy)
+        return _single_miss_validity(run.kz[run.miss])
+
+
+class _Run(NamedTuple):
+    """One schedule over a stream, in layout space: the kept accesses'
+    key ids and miss flags (``keep_idx``: their layout positions,
+    ``None`` when every access is kept) and the eviction count."""
+
+    layout: _Layout | None
+    keep_idx: np.ndarray | None
+    kz: np.ndarray
+    miss: np.ndarray
+    evictions: int
+
+
+class CacheSchedule:
+    """The replacement state of one cache ``(geometry, policy, seed)``,
+    carried across the windows of a key stream.
+
+    :meth:`schedule` returns a window's miss flags and evictions from
+    the carried state and advances it — bit-identical to
+    :class:`KeyValueCache` for every window partitioning.  It is the one
+    place that picks the algorithm:
+
+    * a direct-mapped geometry (``m_slots == 1``: one slot per bucket
+      makes the policies indistinguishable) or LRU runs on stack
+      distances.  By the LRU inclusion property the resident keys of a
+      set are its ``m`` most recently accessed distinct keys; prepending
+      them to the next window as one *phantom access* each (per set,
+      oldest → newest) reconstructs the replacement state exactly, and
+      the phantoms fill at most ``m`` slots per set and never evict.
+    * every other geometry and policy runs the packed ring replay, whose
+      per-set state — insertion-ordered rings, occupancy, the random
+      policy's eviction counters (the RNG state), per-key-id residency
+      flags and the adapted skip width — lives in arrays indexed by a
+      registry of touched sets.
+
+    :class:`VectorCacheSim` runs a fresh schedule over its whole stream.
+    """
+
+    def __init__(self, geometry: CacheGeometry, policy: str = "lru",
+                 seed: int = 0):
+        if policy not in KeyValueCache.POLICIES:
+            raise HardwareError(f"unknown eviction policy {policy!r}")
+        self.geometry = geometry
+        self.policy = policy
+        self.seed = seed
+        self.stacked = geometry.m_slots == 1 or policy == "lru"
+        # Stack distances: the resident keys (rows, ids), per set oldest
+        # → newest.
+        self._res_keys: np.ndarray | None = None
+        self._res_gids = np.zeros(0, dtype=np.int64)
+        # Ring replay: state rows of the touched sets.
+        self._known_ids = np.zeros(0, dtype=np.int64)    # sorted bucket ids
+        self._known_rows = np.zeros(0, dtype=np.int64)   # their state rows
+        self._set_of_row = np.zeros(0, dtype=np.int64)   # inverse mapping
+        self._n_sets = 0
+        self._ring = np.full((0, geometry.m_slots), _FILLER, dtype=np.int64)
+        self._head = np.zeros(0, dtype=np.int64)
+        self._count = np.zeros(0, dtype=np.int64)
+        self._counters = np.zeros(0, dtype=np.uint64)
+        self._in_cache = np.zeros(0, dtype=bool)
+        self._width = _SKIP_BLOCK_START
+
+    def schedule(self, keys2d: np.ndarray, gids: np.ndarray,
+                 final: bool = False) -> tuple[np.ndarray, int]:
+        """Miss flags (stream order) and eviction count of the next
+        window: ``keys2d`` holds its key rows and ``gids`` their key ids
+        (equal key ⇔ equal id, the same id in every window, ``< 2^31``).
+        ``final`` marks the last window, whose residency nothing reads:
+        the stack-distance path then skips extracting it."""
+        if not len(gids):
+            return np.zeros(0, dtype=bool), 0
+        r = len(self._res_gids)
+        keys, ids = keys2d, gids
+        if r:
+            keys = np.concatenate([self._res_keys, keys2d])
+            ids = np.concatenate([self._res_gids, gids])
+        sim = VectorCacheSim(keys, seed=self.seed, key_ids=ids)
+        stats, miss = sim.stats_and_schedule(self.geometry, self.policy,
+                                             carry=self)
+        if self.stacked and not final:
+            self._keep_residency(sim, keys)
+        return miss[r:], stats.evictions
+
+    def resident(self, gids: np.ndarray) -> np.ndarray:
+        """Whether each key id is cached after the last (non-final)
+        window."""
+        if self.stacked:
+            return np.isin(gids, self._res_gids)
+        out = np.zeros(len(gids), dtype=bool)
+        within = gids < len(self._in_cache)
+        out[within] = self._in_cache[gids[within]]
+        return out
+
+    def _keep_residency(self, sim: VectorCacheSim, keys: np.ndarray) -> None:
+        """Read each set's resident keys, oldest → newest, off the
+        simulator's memoized layout: a set's last access for ``m == 1``,
+        otherwise the last ``m`` of the kept accesses whose next
+        occurrence is their set's end (each key's last access)."""
+        n_buckets, m = self.geometry.n_buckets, self.geometry.m_slots
+        layout = sim._layout(n_buckets)
+        if m == 1:
+            pos = np.flatnonzero(np.append(layout.segstart[1:], True))
+            ids = layout.kz[pos]
+        else:
+            chains = sim._lru_chains(n_buckets)
+            bounds = np.append(chains.segstarts2, chains.n2)
+            is_last = chains.nxtval == np.repeat(bounds[1:], np.diff(bounds))
+            last = np.flatnonzero(is_last)
+            counts = np.add.reduceat(is_last, chains.segstarts2,
+                                     dtype=np.int64)
+            ends = np.repeat(np.cumsum(counts), counts)
+            kept = last[ends - np.arange(len(last)) <= m]
+            ids = chains.kz2[kept]
+            pos = chains.keep_idx[kept]
+        if layout.order is not None:
+            pos = layout.order[pos]
+        self._res_gids = ids.astype(np.int64)
+        self._res_keys = keys[pos]
+
+    def _replay(self, kz: np.ndarray, starts: np.ndarray, lens: np.ndarray,
+                seg_ids: np.ndarray) -> tuple[np.ndarray, int]:
+        """Packed ring replay of one laid-out, run-collapsed window from
+        the carried state: segment ``s`` is set ``seg_ids[s]``'s key ids
+        ``kz[starts[s]:starts[s] + lens[s]]``.  Returns the kept
+        accesses' miss flags and the eviction count."""
+        rows = self._rows_for(seg_ids)
+        need = int(kz.max()) + 1
+        if len(self._in_cache) < need:
+            self._in_cache = _grown(self._in_cache, need)
+        miss, evictions, self._width = _replay_segments(
+            kz, starts, lens, self._set_of_row, self.geometry.m_slots,
+            self.policy, self.seed, self._ring, self._head, self._count,
+            self._counters if self.policy == "random" else None,
+            self._in_cache, state_rows=rows, start_width=self._width)
+        return miss, evictions
+
+    def _rows_for(self, seg_ids: np.ndarray) -> np.ndarray:
+        """State rows for a window's (sorted, unique) bucket ids,
+        registering unseen sets with empty state."""
+        rows = np.empty(len(seg_ids), dtype=np.int64)
+        if self._n_sets == 0:
+            fresh = np.ones(len(seg_ids), dtype=bool)
+        else:
+            pos = np.searchsorted(self._known_ids, seg_ids)
+            found = pos < len(self._known_ids)
+            safe = np.where(found, pos, 0)
+            found &= self._known_ids[safe] == seg_ids
+            rows[found] = self._known_rows[safe[found]]
+            fresh = ~found
+        n_new = int(np.count_nonzero(fresh))
+        if n_new:
+            start = self._n_sets
+            new_rows = start + np.arange(n_new)
+            rows[fresh] = new_rows
+            self._grow(start + n_new)
+            self._n_sets = start + n_new
+            new_ids = seg_ids[fresh]
+            self._set_of_row[new_rows] = new_ids
+            ins = np.searchsorted(self._known_ids, new_ids)
+            self._known_ids = np.insert(self._known_ids, ins, new_ids)
+            self._known_rows = np.insert(self._known_rows, ins, new_rows)
+        return rows
+
+    def _grow(self, n: int) -> None:
+        cap = len(self._head)
+        if cap >= n:
+            return
+        # One capacity for every state array (the rows of _ring must
+        # stay aligned with the 1-D arrays and the set registry), and
+        # never more rows than the geometry has sets: a few-set
+        # geometry's rows are long (a fully associative cache is one
+        # row holding every slot).
+        new_cap = min(max(n, 2 * cap, 1024), self.geometry.n_buckets)
+        ring = np.full((new_cap, self.geometry.m_slots), _FILLER,
+                       dtype=np.int64)
+        ring[:cap] = self._ring
+        self._ring = ring
+        for name in ("_head", "_count", "_counters", "_set_of_row"):
+            old = getattr(self, name)
+            new = np.zeros(new_cap, dtype=old.dtype)
+            new[:cap] = old
+            setattr(self, name, new)
+
+    # -- durable checkpoints -------------------------------------------------
+
+    def checkpoint_state(self) -> dict:
+        if self.stacked:
+            return {
+                "kind": "lru",
+                "res_keys": None if self._res_keys is None
+                else self._res_keys.copy(),
+                "res_gids": self._res_gids.copy(),
+            }
+        n = self._n_sets
+        return {
+            "kind": "packed",
+            "known_ids": self._known_ids.copy(),
+            "known_rows": self._known_rows.copy(),
+            "set_of_row": self._set_of_row[:n].copy(),
+            "n_sets": n,
+            "ring": self._ring[:n].copy(),
+            "head": self._head[:n].copy(),
+            "count": self._count[:n].copy(),
+            "counters": self._counters[:n].copy(),
+            "in_cache": self._in_cache.copy(),
+            "width": self._width,
+        }
+
+    def restore_state(self, state: dict) -> None:
+        """Load a :meth:`checkpoint_state` payload (taking ownership of
+        its arrays)."""
+        kind = "lru" if self.stacked else "packed"
+        if state.get("kind") != kind:
+            raise CheckpointError(
+                f"scheduler state mismatch: snapshot carries "
+                f"{state.get('kind')!r}, store expects {kind!r}")
+        if self.stacked:
+            self._res_keys = state["res_keys"]
+            self._res_gids = state["res_gids"]
+            return
+        self._known_ids = state["known_ids"]
+        self._known_rows = state["known_rows"]
+        self._set_of_row = state["set_of_row"]
+        self._n_sets = state["n_sets"]
+        self._ring = state["ring"]
+        self._head = state["head"]
+        self._count = state["count"]
+        self._counters = state["counters"]
+        self._in_cache = state["in_cache"]
+        self._width = state["width"]
+
+
+def _dense_ids(kz: np.ndarray) -> np.ndarray:
+    """Key ids a residency-flag array can index: raw narrow int streams
+    can be too sparse for one and are densified through one sort."""
+    kmin = int(kz.min())
+    if int(kz.max()) - kmin + 1 > 4 * len(kz) + 1024:
+        return np.unique(kz, return_inverse=True)[1]
+    return kz.astype(np.int64) - kmin if kmin else kz
+
+
+def _grown(arr: np.ndarray, n: int) -> np.ndarray:
+    """Capacity-doubling resize, preserving contents."""
+    if len(arr) >= n:
+        return arr
+    new = np.zeros(max(n, 2 * len(arr), 1024), dtype=arr.dtype)
+    new[:len(arr)] = arr
+    return new
 
 
 def _single_miss_validity(miss_keys: np.ndarray) -> tuple[int, int]:

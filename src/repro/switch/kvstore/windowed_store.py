@@ -11,28 +11,13 @@ observable stays **bit-identical** to the per-packet row store, for
 *any* window partitioning:
 
 1. **Carried residency.** The cache's replacement state at a window
-   boundary is summarised and replayed into the next window's schedule:
-
-   * LRU / direct-mapped (``m == 1``, any policy — one slot per bucket
-     makes the policies indistinguishable): by the LRU inclusion
-     property, the resident keys of a set are exactly its ``m`` most
-     recently accessed distinct keys, in recency order.  Prepending one
-     *phantom access* per resident key (per set, oldest → newest) to
-     the window's stream reconstructs the exact replacement state, so
-     the unmodified
-     :meth:`~repro.switch.kvstore.vector_cache.VectorCacheSim.miss_schedule`
-     over the augmented stream yields the continuation's exact hit/miss
-     flags.  Eviction counts fall out of per-set occupancy arithmetic
-     (``max(0, occupancy + misses - m)`` per set), and the next
-     boundary's residency is read off the augmented stream's per-set
-     most-recent keys.
-   * FIFO / random: the packed per-set array replay of the cache
-     simulator (:func:`repro.switch.kvstore.vector_cache._replay_segments`)
-     with its per-set ring buffers, occupancy, residency flags, and
-     counter-based RNG counters carried across windows, for every
-     geometry with ``m > 1``.  Sets the vectorized rounds cannot
-     advance in parallel (few-set geometries, the long tail of a
-     skewed window) finish on the replay's one scalar loop.
+   boundary lives in one
+   :class:`~repro.switch.kvstore.vector_cache.CacheSchedule`, which
+   schedules each window from it and advances it: a phantom prefix of
+   each set's resident keys for LRU and direct-mapped geometries, the
+   packed per-set ring replay's carried rings, occupancy, residency
+   flags and random-policy RNG counters otherwise.  A key it reports
+   non-resident at a boundary can only miss on its next access.
 
 2. **Carried open epochs.** A key's current cache-residency epoch can
    span windows.  Its partial fold state (and merge registers) is
@@ -108,13 +93,11 @@ from repro.core.vector_exec import (
 
 from .backing import BackingStore, KeyEntry
 from .cache import CacheGeometry, CacheStats
-from .vector_cache import _FILLER, _SKIP_BLOCK_START, VectorCacheSim, \
-    _collapse_runs, _replay_segments, mix_key_array
+from .vector_cache import CacheSchedule, _grown, mix_key_array
 from .split import StoreSnapshot
 from .vector_store import VectorSplitStore, absorb_epochs, \
     aux_from_registers, exact_array, scatter_promote
 
-_U = np.uint64
 #: Seed of the global key index's row hash (any fixed value: the hash
 #: only orders the index, it never picks a cache set).
 _KEY_HASH_SEED = 0x6B65795F696478
@@ -349,262 +332,6 @@ class _ArrayCont:
                               self.gids)
 
 
-class _LruWindowScheduler:
-    """Carried-residency scheduler for LRU and direct-mapped caches
-    (any policy when ``m == 1``).  See the module docstring, item 1."""
-
-    def __init__(self, geometry: CacheGeometry, policy: str, seed: int):
-        self.geometry = geometry
-        self.policy = policy
-        self.seed = seed
-        self._res_keys: np.ndarray | None = None   # (r, k) key columns
-        self._res_gids = np.zeros(0, dtype=np.int64)
-
-    def schedule(self, keys2d: np.ndarray, gid: np.ndarray,
-                 final: bool = False,
-                 ) -> tuple[np.ndarray, int, np.ndarray | None]:
-        """Miss flags (stream order), eviction count, and the resident
-        key ids after this window — ``None`` for the ``final`` window,
-        whose residency nothing reads (extracting it is a sort over the
-        whole window)."""
-        geometry = self.geometry
-        n_buckets, m = geometry.n_buckets, geometry.m_slots
-        r = len(self._res_gids)
-        if r:
-            aug_keys = np.concatenate([self._res_keys, keys2d])
-            aug_gid = np.concatenate([self._res_gids, gid])
-        else:
-            aug_keys, aug_gid = keys2d, gid
-        n_aug = len(aug_gid)
-        sim = VectorCacheSim(aug_keys, seed=self.seed, key_ids=aug_gid)
-        miss = sim.miss_schedule(geometry, policy=self.policy)[r:]
-
-        if n_buckets == 1:
-            buckets = np.zeros(n_aug, dtype=np.int64)
-        else:
-            buckets = (sim._hash() % _U(n_buckets)).astype(np.int64)
-
-        # Evictions: LRU occupancy only grows (an eviction replaces),
-        # so per set they are max(0, occupancy_before + misses - m).
-        miss_b = buckets[r:][miss]
-        if not len(miss_b):
-            evictions = 0
-        elif n_buckets <= 1 << 22:
-            occ = np.bincount(buckets[:r], minlength=n_buckets)
-            per_set = np.bincount(miss_b, minlength=n_buckets)
-            evictions = int(np.maximum(0, occ + per_set - m).sum())
-        else:                              # degenerate bucket counts
-            all_b = np.concatenate([buckets[:r], miss_b])
-            uniq, inv = np.unique(all_b, return_inverse=True)
-            occ = np.bincount(inv[:r], minlength=len(uniq))
-            per_set = np.bincount(inv[r:], minlength=len(uniq))
-            evictions = int(np.maximum(0, occ + per_set - m).sum())
-        if final:
-            return miss, evictions, None
-
-        # New residency: per set, the (up to) m most recently accessed
-        # distinct keys of the augmented stream, in recency order.
-        comp = (aug_gid << np.int64(32)) | np.arange(n_aug, dtype=np.int64)
-        comp.sort()
-        pos = comp & np.int64(0xFFFFFFFF)
-        gz = comp >> np.int64(32)
-        last = np.empty(n_aug, dtype=bool)
-        last[-1] = True
-        np.not_equal(gz[1:], gz[:-1], out=last[:-1])
-        last_pos = pos[last]                      # last access per key
-        last_gid = gz[last]
-        key_bucket = buckets[last_pos]
-        order = np.argsort((key_bucket << np.int64(32)) | last_pos)
-        sb = key_bucket[order]
-        nk = len(sb)
-        seg_start = np.empty(nk, dtype=bool)
-        seg_start[0] = True
-        np.not_equal(sb[1:], sb[:-1], out=seg_start[1:])
-        seg_id = np.cumsum(seg_start) - 1
-        counts = np.bincount(seg_id)
-        ends = np.repeat(np.cumsum(counts), counts)
-        keep = (ends - np.arange(nk)) <= m        # tail m of each set
-        kept = order[keep]
-        recency = np.argsort(last_pos[kept])      # oldest → newest
-        kept = kept[recency]
-        self._res_gids = last_gid[kept]
-        self._res_keys = aug_keys[last_pos[kept]]
-        return miss, evictions, self._res_gids
-
-    def checkpoint_state(self) -> dict:
-        return {
-            "kind": "lru",
-            "res_keys": None if self._res_keys is None
-            else self._res_keys.copy(),
-            "res_gids": self._res_gids.copy(),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("kind") != "lru":
-            raise CheckpointError(
-                f"scheduler state mismatch: snapshot carries "
-                f"{state.get('kind')!r}, store expects 'lru'")
-        self._res_keys = state["res_keys"]
-        self._res_gids = state["res_gids"]
-
-
-class _PackedWindowScheduler:
-    """Carried packed per-set replay for the FIFO/random ablation
-    policies: the persistent per-set state of the cache simulator's
-    packed replay — insertion-ordered ring buffers, occupancy, and the random
-    policy's per-set eviction counters — lives in flat arrays indexed
-    by a registry of touched sets; each window is grouped by set with
-    one composite sort, its sets' state rows are gathered, replayed
-    through the shared step-major core
-    (:func:`~repro.switch.kvstore.vector_cache._replay_segments`), and
-    scattered back.  Bit-identical to the per-access reference cache
-    for every window partitioning (the replay state a set carries is
-    independent of where windows cut)."""
-
-    def __init__(self, geometry: CacheGeometry, policy: str, seed: int):
-        self.geometry = geometry
-        self.policy = policy
-        self.seed = seed
-        m = geometry.m_slots
-        self._known_ids = np.zeros(0, dtype=np.int64)    # sorted bucket ids
-        self._known_rows = np.zeros(0, dtype=np.int64)   # their state rows
-        self._set_of_row = np.zeros(0, dtype=np.int64)   # inverse mapping
-        self._n_sets = 0
-        self._ring = np.full((0, m), _FILLER, dtype=np.int64)
-        self._head = np.zeros(0, dtype=np.int64)
-        self._count = np.zeros(0, dtype=np.int64)
-        self._counters = np.zeros(0, dtype=np.uint64)
-        #: Per-key-id residency flags, exactly the rings' content (key
-        #: ids are dense): one-gather membership tests in the core and
-        #: O(resident) boundary extraction.
-        self._in_cache = np.zeros(0, dtype=bool)
-        self._width = _SKIP_BLOCK_START      # adapted skip width carry
-
-    def schedule(self, keys2d: np.ndarray, gid: np.ndarray,
-                 final: bool = False,
-                 ) -> tuple[np.ndarray, int, np.ndarray]:
-        # The residency bitmap is the replay state itself, so ``final``
-        # saves nothing here.
-        n = len(gid)
-        n_buckets, m = self.geometry.n_buckets, self.geometry.m_slots
-        if n_buckets == 1:
-            buckets = np.zeros(n, dtype=np.int64)
-        else:
-            buckets = (mix_key_array(keys2d, self.seed) %
-                       _U(n_buckets)).astype(np.int64)
-        if n_buckets <= 1 << 31:
-            comp = (buckets << np.int64(32)) | np.arange(n, dtype=np.int64)
-            comp.sort()
-            order = comp & np.int64(0xFFFFFFFF)
-            bz = comp >> np.int64(32)
-        else:                              # degenerate bucket counts
-            order = np.argsort(buckets, kind="stable")
-            bz = buckets[order]
-        segstart = np.empty(n, dtype=bool)
-        segstart[0] = True
-        np.not_equal(bz[1:], bz[:-1], out=segstart[1:])
-        seg_ids = bz[segstart]
-        # Collapse runs of the same key inside a set, exactly like the
-        # cache simulator: a window is a contiguous chunk of the
-        # stream, so in-window adjacency in set order is true adjacency.
-        keep_idx, kz2, starts, lens = _collapse_runs(gid[order], segstart)
-        rows = self._rows_for(seg_ids)
-        randomized = self.policy == "random"
-        max_gid = int(gid.max()) + 1
-        if len(self._in_cache) < max_gid:
-            self._in_cache = _grown(self._in_cache, max_gid)
-        miss_kept, evictions, self._width = _replay_segments(
-            kz2, starts, lens, self._set_of_row, m, self.policy,
-            self.seed, self._ring, self._head, self._count,
-            self._counters if randomized else None,
-            in_cache=self._in_cache, state_rows=rows,
-            start_width=self._width)
-        # Scatter only the miss positions back to stream order (misses
-        # are typically a small fraction of the window).
-        miss = np.zeros(n, dtype=bool)
-        miss[order[keep_idx[np.flatnonzero(miss_kept)]]] = True
-        return miss, evictions, self._in_cache
-
-    def _rows_for(self, seg_ids: np.ndarray) -> np.ndarray:
-        """State rows for this window's (sorted, unique) bucket ids,
-        registering unseen sets with empty state."""
-        rows = np.empty(len(seg_ids), dtype=np.int64)
-        if self._n_sets == 0:
-            fresh = np.ones(len(seg_ids), dtype=bool)
-        else:
-            pos = np.searchsorted(self._known_ids, seg_ids)
-            found = pos < len(self._known_ids)
-            safe = np.where(found, pos, 0)
-            found &= self._known_ids[safe] == seg_ids
-            rows[found] = self._known_rows[safe[found]]
-            fresh = ~found
-        n_new = int(np.count_nonzero(fresh))
-        if n_new:
-            start = self._n_sets
-            new_rows = start + np.arange(n_new)
-            rows[fresh] = new_rows
-            self._grow(start + n_new)
-            self._n_sets = start + n_new
-            new_ids = seg_ids[fresh]
-            self._set_of_row[new_rows] = new_ids
-            ins = np.searchsorted(self._known_ids, new_ids)
-            self._known_ids = np.insert(self._known_ids, ins, new_ids)
-            self._known_rows = np.insert(self._known_rows, ins, new_rows)
-        return rows
-
-    def checkpoint_state(self) -> dict:
-        n = self._n_sets
-        return {
-            "kind": "packed",
-            "known_ids": self._known_ids.copy(),
-            "known_rows": self._known_rows.copy(),
-            "set_of_row": self._set_of_row[:n].copy(),
-            "n_sets": n,
-            "ring": self._ring[:n].copy(),
-            "head": self._head[:n].copy(),
-            "count": self._count[:n].copy(),
-            "counters": self._counters[:n].copy(),
-            "in_cache": self._in_cache.copy(),
-            "width": self._width,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("kind") != "packed":
-            raise CheckpointError(
-                f"scheduler state mismatch: snapshot carries "
-                f"{state.get('kind')!r}, store expects 'packed'")
-        self._known_ids = state["known_ids"]
-        self._known_rows = state["known_rows"]
-        self._n_sets = state["n_sets"]
-        self._ring = state["ring"]
-        self._head = state["head"]
-        self._count = state["count"]
-        self._counters = state["counters"]
-        self._set_of_row = state["set_of_row"]
-        self._in_cache = state["in_cache"]
-        self._width = state["width"]
-
-    def _grow(self, n: int) -> None:
-        cap = len(self._head)
-        if cap >= n:
-            return
-        # One capacity for every state array (the rows of _ring must
-        # stay aligned with the 1-D arrays and the set registry), and
-        # never more rows than the geometry has sets: a few-set
-        # geometry's rows are long (a fully associative cache is one
-        # row holding every slot).
-        new_cap = min(max(n, 2 * cap, 1024), self.geometry.n_buckets)
-        ring = np.full((new_cap, self.geometry.m_slots), _FILLER,
-                       dtype=np.int64)
-        ring[:cap] = self._ring
-        self._ring = ring
-        for name in ("_head", "_count", "_counters", "_set_of_row"):
-            old = getattr(self, name)
-            new = np.zeros(new_cap, dtype=old.dtype)
-            new[:cap] = old
-            setattr(self, name, new)
-
-
 class WindowedVectorStore(VectorSplitStore):
     """The vector split store: executes the schedule-driven machinery
     of :class:`VectorSplitStore` once per ``window`` accesses with
@@ -654,10 +381,7 @@ class WindowedVectorStore(VectorSplitStore):
             fold.column: {} for fold in stage.folds}
         self._open_aux: dict[str, dict[tuple, np.ndarray]] = {
             fold.column: {} for fold in stage.folds}
-        if geometry.m_slots == 1 or policy == "lru":
-            self._sched = _LruWindowScheduler(geometry, policy, seed)
-        else:
-            self._sched = _PackedWindowScheduler(geometry, policy, seed)
+        self._sched = CacheSchedule(geometry, policy, seed)
         # Absorption target (module docstring, item 3): per-key epoch
         # counts, merged arrays per mergeable fold, a segment log per
         # list fold.
@@ -812,7 +536,7 @@ class WindowedVectorStore(VectorSplitStore):
         gid = self._map_global(l_unique_cols)[lgid]
 
         # Replacement schedule with carried residency.
-        miss, evictions, resident = self._sched.schedule(keys2d, gid, final)
+        miss, evictions = self._sched.schedule(keys2d, gid, final)
         stats = self._stats
         misses = int(np.count_nonzero(miss))
         stats.accesses += n
@@ -897,7 +621,7 @@ class WindowedVectorStore(VectorSplitStore):
         # the final window, finalize() absorbs every open epoch).
         if not final:
             open_gids = np.flatnonzero(self._open_mask[:self._nkeys])
-            self._absorb_open(open_gids[~_is_resident(open_gids, resident)])
+            self._absorb_open(open_gids[~self._sched.resident(open_gids)])
 
         self._total += n
         if refresh is not None:
@@ -1144,19 +868,6 @@ class WindowedVectorStore(VectorSplitStore):
                           for col, values in state["segments"].items()}
 
 
-def _is_resident(gids: np.ndarray, resident: np.ndarray) -> np.ndarray:
-    """Membership of ``gids`` in a scheduler's residency report —
-    either a key-id array (the LRU scheduler) or a per-gid flag array
-    (the packed scheduler's bitmap, possibly shorter than the store's
-    key table)."""
-    if resident.dtype == np.bool_:
-        out = np.zeros(len(gids), dtype=bool)
-        within = gids < len(resident)
-        out[within] = resident[gids[within]]
-        return out
-    return np.isin(gids, resident)
-
-
 def _carried_dicts(spec, state: Mapping[str, np.ndarray],
                    regs: Mapping[tuple, np.ndarray], gids: np.ndarray,
                    ) -> tuple[list[State], list[AuxState]]:
@@ -1183,12 +894,3 @@ def _key_hash(rows: np.ndarray) -> np.ndarray:
     if rows.shape[1] == 1:
         return rows[:, 0]
     return mix_key_array(rows, _KEY_HASH_SEED)
-
-
-def _grown(arr: np.ndarray, n: int) -> np.ndarray:
-    """Capacity-doubling resize, preserving contents."""
-    if len(arr) >= n:
-        return arr
-    new = np.zeros(max(n, 2 * len(arr), 1024), dtype=arr.dtype)
-    new[:len(arr)] = arr
-    return new

@@ -216,6 +216,14 @@ class TestLint:
         assert code == 1
         assert "RPR-E001" in out and "NOT DEPLOYABLE" in out
 
+    def test_abbreviated_option_rejected(self, capsys):
+        """Long options match in full only: the retired ``--exact`` flag
+        is not read as a prefix of ``--exact-history``."""
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "--catalog", "--exact"])
+        assert exc.value.code == 2
+        assert "--exact" in capsys.readouterr().err
+
     def test_invalid_window_is_a_diagnostic_not_a_crash(self, capsys):
         code = main(["lint", "SELECT COUNT GROUPBY srcip",
                      "--window", "-5"])

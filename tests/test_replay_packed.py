@@ -1,10 +1,10 @@
 """Differential property tests for the packed FIFO/random replay.
 
 The packed per-set array replay (`vector_cache._replay_segments`), its
-scalar loop (`vector_cache._finish_tails`) and the windowed scheduler
-built on them must be **bit-identical** — per access, not just in
-aggregate — to the per-access reference (:class:`KeyValueCache`),
-across:
+scalar loop (`vector_cache._finish_tails`) and the carried
+`CacheSchedule` built on them must be **bit-identical** — per access,
+not just in aggregate — to the per-access reference
+(:class:`KeyValueCache`), across:
 
 * both ablation policies (FIFO, random) and its counter-based RNG;
 * randomized geometries (bucket counts, associativities, seeds);
@@ -14,8 +14,8 @@ across:
   the capacity boundary, hot/cold interleaves, sparse 32-bit keys).
 
 Seed plumbing is audited here too: the one-shot row loop, the one-shot
-vector engine, the sweep runner's `stats_fn` closure, and the windowed
-scheduler must all derive the random policy's replay state from the
+vector engine, the sweep runner's `stats_fn` closure, and the carried
+schedule must all derive the random policy's replay state from the
 same seed — equal counters for equal seeds, different draws for
 different seeds.
 """
@@ -33,10 +33,10 @@ from repro.switch.kvstore.cache import (
     simulate_eviction_count,
 )
 from repro.switch.kvstore.vector_cache import (
+    CacheSchedule,
     VectorCacheSim,
     replay_victim_array,
 )
-from repro.switch.kvstore.windowed_store import _PackedWindowScheduler
 
 POLICIES = ("fifo", "random")
 
@@ -60,10 +60,9 @@ def reference_schedule(keys, geometry, policy, seed):
 
 @pytest.fixture
 def force_packed(monkeypatch):
-    """Force the packed replay paths — including the vectorized round
-    loop, which would otherwise hand tiny geometries straight to the
-    scalar tail finisher — even on tiny streams."""
-    monkeypatch.setattr(vector_cache, "_PACKED_MIN_PARALLELISM", 0)
+    """Force the vectorized round loop of the packed replay, which
+    would otherwise hand tiny geometries straight to the scalar tail
+    finisher, even on tiny streams."""
     monkeypatch.setattr(vector_cache, "_PACKED_MIN_ACTIVE", 0)
 
 
@@ -108,6 +107,8 @@ def test_packed_replay_matches_reference(force_packed, keys, n_buckets,
     assert np.array_equal(sched, ref_miss)
 
 
+@pytest.mark.parametrize("policy, direct", [
+    ("lru", False), ("fifo", False), ("random", False), ("fifo", True)])
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
@@ -115,20 +116,20 @@ def test_packed_replay_matches_reference(force_packed, keys, n_buckets,
                   max_size=250),
     n_buckets=st.integers(min_value=1, max_value=7),
     m_slots=st.integers(min_value=2, max_value=8),
-    policy=st.sampled_from(POLICIES),
     seed=st.integers(min_value=0, max_value=3),
     cuts=st.lists(st.integers(min_value=1, max_value=249), max_size=6),
 )
 def test_windowed_schedulers_match_for_every_partitioning(
-        force_packed, monkeypatch, keys, n_buckets, m_slots, policy, seed,
-        cuts):
-    """The windowed scheduler's carried state — driven through the
-    vectorized rounds and through the scalar loop alone — fed
-    arbitrary window partitionings of the same stream, must reproduce
-    the reference cache's schedule, eviction count and residency
-    exactly — plus three fixed partitionings (per-access, small, whole
-    stream)."""
-    geometry = CacheGeometry(n_buckets, m_slots)
+        force_packed, monkeypatch, policy, direct, keys, n_buckets, m_slots,
+        seed, cuts):
+    """A :class:`CacheSchedule`'s carried state — both carries: the
+    stack-distance phantom prefix (LRU, and a direct-mapped geometry)
+    and the ring replay, driven through the vectorized rounds and
+    through the scalar loop alone — fed arbitrary window partitionings
+    of the same stream, must reproduce the reference cache's schedule,
+    eviction count and residency exactly — plus three fixed
+    partitionings (per-access, small, whole stream)."""
+    geometry = CacheGeometry(n_buckets, 1 if direct else m_slots)
     arr = np.asarray(keys, dtype=np.int64)
     keys2d = arr.reshape(-1, 1)
     # Window key ids: dense first-occurrence ids, like the store's
@@ -159,21 +160,21 @@ def test_windowed_schedulers_match_for_every_partitioning(
         for min_active in (0, 1 << 30):            # rounds / scalar loop
             monkeypatch.setattr(vector_cache, "_PACKED_MIN_ACTIVE",
                                 min_active)
-            sched = _PackedWindowScheduler(geometry, policy, seed)
+            sched = CacheSchedule(geometry, policy, seed)
             miss_parts, evictions = [], 0
             lo = 0
             for size in sizes:
                 hi = lo + size
-                miss, ev, resident = sched.schedule(keys2d[lo:hi],
-                                                    gid[lo:hi])
+                miss, ev = sched.schedule(keys2d[lo:hi], gid[lo:hi])
                 miss_parts.append(miss)
                 evictions += ev
                 lo = hi
             got = np.concatenate(miss_parts)
             assert np.array_equal(got, ref_miss), (min_active, sizes)
             assert evictions == ref_stats.evictions, (min_active, sizes)
-            # Final residency (a gid bitmap) must match the reference
-            # cache's content; the state rows never outnumber the sets.
+            # Final residency must match the reference cache's content;
+            # the state rows never outnumber the sets.
+            resident = sched.resident(np.arange(len(gid_of)))
             assert set(np.flatnonzero(resident).tolist()) == want
             assert len(sched._ring) <= n_buckets
 
@@ -227,7 +228,7 @@ class TestAdversarialStreams:
         """A skewed stream drops below the active-set cutoff while the
         hot sets still have long tails: the vectorized rounds must hand
         their mid-segment ring state to the scalar finisher exactly."""
-        monkeypatch.setattr(vector_cache, "_PACKED_MIN_PARALLELISM", 0)
+        monkeypatch.setattr(vector_cache, "_PACKED_MIN_ACTIVE", 16)
         rng = np.random.default_rng(13)
         keys = np.where(rng.random(20_000) < 0.8,
                         rng.integers(0, 3, 20_000),          # 2-3 hot sets
@@ -242,7 +243,7 @@ class TestAdversarialStreams:
             assert np.array_equal(sched, ref_miss), policy
 
     def test_packed_equals_scalar_paths(self, monkeypatch):
-        """The parallelism dispatch is an implementation detail: the
+        """The round-to-scalar handover is an implementation detail: the
         vectorized rounds and the scalar loop must produce the same
         schedule on the same stream (a working set ~4x the capacity,
         so every set evicts — including the long rows of few-set
@@ -253,12 +254,10 @@ class TestAdversarialStreams:
                          CacheGeometry(3, 64)):
             keys = rng.integers(0, 4 * geometry.capacity, 4000)
             for policy in POLICIES:
-                monkeypatch.setattr(vector_cache, "_PACKED_MIN_PARALLELISM",
-                                    0)
                 monkeypatch.setattr(vector_cache, "_PACKED_MIN_ACTIVE", 0)
                 packed = VectorCacheSim(keys, seed=3).stats_and_schedule(
                     geometry, policy=policy)
-                monkeypatch.setattr(vector_cache, "_PACKED_MIN_PARALLELISM",
+                monkeypatch.setattr(vector_cache, "_PACKED_MIN_ACTIVE",
                                     10**9)
                 scalar = VectorCacheSim(keys, seed=3).stats_and_schedule(
                     geometry, policy=policy)
@@ -308,10 +307,10 @@ class TestSeedPlumbing:
         gid = np.asarray([gid_of[int(k)] for k in keys], dtype=np.int64)
 
         def windowed(seed):
-            sched = _PackedWindowScheduler(geometry, "random", seed)
+            sched = CacheSchedule(geometry, "random", seed)
             parts = []
             for lo in range(0, len(keys), 611):
-                miss, _, _ = sched.schedule(keys2d[lo:lo + 611],
+                miss, _ = sched.schedule(keys2d[lo:lo + 611],
                                             gid[lo:lo + 611])
                 parts.append(miss)
             return np.concatenate(parts)

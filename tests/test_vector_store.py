@@ -502,10 +502,19 @@ def as_list_fold(stage):
 
 def with_inits(stage, inits):
     """``stage`` with nonzero initial fold state (no query syntax sets
-    one for a linear fold; the merge then subtracts ``init``)."""
+    one for a linear fold; the merge then subtracts ``init``).
+    ``inits`` maps state variables to values, or lists the values in
+    each fold's ``state_vars`` order."""
     from dataclasses import replace
-    folds = tuple(replace(f, instance=replace(f.instance, inits=inits))
+
+    def keyed(fold):
+        if isinstance(inits, dict):
+            return inits
+        return dict(zip(fold.instance.state_vars, inits))
+    folds = tuple(replace(f, instance=replace(f.instance, inits=keyed(f)))
                   for f in stage.folds)
+    for fold in folds:       # an unknown key would fall back to zero init
+        assert all(fold.instance.initial_state().values()), fold.column
     return replace(stage, folds=folds)
 
 
@@ -515,8 +524,7 @@ MERGE_CLASSES = {
     "hist_additive": lambda: compile_stage(OOS, exact_history=True),
     "list": lambda: compile_stage(NONMT),
     "list_derived": lambda: as_list_fold(compile_stage(AVG)),
-    "additive_init": lambda: with_inits(compile_stage(AVG),
-                                        {"sum": 0.5, "count": 3}),
+    "additive_init": lambda: with_inits(compile_stage(AVG), [0.5, 3]),
     "scale": lambda: compile_stage(EWMA),
 }
 
