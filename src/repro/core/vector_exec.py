@@ -6,10 +6,11 @@ Evaluates a resolved program over *columns* instead of rows:
 * ``WHERE`` predicates compile to boolean masks over the input columns;
 * ``SELECT`` projections evaluate each output expression as one array
   expression over the masked columns;
-* ``GROUPBY`` stages factorize the key columns once (stable lexsort,
-  first-occurrence group order — the same order the interpreter's dict
-  produces), then evaluate every fold with the cheapest strategy that
-  is *exactly* equivalent to the interpreter's per-row loop:
+* ``GROUPBY`` stages factorize the key columns once (one sort of the
+  row hash, verified on every key column; first-occurrence group
+  order — the same order the interpreter's dict produces), then
+  evaluate every fold with the cheapest strategy that is *exactly*
+  equivalent to the interpreter's per-row loop:
 
   - **reduction** — folds whose update matrix is the identity (the
     paper's §3.2 linear-in-state class with ``S = S + B``, detected by
@@ -67,7 +68,7 @@ from .ast_nodes import (
     UnaryOp,
     walk,
 )
-from .errors import InterpreterError
+from .errors import HardwareError, InterpreterError
 from .eval_expr import EvalContext, Numeric, evaluate
 from .interpreter import Interpreter, ResultTable
 from .linearity import LinearityResult, analyze_fold
@@ -280,33 +281,114 @@ def _expr_columns(exprs: Iterable[Expr]) -> set[str]:
 # ---------------------------------------------------------------------------
 
 
-def factorize(key_arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray], int]:
+_U = np.uint64
+
+
+def splitmix64_array(values: np.ndarray) -> np.ndarray:
+    """Vectorized splitmix64 finaliser, uint64 in and out: element-wise
+    :func:`repro.switch.kvstore.cache.splitmix64` (uint64 wraps)."""
+    return _splitmix64_into(values.astype(np.uint64, copy=True))
+
+
+def _splitmix64_into(v: np.ndarray) -> np.ndarray:
+    """:func:`splitmix64_array` of the uint64 array ``v``, in place."""
+    v += _U(0x9E3779B97F4A7C15)
+    t = np.right_shift(v, _U(30))
+    v ^= t
+    v *= _U(0xBF58476D1CE4E5B9)
+    np.right_shift(v, _U(27), out=t)
+    v ^= t
+    v *= _U(0x94D049BB133111EB)
+    np.right_shift(v, _U(31), out=t)
+    v ^= t
+    return v
+
+
+def mix_key_array(keys: np.ndarray, seed: int = 0) -> np.ndarray:
+    """The one row hash (cache sets, :func:`factorize` order): matches
+    :func:`repro.switch.kvstore.cache.mix_key` per element, 1-D arrays
+    as scalar int keys, 2-D ``(n, k)`` arrays as ``k``-tuples."""
+    keys = np.asarray(keys)
+    if keys.ndim not in (1, 2):
+        raise HardwareError(f"key array must be 1-D or 2-D, got {keys.ndim}-D")
+    return _mix_columns([keys] if keys.ndim == 1 else list(keys.T), seed)
+
+
+def _mix_columns(columns: list[np.ndarray], seed: int = 0) -> np.ndarray:
+    """splitmix64 fold of equal-length columns (tuple parts, in order)
+    over ``seed``: element ``i`` is :func:`mix_key_array` of row ``i``."""
+    acc = np.full(len(columns[0]), _U(seed & 0xFFFFFFFFFFFFFFFF),
+                  dtype=np.uint64)
+    for part in columns:
+        acc ^= part.astype(np.int64, copy=False).view(np.uint64)
+        _splitmix64_into(acc)
+    return acc
+
+
+def factorize(key_arrays: list[np.ndarray],
+              hashes: np.ndarray | None = None,
+              ) -> tuple[np.ndarray, list[np.ndarray], int]:
     """Dense group ids for multi-column keys, first-occurrence ordered.
 
     Returns ``(gid, unique_key_columns, n_groups)``: ``gid[i]`` is the
     group of row ``i``; group ``0`` is the key that appears first in
     the input, matching the insertion order of the interpreter's group
-    dict.  Exact — no hashing, no collisions.
+    dict.
+
+    Exact: ``hashes`` (one uint64 per row, equal for equal rows;
+    default the :func:`mix_key_array` fold of the integer columns) are
+    sorted once as ``(hash >> b << b) | row``, each run of equal high
+    bits is taken as a group, every row is checked against its group's
+    first row on all key columns, and only runs whose rows differ
+    (collisions, NaN keys) are re-split by a lexsort of their own rows.
     """
     n = len(key_arrays[0])
     if n == 0:
         return np.zeros(0, dtype=np.int64), [a[:0] for a in key_arrays], 0
-    order = np.lexsort(key_arrays[::-1])  # stable: ties keep input order
-    change = np.zeros(n, dtype=bool)
-    change[0] = True
+    if hashes is None:
+        ints = [a for a in key_arrays if a.dtype.kind in "iub"]
+        hashes = _mix_columns(ints) if ints else np.zeros(n, dtype=np.uint64)
+    b = _U(max(n - 1, 1).bit_length())
+    comp = hashes >> b
+    comp <<= b
+    comp |= np.arange(n, dtype=np.uint64)
+    comp.sort()
+    order = (comp & ((_U(1) << b) - _U(1))).view(np.int64)
+    comp >>= b
+    run = np.append(True, comp[1:] != comp[:-1])   # hash run starts
+    gid, first = _first_occurrence_ids(order, run)
+    rep = first[gid]
+    differs = np.zeros(n, dtype=bool)
     for arr in key_arrays:
-        arr_sorted = arr[order]
-        change[1:] |= arr_sorted[1:] != arr_sorted[:-1]
-    sorted_gid = np.cumsum(change) - 1
-    n_groups = int(sorted_gid[-1]) + 1
-    first_idx = order[change]          # first input occurrence per sorted group
-    rank = np.empty(n_groups, dtype=np.int64)
-    rank[np.argsort(first_idx, kind="stable")] = np.arange(n_groups)
-    gid = np.empty(n, dtype=np.int64)
-    gid[order] = rank[sorted_gid]
-    occurrence_order = np.sort(first_idx)
-    keys = [arr[occurrence_order] for arr in key_arrays]
-    return gid, keys, n_groups
+        differs |= arr != arr[rep]
+    if differs.any():
+        # Lexsort the runs holding more than one key (run first, so each
+        # keeps its slots; ties keep input order) and mark them again.
+        run_id = np.cumsum(run) - 1
+        sel = np.flatnonzero(np.isin(run_id, run_id[differs[order]]))
+        rows = order[sel]
+        rows = rows[np.lexsort([a[rows] for a in key_arrays[::-1]]
+                               + [run_id[sel]])]
+        order[sel] = rows
+        change = run.copy()
+        for arr in key_arrays:
+            arr_sorted = arr[rows]
+            change[sel[1:]] |= arr_sorted[1:] != arr_sorted[:-1]
+        gid, first = _first_occurrence_ids(order, change)
+    return gid, [arr[first] for arr in key_arrays], len(first)
+
+
+def _first_occurrence_ids(order: np.ndarray, change: np.ndarray,
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """First-occurrence group ids of rows laid out in ``order``, a group
+    starting wherever ``change`` is set, and each group's first row."""
+    first_idx = order[change]
+    is_first = np.zeros(len(order), dtype=bool)
+    is_first[first_idx] = True
+    rank = (np.cumsum(is_first) - 1)[first_idx]
+    gid = np.empty(len(order), dtype=np.int64)
+    gid[order] = rank[np.cumsum(change) - 1]
+    return gid, np.flatnonzero(is_first)
 
 
 class _GroupLayout:

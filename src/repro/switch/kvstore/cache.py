@@ -36,6 +36,7 @@ from typing import Callable, Generic, Hashable, Iterator, TypeVar
 import numpy as np
 
 from repro.core.errors import HardwareError
+from repro.core.vector_exec import splitmix64_array
 
 V = TypeVar("V")
 
@@ -259,9 +260,6 @@ class KeyValueCache(Generic[V]):
         caller on the very same 64-bit mix the scalar path computes)."""
         cached = self._victim_blocks.get(index)
         if cached is None or not cached[0] <= count < cached[0] + _VICTIM_BLOCK:
-            # Lazy import: vector_cache imports this module at top level.
-            from .vector_cache import splitmix64_array
-
             if len(self._victim_blocks) >= _VICTIM_CACHE_MAX:
                 self._victim_blocks.clear()
             base = count - count % _VICTIM_BLOCK

@@ -12,10 +12,10 @@ the Fig. 6 accuracy sweep interactive at multi-million-access scale
 Three execution paths, chosen per geometry/policy:
 
 1. **Direct-mapped** (``m_slots == 1``, any policy — the policies are
-   indistinguishable with one slot per bucket): mix the keys with a
-   vectorized splitmix64 (:func:`mix_key_array`), stable-argsort the
-   accesses by bucket, and read hits/misses/evictions off adjacent
-   in-bucket key comparisons.  No Python loop at all.
+   indistinguishable with one slot per bucket): sort the accesses by
+   bucket (the key hash modulo the bucket count) and read
+   hits/misses/evictions off adjacent in-bucket key comparisons.  No
+   Python loop at all.
 
 2. **Exact LRU** (``m_slots > 1``): per-set reuse *stack distances* —
    an access hits iff the number of distinct keys touched in its set
@@ -55,7 +55,11 @@ Three execution paths, chosen per geometry/policy:
    geometry from the start, or the long tail of a skewed stream), the
    survivors finish on the one scalar loop (:func:`_finish_tails`),
    mirroring :class:`~repro.switch.kvstore.cache.KeyValueCache`
-   exactly.
+   exactly, drawing random victims in bounded array blocks.
+
+Every path starts from the stream's key hash (:func:`mix_key_array`),
+which also sorts the factorization of tuple and wide keys into dense
+ids; a caller that hashed the stream already hands it in (``hashes=``).
 
 :class:`CacheSchedule` is the one place that picks between them
 (stack distances for LRU and direct-mapped geometries, the ring replay
@@ -75,16 +79,15 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from repro.core.errors import CheckpointError, HardwareError
+from repro.core.vector_exec import factorize, mix_key_array, splitmix64_array
 from .cache import (
     _VICTIM_BUCKET_MULT,
     _VICTIM_COUNT_MULT,
     CacheGeometry,
     CacheStats,
     KeyValueCache,
-    replay_victim,
 )
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _U = np.uint64
 
 #: Target chunk size for the kept-subset merge counter: chunks are cut
@@ -117,6 +120,10 @@ _SKIP_BLOCK_START = 8
 #: ends.
 _SKIP_BLOCK_BUDGET = 1 << 17
 
+#: Random-victim draws per block of the scalar tail loop, however long
+#: the segment (a fully associative sweep is one segment).
+_TAIL_DRAWS = 1 << 12
+
 #: Maximum misses resolved inside one block per round (by exact
 #: verdict correction); deeper chains resume next round.
 _CHAIN_DEPTH = 4
@@ -127,45 +134,6 @@ _FILLER = np.iinfo(np.int64).min
 #: Cached ``np.arange(w)`` block offsets (w is a power of two <=
 #: :data:`_SKIP_BLOCK_MAX`).
 _wr_cache: dict[int, np.ndarray] = {}
-
-
-def splitmix64_array(values: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finaliser; uint64 in, uint64 out.
-
-    Matches :func:`repro.switch.kvstore.cache.splitmix64` element-wise
-    (numpy's wrapping uint64 arithmetic is the ``& _MASK64`` of the
-    scalar version).
-    """
-    v = values.astype(np.uint64, copy=True)
-    v += _U(0x9E3779B97F4A7C15)
-    t = np.right_shift(v, _U(30))
-    v ^= t
-    v *= _U(0xBF58476D1CE4E5B9)
-    np.right_shift(v, _U(27), out=t)
-    v ^= t
-    v *= _U(0x94D049BB133111EB)
-    np.right_shift(v, _U(31), out=t)
-    v ^= t
-    return v
-
-
-def mix_key_array(keys: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Mix a key array to 64 bits, matching :func:`mix_key` per element.
-
-    1-D arrays correspond to scalar int keys; 2-D ``(n, k)`` arrays to
-    ``k``-tuples (one column per tuple part, folded in order).
-    """
-    keys = np.asarray(keys)
-    seed64 = _U(seed & 0xFFFFFFFFFFFFFFFF)
-    if keys.ndim == 1:
-        return splitmix64_array(keys.astype(np.int64).view(np.uint64) ^ seed64)
-    if keys.ndim == 2:
-        acc = np.full(len(keys), seed64, dtype=np.uint64)
-        for col in range(keys.shape[1]):
-            part = keys[:, col].astype(np.int64).view(np.uint64)
-            acc = splitmix64_array(acc ^ part)
-        return acc
-    raise HardwareError(f"key array must be 1-D or 2-D, got {keys.ndim}-D")
 
 
 def replay_victim_array(seed: int, buckets: np.ndarray, counts: np.ndarray,
@@ -408,11 +376,13 @@ def _finish_tails(keys, miss, lo, hi, rows, set_ids, m, policy, seed,
     replays ``keys[lo[i]:hi[i]]``, starting from (and writing back) its
     ring state and residency flags.  It finishes the long tails of
     :func:`_replay_segments` (every segment, when fewer than
-    :data:`_PACKED_MIN_ACTIVE` sets start active).  The written-back
-    FIFO state is canonicalised to ``head=0`` — an equivalent
-    representation of the same queue.  Returns the eviction count."""
+    :data:`_PACKED_MIN_ACTIVE` sets start active), drawing random
+    victims in blocks of :data:`_TAIL_DRAWS`.  The written-back FIFO
+    state is canonicalised to ``head=0`` — an equivalent representation
+    of the same queue.  Returns the eviction count."""
     randomized = policy == "random"
     evictions = 0
+    misses: list[int] = []
     for row, a, b in zip(rows.tolist(), lo.tolist(), hi.tolist()):
         occupancy = int(count[row])
         if randomized:
@@ -428,13 +398,22 @@ def _finish_tails(keys, miss, lo, hi, rows, set_ids, m, policy, seed,
         if randomized:
             drawn = start = int(counters[row])
             bucket = int(set_ids[row])
+            victims: list[int] = []
+            k = 0
             for pos, key in enumerate(keys[a:b].tolist(), a):
                 if key in seen:
                     continue
-                miss[pos] = True
+                misses.append(pos)
                 if len(resident) == m:
-                    seen.discard(resident.pop(
-                        replay_victim(seed, bucket, drawn, m)))
+                    if k == len(victims):
+                        # A set evicts at most once per access left.
+                        victims = replay_victim_array(
+                            seed, bucket, np.arange(
+                                drawn, drawn + min(b - pos, _TAIL_DRAWS),
+                                dtype=np.uint64), m).tolist()
+                        k = 0
+                    seen.discard(resident.pop(victims[k]))
+                    k += 1
                     drawn += 1
                 resident.append(key)
                 seen.add(key)
@@ -447,7 +426,7 @@ def _finish_tails(keys, miss, lo, hi, rows, set_ids, m, policy, seed,
             for pos, key in enumerate(keys[a:b].tolist(), a):
                 if key in seen:
                     continue
-                miss[pos] = True
+                misses.append(pos)
                 if len(resident) - front == m:
                     seen.discard(resident[front])
                     front += 1
@@ -460,6 +439,7 @@ def _finish_tails(keys, miss, lo, hi, rows, set_ids, m, policy, seed,
         head[row] = 0
         count[row] = len(resident)
         in_cache[resident] = True
+    miss[misses] = True
     return evictions
 
 
@@ -602,15 +582,18 @@ class VectorCacheSim:
         key_ids: Optional precomputed key ids (equal key ⇔ equal id,
             values in ``[0, 2^31)``) — callers that already factorized
             the stream (:class:`CacheSchedule`) skip the internal
-            factorization sort.
+            factorization.
+        hashes: Optional precomputed :func:`mix_key_array` of ``keys``
+            under ``seed`` (the windowed store's one row hash).
     """
 
     def __init__(self, keys: np.ndarray, seed: int = 0,
-                 key_ids: np.ndarray | None = None):
+                 key_ids: np.ndarray | None = None,
+                 hashes: np.ndarray | None = None):
         keys = key_array(keys)
         self.seed = seed
         self._raw = keys
-        self._hashes: np.ndarray | None = None   # lazy: one-set paths never hash
+        self._hashes = hashes       # lazy otherwise: one-set paths never hash
         self._ids = None if key_ids is None \
             else key_ids.astype(np.int32, copy=False)   # lazy otherwise
         if len(keys) >= 1 << 31:
@@ -630,28 +613,19 @@ class VectorCacheSim:
         """Keys as int32 ids (equal key, equal id): cheaper to sort,
         gather, and compare than raw 64-bit key values.  Streams whose
         values already fit int32 are just cast; anything wider, and
-        every tuple stream, is factorized through one sort."""
+        every tuple stream, is factorized over the stream's hash."""
         if self._ids is None:
             raw = self._raw
-            if raw.ndim == 2:
-                self._ids = _factorize_rows(raw)
-                return self._ids
-            if raw.dtype.itemsize <= 4 and raw.dtype.kind != "u" or (
-                    len(raw) and raw.dtype.kind in "iu"
-                    and int(raw.min()) >= np.iinfo(np.int32).min
-                    and int(raw.max()) <= np.iinfo(np.int32).max):
+            if raw.ndim == 1 and (
+                    raw.dtype.itemsize <= 4 and raw.dtype.kind != "u" or (
+                        len(raw) and raw.dtype.kind in "iu"
+                        and int(raw.min()) >= np.iinfo(np.int32).min
+                        and int(raw.max()) <= np.iinfo(np.int32).max)):
                 self._ids = raw.astype(np.int32, copy=False)
-                return self._ids
-            order = np.argsort(raw, kind="stable")
-            rz = raw[order]
-            boundary = np.empty(self.n, dtype=bool)
-            if self.n:
-                boundary[0] = True
-                np.not_equal(rz[1:], rz[:-1], out=boundary[1:])
-            ids = np.empty(self.n, dtype=np.int32)
-            ids[order] = np.cumsum(boundary, dtype=np.int32) - \
-                np.int32(1)
-            self._ids = ids
+            else:
+                cols = [raw] if raw.ndim == 1 else list(raw.T)
+                self._ids = factorize(cols, self._hash())[0] \
+                    .astype(np.int32)
         return self._ids
 
     def _layout(self, n_buckets: int) -> _Layout:
@@ -962,10 +936,11 @@ class CacheSchedule:
         self.policy = policy
         self.seed = seed
         self.stacked = geometry.m_slots == 1 or policy == "lru"
-        # Stack distances: the resident keys (rows, ids), per set oldest
-        # → newest.
+        # Stack distances: the resident keys (rows, ids, hashes), per
+        # set oldest → newest.
         self._res_keys: np.ndarray | None = None
         self._res_gids = np.zeros(0, dtype=np.int64)
+        self._res_hashes = np.zeros(0, dtype=np.uint64)
         # Ring replay: state rows of the touched sets.
         self._known_ids = np.zeros(0, dtype=np.int64)    # sorted bucket ids
         self._known_rows = np.zeros(0, dtype=np.int64)   # their state rows
@@ -979,12 +954,14 @@ class CacheSchedule:
         self._width = _SKIP_BLOCK_START
 
     def schedule(self, keys2d: np.ndarray, gids: np.ndarray,
-                 final: bool = False) -> tuple[np.ndarray, int]:
+                 hashes: np.ndarray, final: bool = False,
+                 ) -> tuple[np.ndarray, int]:
         """Miss flags (stream order) and eviction count of the next
-        window: ``keys2d`` holds its key rows and ``gids`` their key ids
-        (equal key ⇔ equal id, the same id in every window, ``< 2^31``).
-        ``final`` marks the last window, whose residency nothing reads:
-        the stack-distance path then skips extracting it."""
+        window: ``keys2d`` holds its key rows, ``gids`` their key ids
+        (equal key ⇔ equal id, the same id in every window, ``< 2^31``)
+        and ``hashes`` their :func:`mix_key_array` under the schedule's
+        seed.  ``final`` marks the last window, whose residency nothing
+        reads: the stack-distance path then skips extracting it."""
         if not len(gids):
             return np.zeros(0, dtype=bool), 0
         r = len(self._res_gids)
@@ -992,7 +969,8 @@ class CacheSchedule:
         if r:
             keys = np.concatenate([self._res_keys, keys2d])
             ids = np.concatenate([self._res_gids, gids])
-        sim = VectorCacheSim(keys, seed=self.seed, key_ids=ids)
+            hashes = np.concatenate([self._res_hashes, hashes])
+        sim = VectorCacheSim(keys, seed=self.seed, key_ids=ids, hashes=hashes)
         stats, miss = sim.stats_and_schedule(self.geometry, self.policy,
                                              carry=self)
         if self.stacked and not final:
@@ -1034,6 +1012,7 @@ class CacheSchedule:
             pos = layout.order[pos]
         self._res_gids = ids.astype(np.int64)
         self._res_keys = keys[pos]
+        self._res_hashes = sim._hash()[pos]
 
     def _replay(self, kz: np.ndarray, starts: np.ndarray, lens: np.ndarray,
                 seg_ids: np.ndarray) -> tuple[np.ndarray, int]:
@@ -1135,6 +1114,8 @@ class CacheSchedule:
         if self.stacked:
             self._res_keys = state["res_keys"]
             self._res_gids = state["res_gids"]
+            if self._res_keys is not None:
+                self._res_hashes = mix_key_array(self._res_keys, self.seed)
             return
         self._known_ids = state["known_ids"]
         self._known_rows = state["known_rows"]
@@ -1173,22 +1154,6 @@ def _single_miss_validity(miss_keys: np.ndarray) -> tuple[int, int]:
         return 0, 0
     _, counts = np.unique(miss_keys, return_counts=True)
     return int(np.count_nonzero(counts == 1)), len(counts)
-
-
-def _factorize_rows(keys: np.ndarray) -> np.ndarray:
-    """Map 2-D key rows to dense int64 ids (equal rows, equal id)."""
-    if len(keys) == 0:
-        return np.zeros(0, dtype=np.int32)
-    cols = [keys[:, c] for c in range(keys.shape[1])]
-    order = np.lexsort(cols[::-1])
-    boundary = np.zeros(len(keys), dtype=bool)
-    boundary[0] = True
-    for col in cols:
-        cz = col[order]
-        boundary[1:] |= cz[1:] != cz[:-1]
-    ids = np.empty(len(keys), dtype=np.int32)
-    ids[order] = np.cumsum(boundary, dtype=np.int32) - np.int32(1)
-    return ids
 
 
 def key_array(keys) -> np.ndarray:

@@ -47,10 +47,12 @@ observable stays **bit-identical** to the per-packet row store, for
    fold's segment log (state values key-major; a key's segment count
    is its epoch count).  No per-epoch Python dict is built: the row
    engine's :class:`BackingStore` is the oracle, and is materialised
-   here only on demand for the ``.backing`` API.  Window keys map to
-   global ids with one ``searchsorted`` over an index of the known
-   unique keys sorted by one 64-bit value per key (the key itself for
-   one field, a seeded mix of the row otherwise), each match verified
+   here only on demand for the ``.backing`` API.  Each window's key
+   rows are hashed once (:func:`~repro.core.vector_exec.mix_key_array`
+   under the store's seed): that one hash sorts the window's
+   factorization, picks every access's cache set, and orders the
+   index of known keys.  Window keys map to global ids with one
+   ``searchsorted`` of their hash over that index, each match verified
    against the full key row — no per-access Python; only rows whose
    hash collides are resolved one by one.  The index is built on the
    first lookup (a run that is one window never builds it) and merged
@@ -97,10 +99,6 @@ from .vector_cache import CacheSchedule, _grown, mix_key_array
 from .split import StoreSnapshot
 from .vector_store import VectorSplitStore, absorb_epochs, \
     aux_from_registers, exact_array, scatter_promote
-
-#: Seed of the global key index's row hash (any fixed value: the hash
-#: only orders the index, it never picks a cache set).
-_KEY_HASH_SEED = 0x6B65795F696478
 
 
 @dataclass(eq=False)
@@ -433,14 +431,18 @@ class WindowedVectorStore(VectorSplitStore):
 
     # -- global key ids ------------------------------------------------------
 
-    def _map_global(self, unique_cols: list[np.ndarray]) -> np.ndarray:
-        """Map a window's unique key rows (first-occurrence order) to
-        persistent global ids, registering unseen keys in order — one
-        ``searchsorted`` of the rows' :func:`_key_hash` against the
-        hash-sorted index of the known keys, each match verified
-        against the full key row.  The first window knows no keys and
-        needs no index; the index is built on the first lookup and
-        merged incrementally after that."""
+    def _map_global(self, keys2d: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Persistent global ids of a window's key rows ``keys2d`` (row
+        hash ``h``), registering unseen keys in first-occurrence order:
+        the rows are factorized over ``h``, and the unique rows are
+        looked up with one ``searchsorted`` of their hashes against the
+        hash-sorted index of the known keys, each match verified against
+        the full key row.  The first window knows no keys and needs no
+        index; the index is built on the first lookup and merged
+        incrementally after that."""
+        lgid, unique_cols, n_unique = factorize(list(keys2d.T), h)
+        hashes = np.empty(n_unique, dtype=np.uint64)
+        hashes[lgid] = h
         rows = np.column_stack(unique_cols)
         start = self._nkeys
         if start == 0:
@@ -449,7 +451,6 @@ class WindowedVectorStore(VectorSplitStore):
         else:
             # Search in hash order: sorted probes walk the index
             # monotonically, several times faster than random ones.
-            hashes = _key_hash(rows)
             order = np.argsort(hashes, kind="stable")
             hashes = hashes[order]
             index_hash, index_gid = self._key_index()
@@ -475,7 +476,7 @@ class WindowedVectorStore(VectorSplitStore):
             self._grow_keys(start + len(new_rows))
             self._all_keys[start:start + len(new_rows)] = new_rows
             self._nkeys = start + len(new_rows)
-        return l2g
+        return l2g[lgid]
 
     def _verify(self, rows: np.ndarray, lo: np.ndarray,
                 hi: np.ndarray) -> np.ndarray:
@@ -503,7 +504,7 @@ class WindowedVectorStore(VectorSplitStore):
         """``(sorted key hashes, global ids in that order)`` over every
         known key, built here on first use."""
         if self._index_hash is None:
-            hashes = _key_hash(self._all_keys[:self._nkeys])
+            hashes = mix_key_array(self._all_keys[:self._nkeys], self.seed)
             perm = np.argsort(hashes, kind="stable")
             self._index_hash = hashes[perm]
             self._index_gid = perm.astype(np.int64, copy=False)
@@ -531,12 +532,13 @@ class WindowedVectorStore(VectorSplitStore):
                     columns: dict[str, np.ndarray], final: bool) -> None:
         n = len(keys2d)
         offset = self._total
-        key_cols = [keys2d[:, j] for j in range(keys2d.shape[1])]
-        lgid, l_unique_cols, l_n = factorize(key_cols)
-        gid = self._map_global(l_unique_cols)[lgid]
+        # One row hash: it sorts the factorization, indexes new keys
+        # and picks their cache sets.
+        h = mix_key_array(keys2d, self.seed)
+        gid = self._map_global(keys2d, h)
 
         # Replacement schedule with carried residency.
-        miss, evictions = self._sched.schedule(keys2d, gid, final)
+        miss, evictions = self._sched.schedule(keys2d, gid, h, final)
         stats = self._stats
         misses = int(np.count_nonzero(miss))
         stats.accesses += n
@@ -884,13 +886,3 @@ def _carried_dicts(spec, state: Mapping[str, np.ndarray],
 def _row_tuples(rows: np.ndarray) -> list[tuple]:
     """Key rows as tuples of Python ints (the backing store's keys)."""
     return list(zip(*(rows[:, j].tolist() for j in range(rows.shape[1]))))
-
-
-def _key_hash(rows: np.ndarray) -> np.ndarray:
-    """One 64-bit index value per int64 key row: the value itself for a
-    one-field key, a seeded :func:`mix_key_array` of the row otherwise.
-    Distinct rows may share a value; the index verifies every match
-    against the full row (see ``WindowedVectorStore._verify``)."""
-    if rows.shape[1] == 1:
-        return rows[:, 0]
-    return mix_key_array(rows, _KEY_HASH_SEED)

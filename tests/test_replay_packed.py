@@ -35,6 +35,7 @@ from repro.switch.kvstore.cache import (
 from repro.switch.kvstore.vector_cache import (
     CacheSchedule,
     VectorCacheSim,
+    mix_key_array,
     replay_victim_array,
 )
 
@@ -133,7 +134,7 @@ def test_windowed_schedulers_match_for_every_partitioning(
     arr = np.asarray(keys, dtype=np.int64)
     keys2d = arr.reshape(-1, 1)
     # Window key ids: dense first-occurrence ids, like the store's
-    # factorization.  The scheduler hashes the raw key columns, so the
+    # factorization.  The scheduler is handed the rows' hash, so the
     # reference uses 1-tuples (mix_key of a 1-tuple == 1-column array).
     _, first_idx = np.unique(arr, return_index=True)
     order = np.argsort(first_idx)
@@ -156,6 +157,7 @@ def test_windowed_schedulers_match_for_every_partitioning(
     for k in keys:
         cache.access((int(k),), lambda: None)
     want = {gid_of[int(e.key[0])] for e in cache.entries()}
+    hashes = mix_key_array(keys2d, seed)
     for sizes in partitionings:
         for min_active in (0, 1 << 30):            # rounds / scalar loop
             monkeypatch.setattr(vector_cache, "_PACKED_MIN_ACTIVE",
@@ -165,7 +167,8 @@ def test_windowed_schedulers_match_for_every_partitioning(
             lo = 0
             for size in sizes:
                 hi = lo + size
-                miss, ev = sched.schedule(keys2d[lo:hi], gid[lo:hi])
+                miss, ev = sched.schedule(keys2d[lo:hi], gid[lo:hi],
+                                          hashes[lo:hi])
                 miss_parts.append(miss)
                 evictions += ev
                 lo = hi
@@ -308,10 +311,12 @@ class TestSeedPlumbing:
 
         def windowed(seed):
             sched = CacheSchedule(geometry, "random", seed)
+            hashes = mix_key_array(keys2d, seed)
             parts = []
             for lo in range(0, len(keys), 611):
                 miss, _ = sched.schedule(keys2d[lo:lo + 611],
-                                            gid[lo:lo + 611])
+                                         gid[lo:lo + 611],
+                                         hashes[lo:lo + 611])
                 parts.append(miss)
             return np.concatenate(parts)
 

@@ -353,6 +353,61 @@ class TestCarriedStateInternals:
             assert windowed.result_table().rows == \
                 unbounded.result_table().rows
 
+    @pytest.mark.parametrize("policy", ["lru", "fifo"])
+    def test_window_rows_hashed_once(self, policy, monkeypatch):
+        """One row hash per window serves the factorization, the key
+        index and the cache sets; besides it, only the key index's
+        first build hashes (the keys known by then)."""
+        from repro.core import vector_exec
+
+        calls = []
+        mix = vector_exec._mix_columns
+
+        def counted(columns, seed=0):
+            calls.append(len(columns[0]))
+            return mix(columns, seed)
+
+        monkeypatch.setattr(vector_exec, "_mix_columns", counted)
+        stage = QueryEngine("SELECT COUNT GROUPBY srcip, dstip") \
+            .compiled.groupby_stages[0]
+        store = WindowedVectorStore(stage, GEOM, policy=policy, window=100)
+        keys = np.arange(2000, dtype=np.int64).reshape(-1, 2) % 50
+        for lo in range(0, len(keys), 50):
+            store.add_batch(keys[lo:lo + 50], {})
+        store.finalize()
+        assert len(store._all_keys[:store._nkeys]) == 25
+        assert calls == [100, 100, 25] + [100] * 8
+
+    def test_lru_resume_recomputes_phantom_hashes(self):
+        """A checkpoint carries the LRU phantom prefix's rows, not their
+        hashes: the resumed store recomputes them and then schedules
+        exactly as the uninterrupted one."""
+        from repro.telemetry.checkpoint import (pack_checkpoint,
+                                                unpack_checkpoint)
+        stage = QueryEngine("SELECT COUNT, SUM(pkt_len) GROUPBY srcip, dstip") \
+            .compiled.groupby_stages[0]
+        trace = synthetic_trace(3000, n_flows=400, seed=43)
+        columns = trace.columns()
+        keys = np.column_stack([columns[f].astype(np.int64)
+                                for f in stage.key.fields])
+        fields = {"pkt_len": columns["pkt_len"]}
+        whole = WindowedVectorStore(stage, GEOM, window=300)
+        first = WindowedVectorStore(stage, GEOM, window=300)
+        for store in (whole, first):
+            store.add_batch(keys[:1200], {f: c[:1200] for f, c in fields.items()})
+        state = first.checkpoint_state()
+        assert "res_hashes" not in state["sched"]
+        resumed = WindowedVectorStore(stage, GEOM, window=300)
+        resumed.restore_state(unpack_checkpoint(pack_checkpoint(state)))
+        assert len(resumed._sched._res_hashes) > 0
+        assert np.array_equal(resumed._sched._res_hashes,
+                              whole._sched._res_hashes)
+        for store in (whole, resumed):
+            store.add_batch(keys[1200:], {f: c[1200:] for f, c in fields.items()})
+            store.finalize()
+        assert resumed.stats == whole.stats and whole.stats.evictions > 0
+        assert resumed.result_table().rows == whole.result_table().rows
+
     def test_add_batch_after_finalize_rejected(self):
         from repro.core.errors import HardwareError
         stage = QueryEngine("SELECT COUNT GROUPBY srcip") \
@@ -498,15 +553,24 @@ class TestCatalogNeverReplays:
 
 
 class TestKeyIndexCollisions:
-    """The global key index orders keys by a 64-bit hash and verifies
-    every match against the full row: a degenerate hash (every key in
-    one of four buckets) must change nothing."""
+    """The global key index and the window factorization order keys by
+    the 64-bit row hash and verify every match against the full row: a
+    degenerate hash (every key in one of four values) must change
+    nothing.  The row store's cache hashes with the same planted
+    function, so both engines see the same (four) cache sets."""
 
     @pytest.mark.parametrize("window", [7, 193])
     @pytest.mark.parametrize("key", ["srcip", "srcip, dstip", "pkt_uniq"])
     def test_degenerate_hash_is_exact(self, key, window, monkeypatch):
-        monkeypatch.setattr(windowed_store, "_key_hash",
-                            lambda rows: rows[:, 0] & 3)
+        from repro.switch.kvstore import cache, vector_cache
+
+        mix_key, mix_key_array = cache.mix_key, vector_cache.mix_key_array
+        monkeypatch.setattr(cache, "mix_key",
+                            lambda key, seed=0: mix_key(key, seed) & 3)
+        for module in (windowed_store, vector_cache):
+            monkeypatch.setattr(
+                module, "mix_key_array",
+                lambda keys, seed=0: mix_key_array(keys, seed) & np.uint64(3))
         source = f"SELECT COUNT, SUM(pkt_len) GROUPBY {key}"
         trace = synthetic_trace(900, n_flows=60, seed=41)
         base = observables(QueryEngine(source, geometry=GEOM, engine="row")

@@ -179,6 +179,39 @@ class TestSimSharing:
         assert counters(vec) == counters(row)
 
 
+class TestHandedHashes:
+    """A simulator handed the stream's hashes (as the windowed store
+    hands over its one row hash) equals one that hashes for itself."""
+
+    @pytest.mark.parametrize("geometry, policy", [
+        (CacheGeometry.hash_table(64), "lru"),                 # direct
+        (CacheGeometry.set_associative(64, 4), "lru"),
+        (CacheGeometry.set_associative(64, 4), "fifo"),
+        (CacheGeometry.set_associative(64, 4), "random"),
+        (CacheGeometry.fully_associative(16), "random"),
+    ], ids=["direct", "lru", "fifo", "random", "random-full"])
+    @pytest.mark.parametrize("shape", [(3000,), (3000, 2)],
+                             ids=["scalar", "tuple"])
+    def test_matches_self_hashing(self, geometry, policy, shape):
+        rng = np.random.default_rng(5)
+        keys = rng.integers(-40, 200, shape).astype(np.int64)
+        keys[::7] += 2**40                     # wide ids: factorized
+        own = VectorCacheSim(keys, seed=3)
+        handed = VectorCacheSim(keys, seed=3,
+                                hashes=mix_key_array(keys, seed=3))
+        got = handed.stats_and_schedule(geometry, policy)
+        want = own.stats_and_schedule(geometry, policy)
+        assert counters(got[0]) == counters(want[0])
+        assert np.array_equal(got[1], want[1])
+        assert handed.validity(geometry, policy) == \
+            own.validity(geometry, policy)
+        row = simulate_eviction_count(
+            [tuple(r) for r in keys.tolist()] if keys.ndim == 2
+            else keys.tolist(), geometry, policy=policy, seed=3,
+            engine="row")
+        assert counters(got[0]) == counters(row)
+
+
 class TestWindowValidity:
     @given(
         keys=st.lists(st.integers(min_value=0, max_value=30), max_size=250),

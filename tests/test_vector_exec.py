@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.interpreter import Interpreter
 from repro.core.linearity import analyze_fold
@@ -22,6 +24,7 @@ from repro.core.vector_exec import (
     _FoldVectorizer,
     _GroupLayout,
     factorize,
+    mix_key_array,
     run_query_vectorized,
 )
 from repro.network.records import ObservationTable
@@ -166,6 +169,63 @@ class TestSelectsAndEdges:
         assert result.rows == truth.rows
 
 
+def _lexsort_factorize(key_arrays):
+    """Reference: the stable k-column lexsort factorization."""
+    n = len(key_arrays[0])
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), [a[:0] for a in key_arrays], 0
+    order = np.lexsort(key_arrays[::-1])
+    change = np.zeros(n, dtype=bool)
+    change[0] = True
+    for arr in key_arrays:
+        arr_sorted = arr[order]
+        change[1:] |= arr_sorted[1:] != arr_sorted[:-1]
+    sorted_gid = np.cumsum(change) - 1
+    first_idx = order[change]
+    rank = np.empty(len(first_idx), dtype=np.int64)
+    rank[np.argsort(first_idx, kind="stable")] = np.arange(len(first_idx))
+    gid = np.empty(n, dtype=np.int64)
+    gid[order] = rank[sorted_gid]
+    occurrence = np.sort(first_idx)
+    return gid, [arr[occurrence] for arr in key_arrays], len(first_idx)
+
+
+def assert_same_factorization(got, want):
+    gid, unique, n_groups = got
+    assert n_groups == want[2]
+    assert gid.dtype == np.int64 and np.array_equal(gid, want[0])
+    for u, w in zip(unique, want[1], strict=True):
+        assert u.dtype == w.dtype
+        floats = u.dtype.kind == "f"
+        assert np.array_equal(u, w, equal_nan=floats)
+        if floats:
+            assert np.array_equal(np.signbit(u), np.signbit(w))
+
+
+_COLUMN_VALUES = {
+    "int64": [-2, 0, 1, 3],
+    "uint64": [0, 1, 2**63, 2**64 - 1],
+    "int32": [-1, 0, 7],
+    "bool": [False, True],
+    "float64": [0.0, -0.0, 1.5, float("nan")],
+    "object": [0, 2**70, -(2**70)],         # exact ints past int64
+}
+
+
+@st.composite
+def _key_columns(draw):
+    """1-6 columns over tiny value sets (dense repeats), 0-40 rows."""
+    n = draw(st.integers(0, 40))
+    cols = []
+    for _ in range(draw(st.integers(1, 6))):
+        dtype = draw(st.sampled_from(sorted(_COLUMN_VALUES)))
+        values = _COLUMN_VALUES[dtype]
+        idx = draw(st.lists(st.integers(0, len(values) - 1),
+                            min_size=n, max_size=n))
+        cols.append(np.array([values[i] for i in idx], dtype=dtype))
+    return cols
+
+
 class TestFactorize:
     def test_first_occurrence_order(self):
         keys = [np.array([7, 3, 7, 5, 3, 9])]
@@ -186,6 +246,38 @@ class TestFactorize:
     def test_empty(self):
         gid, unique, n_groups = factorize([np.zeros(0, dtype=np.int64)])
         assert n_groups == 0 and len(gid) == 0
+
+    @given(_key_columns())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_lexsort_reference(self, cols):
+        want = _lexsort_factorize(cols)
+        assert_same_factorization(factorize(cols), want)
+        # Planted hashes (equal rows still hash equal): every run
+        # collides, so every group comes out of the re-split.
+        ints = [a.astype(np.int64) for a in cols if a.dtype.kind in "iub"]
+        h = mix_key_array(np.stack(ints, axis=1)) if ints \
+            else np.zeros(len(cols[0]), dtype=np.uint64)
+        for planted in (np.zeros_like(h), h & np.uint64(3)):
+            assert_same_factorization(factorize(cols, planted), want)
+
+    def test_one_row_and_wide_uint64(self):
+        top = np.array([2**64 - 1, 2**63, 2**64 - 1, 2**63 + 5],
+                       dtype=np.uint64)
+        low = np.array([3, 3, 3, 3], dtype=np.uint64)
+        cols = [top, low]
+        assert_same_factorization(factorize(cols), _lexsort_factorize(cols))
+        gid, unique, n_groups = factorize([top[:1]])
+        assert gid.tolist() == [0] and n_groups == 1
+        assert unique[0].dtype == np.uint64 and unique[0].tolist() == [2**64 - 1]
+
+    def test_float_columns_take_the_exact_path(self):
+        # NaN never equals itself (one group per NaN row, as the lexsort
+        # gives); -0.0 == 0.0 is one group keeping the first value.
+        f = np.array([0.5, np.nan, -0.0, 0.0, np.nan, 0.5, 1.5])
+        i = np.array([1, 1, 2, 2, 1, 1, 1])
+        for cols in ([f], [i, f], [f, i]):
+            assert_same_factorization(factorize(cols),
+                                      _lexsort_factorize(cols))
 
 
 class TestReplayFallback:
