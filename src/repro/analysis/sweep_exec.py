@@ -14,10 +14,11 @@ Two knobs, mirrored on :func:`repro.analysis.eviction.run_eviction_sweep`,
 :func:`repro.analysis.accuracy.run_accuracy_sweep`, and the CLI:
 
 * ``engine="auto"|"vector"|"row"`` — which cache simulator runs each
-  cell: the array-native vector engine
+  cell: the vector engine
   (:class:`repro.switch.kvstore.vector_cache.VectorCacheSim`,
-  bit-identical counters, all four eviction policies — LRU via stack
-  distances, FIFO/random via the packed per-set replay; ``"auto"`` is
+  bit-identical counters, all four eviction policies — LRU and
+  direct-mapped on arrays via stack distances, FIFO/random via one
+  scalar loop per set over the same memoized layout; ``"auto"`` is
   the same engine) or the per-access row reference.  Mirrors
   :class:`repro.telemetry.runtime.QueryEngine`'s knob.  The key stream
   is columnized once, at the simulator's door

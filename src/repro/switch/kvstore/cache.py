@@ -87,7 +87,7 @@ def replay_victim(seed: int, bucket: int, count: int, size: int) -> int:
     Being a pure function of ``(seed, bucket, count)`` — rather than a
     position in one shared sequential draw stream — makes the policy
     decomposable per set: every execution strategy (per-access row
-    loop, packed per-set array replay, windowed replay with carried
+    loop, one-shot per-set ring replay, windowed replay with carried
     per-set counters) consumes exactly the same draws.
     :func:`repro.switch.kvstore.vector_cache.replay_victim_array` is
     the element-wise identical batch form.

@@ -37,25 +37,21 @@ Three execution paths, chosen per geometry/policy:
    exact for every ``m >= G`` and is cached, so a fully associative
    capacity sweep pays for it once.
 
-3. **Packed per-set replay** for the FIFO/random ablation policies
+3. **Per-set ring replay** for the FIFO/random ablation policies
    (:func:`_replay_segments`): accesses are grouped by set with one
-   composite ``(bucket, time)`` sort, then every set's occupancy is
-   replayed *simultaneously*, one in-set step per Python iteration —
-   membership tests, ring-buffer insertions (FIFO evicts the ring
-   head; random removes a drawn slot and appends), and eviction
-   bookkeeping are all vectorized across the active sets, so the
-   Python-level iteration count is the longest set's access count, not
-   the stream length.  Random victims come from the counter-based
+   composite ``(bucket, time)`` sort and runs of the same key are
+   collapsed; then one loop replays each set's accesses against its
+   resident keys, oldest → newest, exactly as
+   :class:`~repro.switch.kvstore.cache.KeyValueCache` does (FIFO evicts
+   the oldest; random removes a drawn slot and appends).  Random
+   victims come from the counter-based
    :func:`repro.switch.kvstore.cache.replay_victim` draw
-   (:func:`replay_victim_array` here), consumed in array chunks — a
-   pure function of ``(seed, set, per-set eviction count)``, so per-set
-   replay (and the windowed store's carried replay) consumes exactly
-   the reference loop's draws.  Once fewer than
-   :data:`_PACKED_MIN_ACTIVE` sets are still active (a few-set
-   geometry from the start, or the long tail of a skewed stream), the
-   survivors finish on the one scalar loop (:func:`_finish_tails`),
-   mirroring :class:`~repro.switch.kvstore.cache.KeyValueCache`
-   exactly, drawing random victims in bounded array blocks.
+   (:func:`replay_victim_array` here), drawn in bounded array blocks —
+   a pure function of ``(seed, set, per-set eviction count)``, so the
+   one-shot replay and the windowed store's carried replay consume
+   exactly the reference loop's draws.  The paper's switch is LRU;
+   these two policies serve the policy ablation, where exactness
+   matters and speed does not.
 
 Every path starts from the stream's key hash (:func:`mix_key_array`),
 which also sorts the factorization of tuple and wide keys into dense
@@ -94,46 +90,12 @@ _U = np.uint64
 #: at set boundaries so each merge stays cache-resident.
 _MERGE_CHUNK = 1 << 16
 
-#: Round cutoff inside one packed replay batch: once fewer than this
-#: many sets are still active (the long tail of a skewed segment
-#: distribution), a vectorized round costs more than touching the few
-#: remaining accesses directly, so the surviving segment tails finish
-#: on the scalar per-access loop (state handed over exactly).  The
-#: value is the measured break-even: ~25 array operations per round
-#: against ~0.3us per scalar access.
-_PACKED_MIN_ACTIVE = 96
-
-#: Hit-run skip width bounds of the packed replay: each round tests
-#: the next ``w`` accesses of every active set against its ring in one
-#: shot, so a round advances a set past a whole run of hits (hits
-#: never change FIFO/random state) and at most one miss.  ``w`` adapts
-#: between these bounds round by round — it grows while sets consume
-#: whole blocks (hit-dense streams skip far) and shrinks toward 1
-#: (plain step-major) while misses stop every set after an access or
-#: two, where wide membership tests are wasted work.
-_SKIP_BLOCK_MAX = 64
-_SKIP_BLOCK_START = 8
-
-#: Element budget of one round's membership block (``active sets x
-#: width``): bounds the width growth while many short segments are
-#: still active, where wide blocks would mostly compare past their
-#: ends.
-_SKIP_BLOCK_BUDGET = 1 << 17
-
-#: Random-victim draws per block of the scalar tail loop, however long
-#: the segment (a fully associative sweep is one segment).
+#: Most random-victim draws one set holds at a time, however long its
+#: segment (a fully associative sweep is one segment).
 _TAIL_DRAWS = 1 << 12
 
-#: Maximum misses resolved inside one block per round (by exact
-#: verdict correction); deeper chains resume next round.
-_CHAIN_DEPTH = 4
-
-#: Empty ring-buffer slot: never equal to any (nonnegative) key id.
+#: Empty ring-buffer slot: never equal to any key id.
 _FILLER = np.iinfo(np.int64).min
-
-#: Cached ``np.arange(w)`` block offsets (w is a power of two <=
-#: :data:`_SKIP_BLOCK_MAX`).
-_wr_cache: dict[int, np.ndarray] = {}
 
 
 def replay_victim_array(seed: int, buckets: np.ndarray, counts: np.ndarray,
@@ -151,264 +113,73 @@ def replay_victim_array(seed: int, buckets: np.ndarray, counts: np.ndarray,
 
 
 def _replay_segments(kz: np.ndarray, starts: np.ndarray, lens: np.ndarray,
-                     set_ids: np.ndarray, m: int, policy: str, seed: int,
-                     ring: np.ndarray, head: np.ndarray, count: np.ndarray,
-                     counters: np.ndarray | None,
-                     in_cache: np.ndarray,
-                     state_rows: np.ndarray | None = None,
-                     start_width: int = _SKIP_BLOCK_START,
-                     ) -> tuple[np.ndarray, int, int]:
-    """Packed per-set FIFO/random replay over one batch of segments.
+                     rows: np.ndarray, set_ids: np.ndarray, m: int,
+                     policy: str, seed: int, ring: np.ndarray,
+                     count: np.ndarray, counters: np.ndarray,
+                     ) -> tuple[np.ndarray, int]:
+    """The FIFO/random replay: one window, set by set, access by access.
 
     ``kz`` holds the key ids in (set, time) layout order; segment ``s``
-    (= one cache set's accesses in this batch) occupies
-    ``kz[starts[s]:starts[s] + lens[s]]`` and has bucket id
-    ``set_ids[s]``.  The per-set replacement state — ``ring`` (rows of
-    ``m`` slots in insertion order, :data:`_FILLER` when empty;  FIFO
-    treats the row circularly via ``head``, random keeps it compacted),
-    ``count`` (occupancy), and ``counters`` (random's per-set eviction
-    counters, the RNG state) — is carried *in place*, rows aligned with
-    segments, so callers can run one batch from empty state (one-shot)
-    or thread persistent state through successive windows (the windowed
-    store).
+    (one cache set's accesses) is ``kz[starts[s]:starts[s] + lens[s]]``
+    and replays on state row ``rows[s]``.  A state row is ``ring`` (the
+    set's resident keys oldest → newest, :data:`_FILLER` past the
+    occupancy), ``count`` (the occupancy), ``counters`` (random's
+    eviction count, the RNG state) and ``set_ids`` (the bucket id that
+    seeds its draws).  The rows are updated in place, so one call
+    replays a stream from empty state and successive calls carry the
+    state across windows.
 
-    ``in_cache`` is a per-key-id residency flag array, kept exactly in
-    sync with the rings (and carried across windows with them); the
-    key ids must index it, so callers with sparse ids densify them
-    first.  It makes every membership test a single gather — a key is
-    in its set's ring iff its flag is set, because each key id hashes
-    to exactly one set.
-
-    ``state_rows``, when given, maps segment ``s`` to row
-    ``state_rows[s]`` of the state arrays (and of ``set_ids``), so a
-    windowed caller can hand its *persistent* arrays straight in — no
-    per-window gather/scatter.  Without it, row ``s`` is segment ``s``.
-
-    The replay is round-major over blocks of ``w`` accesses per active
-    set (``w`` adapts between rounds): one membership test per round
-    classifies every block position against the pre-round state, then
-    each set consumes its block — leading hits are skipped wholesale
-    (hits never change FIFO/random state), and up to
-    :data:`_CHAIN_DEPTH` misses are resolved *within* the block by
-    exact verdict correction: a miss inserts one key and evicts one
-    victim, so the remaining positions' verdicts flip precisely where
-    they equal either (two compares per chained miss).  Ring
-    insert/evict reproduces, per set, exactly what
-    :class:`~repro.switch.kvstore.cache.KeyValueCache` does per access.
-    Finished sets are compacted away; once fewer than
-    :data:`_PACKED_MIN_ACTIVE` remain (skewed streams leave a long
-    tail of one or two hot sets), the survivors' tails finish on the
-    scalar per-access loop, picking up the ring state mid-segment.
-
-    Returns ``(miss flags over kz positions, eviction count, last skip
-    width)`` — windowed callers feed the width back in as the next
-    window's ``start_width`` so the adaptation warms up once, not per
-    window.
+    Each set does exactly what
+    :class:`~repro.switch.kvstore.cache.KeyValueCache` does per access:
+    a miss appends its key and, once the set is full, evicts the oldest
+    key (FIFO) or the slot :func:`replay_victim_array` draws (random).
+    The rows are read and written back once per call, and random
+    victims for every row are drawn in one array call: a set evicts at
+    most once per access past its free slots, and a row's block is
+    refilled only when it runs out, capped at :data:`_TAIL_DRAWS`.
+    Returns the miss flags over ``kz`` and the eviction count.
     """
-    n = len(kz)
-    miss = np.zeros(n, dtype=bool)
-    if len(starts) == 0:
-        return miss, 0, start_width
-    w = max(2, min(int(start_width), _SKIP_BLOCK_MAX))
-    # Pad so block gathers may peek past the last segment's end; the
-    # pad value is irrelevant (phantom verdicts past a segment's end
-    # are neutralised by clamping below) but must be a safe index for
-    # the in_cache gather.
-    keys64 = np.empty(n + _SKIP_BLOCK_MAX, dtype=np.int64)
-    keys64[:n] = kz
-    keys64[n:] = 0
-    evictions = 0
+    miss = np.zeros(len(kz), dtype=bool)
+    if not len(rows):
+        return miss, 0
     randomized = policy == "random"
-    cols = np.arange(m - 1)
-
-    def apply_misses(sub: np.ndarray, keys_m: np.ndarray) -> np.ndarray:
-        """One miss per row of ``act[sub]``: insert ``keys_m``,
-        evicting per policy.  Returns each row's evicted key
-        (:data:`_FILLER` where the set was not yet full) — the chain
-        correction needs it."""
-        nonlocal evictions
-        rows_g = act[sub]
-        ck = count[rows_g]
-        full = ck == m
-        n_full = int(np.count_nonzero(full))
-        evictions += n_full
-        victims = np.full(len(rows_g), _FILLER, dtype=np.int64)
-        if randomized:
-            fl = np.flatnonzero(full)
-            fr = rows_g[fl]
-            if len(fr):
-                # Remove the drawn slot (shift the tail), append.
-                v = replay_victim_array(seed, set_ids[fr], counters[fr], m)
-                counters[fr] += 1
-                vk = ring[fr, v]
-                victims[fl] = vk
-                in_cache[vk] = False
-                src = cols[None, :] + (cols[None, :] >= v[:, None])
-                ring[fr[:, None], cols[None, :]] = ring[fr[:, None], src]
-                ring[fr, m - 1] = keys_m[fl]
-            nl = np.flatnonzero(~full)
-            nf = rows_g[nl]
-            if len(nf):
-                ring[nf, count[nf]] = keys_m[nl]
-                count[nf] += 1
-        else:
-            # FIFO ring: insert at (head + count) % m; a full set's
-            # insert lands on the head slot (the victim).
-            hk = head[rows_g]
-            ins = hk + ck
-            ins[ins >= m] -= m
-            if n_full == len(rows_g):            # steady state
-                vk = ring[rows_g, ins]
-                victims[:] = vk
-            elif n_full:
-                fl = np.flatnonzero(full)
-                vk = ring[rows_g[fl], ins[fl]]
-                victims[fl] = vk
-            else:
-                vk = None
-            if vk is not None:
-                in_cache[vk] = False
-            ring[rows_g, ins] = keys_m
-            hk += full                           # full: head advances
-            hk[hk == m] = 0
-            head[rows_g] = hk
-            ck += 1
-            ck -= full                           # full: occupancy stays
-            count[rows_g] = ck
-        in_cache[keys_m] = True
-        return victims
-
-    # Compact per-active-set arrays: state row ids, cursors (in-set
-    # position), segment starts/ends.  Rounds operate on these and
-    # index the caller's state arrays through ``act``.
-    act = np.array(state_rows) if state_rows is not None \
-        else np.arange(len(starts))
-    cur = np.zeros(len(starts), dtype=np.int64)
-    seg_start = np.asarray(starts, dtype=np.int64)
-    seg_end = seg_start + np.asarray(lens, dtype=np.int64)
-    while True:
-        if not len(act):
-            break
-        if len(act) < _PACKED_MIN_ACTIVE:
-            evictions += _finish_tails(
-                keys64, miss, seg_start + cur, seg_end, act, set_ids, m,
-                policy, seed, ring, head, count, counters, in_cache)
-            break
-        base = seg_start + cur
-        wr = _wr_cache.get(w)
-        if wr is None:
-            wr = _wr_cache[w] = np.arange(w)
-        block = keys64[base[:, None] + wr]
-        hitrun = in_cache[block]
-        stop = hitrun.argmin(axis=1)             # first miss in block
-        stop[hitrun.all(axis=1)] = w             # all-hit: skip whole
-        # Clamping to the segment end also neutralises any phantom
-        # verdicts the block picked up past it (neighbouring segments'
-        # keys, the pad).
-        at = np.minimum(base + stop, seg_end)
-        is_miss = (stop < w) & (at < seg_end)
-        # Default: the whole block (clamped) is consumed; rows whose
-        # miss chain is cut short overwrite this below.
-        new_cur = np.minimum(base + w, seg_end) - seg_start
-        rows = np.flatnonzero(is_miss)
-        if len(rows):
-            sub = rows                           # compact-row indices
-            at_sub = at[rows]
-            block_sub = block[rows]
-            hit_sub = hitrun[rows]
-            base_sub = base[rows]
-            end_sub = seg_end[rows]
-            depth = 0
-            while True:
-                keys_m = keys64[at_sub]
-                miss[at_sub] = True
-                victims = apply_misses(sub, keys_m)
-                depth += 1
-                if depth >= _CHAIN_DEPTH:
-                    # Budget exhausted mid-block: resume here next
-                    # round.
-                    new_cur[sub] = at_sub + 1 - seg_start[sub]
-                    break
-                # Exact correction of the remaining verdicts: this
-                # miss made exactly its key resident and its victim
-                # non-resident.
-                hit_sub = (hit_sub | (block_sub == keys_m[:, None])) & \
-                    (block_sub != victims[:, None])
-                hit_sub |= wr <= (at_sub - base_sub)[:, None]  # consumed
-                stop2 = hit_sub.argmin(axis=1)
-                done = hit_sub.all(axis=1)
-                at2 = np.minimum(base_sub + stop2, end_sub)
-                more = ~done & (at2 < end_sub)
-                if more.all():
-                    at_sub = at2
-                    continue
-                keep = np.flatnonzero(more)
-                if not len(keep):                # whole block consumed
-                    break
-                sub = sub[keep]
-                at_sub = at2[keep]
-                block_sub = block_sub[keep]
-                hit_sub = hit_sub[keep]
-                base_sub = base_sub[keep]
-                end_sub = end_sub[keep]
-        # Adapt the skip width to the stream: grow while blocks are
-        # being consumed nearly whole, shrink when miss chains keep
-        # getting cut (wide membership tests are then wasted work).
-        advanced = int(new_cur.sum() - cur.sum())
-        if advanced * 4 >= 3 * len(act) * w and w < _SKIP_BLOCK_MAX \
-                and len(act) * 2 * w <= _SKIP_BLOCK_BUDGET:
-            w *= 2
-        elif advanced * 4 < len(act) * w and w > 4:
-            w //= 2
-        cur = new_cur
-        alive = cur < seg_end - seg_start
-        if not alive.all():
-            act = act[alive]
-            cur = cur[alive]
-            seg_start = seg_start[alive]
-            seg_end = seg_end[alive]
-    return miss, evictions, w
-
-
-def _finish_tails(keys, miss, lo, hi, rows, set_ids, m, policy, seed,
-                  ring, head, count, counters, in_cache) -> int:
-    """The scalar per-access FIFO/random loop: state row ``rows[i]``
-    replays ``keys[lo[i]:hi[i]]``, starting from (and writing back) its
-    ring state and residency flags.  It finishes the long tails of
-    :func:`_replay_segments` (every segment, when fewer than
-    :data:`_PACKED_MIN_ACTIVE` sets start active), drawing random
-    victims in blocks of :data:`_TAIL_DRAWS`.  The written-back FIFO
-    state is canonicalised to ``head=0`` — an equivalent representation
-    of the same queue.  Returns the eviction count."""
-    randomized = policy == "random"
+    rings = ring[rows].tolist()
+    occupancy = count[rows]
+    if randomized:
+        buckets = set_ids[rows]
+        drawn0 = counters[rows]
+        n_draw = np.clip(lens - (m - occupancy), 0, _TAIL_DRAWS)
+        first = np.cumsum(n_draw) - n_draw
+        step = np.arange(int(n_draw.sum()), dtype=np.uint64) - \
+            np.repeat(first, n_draw).astype(np.uint64)
+        draws = replay_victim_array(
+            seed, np.repeat(buckets, n_draw),
+            np.repeat(drawn0, n_draw) + step, m).tolist()
+        buckets, drawn0 = buckets.tolist(), drawn0.tolist()
+        first, n_draw = first.tolist(), n_draw.tolist()
+        drawn_out: list[int] = []
     evictions = 0
     misses: list[int] = []
-    for row, a, b in zip(rows.tolist(), lo.tolist(), hi.tolist()):
-        occupancy = int(count[row])
-        if randomized:
-            resident = ring[row, :occupancy].tolist()
-        else:
-            resident = np.roll(ring[row], -int(head[row]))[:occupancy] \
-                .tolist()
-        # Each key id hashes to exactly one set, so clearing the row's
-        # starting residents here and flagging its final residents
-        # below keeps in_cache exact with no per-miss update.
-        in_cache[resident] = False
+    kept: list[int] = []
+    sizes: list[int] = []
+    for i, (a, b, held) in enumerate(zip(starts.tolist(),
+                                         (starts + lens).tolist(),
+                                         occupancy.tolist())):
+        resident = rings[i][:held]
         seen = set(resident)
+        front = 0
         if randomized:
-            drawn = start = int(counters[row])
-            bucket = int(set_ids[row])
-            victims: list[int] = []
+            drawn = start = drawn0[i]
+            victims = draws[first[i]:first[i] + n_draw[i]]
             k = 0
-            for pos, key in enumerate(keys[a:b].tolist(), a):
+            for pos, key in enumerate(kz[a:b].tolist(), a):
                 if key in seen:
                     continue
                 misses.append(pos)
                 if len(resident) == m:
                     if k == len(victims):
-                        # A set evicts at most once per access left.
                         victims = replay_victim_array(
-                            seed, bucket, np.arange(
+                            seed, buckets[i], np.arange(
                                 drawn, drawn + min(b - pos, _TAIL_DRAWS),
                                 dtype=np.uint64), m).tolist()
                         k = 0
@@ -417,13 +188,12 @@ def _finish_tails(keys, miss, lo, hi, rows, set_ids, m, policy, seed,
                     drawn += 1
                 resident.append(key)
                 seen.add(key)
-            counters[row] = drawn
+            drawn_out.append(drawn)
             evictions += drawn - start
         else:
             # FIFO evicts by advancing ``front`` through the insertion-
-            # ordered list, which is trimmed once at the end.
-            front = 0
-            for pos, key in enumerate(keys[a:b].tolist(), a):
+            # ordered list.
+            for pos, key in enumerate(kz[a:b].tolist(), a):
                 if key in seen:
                     continue
                 misses.append(pos)
@@ -432,15 +202,18 @@ def _finish_tails(keys, miss, lo, hi, rows, set_ids, m, policy, seed,
                     front += 1
                 resident.append(key)
                 seen.add(key)
-            del resident[:front]
             evictions += front
-        ring[row, :len(resident)] = resident
-        ring[row, len(resident):] = _FILLER
-        head[row] = 0
-        count[row] = len(resident)
-        in_cache[resident] = True
+        kept.extend(resident[front:])
+        sizes.append(len(resident) - front)
+    size = np.asarray(sizes, dtype=np.int64)
+    out = np.full((len(rows), m), _FILLER, dtype=np.int64)
+    out[np.arange(m) < size[:, None]] = kept
+    ring[rows] = out
+    count[rows] = size
+    if randomized:
+        counters[rows] = drawn_out
     miss[misses] = True
-    return evictions
+    return miss, evictions
 
 
 def _collapse_runs(kz: np.ndarray, segstart: np.ndarray,
@@ -792,7 +565,7 @@ class VectorCacheSim:
             empty = np.zeros(0, dtype=np.int32)
             return _Run(None, None, empty, np.zeros(0, dtype=bool), 0)
         if not sched.stacked:
-            return self._replay(sched, carried=carry is not None)
+            return self._replay(sched)
         if geometry.m_slots == 1:
             return self._direct(geometry)
         return self._lru(geometry)
@@ -820,16 +593,14 @@ class VectorCacheSim:
         return _Run(self._layout(n), chains.keep_idx, chains.kz2, miss,
                     evictions)
 
-    def _replay(self, sched: CacheSchedule, carried: bool) -> _Run:
-        """Exact replay of the FIFO/random ablation policies: the packed
-        per-set ring replay of ``sched``.  Runs of the same key inside a
-        set are collapsed (guaranteed hits that leave FIFO/random state
+    def _replay(self, sched: CacheSchedule) -> _Run:
+        """Exact replay of the FIFO/random ablation policies: the per-set
+        ring replay of ``sched``.  Runs of the same key inside a set are
+        collapsed (guaranteed hits that leave FIFO/random state
         untouched), like the LRU path."""
         layout = self._layout(sched.geometry.n_buckets)
         keep_idx, kz2, starts, lens = _collapse_runs(layout.kz,
                                                      layout.segstart)
-        if not carried:
-            kz2 = _dense_ids(kz2)
         miss, evictions = sched._replay(kz2, starts, lens, layout.segbuckets)
         return _Run(layout, keep_idx, kz2, miss, evictions)
 
@@ -919,11 +690,11 @@ class CacheSchedule:
       them to the next window as one *phantom access* each (per set,
       oldest → newest) reconstructs the replacement state exactly, and
       the phantoms fill at most ``m`` slots per set and never evict.
-    * every other geometry and policy runs the packed ring replay, whose
-      per-set state — insertion-ordered rings, occupancy, the random
-      policy's eviction counters (the RNG state), per-key-id residency
-      flags and the adapted skip width — lives in arrays indexed by a
-      registry of touched sets.
+    * every other geometry and policy runs the per-set ring replay
+      (:func:`_replay_segments`), whose state — each set's resident
+      keys oldest → newest, its occupancy and the random policy's
+      eviction counter (the RNG state) — lives in arrays whose rows a
+      registry of touched sets assigns.
 
     :class:`VectorCacheSim` runs a fresh schedule over its whole stream.
     """
@@ -947,11 +718,8 @@ class CacheSchedule:
         self._set_of_row = np.zeros(0, dtype=np.int64)   # inverse mapping
         self._n_sets = 0
         self._ring = np.full((0, geometry.m_slots), _FILLER, dtype=np.int64)
-        self._head = np.zeros(0, dtype=np.int64)
         self._count = np.zeros(0, dtype=np.int64)
         self._counters = np.zeros(0, dtype=np.uint64)
-        self._in_cache = np.zeros(0, dtype=bool)
-        self._width = _SKIP_BLOCK_START
 
     def schedule(self, keys2d: np.ndarray, gids: np.ndarray,
                  hashes: np.ndarray, final: bool = False,
@@ -982,10 +750,8 @@ class CacheSchedule:
         window."""
         if self.stacked:
             return np.isin(gids, self._res_gids)
-        out = np.zeros(len(gids), dtype=bool)
-        within = gids < len(self._in_cache)
-        out[within] = self._in_cache[gids[within]]
-        return out
+        held = self._ring[:self._n_sets]
+        return np.isin(gids, held[held != _FILLER])
 
     def _keep_residency(self, sim: VectorCacheSim, keys: np.ndarray) -> None:
         """Read each set's resident keys, oldest → newest, off the
@@ -1016,20 +782,14 @@ class CacheSchedule:
 
     def _replay(self, kz: np.ndarray, starts: np.ndarray, lens: np.ndarray,
                 seg_ids: np.ndarray) -> tuple[np.ndarray, int]:
-        """Packed ring replay of one laid-out, run-collapsed window from
-        the carried state: segment ``s`` is set ``seg_ids[s]``'s key ids
+        """Ring replay of one laid-out, run-collapsed window from the
+        carried state: segment ``s`` is set ``seg_ids[s]``'s key ids
         ``kz[starts[s]:starts[s] + lens[s]]``.  Returns the kept
         accesses' miss flags and the eviction count."""
-        rows = self._rows_for(seg_ids)
-        need = int(kz.max()) + 1
-        if len(self._in_cache) < need:
-            self._in_cache = _grown(self._in_cache, need)
-        miss, evictions, self._width = _replay_segments(
-            kz, starts, lens, self._set_of_row, self.geometry.m_slots,
-            self.policy, self.seed, self._ring, self._head, self._count,
-            self._counters if self.policy == "random" else None,
-            self._in_cache, state_rows=rows, start_width=self._width)
-        return miss, evictions
+        return _replay_segments(
+            kz, starts, lens, self._rows_for(seg_ids), self._set_of_row,
+            self.geometry.m_slots, self.policy, self.seed, self._ring,
+            self._count, self._counters)
 
     def _rows_for(self, seg_ids: np.ndarray) -> np.ndarray:
         """State rows for a window's (sorted, unique) bucket ids,
@@ -1059,7 +819,7 @@ class CacheSchedule:
         return rows
 
     def _grow(self, n: int) -> None:
-        cap = len(self._head)
+        cap = len(self._count)
         if cap >= n:
             return
         # One capacity for every state array (the rows of _ring must
@@ -1072,7 +832,7 @@ class CacheSchedule:
                        dtype=np.int64)
         ring[:cap] = self._ring
         self._ring = ring
-        for name in ("_head", "_count", "_counters", "_set_of_row"):
+        for name in ("_count", "_counters", "_set_of_row"):
             old = getattr(self, name)
             new = np.zeros(new_cap, dtype=old.dtype)
             new[:cap] = old
@@ -1090,23 +850,20 @@ class CacheSchedule:
             }
         n = self._n_sets
         return {
-            "kind": "packed",
+            "kind": "ring",
             "known_ids": self._known_ids.copy(),
             "known_rows": self._known_rows.copy(),
             "set_of_row": self._set_of_row[:n].copy(),
             "n_sets": n,
             "ring": self._ring[:n].copy(),
-            "head": self._head[:n].copy(),
             "count": self._count[:n].copy(),
             "counters": self._counters[:n].copy(),
-            "in_cache": self._in_cache.copy(),
-            "width": self._width,
         }
 
     def restore_state(self, state: dict) -> None:
         """Load a :meth:`checkpoint_state` payload (taking ownership of
         its arrays)."""
-        kind = "lru" if self.stacked else "packed"
+        kind = "lru" if self.stacked else "ring"
         if state.get("kind") != kind:
             raise CheckpointError(
                 f"scheduler state mismatch: snapshot carries "
@@ -1122,29 +879,8 @@ class CacheSchedule:
         self._set_of_row = state["set_of_row"]
         self._n_sets = state["n_sets"]
         self._ring = state["ring"]
-        self._head = state["head"]
         self._count = state["count"]
         self._counters = state["counters"]
-        self._in_cache = state["in_cache"]
-        self._width = state["width"]
-
-
-def _dense_ids(kz: np.ndarray) -> np.ndarray:
-    """Key ids a residency-flag array can index: raw narrow int streams
-    can be too sparse for one and are densified through one sort."""
-    kmin = int(kz.min())
-    if int(kz.max()) - kmin + 1 > 4 * len(kz) + 1024:
-        return np.unique(kz, return_inverse=True)[1]
-    return kz.astype(np.int64) - kmin if kmin else kz
-
-
-def _grown(arr: np.ndarray, n: int) -> np.ndarray:
-    """Capacity-doubling resize, preserving contents."""
-    if len(arr) >= n:
-        return arr
-    new = np.zeros(max(n, 2 * len(arr), 1024), dtype=arr.dtype)
-    new[:len(arr)] = arr
-    return new
 
 
 def _single_miss_validity(miss_keys: np.ndarray) -> tuple[int, int]:

@@ -15,8 +15,8 @@ observable stays **bit-identical** to the per-packet row store, for
    :class:`~repro.switch.kvstore.vector_cache.CacheSchedule`, which
    schedules each window from it and advances it: a phantom prefix of
    each set's resident keys for LRU and direct-mapped geometries, the
-   packed per-set ring replay's carried rings, occupancy, residency
-   flags and random-policy RNG counters otherwise.  A key it reports
+   per-set ring replay's carried rings (resident keys, oldest →
+   newest), occupancy and random-policy RNG counters otherwise.  A key it reports
    non-resident at a boundary can only miss on its next access.
 
 2. **Carried open epochs.** A key's current cache-residency epoch can
@@ -95,7 +95,7 @@ from repro.core.vector_exec import (
 
 from .backing import BackingStore, KeyEntry
 from .cache import CacheGeometry, CacheStats
-from .vector_cache import CacheSchedule, _grown, mix_key_array
+from .vector_cache import CacheSchedule, mix_key_array
 from .split import StoreSnapshot
 from .vector_store import VectorSplitStore, absorb_epochs, \
     aux_from_registers, exact_array, scatter_promote
@@ -868,6 +868,15 @@ class WindowedVectorStore(VectorSplitStore):
         owner = np.repeat(np.arange(nk, dtype=np.int64), self._epochs[:nk])
         self._segments = {col: _SegmentLog(owner, dict(values))
                           for col, values in state["segments"].items()}
+
+
+def _grown(arr: np.ndarray, n: int) -> np.ndarray:
+    """Capacity-doubling resize, preserving contents."""
+    if len(arr) >= n:
+        return arr
+    new = np.zeros(max(n, 2 * len(arr), 1024), dtype=arr.dtype)
+    new[:len(arr)] = arr
+    return new
 
 
 def _carried_dicts(spec, state: Mapping[str, np.ndarray],

@@ -27,11 +27,13 @@ import zlib
 from repro.core.errors import CheckpointError
 
 MAGIC = b"RPROCKPT"
-#: Payload layout version.  4: every session checkpoints its pipeline;
-#: version 3 could instead carry an exact-mode session's buffered input
-#: (``exact`` / ``buffered``), and version 2 a pickled backing store
-#: (``backing_data``).  Older payloads are refused.
-VERSION = 4
+#: Payload layout version.  5: a FIFO/random cache schedule carries
+#: its rings oldest → newest (kind ``"ring"``); version 4 carried a FIFO
+#: ring head, per-key residency flags and a skip width (kind
+#: ``"packed"``), version 3 could carry an exact-mode session's buffered
+#: input (``exact`` / ``buffered``), and version 2 a pickled backing
+#: store (``backing_data``).  Older payloads are refused.
+VERSION = 5
 
 _HEADER = struct.Struct("<8sHQI")  # magic, version, payload len, crc32
 

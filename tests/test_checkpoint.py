@@ -130,14 +130,14 @@ class TestCheckpointFormat:
 
     def test_version_2_blob_names_both_versions(self, trace):
         """A version-2 checkpoint (pickled backing-store entries) is
-        refused by the version-4 reader, which names both versions."""
-        assert VERSION == 4
+        refused by the version-5 reader, which names both versions."""
+        assert VERSION == 5
         session = ingest_upto(make_engine().open(window=128), trace, 300)
         body = session.checkpoint()[_HEADER.size:]
         session.close()
         data = _HEADER.pack(MAGIC, 2, len(body), zlib.crc32(body)) + body
         with pytest.raises(CheckpointError,
-                           match=r"version 2 \(this build reads version 4\)"):
+                           match=r"version 2 \(this build reads version 5\)"):
             make_engine().resume(data)
 
     def test_truncated_payload(self):
@@ -257,8 +257,9 @@ class TestMidStreamBitIdentity:
         """Version 3 could checkpoint an exact-mode session as its
         buffered input (``exact`` / ``buffered``, no ``pipeline``);
         exact evaluation is a never-evicting session now, and resuming
-        such a payload raises CheckpointError rather than misreading
-        it."""
+        such a payload (framed as a version-4 blob, the last version
+        before this reader's) raises CheckpointError rather than
+        misreading it."""
         import pickle
 
         engine = make_engine()
@@ -270,23 +271,28 @@ class TestMidStreamBitIdentity:
         payload.update(exact=True, buffered=[
             ("cols", {f: col[:300] for f, col in columns.items()})])
         body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        data = _HEADER.pack(MAGIC, 3, len(body), zlib.crc32(body)) + body
+        data = _HEADER.pack(MAGIC, 4, len(body), zlib.crc32(body)) + body
         with pytest.raises(CheckpointError,
-                           match=r"version 3 \(this build reads version 4\)"):
+                           match=r"version 4 \(this build reads version 5\)"):
             engine.resume(data)
 
-    def test_retired_replay_scheduler_kind_rejected(self, trace):
-        """Few-set FIFO/random stores used to checkpoint a per-access
-        scheduler as ``"replay"``; every FIFO/random geometry now
-        carries the packed scheduler, which refuses that kind."""
+    @pytest.mark.parametrize("retired", [
+        {"kind": "replay", "buckets": {}, "evict_counts": {}},
+        {"kind": "packed", "head": [], "in_cache": [], "width": 8},
+    ], ids=lambda state: state["kind"])
+    def test_retired_scheduler_kind_rejected(self, trace, retired):
+        """FIFO/random stores used to checkpoint a per-access scheduler
+        as ``"replay"`` (few-set geometries) and then the round-major
+        replay as ``"packed"``; every FIFO/random geometry now carries
+        the ring schedule, which refuses both kinds."""
         engine = QueryEngine(QUERY, policy="fifo",
                              geometry=CacheGeometry.fully_associative(8))
         session = ingest_upto(engine.open(window=128), trace, 300)
         payload = unpack_checkpoint(session.checkpoint())
         session.close()
-        payload["pipeline"]["stores"][0]["sched"] = {
-            "kind": "replay", "buckets": {}, "evict_counts": {}}
-        with pytest.raises(CheckpointError, match="replay"):
+        assert payload["pipeline"]["stores"][0]["sched"]["kind"] == "ring"
+        payload["pipeline"]["stores"][0]["sched"] = retired
+        with pytest.raises(CheckpointError, match=retired["kind"]):
             engine.resume(pack_checkpoint(payload))
 
     def test_closed_session_cannot_checkpoint(self, trace):

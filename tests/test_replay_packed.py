@@ -1,13 +1,13 @@
-"""Differential property tests for the packed FIFO/random replay.
+"""Differential property tests for the FIFO/random ring replay.
 
-The packed per-set array replay (`vector_cache._replay_segments`), its
-scalar loop (`vector_cache._finish_tails`) and the carried
-`CacheSchedule` built on them must be **bit-identical** — per access,
-not just in aggregate — to the per-access reference
+The per-set ring replay (`vector_cache._replay_segments`) and the
+carried `CacheSchedule` built on it must be **bit-identical** — per
+access, not just in aggregate — to the per-access reference
 (:class:`KeyValueCache`), across:
 
 * both ablation policies (FIFO, random) and its counter-based RNG;
-* randomized geometries (bucket counts, associativities, seeds);
+* randomized geometries (bucket counts, associativities, seeds), and
+  many-set geometries (hundreds of sets);
 * at least three window partitionings per stream, so carried ring
   state, occupancy, and RNG counters are exercised at every cut;
 * adversarial streams (single key, all-unique, cyclic working sets at
@@ -22,10 +22,9 @@ different seeds.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.switch.kvstore.vector_cache as vector_cache
 from repro.switch.kvstore.cache import (
     CacheGeometry,
     KeyValueCache,
@@ -59,12 +58,40 @@ def reference_schedule(keys, geometry, policy, seed):
     return miss, cache.stats
 
 
-@pytest.fixture
-def force_packed(monkeypatch):
-    """Force the vectorized round loop of the packed replay, which
-    would otherwise hand tiny geometries straight to the scalar tail
-    finisher, even on tiny streams."""
-    monkeypatch.setattr(vector_cache, "_PACKED_MIN_ACTIVE", 0)
+def dense_gids(keys):
+    """Dense first-occurrence key ids, like the store's factorization:
+    ``(gid per access, {key: gid})``."""
+    arr = np.asarray(keys, dtype=np.int64)
+    _, first_idx = np.unique(arr, return_index=True)
+    order = np.argsort(first_idx)
+    gid_of = {int(arr[first_idx[o]]): g for g, o in enumerate(order)}
+    gid = np.asarray([gid_of[int(k)] for k in keys], dtype=np.int64)
+    return gid, gid_of
+
+
+def run_windows(geometry, policy, seed, keys2d, gid, sizes):
+    """Feed a :class:`CacheSchedule` the stream in windows of ``sizes``:
+    ``(schedule, miss flags, eviction count)``."""
+    hashes = mix_key_array(keys2d, seed)
+    sched = CacheSchedule(geometry, policy, seed)
+    miss_parts, evictions = [], 0
+    lo = 0
+    for size in sizes:
+        hi = lo + size
+        miss, ev = sched.schedule(keys2d[lo:hi], gid[lo:hi], hashes[lo:hi])
+        miss_parts.append(miss)
+        evictions += ev
+        lo = hi
+    return sched, np.concatenate(miss_parts), evictions
+
+
+def reference_residents(keys, geometry, policy, seed, gid_of):
+    """Key ids the reference cache holds after ``keys`` (as 1-tuples,
+    whose hash equals a 1-column key array's)."""
+    cache = KeyValueCache(geometry, policy=policy, seed=seed)
+    for k in keys:
+        cache.access((int(k),), lambda: None)
+    return {gid_of[int(e.key[0])] for e in cache.entries()}
 
 
 class TestVictimRng:
@@ -87,8 +114,7 @@ class TestVictimRng:
         assert len(set(draws.values())) == len(draws)
 
 
-@settings(max_examples=120, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=120, deadline=None)
 @given(
     keys=st.lists(st.integers(min_value=-3, max_value=40), max_size=300),
     n_buckets=st.integers(min_value=1, max_value=9),
@@ -96,10 +122,10 @@ class TestVictimRng:
     policy=st.sampled_from(POLICIES),
     seed=st.integers(min_value=0, max_value=4),
 )
-def test_packed_replay_matches_reference(force_packed, keys, n_buckets,
-                                         m_slots, policy, seed):
-    """Core property: forced-packed one-shot replay == per-access
-    reference cache, counters and per-access miss flags both."""
+def test_ring_replay_matches_reference(keys, n_buckets, m_slots, policy,
+                                       seed):
+    """Core property: one-shot ring replay == per-access reference
+    cache, counters and per-access miss flags both."""
     geometry = CacheGeometry(n_buckets, m_slots)
     ref_miss, ref_stats = reference_schedule(keys, geometry, policy, seed)
     sim = VectorCacheSim(np.asarray(keys, dtype=np.int64), seed=seed)
@@ -110,8 +136,7 @@ def test_packed_replay_matches_reference(force_packed, keys, n_buckets,
 
 @pytest.mark.parametrize("policy, direct", [
     ("lru", False), ("fifo", False), ("random", False), ("fifo", True)])
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=60, deadline=None)
 @given(
     keys=st.lists(st.integers(min_value=0, max_value=30), min_size=1,
                   max_size=250),
@@ -121,25 +146,18 @@ def test_packed_replay_matches_reference(force_packed, keys, n_buckets,
     cuts=st.lists(st.integers(min_value=1, max_value=249), max_size=6),
 )
 def test_windowed_schedulers_match_for_every_partitioning(
-        force_packed, monkeypatch, policy, direct, keys, n_buckets, m_slots,
-        seed, cuts):
+        policy, direct, keys, n_buckets, m_slots, seed, cuts):
     """A :class:`CacheSchedule`'s carried state — both carries: the
     stack-distance phantom prefix (LRU, and a direct-mapped geometry)
-    and the ring replay, driven through the vectorized rounds and
-    through the scalar loop alone — fed arbitrary window partitionings
-    of the same stream, must reproduce the reference cache's schedule,
+    and the ring replay — fed arbitrary window partitionings of the
+    same stream, must reproduce the reference cache's schedule,
     eviction count and residency exactly — plus three fixed
     partitionings (per-access, small, whole stream)."""
     geometry = CacheGeometry(n_buckets, 1 if direct else m_slots)
-    arr = np.asarray(keys, dtype=np.int64)
-    keys2d = arr.reshape(-1, 1)
-    # Window key ids: dense first-occurrence ids, like the store's
-    # factorization.  The scheduler is handed the rows' hash, so the
-    # reference uses 1-tuples (mix_key of a 1-tuple == 1-column array).
-    _, first_idx = np.unique(arr, return_index=True)
-    order = np.argsort(first_idx)
-    gid_of = {int(arr[first_idx[o]]): g for g, o in enumerate(order)}
-    gid = np.asarray([gid_of[int(k)] for k in keys], dtype=np.int64)
+    keys2d = np.asarray(keys, dtype=np.int64).reshape(-1, 1)
+    gid, gid_of = dense_gids(keys)
+    # The scheduler is handed the rows' hash, so the reference uses
+    # 1-tuples (mix_key of a 1-tuple == 1-column array).
     ref_miss, ref_stats = reference_schedule(
         [(int(k),) for k in keys], geometry, policy, seed)
 
@@ -153,33 +171,50 @@ def test_windowed_schedulers_match_for_every_partitioning(
         bounds = sorted({c for c in cuts if c < n})
         sizes = np.diff([0, *bounds, n]).tolist()
         partitionings.append([s for s in sizes if s])
-    cache = KeyValueCache(geometry, policy=policy, seed=seed)
-    for k in keys:
-        cache.access((int(k),), lambda: None)
-    want = {gid_of[int(e.key[0])] for e in cache.entries()}
-    hashes = mix_key_array(keys2d, seed)
+    want = reference_residents(keys, geometry, policy, seed, gid_of)
     for sizes in partitionings:
-        for min_active in (0, 1 << 30):            # rounds / scalar loop
-            monkeypatch.setattr(vector_cache, "_PACKED_MIN_ACTIVE",
-                                min_active)
-            sched = CacheSchedule(geometry, policy, seed)
-            miss_parts, evictions = [], 0
-            lo = 0
-            for size in sizes:
-                hi = lo + size
-                miss, ev = sched.schedule(keys2d[lo:hi], gid[lo:hi],
-                                          hashes[lo:hi])
-                miss_parts.append(miss)
-                evictions += ev
-                lo = hi
-            got = np.concatenate(miss_parts)
-            assert np.array_equal(got, ref_miss), (min_active, sizes)
-            assert evictions == ref_stats.evictions, (min_active, sizes)
-            # Final residency must match the reference cache's content;
-            # the state rows never outnumber the sets.
-            resident = sched.resident(np.arange(len(gid_of)))
-            assert set(np.flatnonzero(resident).tolist()) == want
-            assert len(sched._ring) <= n_buckets
+        sched, got, evictions = run_windows(geometry, policy, seed, keys2d,
+                                            gid, sizes)
+        assert np.array_equal(got, ref_miss), sizes
+        assert evictions == ref_stats.evictions, sizes
+        # Final residency must match the reference cache's content;
+        # the state rows never outnumber the sets.
+        resident = sched.resident(np.arange(len(gid_of)))
+        assert set(np.flatnonzero(resident).tolist()) == want
+        assert len(sched._ring) <= n_buckets
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("geometry", [
+    CacheGeometry.set_associative(1024, ways=8),   # 128 sets
+    CacheGeometry(257, 4),                         # odd, many sets
+], ids=str)
+def test_many_set_geometries_match_reference(policy, geometry):
+    """Hundreds of sets, a working set ~3x the capacity: the one-shot
+    replay and the carried schedule over three window partitionings
+    reproduce the reference cache's per-access schedule, evictions and
+    final residency."""
+    rng = np.random.default_rng(17)
+    keys = rng.integers(0, 3 * geometry.capacity, 6000)
+    keys[::3] = rng.integers(0, 64, 2000)          # a hot subset
+    ref_miss, ref_stats = reference_schedule(
+        [(int(k),) for k in keys], geometry, policy, 4)
+    keys2d = keys.reshape(-1, 1)
+    stats, once = VectorCacheSim(keys2d, seed=4).stats_and_schedule(
+        geometry, policy=policy)
+    assert counters(stats) == counters(ref_stats)
+    assert np.array_equal(once, ref_miss)
+
+    gid, gid_of = dense_gids(keys)
+    want = reference_residents(keys, geometry, policy, 4, gid_of)
+    n = len(keys)
+    for sizes in ([n], [997] * (n // 997) + [n % 997], [1] * 50 + [n - 50]):
+        sched, got, evictions = run_windows(geometry, policy, 4, keys2d,
+                                            gid, sizes)
+        assert np.array_equal(got, ref_miss), sizes[:2]
+        assert evictions == ref_stats.evictions, sizes[:2]
+        resident = sched.resident(np.arange(len(gid_of)))
+        assert set(np.flatnonzero(resident).tolist()) == want
 
 
 class TestAdversarialStreams:
@@ -203,69 +238,29 @@ class TestAdversarialStreams:
                     (geometry, policy)
                 assert np.array_equal(sched, ref_miss), (geometry, policy)
 
-    def test_single_key(self, force_packed):
+    def test_single_key(self):
         self.assert_match(np.zeros(3000, dtype=np.int64))
 
-    def test_all_unique(self, force_packed):
+    def test_all_unique(self):
         self.assert_match(np.arange(3000, dtype=np.int64))
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
-    def test_cyclic_at_capacity_boundary(self, force_packed, extra):
+    def test_cyclic_at_capacity_boundary(self, extra):
         keys = np.tile(np.arange(64 + extra, dtype=np.int64), 40)
         self.assert_match(keys)
 
-    def test_hot_cold_interleave(self, force_packed):
+    def test_hot_cold_interleave(self):
         rng = np.random.default_rng(7)
         keys = np.empty(6000, dtype=np.int64)
         keys[0::2] = rng.integers(0, 6, 3000)
         keys[1::2] = rng.integers(6, 3000, 3000)
         self.assert_match(keys)
 
-    def test_sparse_32bit_keys(self, force_packed):
-        """Raw keys whose range is far too wide for a residency flag
-        per value: the simulator densifies them before the replay."""
+    def test_sparse_32bit_keys(self):
+        """Raw keys spread sparsely over a 32-bit range: the replay
+        reads them as key ids as they come."""
         rng = np.random.default_rng(5)
         self.assert_match(0x0A000000 + 97 * rng.integers(0, 1 << 12, 3000))
-
-    def test_round_to_tail_handover(self, monkeypatch):
-        """A skewed stream drops below the active-set cutoff while the
-        hot sets still have long tails: the vectorized rounds must hand
-        their mid-segment ring state to the scalar finisher exactly."""
-        monkeypatch.setattr(vector_cache, "_PACKED_MIN_ACTIVE", 16)
-        rng = np.random.default_rng(13)
-        keys = np.where(rng.random(20_000) < 0.8,
-                        rng.integers(0, 3, 20_000),          # 2-3 hot sets
-                        rng.integers(3, 2_000, 20_000)).astype(np.int64)
-        geometry = CacheGeometry.set_associative(512, ways=8)  # 64 sets
-        for policy in POLICIES:
-            ref_miss, ref_stats = reference_schedule(
-                keys.tolist(), geometry, policy, 2)
-            stats, sched = VectorCacheSim(keys, seed=2).stats_and_schedule(
-                geometry, policy=policy)
-            assert counters(stats) == counters(ref_stats), policy
-            assert np.array_equal(sched, ref_miss), policy
-
-    def test_packed_equals_scalar_paths(self, monkeypatch):
-        """The round-to-scalar handover is an implementation detail: the
-        vectorized rounds and the scalar loop must produce the same
-        schedule on the same stream (a working set ~4x the capacity,
-        so every set evicts — including the long rows of few-set
-        geometries)."""
-        rng = np.random.default_rng(9)
-        for geometry in (CacheGeometry.set_associative(128, ways=4),
-                         CacheGeometry.fully_associative(512),
-                         CacheGeometry(3, 64)):
-            keys = rng.integers(0, 4 * geometry.capacity, 4000)
-            for policy in POLICIES:
-                monkeypatch.setattr(vector_cache, "_PACKED_MIN_ACTIVE", 0)
-                packed = VectorCacheSim(keys, seed=3).stats_and_schedule(
-                    geometry, policy=policy)
-                monkeypatch.setattr(vector_cache, "_PACKED_MIN_ACTIVE",
-                                    10**9)
-                scalar = VectorCacheSim(keys, seed=3).stats_and_schedule(
-                    geometry, policy=policy)
-                assert counters(packed[0]) == counters(scalar[0]), geometry
-                assert np.array_equal(packed[1], scalar[1]), geometry
 
 
 class TestSeedPlumbing:

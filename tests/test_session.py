@@ -80,9 +80,8 @@ class TestWindowedBitIdentity:
     @pytest.mark.parametrize("ways", [2, 8])
     def test_eviction_policies_match_one_shot(self, policy, ways,
                                               small_trace):
-        """The carried FIFO/random replay (packed per-set ring buffers
-        + counter-based RNG; these 16-set geometries run its scalar
-        loop) and the LRU phantom-prefix path all match the per-packet
+        """The carried FIFO/random replay (per-set rings + counter-based
+        RNG) and the LRU phantom-prefix path all match the per-packet
         row engine's run() across window cuts, unbounded included."""
         geometry = CacheGeometry.set_associative(32 * ways // 2, ways=ways)
         query = "SELECT COUNT, SUM(pkt_len) GROUPBY srcip, dstip"
