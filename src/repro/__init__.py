@@ -53,12 +53,14 @@ adopts externally produced columns without per-record work::
 Columnar tables take the batch execution path end to end: ``WHERE``
 predicates become boolean masks, linear-in-state ``GROUPBY`` folds
 (§3.2) become segmented reductions, and the switch pipeline extracts
-key arrays per chunk instead of per packet.  The ``engine=`` knob on
-:class:`QueryEngine` (``"auto"`` | ``"vector"`` | ``"row"``) selects
-between the vectorized executor and the row-at-a-time reference
-interpreter; both are exact and produce identical tables
-(``tests/test_vector_exec.py`` checks this differentially; the
-end-to-end throughput is measured by ``benchmarks/e2e``).
+key arrays per chunk instead of per packet.  Every session runs this
+vector engine.  ``QueryEngine(..., engine="row")`` is the one-shot
+reference (:mod:`repro.reference`): ``run``, ``run_exact`` and
+``plan_cache`` on the per-packet split store and the row-at-a-time
+interpreter, bit-identical to the vector engine and the oracle the
+tests hold it to; ``open``/``resume``/``serve`` on it raise
+``[RPR-E001]``.  The end-to-end throughput is measured by
+``benchmarks/e2e``.
 """
 
 from .core.analyze import ProgramAnalysis, TraceBounds, analyze_program

@@ -21,7 +21,7 @@ Commands:
 ``lint``      Compile-time deployability analysis: run the static
               analyzer over one query (or the whole catalog with
               ``--catalog``) and print the diagnostics report —
-              mergeability/shardability, engine/session compatibility,
+              mergeability/shardability, session compatibility,
               int64-overflow bounds, §4 SRAM feasibility, dead stages
               and unused trace columns — with stable ``RPR-*`` codes
               (see ``DIAGNOSTICS.md``).  ``--json`` emits a
@@ -151,13 +151,7 @@ def _add_query_args(parser: argparse.ArgumentParser) -> None:
                              "each GROUPBY stage out to N worker processes "
                              "and combine their stores via the synthesized "
                              "merges (bit-identical results; incompatible "
-                             "with --engine row and --refresh)")
-    parser.add_argument("--engine", default="auto",
-                        choices=("auto", "vector", "row"),
-                        help="execution engine of the session and of "
-                             "--check's never-evicting run: vector store "
-                             "and executor, row reference store and "
-                             "interpreter, or auto (the vector engine)")
+                             "with --refresh)")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -166,7 +160,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     table = _load_trace(args.trace)
     engine = QueryEngine(source, params=params, geometry=_geometry(args),
                          policy=args.policy, exact_history=args.exact_history,
-                         refresh_interval=args.refresh, engine=args.engine)
+                         refresh_interval=args.refresh)
     # Every run is one TelemetrySession (--window sets the streaming
     # window, --shards the multi-core fan-out).  --resume-from restores
     # a checkpointed session and skips the trace prefix it already saw;
@@ -230,7 +224,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     params.update(_parse_params(args.param))
     engine = QueryEngine(source, params=params, geometry=_geometry(args),
                          policy=args.policy, exact_history=args.exact_history,
-                         refresh_interval=args.refresh, engine=args.engine)
+                         refresh_interval=args.refresh)
     server = engine.serve(
         host=args.host, port=args.port, unix_path=args.unix_socket,
         window=args.window, shards=args.shards,
@@ -412,7 +406,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         engine = QueryEngine(
             source, params=params, geometry=_geometry(args),
             policy=args.policy, exact_history=args.exact_history,
-            refresh_interval=args.refresh, engine=args.engine)
+            refresh_interval=args.refresh)
         analyses[name] = engine.analyze(
             window=args.window, shards=args.shards,
             trace_bounds=bounds, area_budget=args.area_budget)
@@ -640,8 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="enable the exact-history merge extension")
     lint_p.add_argument("--refresh", type=int, default=None, metavar="N",
                         help="intended refresh_interval= for the session")
-    lint_p.add_argument("--engine", default="auto",
-                        choices=("auto", "vector", "row"))
     # Plain ints (not the validating argparse types): lint's job is to
     # *report* an invalid knob as a diagnostic, not to refuse it.
     lint_p.add_argument("--window", type=int, default=None, metavar="N",

@@ -12,9 +12,9 @@ module lifts them into one compile-time pass:
 (a) per-stage **mergeability/shardability** — the verdict
     :class:`~repro.switch.kvstore.sharded.ShardedStoreProxy` computes at
     routing time, derived here from the synthesized merge strategies;
-(b) the **engine/session compatibility matrix** (row vs vector vs
-    windowed vs sharded vs ``refresh_interval``), and the
-    integer-key rule every hardware store relies on;
+(b) the **session compatibility matrix** (windowed vs sharded vs
+    ``refresh_interval``), and the integer-key rule every hardware
+    store relies on;
 (c) **value-range inference** over every fold's state: given trace
     bounds (record count x max field magnitude), predict where the
     vector engine will switch a fold to exact Python ints mid-run —
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.switch import area
-from repro.switch.kvstore.cache import ENGINES, CacheGeometry
+from repro.switch.kvstore.cache import CacheGeometry
 from repro.telemetry.diagnostics import Diagnostic, DiagnosticsReport, make
 
 from . import intbound
@@ -158,12 +158,11 @@ class ProgramAnalysis:
 
 
 # ---------------------------------------------------------------------------
-# (b) engine/session compatibility matrix
+# (b) session compatibility matrix
 # ---------------------------------------------------------------------------
 
 
 def session_diagnostics(
-    engine: str = "auto",
     window: int | None = None,
     shards: int | None = None,
     refresh_interval: int | None = None,
@@ -176,17 +175,12 @@ def session_diagnostics(
     report all of them without raising.
     """
     out: list[Diagnostic] = []
-    if engine not in ENGINES:
-        out.append(make("RPR-E008", engines=ENGINES, engine=engine))
     if window is not None and window <= 0:
         out.append(make("RPR-E004", window=window))
     if shards is not None and shards < 1:
         out.append(make("RPR-E005", shards=shards))
-    if shards is not None:
-        if engine == "row":
-            out.append(make("RPR-E001"))
-        if refresh_interval is not None:
-            out.append(make("RPR-E002"))
+    if shards is not None and refresh_interval is not None:
+        out.append(make("RPR-E002"))
     return out
 
 
@@ -377,7 +371,6 @@ def analyze_program(
     *,
     params: Mapping[str, Numeric] | None = None,
     geometry: CacheGeometry | Mapping[str, CacheGeometry] | None = None,
-    engine: str = "auto",
     window: int | None = None,
     shards: int | None = None,
     refresh_interval: int | None = None,
@@ -393,8 +386,7 @@ def analyze_program(
     """
     params = dict(params or {})
     diags: list[Diagnostic] = list(session_diagnostics(
-        engine=engine, window=window, shards=shards,
-        refresh_interval=refresh_interval))
+        window=window, shards=shards, refresh_interval=refresh_interval))
 
     stages: list[StageAnalysis] = []
     for stage in compiled.groupby_stages:

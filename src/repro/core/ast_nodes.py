@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Union
+from typing import Iterator, Union
 
 # ---------------------------------------------------------------------------
 # Expressions
@@ -165,26 +165,6 @@ def walk(expr: Expr) -> Iterator[Expr]:
     yield expr
     for child in expr.children():
         yield from walk(child)
-
-
-def map_expr(fn: Callable[[Expr], Expr | None], expr: Expr) -> Expr:
-    """Rebuild ``expr`` bottom-up, applying ``fn`` to each node.
-
-    ``fn`` may return a replacement node or ``None`` to keep the node
-    (with already-rewritten children) unchanged.
-    """
-    if isinstance(expr, BinOp):
-        rebuilt: Expr = BinOp(expr.op, map_expr(fn, expr.left), map_expr(fn, expr.right))
-    elif isinstance(expr, UnaryOp):
-        rebuilt = UnaryOp(expr.op, map_expr(fn, expr.operand))
-    elif isinstance(expr, Call):
-        rebuilt = Call(expr.func, tuple(map_expr(fn, a) for a in expr.args))
-    elif isinstance(expr, Cond):
-        rebuilt = Cond(map_expr(fn, expr.pred), map_expr(fn, expr.then), map_expr(fn, expr.orelse))
-    else:
-        rebuilt = expr
-    replacement = fn(rebuilt)
-    return rebuilt if replacement is None else replacement
 
 
 # ---------------------------------------------------------------------------

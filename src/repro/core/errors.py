@@ -64,7 +64,9 @@ class HardwareError(Exception):
 
 class SessionConfigError(ValueError, HardwareError):
     """Raised when a :class:`~repro.switch.pipeline.SessionConfig` breaks
-    a session rule (``RPR-E001``-``E005``, ``RPR-E008``).  Both a
+    a session rule (``RPR-E002``-``E005``), or when a ``QueryEngine``
+    refuses its ``engine`` knob (``RPR-E008``) or a session on the
+    one-shot row reference (``RPR-E001``).  Both a
     ``ValueError`` (a bad knob value) and a :class:`HardwareError` (a
     configuration the hardware model cannot run), so callers catching
     either keep working."""

@@ -432,13 +432,3 @@ def _history_depth_used(matrix: dict[tuple[str, str], Expr],
             if isinstance(node, StateRef) and node.name in history:
                 depth = max(depth, history[node.name])
     return depth
-
-
-def analyze_query_folds(folds: tuple[FoldInstance, ...]) -> dict[str, LinearityResult]:
-    """Analyse every fold of a resolved query; keyed by column name."""
-    return {f.column: analyze_fold(f) for f in folds}
-
-
-def query_is_linear(folds: tuple[FoldInstance, ...]) -> bool:
-    """A query is linear-in-state when all its folds are."""
-    return all(r.linear for r in analyze_query_folds(folds).values())

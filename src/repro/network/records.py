@@ -104,8 +104,9 @@ class ColumnRowView:
     per-packet functions (ALU updates, predicates, merge replays) run
     unchanged over columnar batches; the underlying values are native
     Python scalars, so arithmetic is bit-identical to the
-    row-at-a-time path.  Shared by the switch pipeline's row engine
-    and the vectorized split store's replay path.
+    row-at-a-time path.  Shared by the row reference
+    (:mod:`repro.reference`) and the vectorized split store's replay
+    path.
     """
 
     __slots__ = ("_columns", "_index")

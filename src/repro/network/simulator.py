@@ -272,16 +272,3 @@ class NetworkSimulator:
         buffers["qout"].append(qout)
         buffers["qsize"].append(qin)
         buffers["pkt_path"].append(packet.path_id)
-
-    # -- statistics -------------------------------------------------------------
-
-    def queue_stats(self) -> dict[int, dict[str, float]]:
-        return {
-            qid: {
-                "arrivals": q.arrivals,
-                "drops": q.drops,
-                "drop_fraction": q.drop_fraction,
-                "peak_depth": q.peak_depth,
-            }
-            for qid, q in self.queues.items()
-        }

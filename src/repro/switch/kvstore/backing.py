@@ -88,25 +88,6 @@ class BackingStore:
             else:
                 entry.segments.setdefault(column, []).append(evicted_state)
 
-    def clone(self) -> "BackingStore":
-        """An independent copy that further :meth:`absorb` calls on
-        either store cannot corrupt — the basis of mid-stream result
-        snapshots.  Merged states and segment values are never mutated
-        in place (``merge_values`` builds fresh dicts), so copying the
-        per-key containers suffices."""
-        other = BackingStore(self.folds, params=self.params)
-        other.writes = self.writes
-        other.data = {
-            key: KeyEntry(
-                merged=dict(entry.merged),
-                segments={col: list(segs)
-                          for col, segs in entry.segments.items()},
-                epochs=entry.epochs,
-            )
-            for key, entry in self.data.items()
-        }
-        return other
-
     # -- reads ---------------------------------------------------------------
 
     def __len__(self) -> int:

@@ -161,10 +161,6 @@ class CacheStats:
         (left), '% Evictions' over total packets seen."""
         return self.evictions / self.accesses if self.accesses else 0.0
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
 
 @dataclass
 class Entry(Generic[V]):

@@ -1,7 +1,8 @@
 """The split key-value store: SRAM cache + DRAM backing store (Fig. 3).
 
-This is the execution engine for one compiled ``GROUPBY`` stage.  Per
-packet (§3.2):
+This is the per-packet software model of one compiled ``GROUPBY``
+stage's store: the reference the vector store is held to, run one-shot
+by :mod:`repro.reference`.  Per packet (§3.2):
 
 1. extract the aggregation key from the parsed headers;
 2. look the key up in the on-chip cache — a hit *updates* the value in
@@ -19,10 +20,10 @@ the cache before :meth:`result_table` builds the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping
 
-from repro.core.errors import CheckpointError, HardwareError
+from repro.core.errors import HardwareError
 from repro.core.eval_expr import EvalContext, Numeric, evaluate
 from repro.core.interpreter import ResultTable, Row
 from repro.core.merge_synthesis import (
@@ -41,8 +42,8 @@ from .cache import CacheGeometry, CacheStats, Entry, KeyValueCache
 
 @dataclass
 class StoreSnapshot:
-    """Mid-stream observable state of one store, as if the stream
-    ended now (every store's ``snapshot()``)."""
+    """Mid-stream observable state of one session store, as if the
+    stream ended now (the vector stores' ``snapshot()``)."""
 
     table: ResultTable
     stats: CacheStats
@@ -214,86 +215,6 @@ class SplitKeyValueStore:
         return build_result_table(self.stage, self.backing, self._seen,
                                   self.params, include_invalid=include_invalid)
 
-    def snapshot(self, include_invalid: bool = False) -> StoreSnapshot:
-        """Observable state as if the stream ended now, without ending
-        it: a copy of the backing store absorbs every resident *dirty*
-        entry's value (the end-of-run backing state), and the table,
-        writes and accuracy are read off that copy.  Streaming
-        continues untouched."""
-        backing = self.backing.clone()
-        for entry in self.cache.entries():
-            if entry.value.dirty:
-                backing.absorb(entry.key, entry.value.states,
-                               entry.value.aux)
-        return StoreSnapshot(
-            table=build_result_table(self.stage, backing, self._seen,
-                                     self.params,
-                                     include_invalid=include_invalid),
-            stats=replace(self.cache.stats),
-            backing_writes=backing.writes,
-            accuracy=backing.accuracy,
-        )
-
-    # -- durable checkpoints -------------------------------------------------
-
-    def checkpoint_state(self) -> dict:
-        """Plain-data snapshot of the full engine state: per-bucket
-        entries *in replacement order* (the OrderedDict order is the
-        LRU/FIFO state), counters (incl. the random policy's per-bucket
-        eviction counts — its RNG state), the backing store, and the
-        first-access key order.  The vectorized per-bucket victim draw
-        blocks are a pure-function cache and are rebuilt on demand."""
-        if self._finalized:
-            raise CheckpointError("cannot checkpoint a finalized store")
-        cache = self.cache
-        backing = self.backing.clone()
-        return {
-            "kind": "row",
-            "buckets": [
-                (i, [(e.key,
-                      {c: dict(s) for c, s in e.value.states.items()},
-                      {c: _copy_row_aux(a) for c, a in e.value.aux.items()},
-                      e.value.dirty)
-                     for e in bucket.values()])
-                for i, bucket in enumerate(cache._buckets) if bucket
-            ],
-            "stats": replace(cache.stats),
-            "evict_counts": dict(cache._evict_counts),
-            "backing_data": backing.data,
-            "backing_writes": backing.writes,
-            "seen": list(self._seen),
-            "since_refresh": self._since_refresh,
-            "refreshes": self.refreshes,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Load a :meth:`checkpoint_state` payload into this (freshly
-        constructed) store.  Takes ownership of the payload's
-        containers."""
-        if state.get("kind") != "row":
-            raise CheckpointError(
-                f"store state mismatch: snapshot carries "
-                f"{state.get('kind')!r}, expected 'row'")
-        if self._finalized or self._seen or self.cache.stats.accesses:
-            raise CheckpointError("restore target store must be fresh")
-        cache = self.cache
-        for i, entries in state["buckets"]:
-            if i >= len(cache._buckets):
-                raise CheckpointError(
-                    f"snapshot bucket {i} exceeds the cache geometry "
-                    f"({len(cache._buckets)} buckets)")
-            bucket = cache._buckets[i]
-            for key, states, aux, dirty in entries:
-                bucket[key] = Entry(key=key, value=CacheValue(
-                    states=states, aux=aux, dirty=dirty))
-        cache.stats = state["stats"]
-        cache._evict_counts = dict(state["evict_counts"])
-        self.backing.data = state["backing_data"]
-        self.backing.writes = state["backing_writes"]
-        self._seen = dict.fromkeys(state["seen"])
-        self._since_refresh = state["since_refresh"]
-        self.refreshes = state["refreshes"]
-
     # -- statistics -------------------------------------------------------------
 
     @property
@@ -310,22 +231,6 @@ class SplitKeyValueStore:
         """Fig. 6 metric — fraction of keys whose value is valid."""
         self.finalize()
         return self.backing.accuracy
-
-
-def _copy_row_aux(aux: AuxState) -> AuxState:
-    """Copy auxiliary registers deeply enough that the live store
-    cannot mutate the checkpointed copy (``update_aux`` mutates the
-    ``P`` dict in place and appends to the log list; other entries are
-    replaced, never mutated)."""
-    out: AuxState = {}
-    for name, value in aux.items():
-        if isinstance(value, dict):
-            out[name] = dict(value)
-        elif isinstance(value, list):
-            out[name] = list(value)
-        else:
-            out[name] = value
-    return out
 
 
 def build_result_table(stage: GroupByStage, backing: BackingStore,

@@ -10,7 +10,11 @@ drives one split key-value store.
 One :class:`SwitchPipeline` models one switch.  The telemetry runtime
 (:mod:`repro.telemetry`) installs pipelines on the simulated network's
 switches, streams observations through them, and evaluates the
-program's software stages over the collected results.
+program's software stages over the collected results.  Every
+``GROUPBY`` stage runs the schedule-driven vector store (or the
+sharded proxy over it); the per-packet
+:class:`~repro.switch.kvstore.split.SplitKeyValueStore` is the one-shot
+reference of :mod:`repro.reference`, never a session store.
 """
 
 from __future__ import annotations
@@ -30,16 +34,15 @@ from repro.core.eval_expr import Numeric
 from repro.core.interpreter import ResultTable, Row
 from repro.core.plan import GroupByStage, SelectStage, SwitchProgram
 from repro.core.vector_exec import ArrayContext, as_column, eval_array, eval_mask
-from repro.network.records import ColumnRowView, as_table
+from repro.network.records import as_table
 
 from .kvstore.cache import CacheGeometry, CacheStats
-from .kvstore.split import SplitKeyValueStore
 from .kvstore.windowed_store import WindowedVectorStore
 from .parser_model import ParserConfig, configure_parser
 
 #: Chunk size for the batch execution path: large enough to amortise
-#: the per-chunk vector work, small enough to keep the row engine's
-#: per-chunk Python lists cache-friendly.
+#: the per-chunk vector work, small enough to keep each chunk's
+#: temporaries cache-friendly.
 DEFAULT_CHUNK_SIZE = 1 << 16
 
 #: Default cache geometry: the paper's target configuration — 32 Mbit
@@ -55,14 +58,6 @@ class SessionConfig:
 
     Engine-level knobs (set by ``QueryEngine(...)``):
 
-    * ``engine``: execution engine, end to end — ``"vector"`` (the
-      vectorized executor and the schedule-driven
-      :class:`~repro.switch.kvstore.windowed_store.WindowedVectorStore`),
-      ``"row"`` (the reference interpreter and the per-packet
-      :class:`SplitKeyValueStore`, the oracle); ``"auto"`` is
-      ``"vector"``.  Input is columnized at the door whatever its
-      shape, so the knob alone decides; every engine produces
-      bit-identical results.
     * ``geometry``: cache geometry for every ``GROUPBY`` stage, or a
       per-query-name mapping.
     * ``policy``: cache eviction policy; ``seed``: cache hash seed.
@@ -82,8 +77,7 @@ class SessionConfig:
       (:mod:`repro.switch.kvstore.sharded`) and combine them via the
       synthesized merges, bit-identical to one process.  Stages with a
       non-mergeable fold route their whole stream to one shard.  Needs
-      the vector path (not ``engine="row"``) and no
-      ``refresh_interval``: refresh epochs cut at global stream
+      no ``refresh_interval``: refresh epochs cut at global stream
       positions, which per-shard streams cannot see.
     * ``checkpoint_every``: sharded sessions only — a per-worker role
       checkpoint every this many shard posts, which enables crash
@@ -96,7 +90,6 @@ class SessionConfig:
     wording of :func:`repro.core.analyze.session_diagnostics`.
     """
 
-    engine: str = "auto"
     geometry: GeometrySpec = DEFAULT_GEOMETRY
     policy: str = "lru"
     seed: int = 0
@@ -112,7 +105,7 @@ class SessionConfig:
         from repro.core.analyze import session_diagnostics
 
         errors = session_diagnostics(
-            engine=self.engine, window=self.window, shards=self.shards,
+            window=self.window, shards=self.shards,
             refresh_interval=self.refresh_interval)
         if errors:
             raise SessionConfigError(f"[{errors[0].code}] {errors[0].message}")
@@ -126,8 +119,33 @@ class SessionConfig:
             geom = {name: g.describe()
                     for name, g in sorted(self.geometry.items())}
         return {"geometry": geom, "policy": self.policy, "seed": self.seed,
-                "refresh_interval": self.refresh_interval,
-                "engine": self.engine}
+                "refresh_interval": self.refresh_interval}
+
+
+def geometry_for(name: str, spec: GeometrySpec) -> CacheGeometry:
+    """The cache geometry of stage ``name`` under ``spec``."""
+    if isinstance(spec, CacheGeometry):
+        return spec
+    if name not in spec:
+        raise CompileError(f"no cache geometry supplied for stage {name!r}")
+    return spec[name]
+
+
+def bind_params(program: SwitchProgram,
+                params: Mapping[str, Numeric] | None) -> dict[str, Numeric]:
+    """``params`` as a dict, after the checks every run of ``program``
+    makes before any store is built: every free parameter is bound,
+    and no store is allocated for a key the hardware cannot parse
+    (``RPR-E302``)."""
+    # Deferred import, as in SessionConfig.
+    from repro.core.analyze import require_integer_keys
+
+    bound = dict(params or {})
+    missing = set(program.params) - set(bound)
+    if missing:
+        raise InterpreterError(f"unbound query parameters: {sorted(missing)}")
+    require_integer_keys(program.groupby_stages)
+    return bound
 
 
 class _SelectRunner:
@@ -163,10 +181,7 @@ class _SelectRunner:
 class _GroupByRunner:
     """Match stage + split key-value store.
 
-    The config's ``engine`` builds the store once: ``"row"`` runs the
-    matching packets of each chunk one by one through
-    :class:`SplitKeyValueStore` (the oracle); every other engine feeds
-    the WHERE-filtered key/value columns to a
+    Feeds the WHERE-filtered key/value columns to a
     :class:`~repro.switch.kvstore.windowed_store.WindowedVectorStore`
     (or to the sharded proxy over one per worker), whose
     schedule-driven execution runs once per ``window`` (once per read
@@ -179,41 +194,24 @@ class _GroupByRunner:
                  params: Mapping[str, Numeric], config: SessionConfig,
                  shard_pool=None, shard_index: int = 0):
         self.stage = stage
-        self.mode = "row" if config.engine == "row" else "vector"
         if shard_pool is not None:
             from .kvstore.sharded import ShardedStoreProxy
 
             self.store = ShardedStoreProxy(
                 stage, shard_index, shard_pool, geometry,
                 params=params, seed=config.seed)
-        elif self.mode == "row":
-            self.store = SplitKeyValueStore(
-                stage, geometry, params=params, policy=config.policy,
-                seed=config.seed, refresh_interval=config.refresh_interval)
         else:
             self.store = WindowedVectorStore(
                 stage, geometry, params=params, policy=config.policy,
                 seed=config.seed, refresh_interval=config.refresh_interval,
                 window=config.window)
 
-    def process_batch(self, ctx: ArrayContext,
-                      row_lists: Mapping[str, list] | None) -> None:
+    def process_batch(self, ctx: ArrayContext) -> None:
         """Chunk path: the WHERE mask and the key columns are extracted
-        once per chunk.  Vector mode queues the filtered arrays for the
-        schedule-driven store; row mode runs the sequential cache
-        machinery per matching packet with pre-built keys, over
-        ``row_lists`` (the chunk's parsed fields as Python lists)."""
+        once per chunk, and the filtered arrays are queued for the
+        schedule-driven store."""
         mask = eval_mask(self.stage.where, ctx)
-        key_columns = [ctx.columns[f] for f in self.stage.key.fields]
-        if self.mode == "row":
-            keys = list(zip(*(c.tolist() for c in key_columns)))
-            indices = (range(ctx.n) if mask is None
-                       else np.flatnonzero(mask).tolist())
-            process_keyed = self.store.process_keyed
-            for i in indices:
-                process_keyed(keys[i], ColumnRowView(row_lists, i))
-            return
-        keys = np.column_stack(key_columns)
+        keys = np.column_stack([ctx.columns[f] for f in self.stage.key.fields])
         needed = self.store.needed_fields
         if mask is None:
             cols = {f: ctx.columns[f] for f in needed}
@@ -230,10 +228,9 @@ class SwitchPipeline:
     Args:
         program: Output of :func:`repro.core.compiler.compile_program`.
         params: Bindings for the program's free parameters.
-        config: Every execution knob — engine, geometry, policy, seed,
-            refresh interval, window, shards, shard recovery and fault
-            injection; see :class:`SessionConfig`.  Both engines
-            support :meth:`snapshot_results` mid-stream.
+        config: Every execution knob — geometry, policy, seed, refresh
+            interval, window, shards, shard recovery and fault
+            injection; see :class:`SessionConfig`.
     """
 
     def __init__(
@@ -245,18 +242,10 @@ class SwitchPipeline:
         config = SessionConfig() if config is None else config
         self.config = config
         self.program = program
-        self.params = dict(params or {})
-        missing = set(program.params) - set(self.params)
-        if missing:
-            raise InterpreterError(f"unbound query parameters: {sorted(missing)}")
+        self.params = bind_params(program, params)
         self.parser: ParserConfig = configure_parser(program.parse_fields)
-        # Deferred import, as in SessionConfig: no store is allocated
-        # for a key the hardware cannot parse.
-        from repro.core.analyze import require_integer_keys
-
-        require_integer_keys(program.groupby_stages)
         self._selects = [_SelectRunner(s, self.params) for s in program.select_stages]
-        geometries = [self._geometry_for(s.query_name, config.geometry)
+        geometries = [geometry_for(s.query_name, config.geometry)
                       for s in program.groupby_stages]
         self._shard_pool = None
         if config.shards is not None and program.groupby_stages:
@@ -273,42 +262,24 @@ class SwitchPipeline:
         ]
         self.packets_seen = 0
 
-    @staticmethod
-    def _geometry_for(name: str, spec: GeometrySpec) -> CacheGeometry:
-        if isinstance(spec, CacheGeometry):
-            return spec
-        if name not in spec:
-            raise CompileError(f"no cache geometry supplied for stage {name!r}")
-        return spec[name]
-
     # -- execution -----------------------------------------------------------
 
     def run(self, records: Iterable[object]) -> "SwitchPipeline":
         """Stream ``records`` (any form
         :func:`~repro.network.records.as_table` accepts) through every
         stage in chunks of :data:`DEFAULT_CHUNK_SIZE`: per chunk, each
-        stage's WHERE mask and key arrays are computed vectorized, and
-        only the row engine's sequential cache machinery runs per
-        packet."""
+        stage's WHERE mask and key arrays are computed vectorized."""
         table = as_table(records)
         columns = table.columns()
         n = len(table)
-        # The row engine's per-packet update functions read the fields
-        # the program parses (§3.1: the programmable parser extracts
-        # exactly the configured fields) as Python lists, converted
-        # once per chunk; the vector stores never need them.
-        fields = tuple(self.program.parse_fields) or tuple(columns)
-        row_engine = self.config.engine == "row"
         for lo in range(0, n, DEFAULT_CHUNK_SIZE):
             hi = min(lo + DEFAULT_CHUNK_SIZE, n)
             chunk = {name: arr[lo:hi] for name, arr in columns.items()}
-            row_lists = ({name: chunk[name].tolist() for name in fields}
-                         if row_engine else None)
             ctx = ArrayContext(chunk, self.params, hi - lo)
             for select in self._selects:
                 select.process_batch(ctx)
             for groupby in self._groupbys:
-                groupby.process_batch(ctx, row_lists)
+                groupby.process_batch(ctx)
             self.packets_seen += hi - lo
         return self
 
@@ -349,10 +320,9 @@ class SwitchPipeline:
         writes, accuracy)`` as if the stream ended now — without
         finalizing; streaming can continue afterwards.
 
-        Every store answers ``snapshot()``: the row store absorbs
-        copies of its resident entries, the vector store (and the
-        sharded proxy over it) runs its buffered input as one window
-        first — results do not depend on where windows cut.
+        The vector store (and the sharded proxy over it) runs its
+        buffered input as one window first — results do not depend on
+        where windows cut.
         """
         tables: dict[str, ResultTable] = {}
         stats: dict[str, CacheStats] = {}
@@ -373,13 +343,12 @@ class SwitchPipeline:
     # -- durable checkpoints -------------------------------------------------
 
     def checkpoint_state(self) -> dict:
-        """Plain-data snapshot of every stage: accumulated select rows,
-        each groupby runner's store mode and store state (collected
-        per worker over the shard fabric when sharded)."""
+        """Plain-data snapshot of every stage: accumulated select rows
+        and each groupby runner's store state (collected per worker
+        over the shard fabric when sharded)."""
         state = {
             "packets_seen": self.packets_seen,
             "selects": [list(s.rows) for s in self._selects],
-            "modes": [g.mode for g in self._groupbys],
             "sharded": self._shard_pool is not None,
         }
         if self._shard_pool is not None:
@@ -392,24 +361,19 @@ class SwitchPipeline:
 
     def restore_state(self, state: dict) -> None:
         """Load a :meth:`checkpoint_state` payload into this (freshly
-        constructed) pipeline.  A stage recorded with mode ``None`` and
-        no store state was never fed; its fresh store stays as built."""
+        constructed) pipeline."""
         if self.packets_seen:
             raise CheckpointError("restore target pipeline must be fresh")
+        groupbys = (state["proxy_pos"] if state["sharded"]
+                    else state["stores"])
         if (len(state["selects"]) != len(self._selects)
-                or len(state["modes"]) != len(self._groupbys)):
+                or len(groupbys) != len(self._groupbys)):
             raise CheckpointError(
                 "snapshot stage layout does not match the compiled program")
         if state["sharded"] != (self._shard_pool is not None):
             raise CheckpointError(
                 "snapshot was taken with a different shards= setting; "
                 "resume with the same shard count it was saved with")
-        for g, mode in zip(self._groupbys, state["modes"]):
-            if mode not in (None, g.mode):
-                raise CheckpointError(
-                    f"stage {g.stage.query_name!r} was checkpointed on "
-                    f"the {mode} store; this session runs the {g.mode} "
-                    f"store")
         self.packets_seen = state["packets_seen"]
         for select, rows in zip(self._selects, state["selects"]):
             select.rows = list(rows)
@@ -419,8 +383,7 @@ class SwitchPipeline:
                 g.store._pos = pos
         else:
             for g, store_state in zip(self._groupbys, state["stores"]):
-                if store_state is not None:
-                    g.store.restore_state(store_state)
+                g.store.restore_state(store_state)
 
     def cache_stats(self) -> dict[str, CacheStats]:
         return {g.stage.query_name: g.store.stats for g in self._groupbys}
@@ -428,8 +391,7 @@ class SwitchPipeline:
     def backing_writes(self) -> dict[str, int]:
         return {g.stage.query_name: g.store.backing_writes for g in self._groupbys}
 
-    def store_for(self, query_name: str,
-                  ) -> SplitKeyValueStore | WindowedVectorStore:
+    def store_for(self, query_name: str) -> WindowedVectorStore:
         for groupby in self._groupbys:
             if groupby.stage.query_name == query_name:
                 return groupby.store

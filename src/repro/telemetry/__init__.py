@@ -3,7 +3,7 @@
 from .client import ClientError, IngestClient, stream_file
 from .deploy import NetworkDeployment, NetworkRunReport, NetworkSession
 from .diagnostics import Diagnostic, DiagnosticsReport, diagnostic_code
-from .results import TableDiff, assert_tables_match, compare_tables
+from .results import TableDiff, compare_tables
 from .runtime import QueryEngine, QueryInfo, RunReport, run
 from .serve import IngestServer, TraceTailer
 from .session import TelemetrySession
@@ -24,7 +24,6 @@ __all__ = [
     "TableDiff",
     "TelemetrySession",
     "TraceTailer",
-    "assert_tables_match",
     "compare_tables",
     "run",
     "stream_file",

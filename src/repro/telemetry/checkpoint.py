@@ -27,13 +27,16 @@ import zlib
 from repro.core.errors import CheckpointError
 
 MAGIC = b"RPROCKPT"
-#: Payload layout version.  5: a FIFO/random cache schedule carries
-#: its rings oldest → newest (kind ``"ring"``); version 4 carried a FIFO
+#: Payload layout version.  6: every store state is the vector
+#: store's (no ``"row"`` store kind, no per-stage ``modes`` list);
+#: version 5 could carry the row store's Python-object buckets.
+#: Version 5 also moved the FIFO/random cache schedule to its rings
+#: oldest → newest (kind ``"ring"``); version 4 carried a FIFO
 #: ring head, per-key residency flags and a skip width (kind
 #: ``"packed"``), version 3 could carry an exact-mode session's buffered
 #: input (``exact`` / ``buffered``), and version 2 a pickled backing
 #: store (``backing_data``).  Older payloads are refused.
-VERSION = 5
+VERSION = 6
 
 _HEADER = struct.Struct("<8sHQI")  # magic, version, payload len, crc32
 
@@ -99,7 +102,6 @@ def describe_checkpoint(data: bytes) -> dict:
     if isinstance(config, dict):
         info["result"] = config.get("result")
         info["policy"] = config.get("policy")
-        info["engine"] = config.get("engine")
         info["seed"] = config.get("seed")
     if payload.get("kind") == "network":
         info["switches"] = payload.get("switches")

@@ -23,7 +23,10 @@ protocol as single-switch runs: :meth:`NetworkDeployment.open` yields a
 :class:`NetworkSession` holding one per-switch session; batches are
 columnized at the door and routed to the owning switch, and
 ``results()``/``close()`` combine the per-switch reports.
-:meth:`NetworkDeployment.run` is the one-shot wrapper over it.
+:meth:`NetworkDeployment.run` is the one-shot wrapper over it.  Every
+path of a deployment opens sessions, so every switch runs the vector
+engine; a deployment has no ``engine`` knob (the row reference is
+one-shot, see :mod:`repro.reference`).
 
 This mirrors the paper's deployment story (queries are installed on
 switches; results are pulled from backing stores) one step further
@@ -68,8 +71,10 @@ class NetworkDeployment:
         simulator: The network whose switches observe traffic.  Each
             switch is identified by its node name; observations are
             routed to the switch owning the observed queue.
-        params, geometry, policy, seed, exact_history, engine: as in
-            :class:`repro.telemetry.runtime.QueryEngine`.
+        params, geometry, policy, seed, exact_history: as in
+            :class:`repro.telemetry.runtime.QueryEngine`.  Every path
+            of a deployment opens sessions, so it runs the vector
+            engine.
     """
 
     def __init__(
@@ -81,11 +86,10 @@ class NetworkDeployment:
         policy: str = "lru",
         seed: int = 0,
         exact_history: bool = False,
-        engine: str = "auto",
     ):
         self.engine = QueryEngine(source, params=params, geometry=geometry,
                                   policy=policy, seed=seed,
-                                  exact_history=exact_history, engine=engine)
+                                  exact_history=exact_history)
         self.resolved = self.engine.resolved
         self.compiled = self.engine.compiled
         self.params = self.engine.params
@@ -121,9 +125,8 @@ class NetworkDeployment:
         A bad ``window`` or ``shards`` raises its ``RPR-E00x`` code
         here, before any worker forks.  Placing whole switches on
         workers is not cache-set sharding, so the knobs are checked
-        against the engine-neutral defaults: the row engine and
-        ``refresh_interval`` (``RPR-E001``/``E002``) still shard by
-        switch."""
+        against the engine's defaults: ``refresh_interval``
+        (``RPR-E002``) still shards by switch."""
         config = SessionConfig(window=window, shards=shards,
                                checkpoint_every=checkpoint_every,
                                faults=faults)

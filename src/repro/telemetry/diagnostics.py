@@ -61,7 +61,7 @@ class CodeInfo:
     """One registry entry: everything stable about a diagnostic code."""
 
     code: str          # "RPR-E001"
-    slug: str          # "row-engine-cannot-shard"
+    slug: str          # "row-engine-is-one-shot"
     severity: str      # "error" | "warning" | "info"
     when: str          # "open" | "compile" | "runtime"
     template: str      # message template (str.format over context)
@@ -71,10 +71,12 @@ class CodeInfo:
 _REGISTRY: tuple[CodeInfo, ...] = (
     # -- session/engine configuration (checked at open time) ---------------
     CodeInfo(
-        "RPR-E001", "row-engine-cannot-shard", "error", "open",
-        'sharded execution runs on the vector path; engine="row" cannot '
-        'shard',
-        'drop shards= or use engine="auto"/"vector"',
+        "RPR-E001", "row-engine-is-one-shot", "error", "open",
+        'engine="row" is the one-shot reference (run(), run_exact(), '
+        'plan_cache()); sessions — open(), resume(), serve() — run on '
+        'the vector engine',
+        'use engine="auto"/"vector" for sessions, or call run() on the '
+        'reference',
     ),
     CodeInfo(
         "RPR-E002", "refresh-cannot-shard", "error", "open",

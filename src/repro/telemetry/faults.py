@@ -6,10 +6,9 @@ acknowledgement seen on the control pipe is dropped (its shared-memory
 segment stays pending until close) or duplicated (exercising release
 idempotency), and the Nth session ingest call aborts mid-window with
 :class:`InjectedFault` (exercising session poisoning).  Plans are plain
-data, so a seeded schedule (:meth:`FaultPlan.seeded`) is reproducible
-across runs — the property the differential checkpoint tests rely
-on: a crashed-and-recovered run must be bit-identical to an
-uninterrupted one.
+data, so a schedule is reproducible across runs — the property the
+differential checkpoint tests rely on: a crashed-and-recovered run
+must be bit-identical to an uninterrupted one.
 
 Connection-level faults cover the live ingest service
 (:mod:`repro.telemetry.serve` / :mod:`repro.telemetry.client`): the Nth
@@ -33,7 +32,6 @@ re-faulted and every plan terminates.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 
@@ -73,33 +71,6 @@ class FaultPlan:
     corrupt_sends: set[int] = field(default_factory=set)
     stall_sends: set[int] = field(default_factory=set)
     stall_seconds: float = 0.5
-
-    @classmethod
-    def seeded(cls, seed: int, n_workers: int, kills: int = 1,
-               drops: int = 1, dups: int = 1, aborts: int = 0,
-               disconnects: int = 0, corrupts: int = 0, stalls: int = 0,
-               stall_seconds: float = 0.5,
-               horizon: int = 20) -> "FaultPlan":
-        """A reproducible plan: ``kills``/``drops``/``dups``/``aborts``
-        (and the connection-fault counts) drawn uniformly from the
-        first ``horizon`` ordinals of each event type."""
-        rng = random.Random(seed)
-        kill_posts: dict[int, set[int]] = {}
-        for _ in range(kills):
-            kill_posts.setdefault(
-                rng.randrange(n_workers), set()).add(
-                rng.randint(1, horizon))
-        return cls(
-            kill_posts=kill_posts,
-            drop_acks={rng.randint(1, horizon) for _ in range(drops)},
-            dup_acks={rng.randint(1, horizon) for _ in range(dups)},
-            abort_ingests={rng.randint(1, horizon) for _ in range(aborts)},
-            disconnect_sends={rng.randint(1, horizon)
-                              for _ in range(disconnects)},
-            corrupt_sends={rng.randint(1, horizon) for _ in range(corrupts)},
-            stall_sends={rng.randint(1, horizon) for _ in range(stalls)},
-            stall_seconds=stall_seconds,
-        )
 
 
 class FaultInjector:

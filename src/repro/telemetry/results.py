@@ -83,8 +83,7 @@ def compare_tables(hardware: ResultTable, truth: ResultTable,
                 continue
             h_val = h_row[column]
             diff.compared_cells += 1
-            err = _abs_error(h_val, t_val)
-            rel = err / max(abs(t_val), 1e-300) if not math.isnan(err) else math.inf
+            err, rel = _cell_error(h_val, t_val)
             if err <= abs_tol or rel <= rel_tol:
                 diff.exact_cells += 1
             if err > diff.max_abs_error:
@@ -156,7 +155,7 @@ def _compare_columnar(hardware: ResultTable, truth: ResultTable,
             with np.errstate(invalid="ignore"):
                 err = np.abs(h_val - t_val)
                 # Matching infinities count as exact (the row path's
-                # _abs_error); inf - inf is NaN otherwise.
+                # _cell_error); inf - inf is NaN otherwise.
                 same_inf = np.isinf(h_val) & np.isinf(t_val) & \
                     ((h_val > 0) == (t_val > 0))
                 err[same_inf] = 0.0
@@ -177,17 +176,27 @@ def _compare_columnar(hardware: ResultTable, truth: ResultTable,
     return diff
 
 
-def _abs_error(a: float, b: float) -> float:
-    if math.isinf(a) and math.isinf(b) and (a > 0) == (b > 0):
-        return 0.0
+def _cell_error(h, t) -> tuple[float, float]:
+    """``(|h - t|, |h - t| / |t|)`` of one cell against its truth ``t``.
+
+    Two ints difference exactly and are never cast to float: the
+    exact-int promotion of folds past int64 makes ints beyond float
+    range reachable.  An error or ratio past float range reads as
+    ``inf``; matching infinities are exact."""
     try:
-        return abs(a - b)
-    except TypeError:
+        if not (isinstance(h, int) and isinstance(t, int)) and \
+                math.isinf(h) and math.isinf(t) and (h > 0) == (t > 0):
+            return 0.0, 0.0
+        err = abs(h - t)
+    except (TypeError, OverflowError):   # no number, or an int vs a float
+        return math.inf, math.inf
+    if err != err:                       # NaN
+        return err, math.inf
+    return _div(err, 1), _div(err, max(abs(t), 1e-300))
+
+
+def _div(num, den) -> float:
+    try:
+        return num / den
+    except OverflowError:                # an int quotient past float range
         return math.inf
-
-
-def assert_tables_match(hardware: ResultTable, truth: ResultTable,
-                        rel_tol: float = 1e-9, abs_tol: float = 1e-9) -> None:
-    """Raise ``AssertionError`` with a readable diff when tables differ."""
-    diff = compare_tables(hardware, truth, rel_tol=rel_tol, abs_tol=abs_tol)
-    assert diff.exact, f"tables differ: {diff.describe()}"

@@ -34,7 +34,11 @@ import numpy as np
 
 from repro.core.ast_nodes import Program
 from repro.core.compiler import CompileOptions, compile_program
-from repro.core.errors import CheckpointError, HardwareError
+from repro.core.errors import (
+    CheckpointError,
+    HardwareError,
+    SessionConfigError,
+)
 from repro.core.eval_expr import Numeric
 from repro.core.interpreter import Interpreter, ResultTable
 from repro.core.parser import parse_program
@@ -42,13 +46,15 @@ from repro.core.plan import SwitchProgram
 from repro.core.semantics import ResolvedProgram, resolve_program
 from repro.core.vector_exec import ArrayContext, VectorExecutor, eval_mask
 from repro.network.records import ObservationTable, as_table
+from repro.reference import run_reference
 from repro.switch.kvstore.cache import (
+    ENGINES,
     CacheGeometry,
     CacheStats,
     simulate_eviction_count,
 )
 from repro.switch.pipeline import DEFAULT_GEOMETRY, GeometrySpec, SessionConfig
-from repro.telemetry.diagnostics import DiagnosticsReport
+from repro.telemetry.diagnostics import DiagnosticsReport, exc_message
 from repro.telemetry.session import TelemetrySession
 
 #: Checkpoint kind -> the call that resumes it.
@@ -126,11 +132,18 @@ class QueryEngine:
         source: Query text (or a pre-parsed :class:`Program`).
         params: Parameter bindings (``alpha``, ``L``, ...).
         exact_history: Enable the exact-history merge extension.
-        geometry, policy, seed, refresh_interval, engine: The
-            engine-level knobs of
-            :class:`~repro.switch.pipeline.SessionConfig`, which
-            documents each; an unknown ``engine`` raises
-            ``[RPR-E008]`` here.
+        geometry, policy, seed, refresh_interval: The engine-level
+            knobs of :class:`~repro.switch.pipeline.SessionConfig`,
+            which documents each.
+        engine: ``"vector"`` (and ``"auto"``, the same engine) runs
+            every call on the schedule-driven vector store and the
+            vectorized executor; ``"row"`` is the one-shot reference
+            (:mod:`repro.reference`: the per-packet store and the
+            interpreter), which answers :meth:`run`, :meth:`run_exact`
+            and :meth:`plan_cache` only — :meth:`open`,
+            :meth:`resume` and :meth:`serve` raise ``[RPR-E001]``.
+            Both give bit-identical results; an unknown ``engine``
+            raises ``[RPR-E008]`` here.
     """
 
     def __init__(
@@ -144,9 +157,14 @@ class QueryEngine:
         refresh_interval: int | None = None,
         engine: str = "auto",
     ):
+        if engine not in ENGINES:
+            raise SessionConfigError(exc_message(
+                "RPR-E008", engines=ENGINES, engine=engine))
+        #: True on the one-shot row reference (``engine="row"``).
+        self.reference = engine == "row"
         #: The engine-level knobs; :meth:`open` sets the session ones.
         self.config = SessionConfig(
-            engine=engine, geometry=geometry, policy=policy, seed=seed,
+            geometry=geometry, policy=policy, seed=seed,
             refresh_interval=refresh_interval)
         program = parse_program(source) if isinstance(source, str) else source
         self.resolved: ResolvedProgram = resolve_program(program)
@@ -197,8 +215,7 @@ class QueryEngine:
 
         return analyze_program(
             self.compiled, self.resolved, params=self.params,
-            geometry=self.config.geometry, engine=self.config.engine,
-            window=window, shards=shards,
+            geometry=self.config.geometry, window=window, shards=shards,
             refresh_interval=self.config.refresh_interval,
             trace_bounds=trace_bounds,
             area_budget=(DEFAULT_AREA_BUDGET if area_budget is None
@@ -227,9 +244,24 @@ class QueryEngine:
         """The software-stage executor, by the ``engine`` knob alone:
         the interpreter is the ``"row"`` oracle, everything else runs
         vectorized (input is always columnar below the door)."""
-        if self.config.engine == "row":
+        if self.reference:
             return self._row_engine()
         return self._vector_engine()
+
+    def _require_session(self) -> None:
+        """``[RPR-E001]`` on the row reference, before any session
+        state is built or shard worker forked."""
+        if self.reference:
+            raise SessionConfigError(exc_message("RPR-E001"))
+
+    def _require_deployable(self, **knobs) -> DiagnosticsReport:
+        """The :meth:`diagnostics` report for ``knobs``; its first hard
+        error (``RPR-E*``) raised as :class:`HardwareError`."""
+        report = self.diagnostics(**knobs)
+        error = report.first_error
+        if error is not None:
+            raise HardwareError(f"[{error.code}] {error.message}")
+        return report
 
     # -- execution -------------------------------------------------------------
 
@@ -252,12 +284,10 @@ class QueryEngine:
         worker forked — with the same code and wording the CLI ``lint``
         command and served ``REJECT`` frames report.
         """
+        self._require_session()
         config = replace(self.config, window=window, shards=shards,
                          checkpoint_every=checkpoint_every, faults=faults)
-        report = self.diagnostics(window=window, shards=shards)
-        error = report.first_error
-        if error is not None:
-            raise HardwareError(f"[{error.code}] {error.message}")
+        report = self._require_deployable(window=window, shards=shards)
         session = TelemetrySession(self, config)
         session.diagnostics = report
         return session
@@ -285,13 +315,14 @@ class QueryEngine:
 
         The engine must be configured identically to the one that
         saved the snapshot (queries, params, geometry, policy, seed,
-        refresh/engine knobs) — the snapshot carries a configuration
+        refresh knob) — the snapshot carries a configuration
         fingerprint and a mismatch raises
         :class:`~repro.core.errors.CheckpointError`.  The resumed
         session continues the stream exactly where the checkpoint was
         taken: feed it the remaining records (everything after
         ``session.packets_ingested``) and its results are bit-identical
         to a run that never stopped."""
+        self._require_session()
         payload = self._unpack_checkpoint(snapshot, "session")
         config = replace(self.config, window=payload["window"],
                          shards=payload["shards"],
@@ -322,7 +353,7 @@ class QueryEngine:
             raise CheckpointError(
                 "checkpoint was produced by a differently configured "
                 "engine (queries, params, geometry, policy, seed, and "
-                "the refresh/engine knobs must all match); resume on "
+                "the refresh knob must all match); resume on "
                 "an engine configured like the one that saved it")
         return payload
 
@@ -347,25 +378,29 @@ class QueryEngine:
         through a fresh session and collect every query's result
         (hardware + software stages).
 
-        The input is columnized once, at the door; the session and the
-        optional ground truth share that one table.  The ``engine``
-        knob alone picks the execution path: ``"vector"`` (and
-        ``"auto"``, which is the same engine) run the chunked batch
-        pipeline with the schedule-driven vector
-        split store and the vectorized executor, ``"row"`` the
-        reference store and the interpreter over the same columns.
+        The input is columnized once, at the door; the run and the
+        optional ground truth share that one table.  On
+        ``engine="row"`` the one-shot reference
+        (:func:`repro.reference.run_reference`) runs instead of a
+        session, over the same columns and behind the same
+        :meth:`open` gate.
         """
         records = as_table(records)
-        session = self.open()
-        session.ingest(records)
-        report = session.close(include_invalid=include_invalid)
+        if self.reference:
+            self._require_deployable()
+            report = run_reference(self, records, self.config,
+                                   include_invalid=include_invalid)
+        else:
+            session = self.open()
+            session.ingest(records)
+            report = session.close(include_invalid=include_invalid)
         if with_ground_truth:
             report.ground_truth = self.run_exact(records)
         return report
 
     def run_exact(self, records: Iterable[object]) -> dict[str, ResultTable]:
-        """Exact evaluation: :meth:`run`'s session on the engine the
-        ``engine`` knob selects, over a cache that never evicts.
+        """Exact evaluation: :meth:`run` on the engine the ``engine``
+        knob selects, over a cache that never evicts.
 
         The backing store only ever sees evicted values (§3.2), so
         with one fully associative slot per record every key is
@@ -381,6 +416,8 @@ class QueryEngine:
             self.config, policy="lru", refresh_interval=None, window=None,
             shards=None, geometry=CacheGeometry.fully_associative(
                 max(1, len(table))))
+        if self.reference:
+            return run_reference(self, table, config).tables
         session = TelemetrySession(self, config)
         session.ingest(table)
         return session.close().tables
@@ -418,7 +455,7 @@ class QueryEngine:
         plans: dict[str, list[CachePlanPoint]] = {}
         for stage in self.compiled.groupby_stages:
             keys = self._stage_key_stream(stage, table)
-            if self.config.engine == "row":
+            if self.reference:
                 key_list = [tuple(row) for row in keys.tolist()]
                 stats_for = lambda g: simulate_eviction_count(  # noqa: E731
                     key_list, g, policy=self.config.policy,

@@ -419,6 +419,8 @@ class IngestServer:
                  checkpoint_every_batches: int | None = None,
                  include_invalid: bool = True,
                  ingest_delay: float = 0.0) -> None:
+        # The row reference is one-shot ([RPR-E001]).
+        engine._require_session()
         #: Every served session opens with this config.
         self.config = replace(engine.config, window=window, shards=shards,
                               checkpoint_every=checkpoint_every,

@@ -21,17 +21,18 @@ never evicts, linear fold or not), and
 per switch — exact, hardware, and network-wide paths share this one
 code path.
 
-Batches stream through a :class:`~repro.switch.pipeline.SwitchPipeline`.
-``GROUPBY`` stages on the vector path run the windowed split store:
-with ``window`` set, memory stays bounded by the window (plus per-key
+Batches stream through a :class:`~repro.switch.pipeline.SwitchPipeline`,
+whose ``GROUPBY`` stages run the windowed vector split store: with
+``window`` set, memory stays bounded by the window (plus per-key
 results) on unbounded streams; without one, ingested batches are
 buffered and run as one window whenever results are read (fastest for
 a bounded trace).  :meth:`results` snapshots work mid-stream either
-way, and on ``engine="row"``, whose reference store takes the same
-columnar batches packet by packet.
+way.  Sessions run on the vector engine only: the row reference
+(``engine="row"``) is one-shot, and opening a session on it raises
+``[RPR-E001]``.
 
-Results are **bit-identical** across every engine/window/shard
-combination, and to what :meth:`QueryEngine.run` produces.
+Results are **bit-identical** across every window/shard combination,
+to what :meth:`QueryEngine.run` produces, and to the row reference.
 """
 
 from __future__ import annotations
@@ -243,7 +244,7 @@ class TelemetrySession:
                   stats, writes, accuracy) -> "RunReport":
         from .runtime import RunReport
 
-        executor = self._engine._executor()
+        executor = self._engine._vector_engine()
         for stage in self._engine.compiled.software_stages:
             # Software stages read upstream *tables* only (the compiler
             # keeps every base-stream query on-switch), so the session

@@ -36,16 +36,6 @@ def bounded_zipf(rng: np.random.Generator, n: int, alpha: float,
     return (idx + low).astype(np.int64)
 
 
-def discrete_pareto(rng: np.random.Generator, n: int, shape: float,
-                    scale: float = 1.0, cap: int | None = None) -> np.ndarray:
-    """Discrete Pareto (Lomax-style) samples ≥ 1; optionally capped."""
-    raw = scale * (rng.pareto(shape, n) + 1.0)
-    values = np.maximum(1, np.round(raw)).astype(np.int64)
-    if cap is not None:
-        np.minimum(values, cap, out=values)
-    return values
-
-
 def bimodal_packet_sizes(rng: np.random.Generator, n: int,
                          small: int = 64, large: int = 1500,
                          mean: float = 850.0) -> np.ndarray:
@@ -66,10 +56,3 @@ def exponential_gaps(rng: np.random.Generator, n: int, mean_ns: float) -> np.nda
     """``n`` exponential inter-arrival gaps (integer ns, ≥ 1)."""
     gaps = rng.exponential(mean_ns, n)
     return np.maximum(1, np.round(gaps)).astype(np.int64)
-
-
-def lognormal_durations(rng: np.random.Generator, n: int,
-                        median_ns: float, sigma: float = 1.0) -> np.ndarray:
-    """Log-normal flow durations (integer ns, ≥ 1)."""
-    values = rng.lognormal(mean=np.log(median_ns), sigma=sigma, size=n)
-    return np.maximum(1, np.round(values)).astype(np.int64)

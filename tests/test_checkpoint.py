@@ -14,6 +14,7 @@ SIGTERM without leaking ``/dev/shm`` segments.
 """
 
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -47,8 +48,8 @@ QUERY = "SELECT COUNT, SUM(pkt_len) GROUPBY srcip"
 CHUNK = 217
 
 
-def make_engine(policy="lru", engine="vector"):
-    return QueryEngine(QUERY, geometry=GEOM, policy=policy, engine=engine)
+def make_engine(policy="lru"):
+    return QueryEngine(QUERY, geometry=GEOM, policy=policy)
 
 
 @pytest.fixture(scope="module")
@@ -130,14 +131,14 @@ class TestCheckpointFormat:
 
     def test_version_2_blob_names_both_versions(self, trace):
         """A version-2 checkpoint (pickled backing-store entries) is
-        refused by the version-5 reader, which names both versions."""
-        assert VERSION == 5
+        refused by the version-6 reader, which names both versions."""
+        assert VERSION == 6
         session = ingest_upto(make_engine().open(window=128), trace, 300)
         body = session.checkpoint()[_HEADER.size:]
         session.close()
         data = _HEADER.pack(MAGIC, 2, len(body), zlib.crc32(body)) + body
         with pytest.raises(CheckpointError,
-                           match=r"version 2 \(this build reads version 5\)"):
+                           match=r"version 2 \(this build reads version 6\)"):
             make_engine().resume(data)
 
     def test_truncated_payload(self):
@@ -153,7 +154,6 @@ class TestCheckpointFormat:
             unpack_checkpoint(bytes(data))
 
     def test_payload_not_a_dict(self):
-        import pickle
         body = pickle.dumps([1, 2, 3])
         data = _HEADER.pack(MAGIC, VERSION, len(body),
                             zlib.crc32(body)) + body
@@ -179,27 +179,35 @@ class TestCheckpointFormat:
 _BASELINES: dict[tuple, tuple] = {}
 
 
-def baseline(policy, engine_kind, window, table):
-    key = (policy, engine_kind, window)
+def baseline(policy, window, table, oracle="vector"):
+    """The uninterrupted windowed session, or with ``oracle="row"`` the
+    row reference's one-shot ``run()`` it must equal."""
+    key = (policy, window, oracle)
     if key not in _BASELINES:
-        _BASELINES[key] = uninterrupted(
-            make_engine(policy, engine_kind), table, window)
+        if oracle == "row":
+            _BASELINES[key] = observables(
+                QueryEngine(QUERY, geometry=GEOM, policy=policy,
+                            engine="row").run(table, include_invalid=True))
+        else:
+            _BASELINES[key] = uninterrupted(
+                make_engine(policy), table, window)
     return _BASELINES[key]
 
 
 class TestMidStreamBitIdentity:
     """checkpoint()/resume() at a hypothesis-chosen cut point matches
-    the uninterrupted run for every policy × window × engine."""
+    the uninterrupted run for every policy × window, and the row
+    reference's one-shot run()."""
 
     @pytest.mark.parametrize("window", [97, 256, 701])
     @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
-    @pytest.mark.parametrize("engine_kind", ["vector", "row"])
+    @pytest.mark.parametrize("oracle", ["vector", "row"])
     @settings(deadline=None, max_examples=4)
     @given(cut=st.integers(min_value=1, max_value=1199))
-    def test_cut_matches_uninterrupted(self, policy, engine_kind, window,
+    def test_cut_matches_uninterrupted(self, oracle, policy, window,
                                        cut, trace):
-        base = baseline(policy, engine_kind, window, trace)
-        engine = make_engine(policy, engine_kind)
+        base = baseline(policy, window, trace, oracle)
+        engine = make_engine(policy)
         original = ingest_upto(engine.open(window=window), trace, cut)
         snapshot = original.checkpoint()
         # checkpoint() is non-destructive: the original session keeps
@@ -211,7 +219,7 @@ class TestMidStreamBitIdentity:
 
     def test_double_resume(self, trace):
         engine = make_engine()
-        base = baseline("lru", "vector", 256, trace)
+        base = baseline("lru", 256, trace)
         session = ingest_upto(engine.open(window=256), trace, 500)
         snapshot = session.checkpoint()
         session.close()
@@ -221,7 +229,7 @@ class TestMidStreamBitIdentity:
     def test_checkpoint_chain(self, trace):
         """resume → stream → checkpoint again → resume again."""
         engine = make_engine()
-        base = baseline("lru", "vector", 97, trace)
+        base = baseline("lru", 97, trace)
         first = ingest_upto(engine.open(window=97), trace, 300)
         snap1 = first.checkpoint()
         first.close()
@@ -257,10 +265,8 @@ class TestMidStreamBitIdentity:
         """Version 3 could checkpoint an exact-mode session as its
         buffered input (``exact`` / ``buffered``, no ``pipeline``);
         exact evaluation is a never-evicting session now, and resuming
-        such a payload (framed as a version-4 blob, the last version
-        before this reader's) raises CheckpointError rather than
+        such a payload (framed as a version-4 blob) raises CheckpointError rather than
         misreading it."""
-        import pickle
 
         engine = make_engine()
         session = ingest_upto(engine.open(), trace, 300)
@@ -273,8 +279,29 @@ class TestMidStreamBitIdentity:
         body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         data = _HEADER.pack(MAGIC, 4, len(body), zlib.crc32(body)) + body
         with pytest.raises(CheckpointError,
-                           match=r"version 4 \(this build reads version 5\)"):
+                           match=r"version 4 \(this build reads version 6\)"):
             engine.resume(data)
+
+    def test_retired_row_store_payload_rejected(self, trace):
+        """Version 5 could checkpoint a row-engine session: per-stage
+        ``modes`` and the row store's Python-object buckets (kind
+        ``"row"``).  Sessions run the vector store only now; such a
+        blob is refused by its version, and the same payload framed as
+        the current version by its store kind."""
+        engine = make_engine()
+        session = ingest_upto(engine.open(), trace, 300)
+        payload = unpack_checkpoint(session.checkpoint())
+        session.close()
+        payload["pipeline"]["modes"] = ["row"]
+        payload["pipeline"]["stores"] = [{
+            "kind": "row", "buckets": [(0, [((1,), {}, {}, True)])]}]
+        body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        data = _HEADER.pack(MAGIC, 5, len(body), zlib.crc32(body)) + body
+        with pytest.raises(CheckpointError,
+                           match=r"version 5 \(this build reads version 6\)"):
+            engine.resume(data)
+        with pytest.raises(CheckpointError, match="'row'"):
+            engine.resume(pack_checkpoint(payload))
 
     @pytest.mark.parametrize("retired", [
         {"kind": "replay", "buckets": {}, "evict_counts": {}},
@@ -317,7 +344,7 @@ class TestMidStreamBitIdentity:
 class TestShardedDurability:
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_sharded_cut_matches_uninterrupted(self, shards, trace):
-        base = baseline("lru", "vector", 256, trace)
+        base = baseline("lru", 256, trace)
         engine = make_engine()
         assert uninterrupted(engine, trace, 256, shards=shards) == base
         for cut in (333, 901):
@@ -332,7 +359,7 @@ class TestShardedDurability:
         periodic checkpoint, and replayed — same results as a run with
         no faults, and a session checkpoint taken *after* the crash
         still resumes bit-identically."""
-        base = baseline("lru", "vector", 256, trace)
+        base = baseline("lru", 256, trace)
         engine = make_engine()
         injector = FaultInjector(FaultPlan(kill_posts={0: {3}},
                                            drop_acks={5}, dup_acks={8}))
@@ -345,6 +372,45 @@ class TestShardedDurability:
         assert finish_from(session, trace) == base
         resumed = engine.resume(snapshot, checkpoint_every=4)
         assert finish_from(resumed, trace) == base
+
+    def test_worker_death_during_pool_internal_calls(self, trace,
+                                                     monkeypatch):
+        """A worker that dies before a pool-internal round trip — the
+        session checkpoint's ``__checkpoint__``, the resume's
+        ``__restore__`` — is respawned, restored and replayed inside
+        that call: both sessions still finish equal to run(), and no
+        shared-memory segment is left behind."""
+        before = set(os.listdir("/dev/shm"))
+        engine = make_engine()
+        base = observables(engine.run(trace, include_invalid=True))
+        session = ingest_upto(
+            engine.open(shards=2, checkpoint_every=3), trace, 600)
+        pool = session._pipeline._shard_pool
+        victim = pool._workers[0]
+        os.kill(victim.proc.pid, signal.SIGKILL)
+        victim.proc.join(timeout=5.0)
+        snapshot = session.checkpoint()
+        assert victim.restarts == 1
+        assert finish_from(session, trace) == base
+
+        send_direct = ShardWorkerPool._send_direct
+        killed = []
+
+        def kill_before_first_restore(self, w, op, meta, reply):
+            if op == "__restore__" and w.index == 0 and not killed:
+                killed.append(w)
+                w.proc.kill()
+                w.proc.join(timeout=5.0)
+            return send_direct(self, w, op, meta, reply)
+
+        monkeypatch.setattr(ShardWorkerPool, "_send_direct",
+                            kill_before_first_restore)
+        resumed = engine.resume(snapshot, checkpoint_every=3)
+        assert killed and killed[0].restarts == 1
+        assert finish_from(resumed, trace) == base
+        leaked = {n for n in set(os.listdir("/dev/shm")) - before
+                  if n.startswith("psm_")}
+        assert not leaked, sorted(leaked)
 
     def test_worker_death_without_recovery_fails_fast(self, trace):
         engine = make_engine()

@@ -211,10 +211,22 @@ class TestLint:
 
     def test_error_config_exits_nonzero(self, capsys):
         code = main(["lint", "SELECT COUNT GROUPBY srcip",
-                     "--engine", "row", "--shards", "4"])
+                     "--refresh", "100", "--shards", "4"])
         out = capsys.readouterr().out
         assert code == 1
-        assert "RPR-E001" in out and "NOT DEPLOYABLE" in out
+        assert "RPR-E002" in out and "NOT DEPLOYABLE" in out
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--trace", "t.csv"], ["plan"], ["serve"],
+        ["lint", "SELECT COUNT GROUPBY srcip"]],
+        ids=["run", "plan", "serve", "lint"])
+    def test_engine_flag_only_on_sweep(self, command, capsys):
+        """Sessions run the vector engine, so only ``sweep`` (the cache
+        simulator) takes ``--engine``."""
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--engine", "row"])
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
     def test_abbreviated_option_rejected(self, capsys):
         """Long options match in full only: the retired ``--exact`` flag

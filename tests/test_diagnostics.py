@@ -145,26 +145,30 @@ BAD_KNOBS = [
 #: take the rest.
 ENGINE_KNOBS = ("engine", "refresh_interval")
 
+#: The rows the session checker owns; QueryEngine itself checks its
+#: engine knob (E008) and refuses sessions on the row reference (E001).
+SESSION_BAD_KNOBS = [(knobs, code) for knobs, code in BAD_KNOBS
+                     if "engine" not in knobs]
+
 
 class TestSessionMatrix:
     def test_valid_combinations_are_clean(self):
         assert session_diagnostics() == []
         assert session_diagnostics(window=100) == []
         assert session_diagnostics(window=100, shards=4) == []
-        assert session_diagnostics(engine="row") == []
         assert session_diagnostics(window=100, refresh_interval=50) == []
 
-    @pytest.mark.parametrize("knobs, expected", BAD_KNOBS, ids=lambda v: str(v))
+    @pytest.mark.parametrize("knobs, expected", SESSION_BAD_KNOBS,
+                             ids=lambda v: str(v))
     def test_bad_combination_yields_code(self, knobs, expected):
         diags = session_diagnostics(**knobs)
         assert expected in [d.code for d in diags]
 
     def test_unwindowed_sessions_are_clean(self):
-        """Without a window every engine still answers mid-stream
+        """Without a window a session still answers mid-stream
         results(), so no knob combination draws a caveat."""
-        assert session_diagnostics(engine="vector") == []
         assert session_diagnostics(shards=2) == []
-        assert session_diagnostics(engine="vector", shards=2) == []
+        assert session_diagnostics(refresh_interval=50) == []
 
 
 # -- hard errors gate open()/construction (one test per RPR-E code) -----------
@@ -207,10 +211,10 @@ class TestOpenTimeGates:
             engine.open(shards=0)
         assert diagnostic_code(err.value) == "RPR-E005"
 
-    def test_e001_row_engine_cannot_shard(self):
+    def test_e001_row_engine_is_one_shot(self):
         engine = QueryEngine(QUERY, geometry=GEOM, engine="row")
-        with pytest.raises(HardwareError) as err:
-            engine.open(shards=2)
+        with pytest.raises(HardwareError, match="one-shot") as err:
+            engine.open()
         assert diagnostic_code(err.value) == "RPR-E001"
 
     def test_e002_refresh_cannot_shard(self):

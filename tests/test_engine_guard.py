@@ -1,6 +1,7 @@
 """The ``engine`` knob alone picks the engine: ``"auto"`` is
 ``"vector"`` in every layer, and the row store and the interpreter
-run only under ``engine="row"``.
+run only under ``engine="row"``, which is one-shot: a session on it
+raises ``RPR-E001`` before any store is built.
 
 The guard patches the row engine's entry points to raise and drives
 every Fig. 2 query through each entry point under ``"auto"``, so a
@@ -14,7 +15,7 @@ and by ``run_exact``, before any store is built.
 import pytest
 
 from repro.cli import main
-from repro.core.errors import CheckpointError, HardwareError
+from repro.core.errors import HardwareError
 from repro.core.interpreter import Interpreter
 from repro.queries.catalog import FIG2_QUERIES
 from repro.switch.kvstore.backing import BackingStore
@@ -57,19 +58,40 @@ def row_engine_refused(monkeypatch):
     monkeypatch.setattr(Interpreter, "evaluate_stage", refuse)
 
 
+@pytest.fixture
+def stores_refused(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a store was allocated")
+
+    monkeypatch.setattr(SplitKeyValueStore, "__init__", refuse)
+    monkeypatch.setattr(WindowedVectorStore, "__init__", refuse)
+
+
 class TestStoreFromKnob:
-    @pytest.mark.parametrize("engine, store_type", [
-        ("auto", WindowedVectorStore),
-        ("vector", WindowedVectorStore),
-        ("row", SplitKeyValueStore),
-    ])
+    @pytest.mark.parametrize("engine", ["auto", "vector"])
     @pytest.mark.parametrize("entry", FIG2_QUERIES, ids=lambda e: e.name)
-    def test_store_is_built_before_first_ingest(self, entry, engine,
-                                                store_type):
+    def test_store_is_built_before_first_ingest(self, entry, engine):
         session = engine_for(entry, engine).open()
         for stage in session._engine.compiled.groupby_stages:
             store = session._pipeline.store_for(stage.query_name)
-            assert type(store) is store_type
+            assert type(store) is WindowedVectorStore
+
+
+@pytest.mark.usefixtures("stores_refused")
+class TestReferenceIsOneShot:
+    def test_sessions_refused_before_any_store(self):
+        """open(), resume() and serve() on the row reference raise
+        RPR-E001 before a store is built or a worker forked, whatever
+        the session knobs."""
+        import multiprocessing
+
+        qe = engine_for(FIG2_QUERIES[0], "row")
+        calls = [lambda: qe.open(), lambda: qe.open(window=97, shards=2),
+                 lambda: qe.resume(b""), lambda: qe.serve(window=97)]
+        for call in calls:
+            with pytest.raises(HardwareError, match=r"^\[RPR-E001\]"):
+                call()
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.usefixtures("row_engine_refused")
@@ -109,7 +131,6 @@ def backing_dicts_refused(monkeypatch):
         raise AssertionError("per-epoch backing-store dicts under 'auto'")
 
     monkeypatch.setattr(BackingStore, "absorb", refuse)
-    monkeypatch.setattr(BackingStore, "clone", refuse)
 
 
 @pytest.mark.usefixtures("backing_dicts_refused")
@@ -137,26 +158,22 @@ class TestAutoNeverAbsorbsPerEpoch:
 
 
 class TestFloatKeyRejected:
+    @pytest.mark.usefixtures("stores_refused")
     @pytest.mark.parametrize("engine", ["auto", "vector", "row"])
-    def test_run_and_open_raise_before_any_store(self, engine, trace,
-                                                 monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a store was allocated")
-
-        monkeypatch.setattr(SplitKeyValueStore, "__init__", refuse)
-        monkeypatch.setattr(WindowedVectorStore, "__init__", refuse)
+    def test_run_and_open_raise_before_any_store(self, engine, trace):
         qe = QueryEngine(FLOAT_KEY, geometry=GEOM, engine=engine)
         with pytest.raises(HardwareError, match=r"\[RPR-E302\].*'tout'"):
             qe.run(trace)
-        with pytest.raises(HardwareError, match=r"\[RPR-E302\]"):
+        # The reference refuses every session first.
+        with pytest.raises(HardwareError, match=r"\[RPR-E001\]"
+                           if engine == "row" else r"\[RPR-E302\]"):
             qe.open(window=997)
         # run_exact is the same pipeline on a never-evicting cache.
         with pytest.raises(HardwareError, match=r"\[RPR-E302\].*'tout'"):
             qe.run_exact(trace)
 
-    @pytest.mark.parametrize("engine", ["auto", "vector", "row"])
-    def test_lint_reports_the_code(self, engine, capsys):
-        code = main(["lint", FLOAT_KEY, "--engine", engine])
+    def test_lint_reports_the_code(self, capsys):
+        code = main(["lint", FLOAT_KEY])
         assert code == 1
         assert "RPR-E302" in capsys.readouterr().out
 
@@ -166,26 +183,3 @@ class TestFloatKeyRejected:
             qe.plan_cache(trace, [64])
         with pytest.raises(HardwareError, match=r"\[RPR-E302\]"):
             SwitchPipeline(qe.compiled)
-
-
-class TestCheckpointModes:
-    def test_never_fed_stage_resumes(self, trace):
-        """A checkpoint taken before a stage saw a chunk records it
-        with mode ``None`` and no store state; it resumes on the
-        store the knob builds."""
-        entry = FIG2_QUERIES[0]
-        qe = engine_for(entry)
-        session = qe.open(window=997)
-        state = session._pipeline.checkpoint_state()
-        state["modes"] = [None] * len(state["modes"])
-        state["stores"] = [None] * len(state["stores"])
-        fresh = qe.open(window=997)
-        fresh._pipeline.restore_state(state)
-        fresh.ingest(trace)
-        assert observables(fresh.close()) == observables(qe.run(trace))
-
-    def test_mode_mismatch_is_a_checkpoint_error(self):
-        entry = FIG2_QUERIES[0]
-        state = engine_for(entry, "row").open()._pipeline.checkpoint_state()
-        with pytest.raises(CheckpointError, match="row store"):
-            engine_for(entry).open()._pipeline.restore_state(state)

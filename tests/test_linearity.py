@@ -5,11 +5,17 @@ constructed folds spanning all matrix kinds and failure reasons, and
 (c) the history-variable machinery of footnote 4.
 """
 
+import pytest
 
 from repro.core.ast_nodes import Number
 from repro.core.linearity import analyze_fold, history_depths, if_convert
 from repro.core.parser import parse_program
 from repro.core.semantics import resolve_program
+from repro.switch.kvstore.cache import CacheGeometry
+from repro.telemetry.results import compare_tables
+from repro.telemetry.runtime import QueryEngine
+
+from tests.conftest import oracle_tables
 
 
 def fold_result(source):
@@ -230,3 +236,37 @@ def if_convert_from(fold_source):
     rp = resolve_program(parse_program(source))
     fold = rp.result_query().folds[0]
     return if_convert(fold.body, fold.state_vars)
+
+
+class TestDivisionAndNegation:
+    """``/`` by a state-free value and unary minus keep a fold linear
+    (``AffineForm.divide`` / ``negate``), and the store's merges of
+    such folds match the interpreter under evictions."""
+
+    HALVE = "def f (s, pkt_len):\n    s = (s + pkt_len) / 2\n"
+    FLIP = "def f (s, pkt_len):\n    s = -s + pkt_len\n"
+    MIRROR = "def f (s, pkt_len):\n    s = pkt_len - s\n"
+
+    @pytest.mark.parametrize("body, coeff", [
+        (HALVE, 0.5), (FLIP, -1), (MIRROR, -1)],
+        ids=["halve", "flip", "mirror"])
+    def test_linearity_class(self, body, coeff):
+        result = fold_result(body + "SELECT srcip, f GROUPBY srcip")
+        assert result.linear and result.matrix_kind == "diagonal"
+        assert result.matrix[("s", "s")] == Number(coeff)
+
+    @pytest.mark.parametrize("engine", ["row", "auto"])
+    @pytest.mark.parametrize("body", [HALVE, FLIP, MIRROR],
+                             ids=["halve", "flip", "mirror"])
+    def test_store_matches_interpreter_under_evictions(self, body, engine,
+                                                       trace):
+        source = body + "SELECT srcip, f GROUPBY srcip"
+        qe = QueryEngine(source, engine=engine,
+                         geometry=CacheGeometry.set_associative(8, ways=2))
+        report = qe.run(trace)
+        assert report.cache_stats["__result__"].evictions > 0
+        truth = oracle_tables(qe, trace)["__result__"]
+        if body is self.HALVE:
+            assert compare_tables(report.result, truth).exact
+        else:                           # an integer fold merges exactly
+            assert report.result.rows == truth.rows

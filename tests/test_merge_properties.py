@@ -167,16 +167,18 @@ WRAPS = {
 }
 
 
-@pytest.mark.parametrize("entry", ["run", "run_exact", "window"])
-@pytest.mark.parametrize("engine", ["row", "auto"])
+@pytest.mark.parametrize("engine, entry", [
+    (engine, entry) for entry in ("run", "run_exact", "ground_truth", "window")
+    for engine in ("row", "auto") if (engine, entry) != ("row", "window")])
 @pytest.mark.parametrize("case", sorted(WRAPS))
 def test_int64_intermediates_match_interpreter(case, engine, entry):
     """Every array evaluation proves its integer values below 2^63 or
     runs on exact Python ints, with one warning: the result equals the
-    interpreter's.  The row engine evaluates only WHERE masks and
-    projections on arrays (its folds run on Python ints); ``run_exact``
-    is the same session on a never-evicting cache, so it follows
-    ``run``'s rule."""
+    interpreter's.  The row reference evaluates only WHERE masks and
+    projections on arrays (its folds run on Python ints) and has no
+    windowed session; ``run_exact`` is ``run`` on a never-evicting
+    cache, so it follows ``run``'s rule, and so does
+    ``run(with_ground_truth=True)``, which runs both."""
     from repro.network.records import ObservationTable
     from repro.telemetry.runtime import QueryEngine
 
@@ -192,6 +194,10 @@ def test_int64_intermediates_match_interpreter(case, engine, entry):
             return engine_.run_exact(table)[rp.result].rows
         if entry == "run":
             return engine_.run(table).result.rows
+        if entry == "ground_truth":
+            report = engine_.run(table, with_ground_truth=True)
+            assert report.ground_truth[rp.result].rows == report.result.rows
+            return report.result.rows
         session = engine_.open(window=2)
         session.ingest(table)
         return session.close().result.rows

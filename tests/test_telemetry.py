@@ -38,6 +38,30 @@ class TestEngineBasics:
         assert diff.exact
 
 
+class TestCompareTables:
+    def test_ints_past_float_range_difference_exactly(self, tiny_trace):
+        """Exact-int folds can pass float range; two such ints are
+        subtracted as ints, never cast (which raised OverflowError)."""
+        from repro.core.interpreter import ResultTable
+
+        truth = QueryEngine("SELECT COUNT GROUPBY srcip",
+                            geometry=GEOM).run(tiny_trace).result
+        big = 10 ** 400
+        want = [dict(row, COUNT=big + row["COUNT"]) for row in truth.rows]
+        got = [dict(row) for row in want]
+        got[0]["COUNT"] += 1            # off by one at 10^400: within rel_tol
+        got[1]["COUNT"] = 1             # off by 10^400: past float range
+        diff = compare_tables(ResultTable(truth.schema, got),
+                              ResultTable(truth.schema, want))
+        assert diff.compared_cells == len(want)
+        assert diff.exact_cells == len(want) - 1
+        assert diff.max_abs_error == float("inf")
+        assert "cells exact" in diff.describe()
+        same = compare_tables(ResultTable(truth.schema, want),
+                              ResultTable(truth.schema, want))
+        assert same.exact and same.max_abs_error == 0.0
+
+
 class TestStats:
     def test_cache_stats_exposed(self, trace):
         engine = QueryEngine("SELECT COUNT GROUPBY srcip",

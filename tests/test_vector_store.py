@@ -343,26 +343,13 @@ class TestPipelineEngineKnob:
         trace = ObservationTable.from_arrays(
             synthetic_trace(n_packets=500, n_flows=10).columns())
         pipeline = SwitchPipeline(program, config=SessionConfig(
-            geometry=CacheGeometry.set_associative(8, ways=2),
-            engine="vector"))
+            geometry=CacheGeometry.set_associative(8, ways=2)))
         pipeline.run(trace)
         assert isinstance(pipeline.store_for(rp.result), WindowedVectorStore)
 
-    def test_row_mode_keeps_row_store(self):
-        rp = resolve_program(parse_program(COUNT))
-        program = compile_program(rp)
-        trace = ObservationTable.from_arrays(
-            synthetic_trace(n_packets=500, n_flows=10).columns())
-        pipeline = SwitchPipeline(program, config=SessionConfig(
-            geometry=CacheGeometry.set_associative(8, ways=2),
-            engine="row"))
-        pipeline.run(trace)
-        assert isinstance(pipeline.store_for(rp.result), SplitKeyValueStore)
-
     def test_invalid_engine_rejected(self):
-        program = compile_program(resolve_program(parse_program(COUNT)))
         with pytest.raises(HardwareError):
-            SwitchPipeline(program, config=SessionConfig(engine="warp"))
+            QueryEngine(COUNT, engine="warp")
 
     @pytest.mark.parametrize("engine", ["auto", "vector"])
     def test_vector_engine_columnizes_row_input(self, engine):
@@ -413,18 +400,22 @@ class TestPipelineEngineKnob:
         assert planned(qe.plan_cache(records, [8, 16])) == want_plan
         assert planned(qe.plan_cache(columnar, [8, 16])) == want_plan
 
-        def piped(config, batch):
+        def piped(batch):
             pipeline = SwitchPipeline(qe.compiled, params=qe.params,
-                                      config=config).run(batch)
+                                      config=qe.config).run(batch)
             return ({name: t.rows for name, t in
                      pipeline.results().items()}, pipeline.cache_stats())
 
-        want_piped = piped(oracle.config, columnar)
-        assert piped(qe.config, records) == want_piped
-        assert piped(qe.config, columnar) == want_piped
+        on_switch = [s.query_name for s in
+                     qe.compiled.select_stages + qe.compiled.groupby_stages]
+        want_piped = ({name: want[0][name] for name in on_switch}, want[1])
+        assert piped(records) == want_piped
+        assert piped(columnar) == want_piped
 
-    @pytest.mark.parametrize("engine", ["auto", "vector"])
-    def test_network_session_columnizes_row_input(self, engine):
+    def test_network_session_columnizes_row_input(self):
+        """A deployment columnizes row input at the door, and each
+        switch's tables are the row reference's ``run()`` over that
+        switch's own queues."""
         from repro.network.simulator import NetworkSimulator
         from repro.network.topology import LinkSpec, leaf_spine
         from repro.telemetry.deploy import NetworkDeployment
@@ -441,9 +432,9 @@ class TestPipelineEngineKnob:
         records = list(columnar)
         geometry = CacheGeometry.set_associative(16, ways=4)
 
-        def observed(deploy_engine, batch):
-            deploy = NetworkDeployment(LOSS, sim, geometry=geometry,
-                                       engine=deploy_engine)
+        deploy = NetworkDeployment(LOSS, sim, geometry=geometry)
+
+        def observed(batch):
             session = deploy.open()
             session.ingest(batch)
             report = session.close()
@@ -451,10 +442,19 @@ class TestPipelineEngineKnob:
                     {switch: {name: t.rows for name, t in tables.items()}
                      for switch, tables in report.per_switch.items()})
 
-        want = observed("row", columnar)
-        assert observed(engine, records) == want
-        assert observed(engine, iter(records)) == want
-        assert observed(engine, columnar) == want
+        want = observed(columnar)
+        assert observed(records) == want
+        assert observed(iter(records)) == want
+        oracle = QueryEngine(LOSS, geometry=geometry, engine="row")
+        columns = columnar.columns()
+        for switch, tables in want[1].items():
+            owned = [qid for qid, owner in deploy._queue_owner.items()
+                     if owner == switch]
+            mask = np.isin(columns["qid"], owned)
+            report = oracle.run(ObservationTable.from_arrays(
+                {name: col[mask] for name, col in columns.items()}))
+            assert {name: report.tables[name].rows
+                    for name in tables} == tables
 
 
 # -- every merge class against the row store ---------------------------------
@@ -629,10 +629,12 @@ class TestEveryMergeClass:
                 {f: col[:cut] for f, col in columns.items()}), self.GEOM) \
             if stage.where is None else None
         if prefix is not None:
-            want = prefix.snapshot(include_invalid=True)
-            assert mid.table.rows == want.table.rows
+            # A mid-stream snapshot reads as if the stream ended at the
+            # cut: the finalized reference store over the prefix.
+            assert mid.table.rows == \
+                prefix.result_table(include_invalid=True).rows
             assert (mid.stats, mid.backing_writes, mid.accuracy) == \
-                (want.stats, want.backing_writes, want.accuracy)
+                (prefix.stats, prefix.backing_writes, prefix.accuracy())
 
     @pytest.mark.parametrize("name", sorted(MERGE_CLASSES))
     def test_scalar_tail(self, name):
