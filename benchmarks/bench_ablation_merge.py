@@ -37,7 +37,7 @@ def interleaved_trace(n_packets: int = 20_000, n_flows: int = 60,
     that stresses the merge machinery."""
     import random
 
-    from repro.network.records import PacketRecord
+    from repro.network.records import ObservationTable, PacketRecord
 
     rng = random.Random(seed)
     records = []
@@ -54,7 +54,7 @@ def interleaved_trace(n_packets: int = 20_000, n_flows: int = 60,
             pkt_len=payload + 40, payload_len=payload, tcpseq=seq,
             pkt_id=i, qid=0, tin=t, tout=float(t + rng.randrange(50, 5000)),
             qin=rng.randrange(0, 32), qout=0, qsize=0, pkt_path=0))
-    return records
+    return ObservationTable(records)
 
 CASES = {
     "additive (COUNT+SUM)": (
@@ -144,7 +144,7 @@ def test_aux_cost_ordering(ablation):
 @pytest.mark.parametrize("label", list(CASES), ids=list(CASES))
 def test_strategy_throughput(benchmark, small_trace, label, ablation):
     source, params, exact_history = CASES[label]
-    records = small_trace.records[:5000]
+    records = small_trace[:5000]
 
     def run():
         return run_case(source, params, exact_history, records)

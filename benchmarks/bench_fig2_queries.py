@@ -31,7 +31,7 @@ def fig2_table(report, dc_trace):
         engine = QueryEngine(entry.source, params=entry.default_params,
                              geometry=GEOMETRY, exact_history=True)
         info = engine.info()
-        run = engine.run(dc_trace.records, with_ground_truth=True)
+        run = engine.run(dc_trace, with_ground_truth=True)
         truth = run.ground_truth[run.result_name]
         if run.result.schema.keyed and truth.schema.keyed:
             diff = compare_tables(run.result, truth, rel_tol=1e-6)
@@ -78,10 +78,9 @@ def _bench_entry(benchmark, small_trace, name, **engine_kwargs):
     entry = get(name)
     engine = QueryEngine(entry.source, params=entry.default_params,
                          geometry=GEOMETRY, **engine_kwargs)
-    records = small_trace.records
 
     def run():
-        return engine.run(records)
+        return engine.run(small_trace)
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert len(result.result) >= 0

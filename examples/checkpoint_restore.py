@@ -45,10 +45,7 @@ def main() -> None:
         n_flows=200, duration_ns=50_000_000, seed=11)).observation_table()
     # Plant ~0.5% drops (tout = +inf) so the loss-rate query has
     # something to report.
-    for i, record in enumerate(trace.records):
-        if i % 200 == 199:
-            record.tout = float("inf")
-    trace = ObservationTable.from_arrays(trace.columns())
+    trace.columns()["tout"][199::200] = float("inf")
     engine = QueryEngine(entry.source, params=entry.default_params,
                          geometry=CacheGeometry.set_associative(512, ways=8))
 

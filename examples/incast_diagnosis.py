@@ -47,7 +47,7 @@ def main() -> None:
 
     # Step 1: which queues are persistently deep?
     hot = QueryEngine(FIND_HOT_QUEUES, params={"K": 16},
-                      geometry=GEOMETRY).run(table.records)
+                      geometry=GEOMETRY).run(table)
     hot_queues = [int(row["qid"]) for row in hot.result]
     print(f"queues with p99 depth over threshold: {hot_queues}")
     assert scenario.hotspot_qid in hot_queues
@@ -56,7 +56,7 @@ def main() -> None:
     # Step 2: who is filling that queue?
     contributors = QueryEngine(
         FIND_CONTRIBUTORS, params={"HOT": hotspot, "D": 16},
-        geometry=GEOMETRY).run(table.records)
+        geometry=GEOMETRY).run(table)
     ranked = sorted(contributors.result.rows, key=lambda r: -r["COUNT"])
     print(f"\ntop contributors at queue {hotspot} while deep:")
     for row in ranked[:8]:
@@ -64,7 +64,7 @@ def main() -> None:
         print(f"  srcip={row['srcip']:#x}  pkts={row['COUNT']:<5} ({tag})")
 
     # Step 3: where did the loss happen?
-    loss = QueryEngine(LOCALISE_LOSS, geometry=GEOMETRY).run(table.records)
+    loss = QueryEngine(LOCALISE_LOSS, geometry=GEOMETRY).run(table)
     print("\ndrops by queue:")
     for row in loss.result.sort_key():
         print(f"  qid={int(row['qid'])}  drops={row['COUNT']}")

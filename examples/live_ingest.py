@@ -51,7 +51,6 @@ def chunked(table, size):
 def main() -> None:
     trace = DatacenterWorkload(DatacenterConfig(
         n_flows=300, duration_ns=60_000_000, seed=23)).observation_table()
-    trace = ObservationTable.from_arrays(trace.columns())
     engine = QueryEngine(QUERY,
                          geometry=CacheGeometry.set_associative(512, ways=8))
     ckpt_dir = Path(tempfile.mkdtemp(prefix="repro_serve_"))

@@ -59,7 +59,7 @@ def main() -> None:
     print(f"fabric trace: {len(table)} observations over "
           f"{len(sim.queues)} queues; {sim.dropped} packets dropped\n")
 
-    loss = QueryEngine(LOSS_RATES, geometry=GEOMETRY).run(table.records)
+    loss = QueryEngine(LOSS_RATES, geometry=GEOMETRY).run(table)
     lossy = sorted(loss.result.rows, key=lambda r: -r["loss_rate"])
     print(f"flows with loss ({len(lossy)} of "
           f"{len(loss.tables['R1'])} total):")
@@ -69,7 +69,7 @@ def main() -> None:
               f"loss={100 * row['loss_rate']:.1f}%")
 
     latency = QueryEngine(LATENCY_EWMA, params={"alpha": 0.1},
-                          geometry=GEOMETRY).run(table.records)
+                          geometry=GEOMETRY).run(table)
     worst = sorted(latency.result.rows, key=lambda r: -r["lat_est"])
     print("\nworst per-flow queueing-latency EWMAs (per queue visit):")
     for row in worst[:6]:

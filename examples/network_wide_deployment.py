@@ -91,7 +91,7 @@ def main() -> None:
     table = sim2.run()
     deploy2 = NetworkDeployment(EWMA, sim2, params={"alpha": 0.1},
                                 geometry=GEOMETRY)
-    report2 = deploy2.run(table.records)
+    report2 = deploy2.run(table)
     name2 = deploy2.compiled.result
     print(f"\nEWMA combinable across switches: {report2.combinable[name2]} "
           "(order-dependent; reported per queue/switch)")

@@ -60,15 +60,14 @@ def main() -> None:
     # for the final report.  (engine.run(...) is exactly this, in one
     # call, for bounded traces.)
     session = engine.open(window=4096)
-    records = table.records
-    half = len(records) // 2
-    session.ingest(records[:half])
+    half = len(table) // 2
+    session.ingest(table[:half])
     midway = session.results()
     print(f"mid-stream snapshot after {half} observations: "
           f"{len(midway.result)} flow pairs so far")
-    session.ingest(records[half:])
+    session.ingest(table[half:])
     report = session.close()
-    report.ground_truth = engine.run_exact(records)
+    report.ground_truth = engine.run_exact(table)
 
     stats = report.cache_stats[report.result_name]
     print(f"cache: {stats.accesses} accesses, {stats.hits} hits, "

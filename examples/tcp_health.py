@@ -57,7 +57,7 @@ def main() -> None:
     # -- linear-in-state: exact through evictions -----------------------
     oos = QueryEngine(OUT_OF_SEQ, geometry=GEOMETRY,
                       exact_history=True).run(
-        table.records, with_ground_truth=True)
+        table, with_ground_truth=True)
     truth = oos.ground_truth[oos.result_name].by_key()
     hw = oos.result.by_key()
     mism = sum(1 for k in truth
@@ -72,7 +72,7 @@ def main() -> None:
 
     # -- not linear in state: validity accounting ------------------------
     nonmt = QueryEngine(NON_MONOTONIC, geometry=GEOMETRY).run(
-        table.records, include_invalid=False)
+        table, include_invalid=False)
     accuracy = nonmt.accuracy[nonmt.result_name]
     flagged = [r for r in nonmt.result if r["nonmt.nm_count"] > 0]
     print("nonmt (not linear in state, per-epoch value segments):")

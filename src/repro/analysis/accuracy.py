@@ -51,10 +51,6 @@ class AccuracyPoint:
     def accuracy(self) -> float:
         return self.valid_keys / self.total_keys if self.total_keys else 1.0
 
-    @property
-    def paper_mbits(self) -> float:
-        return self.paper_pairs * 128 / (1 << 20)
-
 
 @dataclass
 class AccuracySweep:

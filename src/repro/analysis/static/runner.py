@@ -45,9 +45,6 @@ class CheckReport:
     def has_findings(self) -> bool:
         return bool(self.findings or self.unparseable)
 
-    def by_code(self, code: str) -> list[Finding]:
-        return [f for f in self.findings if f.code == code]
-
     def format(self) -> str:
         lines = [f.format() for f in self.findings]
         lines += [f"{path}: unparseable: {message}"

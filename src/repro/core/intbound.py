@@ -211,3 +211,20 @@ def addends(out: np.ndarray, b: np.ndarray, count: int, what: str,
         return out, b
     warn(what)
     return exact(out), exact(b)
+
+
+def factors(out: np.ndarray, a: np.ndarray, count: int,
+            what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``out`` and ``a`` for an ``np.multiply.at`` multiplying at most
+    ``count`` elements of ``a`` into each slot of ``out``: unchanged
+    while ``max|out|·max|a|^count`` stays below :data:`LIMIT`, else
+    both exact."""
+    if out.dtype.kind not in "iu" or a.dtype.kind not in "iu" or not count:
+        return out, a
+    top, factor = value_bound(out), value_bound(a)
+    if factor > 1:                  # past 64 factors of 2 any top >= 1 wraps
+        top *= factor ** min(count, 64)
+    if top < LIMIT:
+        return out, a
+    warn(what)
+    return exact(out), exact(a)

@@ -39,8 +39,9 @@ Row = dict[str, Numeric]
 class ResultTable:
     """Materialised result of one query.
 
-    Like :class:`~repro.network.records.ObservationTable`, the table is
-    in exactly one of two authority states:
+    Unlike :class:`~repro.network.records.ObservationTable` (columns
+    only), the table is in exactly one of two authority states, since
+    callers may rewrite its rows:
 
     * *columnar* — built by :meth:`from_columns` (the vectorized
       executor and the bulk split-store path); per-column numpy arrays

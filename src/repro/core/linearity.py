@@ -358,12 +358,6 @@ class LinearityResult:
     offset: dict[str, Expr] = field(default_factory=dict)
     matrix_kind: str = "identity"
 
-    @property
-    def mergeable(self) -> bool:
-        """Whether evictions of this fold can be merged in the backing
-        store (paper §3.2: exactly the linear-in-state folds)."""
-        return self.linear
-
 
 def analyze_fold(instance: FoldInstance) -> LinearityResult:
     """Run the full linear-in-state analysis on ``instance``."""

@@ -155,10 +155,10 @@ def init_aux(spec: MergeSpec) -> AuxState:
     """Fresh auxiliary registers for a newly inserted cache entry."""
     aux: AuxState = {}
     if spec.strategy == "scale":
-        aux["P"] = {v: 1.0 for v in spec.order}
+        aux["P"] = {v: 1 for v in spec.order}
     elif spec.strategy == "matrix":
         aux["P"] = {
-            (i, j): (1.0 if i == j else 0.0) for i in spec.order for j in spec.order
+            (i, j): int(i == j) for i in spec.order for j in spec.order
         }
     if spec.exact_history:
         aux["log"] = []            # field dicts of the first k packets
@@ -192,15 +192,15 @@ def update_aux(spec: MergeSpec, aux: AuxState, pre_state: State,
     if in_replay_prefix:
         return
     if spec.strategy == "scale":
-        product: dict[str, float] = aux["P"]  # type: ignore[assignment]
+        product: dict[str, Numeric] = aux["P"]  # type: ignore[assignment]
         for var in spec.order:
             coeff = spec.matrix.get((var, var))
-            a = evaluate(coeff, ctx) if coeff is not None else 0.0
+            a = evaluate(coeff, ctx) if coeff is not None else 0
             product[var] = a * product[var]
     elif spec.strategy == "matrix":
         product = aux["P"]  # type: ignore[assignment]
         step = {
-            (i, j): (evaluate(spec.matrix[(i, j)], ctx) if (i, j) in spec.matrix else 0.0)
+            (i, j): (evaluate(spec.matrix[(i, j)], ctx) if (i, j) in spec.matrix else 0)
             for i in spec.order for j in spec.order
         }
         new_product = {}

@@ -160,15 +160,6 @@ class SwitchProgram:
     result: str = ""
     params: frozenset[str] = frozenset()
 
-    def stage_for(self, query_name: str):
-        for stage in self.select_stages + self.groupby_stages:
-            if stage.query_name == query_name:
-                return stage
-        for stage in self.software_stages:
-            if stage.query.name == query_name:
-                return stage
-        raise KeyError(query_name)
-
     def describe(self) -> str:
         """Human-readable plan summary (used by examples and docs)."""
         lines = [f"parse fields: {', '.join(self.parse_fields)}"]

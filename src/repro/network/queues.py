@@ -100,9 +100,5 @@ class OutputQueue:
         return Departure(tin=now, tout=tout, qin=depth, qout=qout)
 
     @property
-    def depth(self) -> int:
-        return len(self._resident)
-
-    @property
     def drop_fraction(self) -> float:
         return self.drops / self.arrivals if self.arrivals else 0.0

@@ -8,33 +8,17 @@ Each record describes one packet's transit of one queue; a packet that
 traverses multiple queues contributes one record per queue (footnote
 2).  A dropped packet has ``tout == +inf`` (§2).
 
-Two representations are provided:
+* :class:`ObservationTable` is the table: one numpy array per schema
+  field (int64, float64 for ``tout``) — the fixed-width fields the
+  switch parser extracts (§3.1).  The executors, the stores, the trace
+  generators and the ``.npz`` persistence all work on these columns.
+* :class:`PacketRecord` is one row as a slotted object: what iterating
+  or indexing a table yields (a copy), and what callers may hand over
+  instead of a table.
 
-* :class:`PacketRecord` — a slotted per-row object, convenient for the
-  interpreter, the switch pipeline, and tests;
-* :class:`ObservationTable` — a struct-of-arrays table whose canonical
-  storage is one numpy array per schema field.  Row access
-  (iteration, indexing, ``.records``) materialises
-  :class:`PacketRecord` views lazily, so row-at-a-time consumers keep
-  working, while the columnar core gives the vectorized executor
-  (:mod:`repro.core.vector_exec`), the trace generators, and the
-  ``.npz`` persistence O(1)-per-column operations.
-
-A table is always in exactly one of two authority states:
-
-* *columnar* — ``_columns`` holds the data; built by
-  :meth:`from_arrays` / :meth:`load` or by the columnar trace
-  generators.  Aggregates (:meth:`key_array`, :meth:`unique_keys`,
-  :meth:`drop_count`, :meth:`duration_ns`) and persistence run as
-  numpy column operations.
-* *row* — ``_rows`` holds a mutable list of :class:`PacketRecord`;
-  entered on construction from records, on :meth:`append`, or the
-  first time ``.records`` is touched (callers may mutate the list, so
-  the columnar copy cannot be kept coherent and is dropped).
-
-Below the public API there is only one form: every entry point passes
-its input through :func:`as_table`, which returns a columnar table —
-the fixed-width integer fields the switch parser extracts (§3.1).
+Every entry point passes its input through :func:`as_table`, which
+returns a table as is and columnizes a record iterable or a column
+dict.
 """
 
 from __future__ import annotations
@@ -136,114 +120,49 @@ _FIELD_DEFAULTS: dict[str, int | float] = {
 
 
 class ObservationTable:
-    """A materialised observation table with native columnar storage.
+    """A materialised observation table: one numpy array per schema field.
 
-    Iterating yields :class:`PacketRecord` objects in arrival order
-    (the order matters: the language supports order-dependent folds).
-    Mutating rows requires going through ``.records``, which switches
-    the table to row authority.
+    Iterating yields :class:`PacketRecord` copies in arrival order (the
+    order matters: the language supports order-dependent folds);
+    ``table[i]`` is one such copy and ``table[a:b]`` a view.  Writes go
+    through :meth:`columns`, the table's own storage.
     """
 
-    def __init__(self, records: Iterable[PacketRecord] | None = None):
-        self._rows: list[PacketRecord] | None = (
-            list(records) if records is not None else []
-        )
-        self._columns: dict[str, np.ndarray] | None = None
-
-    # -- authority management ------------------------------------------------
-
-    @property
-    def is_columnar(self) -> bool:
-        """True when the canonical storage is the column dict."""
-        return self._columns is not None
-
-    @property
-    def records(self) -> list[PacketRecord]:
-        """The mutable row list; materialised from columns on demand.
-
-        Touching this drops the columnar storage (the caller may mutate
-        rows, which cannot be reflected into a retained column copy).
-        """
-        if self._rows is None:
-            self._rows = self._materialize_rows()
-            self._columns = None
-        return self._rows
-
-    def _materialize_rows(self) -> list[PacketRecord]:
-        columns = self._columns
-        assert columns is not None
-        # tolist() converts to native Python scalars, so the records are
-        # indistinguishable from ones built row-at-a-time.
-        data = [columns[name].tolist() for name in RECORD_FIELDS]
-        return [PacketRecord(*values) for values in zip(*data)]
+    def __init__(self, records: Iterable[PacketRecord] = ()):
+        self._columns = _record_columns(list(records))
 
     def __len__(self) -> int:
-        if self._rows is not None:
-            return len(self._rows)
         return len(self._columns["tin"])
 
     def __iter__(self) -> Iterator[PacketRecord]:
-        if self._rows is not None:
-            return iter(self._rows)
-        return self._iter_columnar()
-
-    def _iter_columnar(self) -> Iterator[PacketRecord]:
-        """Lazy row views: records are built one at a time (consumers
-        that stop early never pay for the tail) and the table keeps
-        columnar authority.  The yielded records are ephemeral —
-        mutating them does not write back; use ``.records`` for that."""
-        columns = self._columns
-        assert columns is not None
-        data = [columns[name].tolist() for name in RECORD_FIELDS]
+        # tolist() converts to native Python scalars, so the records are
+        # indistinguishable from ones built row-at-a-time.
+        data = [self._columns[name].tolist() for name in RECORD_FIELDS]
         for values in zip(*data):
             yield PacketRecord(*values)
 
     def __getitem__(self, index: int | slice):
         if isinstance(index, slice):
-            # A columnar slice is a view: numpy basic slicing, no copy.
-            if self._rows is not None:
-                return ObservationTable(self._rows[index])
+            # numpy basic slicing: a view, no copy.
             return ObservationTable._adopt(
                 {name: col[index] for name, col in self._columns.items()})
-        if self._rows is not None:
-            return self._rows[index]
-        columns = self._columns
-        n = len(self)
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError("table index out of range")
-        return PacketRecord(*(columns[name][index].item() for name in RECORD_FIELDS))
-
-    def append(self, record: PacketRecord) -> None:
-        self.records.append(record)
+        return PacketRecord(*(self._columns[name][index].item()
+                              for name in RECORD_FIELDS))
 
     # -- columnar conversion -------------------------------------------------
 
     def columns(self) -> dict[str, np.ndarray]:
-        """The full column dict (one array per schema field).
-
-        Columnar tables return their canonical storage — treat it as
-        read-only.  Row-authority tables build a fresh columnar copy.
-        """
-        if self._columns is not None:
-            return self._columns
-        return _record_columns(self._rows)
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """Columnar copy: one numpy array per field."""
-        if self._columns is not None:
-            return {name: array.copy() for name, array in self._columns.items()}
-        return self.columns()
+        """The column dict (one array per schema field): the table's
+        storage itself, so a write to it lands in the table."""
+        return self._columns
 
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, np.ndarray | Sequence]
                     ) -> "ObservationTable":
-        """Build a columnar table from arrays; missing columns default.
+        """Build a table from arrays; missing columns default.
 
-        This is the fast path: input arrays are cast to the canonical
-        dtypes (int64, float64 for ``tout``) and adopted without any
-        per-record work.
+        Input arrays are cast to the canonical dtypes (int64, float64
+        for ``tout``) and adopted without any per-record work.
         """
         lengths = {len(a) for a in arrays.values()}
         if len(lengths) > 1:
@@ -261,9 +180,9 @@ class ObservationTable:
     @classmethod
     def concat(cls, tables: Sequence["ObservationTable"]
                ) -> "ObservationTable":
-        """One columnar table holding ``tables`` in order (one
-        ``np.concatenate`` per field; a single table passes through
-        :func:`as_table` uncopied)."""
+        """One table holding ``tables`` in order (one ``np.concatenate``
+        per field; a single table passes through :func:`as_table`
+        uncopied)."""
         if not tables:
             return cls.from_arrays({})
         if len(tables) == 1:
@@ -274,28 +193,16 @@ class ObservationTable:
 
     @classmethod
     def _adopt(cls, columns: dict[str, np.ndarray]) -> "ObservationTable":
-        """A columnar table over ``columns`` as given (canonical dtypes,
-        every field present): no cast, no copy."""
+        """A table over ``columns`` as given (canonical dtypes, every
+        field present): no cast, no copy."""
         table = cls.__new__(cls)
-        table._rows = None
         table._columns = columns
         return table
-
-    def key_array(self, key_fields: Sequence[str]) -> np.ndarray:
-        """Collapse the per-record key tuples into one int64 array of
-        mixed hashes — the fast path used by large cache simulations
-        where only key identity matters (e.g. the Fig. 5 sweep)."""
-        columns = self.columns()
-        mixed = np.zeros(len(self), dtype=np.int64)
-        with np.errstate(over="ignore"):
-            for name in key_fields:
-                mixed = mixed * np.int64(1_000_003) + columns[name].astype(np.int64)
-        return mixed
 
     # -- persistence --------------------------------------------------------------
 
     def save(self, path: str) -> None:
-        np.savez_compressed(path, **self.columns())
+        np.savez_compressed(path, **self._columns)
 
     @classmethod
     def load(cls, path: str) -> "ObservationTable":
@@ -305,10 +212,9 @@ class ObservationTable:
     # -- conveniences ------------------------------------------------------------
 
     def unique_keys(self, key_fields: Sequence[str]) -> int:
-        columns = self.columns()
         if not len(self):
             return 0
-        stacked = np.stack([columns[name] for name in key_fields], axis=1)
+        stacked = np.stack([self._columns[name] for name in key_fields], axis=1)
         return len(np.unique(stacked, axis=0))
 
     def duration_ns(self) -> int:
@@ -319,11 +225,11 @@ class ObservationTable:
         """
         if not len(self):
             return 0
-        tin = self.columns()["tin"]
+        tin = self._columns["tin"]
         return int(tin.max() - tin.min())
 
     def drop_count(self) -> int:
-        return int(np.isinf(self.columns()["tout"]).sum())
+        return int(np.isinf(self._columns["tout"]).sum())
 
 
 def _record_columns(rows: Sequence[object]) -> dict[str, np.ndarray]:
@@ -352,18 +258,15 @@ def _record_columns(rows: Sequence[object]) -> dict[str, np.ndarray]:
 
 
 def as_table(batch: object) -> ObservationTable:
-    """The door below the public API: any batch in, one columnar
+    """The door below the public API: any batch in, one
     :class:`ObservationTable` out.
 
-    A columnar table passes through as the same object (no copy).  A
-    row-authority table, a list or any other iterable of records, or a
-    column dict (``from_arrays`` rules: missing fields default) becomes
-    a fresh columnar table; the caller's object is left untouched.
+    A table passes through as the same object (no copy).  A list or
+    any other iterable of records, or a column dict (``from_arrays``
+    rules: missing fields default) becomes a fresh table.
     """
     if isinstance(batch, ObservationTable):
-        if batch.is_columnar:
-            return batch
-        return ObservationTable._adopt(batch.columns())
+        return batch
     if isinstance(batch, Mapping):
         return ObservationTable.from_arrays(batch)
-    return ObservationTable._adopt(_record_columns(list(batch)))
+    return ObservationTable(batch)

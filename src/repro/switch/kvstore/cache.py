@@ -274,17 +274,6 @@ class KeyValueCache(Generic[V]):
             return 0
         return mix_key(key, self.seed) % self.geometry.n_buckets
 
-    def _bucket_for(self, key: Hashable) -> OrderedDict[Hashable, Entry[V]]:
-        return self._buckets[self._bucket_index(key)]
-
-    def get(self, key: Hashable) -> Entry[V] | None:
-        """Read without updating recency (diagnostics only — the paper
-        notes results are read from the backing store, not the cache)."""
-        return self._bucket_for(key).get(key)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return self.get(key) is not None
-
     def __len__(self) -> int:
         return sum(len(b) for b in self._buckets)
 

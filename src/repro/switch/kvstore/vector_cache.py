@@ -707,9 +707,8 @@ class CacheSchedule:
         self.policy = policy
         self.seed = seed
         self.stacked = geometry.m_slots == 1 or policy == "lru"
-        # Stack distances: the resident keys (rows, ids, hashes), per
-        # set oldest → newest.
-        self._res_keys: np.ndarray | None = None
+        # Stack distances: the resident keys (ids, hashes), per set
+        # oldest → newest.
         self._res_gids = np.zeros(0, dtype=np.int64)
         self._res_hashes = np.zeros(0, dtype=np.uint64)
         # Ring replay: state rows of the touched sets.
@@ -721,28 +720,27 @@ class CacheSchedule:
         self._count = np.zeros(0, dtype=np.int64)
         self._counters = np.zeros(0, dtype=np.uint64)
 
-    def schedule(self, keys2d: np.ndarray, gids: np.ndarray,
-                 hashes: np.ndarray, final: bool = False,
-                 ) -> tuple[np.ndarray, int]:
+    def schedule(self, gids: np.ndarray, hashes: np.ndarray,
+                 final: bool = False) -> tuple[np.ndarray, int]:
         """Miss flags (stream order) and eviction count of the next
-        window: ``keys2d`` holds its key rows, ``gids`` their key ids
-        (equal key ⇔ equal id, the same id in every window, ``< 2^31``)
-        and ``hashes`` their :func:`mix_key_array` under the schedule's
-        seed.  ``final`` marks the last window, whose residency nothing
-        reads: the stack-distance path then skips extracting it."""
+        window: ``gids`` holds its key ids (equal key ⇔ equal id, the
+        same id in every window, ``< 2^31``) and ``hashes`` the keys'
+        :func:`mix_key_array` under the schedule's seed — all the
+        simulation reads of a key.  ``final`` marks the last window,
+        whose residency nothing reads: the stack-distance path then
+        skips extracting it."""
         if not len(gids):
             return np.zeros(0, dtype=bool), 0
         r = len(self._res_gids)
-        keys, ids = keys2d, gids
+        ids = gids
         if r:
-            keys = np.concatenate([self._res_keys, keys2d])
             ids = np.concatenate([self._res_gids, gids])
             hashes = np.concatenate([self._res_hashes, hashes])
-        sim = VectorCacheSim(keys, seed=self.seed, key_ids=ids, hashes=hashes)
+        sim = VectorCacheSim(ids, seed=self.seed, key_ids=ids, hashes=hashes)
         stats, miss = sim.stats_and_schedule(self.geometry, self.policy,
                                              carry=self)
         if self.stacked and not final:
-            self._keep_residency(sim, keys)
+            self._keep_residency(sim)
         return miss[r:], stats.evictions
 
     def resident(self, gids: np.ndarray) -> np.ndarray:
@@ -753,7 +751,7 @@ class CacheSchedule:
         held = self._ring[:self._n_sets]
         return np.isin(gids, held[held != _FILLER])
 
-    def _keep_residency(self, sim: VectorCacheSim, keys: np.ndarray) -> None:
+    def _keep_residency(self, sim: VectorCacheSim) -> None:
         """Read each set's resident keys, oldest → newest, off the
         simulator's memoized layout: a set's last access for ``m == 1``,
         otherwise the last ``m`` of the kept accesses whose next
@@ -777,7 +775,6 @@ class CacheSchedule:
         if layout.order is not None:
             pos = layout.order[pos]
         self._res_gids = ids.astype(np.int64)
-        self._res_keys = keys[pos]
         self._res_hashes = sim._hash()[pos]
 
     def _replay(self, kz: np.ndarray, starts: np.ndarray, lens: np.ndarray,
@@ -844,9 +841,8 @@ class CacheSchedule:
         if self.stacked:
             return {
                 "kind": "lru",
-                "res_keys": None if self._res_keys is None
-                else self._res_keys.copy(),
                 "res_gids": self._res_gids.copy(),
+                "res_hashes": self._res_hashes.copy(),
             }
         n = self._n_sets
         return {
@@ -869,10 +865,8 @@ class CacheSchedule:
                 f"scheduler state mismatch: snapshot carries "
                 f"{state.get('kind')!r}, store expects {kind!r}")
         if self.stacked:
-            self._res_keys = state["res_keys"]
             self._res_gids = state["res_gids"]
-            if self._res_keys is not None:
-                self._res_hashes = mix_key_array(self._res_keys, self.seed)
+            self._res_hashes = state["res_hashes"]
             return
         self._known_ids = state["known_ids"]
         self._known_rows = state["known_rows"]

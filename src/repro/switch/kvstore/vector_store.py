@@ -348,7 +348,9 @@ class VectorSplitStore:
         ``cont`` (array-backed) seeds continuing epochs' state and
         running product — multiplications then continue in packet order
         from the carried product, exactly like the scalar ``P ← a·P``
-        updates."""
+        updates.  ``P`` takes the coefficients' dtype (an integer fold
+        keeps an integer product) and runs on exact ints when the
+        longest epoch's product may reach 2^63."""
         spec = fold.merge
         override = None if cont is None else \
             cont.override(fold, layout.n_groups, fold.instance.state_vars)
@@ -359,14 +361,18 @@ class VectorSplitStore:
             pre, _ = vec._history_values(ctx, layout, init_override=override)
         pctx = ArrayContext(ctx.columns, self.params, ctx.n, state=pre)
         regs: dict[tuple, np.ndarray] = {}
+        longest = int(layout.counts.max()) if layout.n_groups else 0
         for var, coeff in zip(spec.order, coeffs):
-            prod = np.ones(layout.n_groups, dtype=np.float64)
-            if cont is not None and len(cont.eids):
-                prod[cont.eids] = cont.register(("P", var))
-            if coeff is None:
-                a: np.ndarray | float = 0.0
-            else:
-                a = as_column(eval_array(coeff, pctx), ctx.n)
+            a = np.zeros(ctx.n, dtype=np.int64) if coeff is None else \
+                as_column(eval_array(coeff, pctx), ctx.n)
+            carried = cont.register(("P", var)) \
+                if cont is not None and len(cont.eids) else a[:0]
+            prod = np.ones(layout.n_groups, dtype=np.result_type(
+                a.dtype, carried.dtype, np.int64))
+            if len(carried):
+                prod[cont.eids] = carried
+            prod, a = intbound.factors(prod, a, longest,
+                                       f"merge product P ({var})")
             np.multiply.at(prod, layout.gid, a)
             regs[("P", var)] = prod
         return _FoldEpochs(spec, states, regs=regs)

@@ -538,7 +538,7 @@ class WindowedVectorStore(VectorSplitStore):
         gid = self._map_global(keys2d, h)
 
         # Replacement schedule with carried residency.
-        miss, evictions = self._sched.schedule(keys2d, gid, h, final)
+        miss, evictions = self._sched.schedule(gid, h, final)
         stats = self._stats
         misses = int(np.count_nonzero(miss))
         stats.accesses += n

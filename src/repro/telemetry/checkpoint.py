@@ -27,7 +27,10 @@ import zlib
 from repro.core.errors import CheckpointError
 
 MAGIC = b"RPROCKPT"
-#: Payload layout version.  6: every store state is the vector
+#: Payload layout version.  7: the LRU cache schedule carries its
+#: resident keys' ids and hashes (``res_gids`` / ``res_hashes``, no key
+#: rows), and an integer scale/matrix merge product ``P`` keeps its
+#: integer dtype.  6: every store state is the vector
 #: store's (no ``"row"`` store kind, no per-stage ``modes`` list);
 #: version 5 could carry the row store's Python-object buckets.
 #: Version 5 also moved the FIFO/random cache schedule to its rings
@@ -36,7 +39,7 @@ MAGIC = b"RPROCKPT"
 #: ``"packed"``), version 3 could carry an exact-mode session's buffered
 #: input (``exact`` / ``buffered``), and version 2 a pickled backing
 #: store (``backing_data``).  Older payloads are refused.
-VERSION = 6
+VERSION = 7
 
 _HEADER = struct.Struct("<8sHQI")  # magic, version, payload len, crc32
 

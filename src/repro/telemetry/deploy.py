@@ -313,9 +313,6 @@ class _RemoteSwitchSession:
         return self._pool.submit(self._worker, "close",
                                  {"switch": self._switch})
 
-    def close(self):
-        return self._pool.result(self.submit_close())
-
     def cache_stats(self):
         return self._pool.call(self._worker, "cache_stats",
                                {"switch": self._switch})

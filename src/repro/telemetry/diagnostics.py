@@ -37,10 +37,8 @@ without cycles.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterator
 
 __all__ = [
     "CODES",
@@ -347,12 +345,6 @@ class DiagnosticsReport:
 
     diagnostics: tuple[Diagnostic, ...] = field(default=())
 
-    def __iter__(self) -> Iterator[Diagnostic]:
-        return iter(self.diagnostics)
-
-    def __len__(self) -> int:
-        return len(self.diagnostics)
-
     @property
     def errors(self) -> tuple[Diagnostic, ...]:
         return tuple(d for d in self.diagnostics if d.severity == "error")
@@ -399,6 +391,3 @@ class DiagnosticsReport:
             "infos": len(self.infos),
             "diagnostics": [d.to_json() for d in self.diagnostics],
         }
-
-    def dumps(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json(), indent=indent)

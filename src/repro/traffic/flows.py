@@ -28,9 +28,6 @@ class FlowSpec:
     start_ns: int
     mean_gap_ns: float
 
-    def five_tuple(self) -> tuple[int, int, int, int, int]:
-        return (self.srcip, self.dstip, self.srcport, self.dstport, self.proto)
-
 
 def synth_flow_ids(rng: np.random.Generator, n_flows: int,
                    proto: int = 6) -> dict[str, np.ndarray]:

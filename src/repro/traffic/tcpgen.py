@@ -10,13 +10,14 @@ per-flow sequence progression with the three classic anomaly sources:
   both out-of-sequence and non-monotonic;
 * *duplicates* — a segment appears twice (spurious retransmit).
 
-The perturbations operate on an observation table in place, so any
-generator's output can be "TCP-ified" for the catalog queries.
+Both functions here rewrite a table's ``tcpseq`` / ``payload_len``
+columns in place, so any generator's output can be "TCP-ified" for the
+catalog queries.  A TCP flow is the set of ``proto == 6`` rows sharing
+a five-tuple, taken in stream order.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,33 +46,41 @@ def inject_tcp_anomalies(table: ObservationTable,
     Returns counters of injected events, useful for asserting that the
     catalog queries detect what was planted.
 
-    The table is modified in place:
+    Flows are visited in order of first appearance; each flow of three
+    or more packets draws one uniform per packet, and every packet but
+    the first and last may become (rates from ``config``, tried in this
+    order):
 
-    * *retransmit*: a random packet's sequence number is rewritten to
-      repeat the previous segment of its flow (models a re-sent loss);
-    * *reorder*: a packet swaps sequence numbers with its flow's next
-      packet;
-    * *duplicate*: a packet's sequence is replayed verbatim on the
-      following packet of the flow.
+    * *retransmit*: its sequence number and payload repeat the segment
+      two packets back in its flow (models a re-sent loss);
+    * *reorder*: it swaps sequence number and payload with its flow's
+      next packet;
+    * *duplicate*: its sequence number and payload are replayed on its
+      flow's next packet.
+
+    Later packets see earlier rewrites, so the pass is sequential over
+    Python lists, written back to the columns at the end.
     """
     config = config or TcpAnomalyConfig()
     rng = np.random.default_rng(config.seed)
-
-    # Group record indices per TCP flow, preserving stream order.
-    flows: dict[tuple, list[int]] = defaultdict(list)
-    for i, record in enumerate(table.records):
-        if record.proto == 6:
-            flows[record.five_tuple()].append(i)
+    columns = table.columns()
+    tcp = np.flatnonzero(columns["proto"] == 6)
+    gid, _, n_flows = factorize([columns[f][tcp] for f in FIVE_TUPLE])
+    # Each flow's row indices in stream order, flow after flow.
+    rows = tcp[np.argsort(gid, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(gid, minlength=n_flows)).tolist()
+    seq = columns["tcpseq"].tolist()
+    pay = columns["payload_len"].tolist()
 
     counts = {"retransmit": 0, "reorder": 0, "duplicate": 0}
-    records = table.records
-    for indices in flows.values():
+    start = 0
+    for end in ends:
+        indices, start = rows[start:end], end
         if len(indices) < 3:
             continue
         u = rng.random(len(indices))
         for pos in range(1, len(indices) - 1):
             idx = indices[pos]
-            prev_idx = indices[pos - 1]
             next_idx = indices[pos + 1]
             roll = u[pos]
             if roll < config.retransmit_rate:
@@ -79,21 +88,19 @@ def inject_tcp_anomalies(table: ObservationTable,
                 # sequence is the previous packet's, so replaying the
                 # segment before it lands strictly below the maximum
                 # (what the paper's ``nonmt`` fold detects).
-                older_idx = indices[pos - 2] if pos >= 2 else prev_idx
-                records[idx].tcpseq = records[older_idx].tcpseq
-                records[idx].payload_len = records[older_idx].payload_len
+                older_idx = indices[max(pos - 2, 0)]
+                seq[idx], pay[idx] = seq[older_idx], pay[older_idx]
                 counts["retransmit"] += 1
             elif roll < config.retransmit_rate + config.reorder_rate:
-                records[idx].tcpseq, records[next_idx].tcpseq = (
-                    records[next_idx].tcpseq, records[idx].tcpseq)
-                records[idx].payload_len, records[next_idx].payload_len = (
-                    records[next_idx].payload_len, records[idx].payload_len)
+                seq[idx], seq[next_idx] = seq[next_idx], seq[idx]
+                pay[idx], pay[next_idx] = pay[next_idx], pay[idx]
                 counts["reorder"] += 1
             elif roll < (config.retransmit_rate + config.reorder_rate
                          + config.duplicate_rate):
-                records[next_idx].tcpseq = records[idx].tcpseq
-                records[next_idx].payload_len = records[idx].payload_len
+                seq[next_idx], pay[next_idx] = seq[idx], pay[idx]
                 counts["duplicate"] += 1
+    columns["tcpseq"][:] = seq
+    columns["payload_len"][:] = pay
     return counts
 
 
@@ -107,25 +114,13 @@ def clean_sequence_table(table: ObservationTable) -> None:
     generators that emit standard cumulative TCP numbering (next seq ==
     prev seq + payload) would register every packet as out-of-sequence
     under that convention, so catalog tests normalise with this helper
-    before injecting anomalies.
-
-    Columnar tables are rewritten in place as a segmented prefix sum
-    (no row materialisation); row tables take the sequential loop.
+    before injecting anomalies.  Each flow's first packet gets 1000;
+    the rewrite is one segmented prefix sum over the ``tcpseq`` column.
     """
-    if table.is_columnar:
-        columns = table.columns()
-        tcp = np.flatnonzero(columns["proto"] == 6)
-        if len(tcp) == 0:
-            return
-        gid, _, _ = factorize([columns[f][tcp] for f in FIVE_TUPLE])
-        increments = columns["payload_len"][tcp] + 1
-        columns["tcpseq"][tcp] = per_flow_prefix(gid, increments, start=1000)
+    columns = table.columns()
+    tcp = np.flatnonzero(columns["proto"] == 6)
+    if len(tcp) == 0:
         return
-    next_seq: dict[tuple, int] = {}
-    for record in table.records:
-        if record.proto != 6:
-            continue
-        key = record.five_tuple()
-        seq = next_seq.get(key, 1000)
-        record.tcpseq = seq
-        next_seq[key] = seq + record.payload_len + 1
+    gid, _, _ = factorize([columns[f][tcp] for f in FIVE_TUPLE])
+    increments = columns["payload_len"][tcp] + 1
+    columns["tcpseq"][tcp] = per_flow_prefix(gid, increments, start=1000)

@@ -25,7 +25,7 @@ def synthetic_trace(n_packets: int = 5000, n_flows: int = 50,
                     n_queues: int = 2) -> ObservationTable:
     """A deterministic multi-flow trace with drops and latency spread."""
     rng = random.Random(seed)
-    table = ObservationTable()
+    records = []
     t = 0
     seqs: dict[int, int] = {}
     for i in range(n_packets):
@@ -36,7 +36,7 @@ def synthetic_trace(n_packets: int = 5000, n_flows: int = 50,
         seqs[flow] = seq + payload + 1
         dropped = rng.random() < drop_rate
         delay = rng.randrange(100, 2_000_000)
-        table.append(PacketRecord(
+        records.append(PacketRecord(
             srcip=0x0A000000 + flow,
             dstip=0x0B000000 + (flow % 7),
             srcport=1024 + flow,
@@ -54,7 +54,7 @@ def synthetic_trace(n_packets: int = 5000, n_flows: int = 50,
             qsize=rng.randrange(0, 40),
             pkt_path=flow % 3,
         ))
-    return table
+    return ObservationTable(records)
 
 
 def oracle_tables(engine, records) -> dict:

@@ -36,7 +36,7 @@ class TestEquivalenceWithText:
 
     @pytest.fixture(scope="class")
     def records(self):
-        return synthetic_trace(n_packets=1500, n_flows=25).records
+        return synthetic_trace(n_packets=1500, n_flows=25)
 
     def test_simple_groupby(self, records):
         built = program(
@@ -182,7 +182,7 @@ class TestBuilderThroughHardware:
             result=query().select(count()).groupby("srcip"))
         engine = QueryEngine(built,
                              geometry=CacheGeometry.set_associative(8, ways=2))
-        records = synthetic_trace(n_packets=800, n_flows=30).records
+        records = synthetic_trace(n_packets=800, n_flows=30)
         report = engine.run(records)
         truth = oracle_tables(engine, records)[report.result_name]
         assert report.result.by_key() == truth.by_key()

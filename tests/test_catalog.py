@@ -38,7 +38,7 @@ class TestEveryEntry:
     def test_runs_end_to_end(self, entry, trace):
         engine = QueryEngine(entry.source, params=entry.default_params,
                              geometry=GEOM)
-        report = engine.run(trace.records)
+        report = engine.run(trace)
         result = report.result
         for column in entry.result_columns:
             assert result.schema.resolve(column) is not None, column
@@ -50,7 +50,7 @@ class TestEveryEntry:
         engine = QueryEngine(entry.source, params=entry.default_params,
                              geometry=CacheGeometry.set_associative(16, ways=4),
                              exact_history=True)
-        report = engine.run(trace.records)
+        report = engine.run(trace)
         truth = oracle_tables(engine, trace)[report.result_name]
         if report.result.schema.keyed:
             diff = compare_tables(report.result, truth, rel_tol=1e-6)
@@ -63,7 +63,7 @@ class TestDetection:
     def test_loss_rate_finds_lossy_flows(self, trace):
         entry = get("per_flow_loss_rate")
         engine = QueryEngine(entry.source, geometry=GEOM)
-        report = engine.run(trace.records)
+        report = engine.run(trace)
         dropped_flows = {
             (r.srcip, r.dstip, r.srcport, r.dstport, r.proto)
             for r in trace if r.dropped
@@ -93,7 +93,7 @@ class TestDetection:
         entry = get("per_flow_high_latency")
         engine = QueryEngine(entry.source, params={"L": 1_000_000},
                              geometry=GEOM)
-        report = engine.run(trace.records)
+        report = engine.run(trace)
         diff = compare_tables(report.result,
                               oracle_tables(engine, trace)[report.result_name])
         assert diff.exact, diff.describe()

@@ -131,14 +131,14 @@ class TestCheckpointFormat:
 
     def test_version_2_blob_names_both_versions(self, trace):
         """A version-2 checkpoint (pickled backing-store entries) is
-        refused by the version-6 reader, which names both versions."""
-        assert VERSION == 6
+        refused by the version-7 reader, which names both versions."""
+        assert VERSION == 7
         session = ingest_upto(make_engine().open(window=128), trace, 300)
         body = session.checkpoint()[_HEADER.size:]
         session.close()
         data = _HEADER.pack(MAGIC, 2, len(body), zlib.crc32(body)) + body
         with pytest.raises(CheckpointError,
-                           match=r"version 2 \(this build reads version 6\)"):
+                           match=r"version 2 \(this build reads version 7\)"):
             make_engine().resume(data)
 
     def test_truncated_payload(self):
@@ -279,7 +279,7 @@ class TestMidStreamBitIdentity:
         body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         data = _HEADER.pack(MAGIC, 4, len(body), zlib.crc32(body)) + body
         with pytest.raises(CheckpointError,
-                           match=r"version 4 \(this build reads version 6\)"):
+                           match=r"version 4 \(this build reads version 7\)"):
             engine.resume(data)
 
     def test_retired_row_store_payload_rejected(self, trace):
@@ -298,10 +298,29 @@ class TestMidStreamBitIdentity:
         body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         data = _HEADER.pack(MAGIC, 5, len(body), zlib.crc32(body)) + body
         with pytest.raises(CheckpointError,
-                           match=r"version 5 \(this build reads version 6\)"):
+                           match=r"version 5 \(this build reads version 7\)"):
             engine.resume(data)
         with pytest.raises(CheckpointError, match="'row'"):
             engine.resume(pack_checkpoint(payload))
+
+    def test_retired_lru_key_rows_payload_rejected(self, trace):
+        """Version 6 carried the LRU schedule's resident key rows
+        (``res_keys``) and a float merge product; version 7 carries the
+        residents' ids and hashes, so a version-6 blob is refused by
+        its version."""
+        engine = make_engine()
+        session = ingest_upto(engine.open(window=128), trace, 300)
+        payload = unpack_checkpoint(session.checkpoint())
+        session.close()
+        sched = payload["pipeline"]["stores"][0]["sched"]
+        assert set(sched) == {"kind", "res_gids", "res_hashes"}
+        sched["res_keys"] = np.zeros((len(sched.pop("res_hashes")), 1),
+                                     dtype=np.int64)
+        body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        data = _HEADER.pack(MAGIC, 6, len(body), zlib.crc32(body)) + body
+        with pytest.raises(CheckpointError,
+                           match=r"version 6 \(this build reads version 7\)"):
+            engine.resume(data)
 
     @pytest.mark.parametrize("retired", [
         {"kind": "replay", "buckets": {}, "evict_counts": {}},

@@ -35,11 +35,11 @@ class TestAdditiveCombination:
         sim, table = fabric
         deploy = NetworkDeployment("SELECT COUNT, SUM(pkt_len) GROUPBY 5tuple",
                                    sim, geometry=GEOM)
-        report = deploy.run(table.records)
+        report = deploy.run(table)
         name = deploy.compiled.result
         assert report.combinable[name]
         truth = run_query("SELECT COUNT, SUM(pkt_len) GROUPBY 5tuple",
-                          table.records)
+                          table)
         got = report.result(name).by_key()
         want = truth.by_key()
         assert got.keys() == want.keys()
@@ -51,7 +51,7 @@ class TestAdditiveCombination:
         sim, table = fabric
         deploy = NetworkDeployment("SELECT COUNT GROUPBY qid", sim,
                                    geometry=GEOM)
-        report = deploy.run(table.records)
+        report = deploy.run(table)
         name = deploy.compiled.result
         # Each qid is observed by exactly one switch.
         for switch, tables in report.per_switch.items():
@@ -72,7 +72,7 @@ class TestOrderDependentStaysPerSwitch:
         )
         deploy = NetworkDeployment(source, sim, params={"alpha": 0.2},
                                    geometry=GEOM)
-        report = deploy.run(table.records)
+        report = deploy.run(table)
         name = deploy.compiled.result
         assert not report.combinable[name]
         rows = report.result(name).rows
@@ -85,7 +85,7 @@ class TestOrderDependentStaysPerSwitch:
         sim, table = fabric
         deploy = NetworkDeployment("SELECT MAX(pkt_len) GROUPBY srcip", sim,
                                    geometry=GEOM)
-        report = deploy.run(table.records)
+        report = deploy.run(table)
         assert not report.combinable[deploy.compiled.result]
 
 
@@ -98,7 +98,7 @@ class TestMultiHopConsistency:
         table = sim.run()
         deploy = NetworkDeployment("SELECT COUNT GROUPBY 5tuple", sim,
                                    geometry=GEOM)
-        report = deploy.run(table.records)
+        report = deploy.run(table)
         name = deploy.compiled.result
         row = report.result(name).rows[0]
         # One record per queue per packet: 3 switches x 50 packets.

@@ -26,7 +26,7 @@ class TestIncastDiagnosis:
     def test_p99_query_flags_hotspot_queue(self, incast):
         entry = get("high_p99_queue_size")
         engine = QueryEngine(entry.source, params={"K": 16}, geometry=GEOM)
-        report = engine.run(incast.table.records)
+        report = engine.run(incast.table)
         flagged = [row["qid"] for row in report.result]
         assert incast.hotspot_qid in flagged
 
@@ -35,7 +35,7 @@ class TestIncastDiagnosis:
                   "WHERE qid == HOT and qin > D")
         engine = QueryEngine(
             source, params={"HOT": incast.hotspot_qid, "D": 16}, geometry=GEOM)
-        report = engine.run(incast.table.records)
+        report = engine.run(incast.table)
         # Background hosts can legitimately appear (their packets also
         # sat behind the deep queue), but the *dominant* contributors
         # by packet count must be the incast senders.
@@ -48,7 +48,7 @@ class TestIncastDiagnosis:
     def test_loss_localised_to_hotspot(self, incast):
         source = "SELECT COUNT GROUPBY qid WHERE tout == infinity"
         engine = QueryEngine(source, geometry=GEOM)
-        report = engine.run(incast.table.records)
+        report = engine.run(incast.table)
         assert [row["qid"] for row in report.result] == [incast.hotspot_qid]
         assert report.result.rows[0]["COUNT"] == incast.drops
 
@@ -57,7 +57,7 @@ class TestLossRateScenario:
     def test_loss_rates_match_simulator_stats(self, incast):
         entry = get("per_flow_loss_rate")
         engine = QueryEngine(entry.source, geometry=GEOM)
-        report = engine.run(incast.table.records)
+        report = engine.run(incast.table)
         # Recompute from raw observations.
         totals: dict[tuple, int] = {}
         drops: dict[tuple, int] = {}
@@ -80,7 +80,7 @@ class TestLatencyScenario:
             "    lat_est = (1 - alpha) * lat_est + alpha * (tout - tin)\n"
             "SELECT 5tuple, ewma GROUPBY 5tuple WHERE tout != infinity",
             params={"alpha": 0.2}, geometry=GEOM)
-        report = engine.run(incast.table.records)
+        report = engine.run(incast.table)
         estimates = [row["lat_est"] for row in report.result]
         assert all(e > 0 for e in estimates)
         # Incast senders queue behind each other: some flows must see
@@ -91,7 +91,7 @@ class TestLatencyScenario:
         engine = QueryEngine(
             "SELECT srcip, qid FROM T WHERE tout - tin > 100us",
             geometry=GEOM)
-        report = engine.run(incast.table.records)
+        report = engine.run(incast.table)
         assert len(report.result) > 0
         for row in report.result.rows:
             assert row["qid"] == incast.hotspot_qid
@@ -101,7 +101,7 @@ class TestExactnessThroughRuntime:
     def test_merged_counts_equal_raw_counts(self, incast):
         engine = QueryEngine("SELECT COUNT GROUPBY srcip",
                              geometry=CacheGeometry.set_associative(8, ways=2))
-        report = engine.run(incast.table.records)
+        report = engine.run(incast.table)
         raw: dict[int, int] = {}
         for record in incast.table:
             raw[record.srcip] = raw.get(record.srcip, 0) + 1

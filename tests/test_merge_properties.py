@@ -10,7 +10,7 @@ programs spanning all three merge strategies.
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.compiler import CompileOptions, compile_program
@@ -90,6 +90,18 @@ def run_both(source, params, records, capacity, ways, exact_history=False):
     return hardware, truth
 
 
+#: The one float fold of :data:`LINEAR_PROGRAMS` (the EWMA); every
+#: other program folds integers and must merge to the same ints.
+FLOAT_PROGRAM = 1
+
+#: The doubling fold's merge product passing 2^53 and then 2^63 on key
+#: 0, whose one epoch before key 1 evicts it is 70 packets long.
+DOUBLING_PAST_INT64 = [
+    make_record(srcip=key, pkt_id=i, tin=i, tout=float(i + 1), pkt_len=221,
+                qin=9)
+    for i, key in enumerate([0] * 70 + [1] + [0] * 5)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     stream=packet_streams(),
@@ -97,6 +109,7 @@ def run_both(source, params, records, capacity, ways, exact_history=False):
     capacity=st.integers(min_value=1, max_value=8),
     ways=st.sampled_from([0, 1, 2]),
 )
+@example(stream=DOUBLING_PAST_INT64, program_index=4, capacity=1, ways=1)
 def test_linear_folds_are_exact_under_any_eviction_schedule(
         stream, program_index, capacity, ways):
     source, params = LINEAR_PROGRAMS[program_index]
@@ -109,9 +122,52 @@ def test_linear_folds_are_exact_under_any_eviction_schedule(
     if any(type(v) is int and abs(v) >= 2 ** 63
            for row in truth.rows for v in row.values()):
         assert caught
+    if program_index != FLOAT_PROGRAM:
+        assert hardware.by_key() == truth.by_key()
+        assert all(type(v) is int for row in hardware.rows
+                   for v in row.values())
+        return
     diff = compare_tables(hardware, truth, rel_tol=1e-9, abs_tol=1e-6)
     assert diff.key_complete, diff.describe()
     assert diff.exact, diff.describe()
+
+
+#: Integer diagonal (``g``) and full-matrix (``f``) folds on a one-slot
+#: cache, where every key switch evicts: the merge product ``P`` starts
+#: at the integer identity, so merged values stay ints, and past 2^53 /
+#: 2^63 exact.
+INT_PRODUCT_CASES = {
+    "scale": (LINEAR_PROGRAMS[4][0], [
+        make_record(srcip=i % 2, pkt_id=i, pkt_len=10, qin=9 if i % 3 else 0)
+        for i in range(8)]),
+    "matrix": (LINEAR_PROGRAMS[2][0], [
+        make_record(srcip=i % 2, pkt_id=i, pkt_len=10, qin=9 if i % 3 else 0)
+        for i in range(8)]),
+    "scale_past_int64": (LINEAR_PROGRAMS[4][0], DOUBLING_PAST_INT64),
+}
+
+
+@pytest.mark.parametrize("engine", ["row", "vector"])
+@pytest.mark.parametrize("case", sorted(INT_PRODUCT_CASES))
+def test_integer_merge_products_stay_exact_ints(case, engine):
+    from repro.telemetry.runtime import QueryEngine
+
+    source, stream = INT_PRODUCT_CASES[case]
+    want = Interpreter(resolve_program(parse_program(source))) \
+        .run_result(stream).rows
+    qe = QueryEngine(source, engine=engine,
+                     geometry=CacheGeometry.hash_table(1))
+    if engine == "vector" and case == "scale_past_int64":
+        with pytest.warns(RuntimeWarning, match="may exceed int64"):
+            got = qe.run(stream).result.rows
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = qe.run(stream).result.rows
+    assert got == want
+    assert all(type(v) is int for row in got for v in row.values())
+    if case == "scale_past_int64":
+        assert want[0]["s"] == 8349143941713532737814307
 
 
 #: Folds whose integer state passes 2^63: a doubling linear fold (one

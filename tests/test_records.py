@@ -43,15 +43,14 @@ class TestPacketRecord:
 class TestColumnarConversion:
     def test_round_trip(self):
         table = synthetic_trace(n_packets=200, n_flows=10)
-        arrays = table.to_arrays()
-        rebuilt = ObservationTable.from_arrays(arrays)
+        rebuilt = ObservationTable.from_arrays(table.columns())
         assert len(rebuilt) == len(table)
         assert rebuilt[0] == table[0]
         assert rebuilt[-1] == table[-1]
 
     def test_inf_tout_survives(self):
         table = ObservationTable([make_record(tout=math.inf)])
-        rebuilt = ObservationTable.from_arrays(table.to_arrays())
+        rebuilt = ObservationTable.from_arrays(table.columns())
         assert math.isinf(rebuilt[0].tout)
 
     def test_mismatched_lengths_rejected(self):
@@ -102,68 +101,45 @@ class TestAggregates:
         ])
         assert table.duration_ns() == 800
 
-    def test_key_array_distinct_flows(self):
-        table = synthetic_trace(n_packets=400, n_flows=15)
-        keys = table.key_array(("srcip", "dstip"))
-        assert len(keys) == 400
-        expected = table.unique_keys(("srcip", "dstip"))
-        assert len(np.unique(keys)) == expected
+    def test_aggregates_match_the_records(self):
+        table = synthetic_trace(n_packets=600, n_flows=25, seed=9)
+        records = list(table)
+        fields = ("srcip", "dstip", "srcport")
+        assert table.drop_count() == sum(r.dropped for r in records)
+        tins = [r.tin for r in records]
+        assert table.duration_ns() == max(tins) - min(tins)
+        assert table.unique_keys(fields) == len({r.key(fields) for r in records})
 
 
-class TestColumnarAuthority:
-    """The struct-of-arrays core: columnar tables behave identically to
-    row tables, and switch authority safely on mutation."""
+class TestColumnarStorage:
+    """One storage form: the column dict.  Rows read out are copies,
+    slices are views, and writes go through ``columns()``."""
 
-    def make_columnar(self, **kwargs) -> ObservationTable:
-        table = synthetic_trace(**kwargs)
-        columnar = ObservationTable.from_arrays(table.to_arrays())
-        assert columnar.is_columnar
-        return columnar
+    def test_records_become_columns_at_construction(self):
+        records = [make_record(srcip=i, tout=float(i)) for i in range(5)]
+        table = ObservationTable(records)
+        assert list(table) == records
+        assert table.columns()["srcip"].tolist() == [0, 1, 2, 3, 4]
+        records[0].srcip = 99                # the caller's rows are not kept
+        assert table[0].srcip == 0
 
-    def test_row_table_is_not_columnar(self):
-        assert not synthetic_trace(n_packets=10).is_columnar
-
-    def test_iteration_yields_equal_records(self):
-        table = synthetic_trace(n_packets=150, n_flows=8)
-        columnar = ObservationTable.from_arrays(table.to_arrays())
-        assert list(columnar) == list(table)
-        assert columnar.is_columnar          # iteration keeps authority
+    def test_rows_read_out_are_copies(self):
+        table = ObservationTable([make_record(tout=5.0)] * 2)
+        next(iter(table)).tout = math.inf
+        table[1].tout = math.inf
+        assert table.drop_count() == 0
 
     def test_getitem_negative_and_bounds(self):
-        columnar = self.make_columnar(n_packets=50)
-        assert columnar[-1] == columnar[49]
+        table = synthetic_trace(n_packets=50)
+        assert table[-1] == table[49]
         with pytest.raises(IndexError):
-            columnar[50]
+            table[50]
 
-    def test_records_access_switches_to_rows(self):
-        columnar = self.make_columnar(n_packets=30)
-        records = columnar.records
-        assert not columnar.is_columnar
-        records[0].tout = math.inf           # mutations stick
-        assert columnar.drop_count() >= 1
-
-    def test_append_on_columnar_table(self):
-        from tests.conftest import make_record
-        columnar = self.make_columnar(n_packets=5)
-        columnar.append(make_record(srcip=42))
-        assert len(columnar) == 6
-        assert columnar[5].srcip == 42
-
-    def test_columnar_aggregates_match_row_path(self):
-        table = synthetic_trace(n_packets=600, n_flows=25, seed=9)
-        columnar = ObservationTable.from_arrays(table.to_arrays())
-        fields = ("srcip", "dstip", "srcport")
-        assert columnar.drop_count() == table.drop_count()
-        assert columnar.duration_ns() == table.duration_ns()
-        assert columnar.unique_keys(fields) == table.unique_keys(fields)
-        assert np.array_equal(columnar.key_array(fields), table.key_array(fields))
-
-    def test_columns_returns_canonical_storage(self):
-        columnar = self.make_columnar(n_packets=20)
-        assert columnar.columns() is columnar.columns()
-        copied = columnar.to_arrays()
-        copied["srcip"][0] = -1              # copies never alias storage
-        assert columnar.columns()["srcip"][0] != -1
+    def test_columns_is_the_storage(self):
+        table = synthetic_trace(n_packets=20)
+        assert table.columns() is table.columns()
+        table.columns()["tout"][3] = math.inf   # a write lands
+        assert table[3].dropped
 
     def test_from_arrays_casts_dtypes(self):
         table = ObservationTable.from_arrays({
@@ -174,42 +150,38 @@ class TestColumnarAuthority:
         assert table.columns()["tout"].dtype == np.float64
         assert table[1].dropped
 
-    def test_columnar_slice_is_a_view(self):
-        columnar = self.make_columnar(n_packets=20)
-        head = columnar[0:3]
-        assert head.is_columnar and len(head) == 3
-        assert list(head) == list(columnar)[:3]
-        assert np.shares_memory(head.columns()["srcip"],
-                                columnar.columns()["srcip"])
-
-    def test_slices_agree_across_authority(self):
+    def test_slice_is_a_view(self):
         table = synthetic_trace(n_packets=20)
-        columnar = ObservationTable.from_arrays(table.to_arrays())
+        head = table[0:3]
+        assert len(head) == 3
+        assert list(head) == list(table)[:3]
+        assert np.shares_memory(head.columns()["srcip"],
+                                table.columns()["srcip"])
+
+    def test_slices_agree_with_list_slices(self):
+        table = synthetic_trace(n_packets=20)
         for index in (slice(0, 3), slice(2, 15, 3), slice(-4, None)):
-            assert list(columnar[index]) == list(table[index])
+            assert list(table[index]) == list(table)[index]
 
 
 class TestDoor:
-    """``as_table``: every batch form becomes one columnar table."""
+    """``as_table``: every batch form becomes one table."""
 
-    def test_columnar_table_passes_through(self):
-        columnar = ObservationTable.from_arrays(
-            synthetic_trace(n_packets=10).to_arrays())
-        assert as_table(columnar) is columnar
+    def test_table_passes_through(self):
+        table = synthetic_trace(n_packets=10)
+        assert as_table(table) is table
 
     def test_every_form_columnizes(self):
         table = synthetic_trace(n_packets=40, n_flows=5)
-        for batch in (table, list(table), iter(list(table)),
-                      table.to_arrays()):
+        columns = {name: col.copy() for name, col in table.columns().items()}
+        for batch in (list(table), iter(list(table)), columns):
             out = as_table(batch)
-            assert out.is_columnar
+            assert isinstance(out, ObservationTable)
             assert list(out) == list(table)
-        assert not table.is_columnar          # the caller's table is kept
 
     def test_value_that_does_not_fit_names_field_and_record(self):
         rows = [make_record(), make_record(srcip=2 ** 64)]
-        for convert in (lambda: ObservationTable(rows).columns(),
+        for convert in (lambda: ObservationTable(rows),
                         lambda: as_table(rows)):
             with pytest.raises(ValueError, match=r"record 1: field 'srcip'"):
                 convert()
-

@@ -55,7 +55,7 @@ class TestFreshness:
         rp, store = build_store(refresh_interval=37)  # awkward interval
         for record in trace:
             store.process(record)
-        truth = Interpreter(rp).run_result(trace.records)
+        truth = Interpreter(rp).run_result(trace)
         diff = compare_tables(store.result_table(), truth)
         assert diff.exact, diff.describe()
 
@@ -116,10 +116,10 @@ class TestThroughEngine:
     def test_engine_passes_refresh_interval(self):
         trace = synthetic_trace(n_packets=1000, n_flows=30)
         engine = QueryEngine(COUNT, geometry=GEOM, refresh_interval=100)
-        report = engine.run(trace.records)
+        report = engine.run(trace)
         truth = oracle_tables(engine, trace)[report.result_name]
         assert compare_tables(report.result, truth).exact
         # Refresh inflates the write rate — the §3.2 freshness cost.
-        plain = QueryEngine(COUNT, geometry=GEOM).run(trace.records)
+        plain = QueryEngine(COUNT, geometry=GEOM).run(trace)
         assert (report.backing_writes[report.result_name] >
                 plain.backing_writes[plain.result_name])

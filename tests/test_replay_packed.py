@@ -78,7 +78,7 @@ def run_windows(geometry, policy, seed, keys2d, gid, sizes):
     lo = 0
     for size in sizes:
         hi = lo + size
-        miss, ev = sched.schedule(keys2d[lo:hi], gid[lo:hi], hashes[lo:hi])
+        miss, ev = sched.schedule(gid[lo:hi], hashes[lo:hi])
         miss_parts.append(miss)
         evictions += ev
         lo = hi
@@ -309,8 +309,7 @@ class TestSeedPlumbing:
             hashes = mix_key_array(keys2d, seed)
             parts = []
             for lo in range(0, len(keys), 611):
-                miss, _ = sched.schedule(keys2d[lo:lo + 611],
-                                         gid[lo:lo + 611],
+                miss, _ = sched.schedule(gid[lo:lo + 611],
                                          hashes[lo:lo + 611])
                 parts.append(miss)
             return np.concatenate(parts)

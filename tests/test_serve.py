@@ -514,7 +514,7 @@ def test_tailer_survives_truncation(tmp_path, trace):
     assert tailer.truncations >= 1
     assert _rows_of(out) == 150
     got = _concat(out)
-    for name, col in ObservationTable(trace[:150]).columns().items():
+    for name, col in trace[:150].columns().items():
         np.testing.assert_array_equal(got[name], col)
 
 
@@ -534,7 +534,7 @@ def test_tailer_survives_rotation(tmp_path, trace):
     assert tailer.rotations >= 1
     assert _rows_of(out) == 500
     got = _concat(out)
-    for name, col in ObservationTable(trace[:500]).columns().items():
+    for name, col in trace[:500].columns().items():
         np.testing.assert_array_equal(got[name], col)
 
 

@@ -385,10 +385,11 @@ class TestCarriedStateInternals:
         assert len(store._all_keys[:store._nkeys]) == 25
         assert calls == [100, 100, 25] + [100] * 8
 
-    def test_lru_resume_recomputes_phantom_hashes(self):
-        """A checkpoint carries the LRU phantom prefix's rows, not their
-        hashes: the resumed store recomputes them and then schedules
-        exactly as the uninterrupted one."""
+    def test_lru_resume_carries_phantom_hashes(self):
+        """A checkpoint carries the LRU phantom prefix's key ids and
+        hashes, not its key rows: the resumed store restores them as
+        they were and then schedules exactly as the uninterrupted
+        one."""
         from repro.telemetry.checkpoint import (pack_checkpoint,
                                                 unpack_checkpoint)
         stage = QueryEngine("SELECT COUNT, SUM(pkt_len) GROUPBY srcip, dstip") \
@@ -403,7 +404,7 @@ class TestCarriedStateInternals:
         for store in (whole, first):
             store.add_batch(keys[:1200], {f: c[:1200] for f, c in fields.items()})
         state = first.checkpoint_state()
-        assert "res_hashes" not in state["sched"]
+        assert set(state["sched"]) == {"kind", "res_gids", "res_hashes"}
         resumed = WindowedVectorStore(stage, GEOM, window=300)
         resumed.restore_state(unpack_checkpoint(pack_checkpoint(state)))
         assert len(resumed._sched._res_hashes) > 0
@@ -635,7 +636,7 @@ class TestNetworkSessions:
         sim, table = fabric
         source = "SELECT COUNT, SUM(pkt_len) GROUPBY 5tuple"
         one_shot = NetworkDeployment(source, sim, geometry=GEOM) \
-            .run(table.records)
+            .run(table)
         deploy = NetworkDeployment(source, sim, geometry=GEOM)
         session = deploy.open(window=333)
         for batch in chunked(table, 441):
@@ -656,10 +657,6 @@ class TestNetworkSessions:
         from repro.telemetry.deploy import NetworkDeployment
 
         sim, table = fabric
-        # A columnar copy: earlier tests may have flipped the shared
-        # table's authority to rows, which would take the row-routing
-        # path instead of the single-pass split under test.
-        table = ObservationTable.from_arrays(table.columns())
         deploy = NetworkDeployment("SELECT COUNT GROUPBY qid", sim,
                                    geometry=GEOM)
         session = deploy.open(window=128)

@@ -318,7 +318,7 @@ class TestNetworkSharded:
         deploy = NetworkDeployment("SELECT COUNT GROUPBY qid", sim,
                                    geometry=GEOM)
         one_shot = NetworkDeployment("SELECT COUNT GROUPBY qid", sim,
-                                     geometry=GEOM).run(table.records)
+                                     geometry=GEOM).run(table)
         session = deploy.open(window=256, shards=64)
         n_switches = len(session.sessions)
         assert session._pool.n_workers == min(64, n_switches)
@@ -362,7 +362,7 @@ def big_sum_trace(n, value, flows=3):
     records = [make_record(srcip=10 + i % flows, pkt_len=value,
                            tin=1000 * i, tout=1000 * i + 100.0, pkt_id=i)
                for i in range(n)]
-    return ObservationTable.from_arrays(ObservationTable(records).columns())
+    return ObservationTable(records)
 
 
 class TestInt64OverflowGuard:

@@ -57,7 +57,7 @@ class TestCorrectness:
         trace = synthetic_trace(n_packets=2000, n_flows=50)
         for record in trace:
             store.process(record)
-        truth = Interpreter(rp).run_result(trace.records)
+        truth = Interpreter(rp).run_result(trace)
         diff = compare_tables(store.result_table(), truth)
         assert diff.exact, diff.describe()
         assert store.stats.evictions > 0  # the test must exercise merging
@@ -73,7 +73,7 @@ class TestCorrectness:
         kept = [r for r in trace if r.tout != float("inf")]
         for record in kept:
             store.process(record)
-        truth = Interpreter(rp, params=params).run_result(trace.records)
+        truth = Interpreter(rp, params=params).run_result(trace)
         diff = compare_tables(store.result_table(), truth, rel_tol=1e-9)
         assert diff.exact, diff.describe()
 

@@ -14,23 +14,23 @@ GEOM = CacheGeometry.set_associative(64, ways=8)
 
 class TestEngineBasics:
     def test_one_shot_run(self, trace):
-        report = run("SELECT COUNT GROUPBY srcip", trace.records, geometry=GEOM)
+        report = run("SELECT COUNT GROUPBY srcip", trace, geometry=GEOM)
         assert len(report.result) == trace.unique_keys(("srcip",))
 
     def test_engine_reusable_across_traces(self):
         engine = QueryEngine("SELECT COUNT GROUPBY srcip", geometry=GEOM)
-        a = engine.run(synthetic_trace(n_packets=500, seed=1).records)
-        b = engine.run(synthetic_trace(n_packets=500, seed=2).records)
+        a = engine.run(synthetic_trace(n_packets=500, seed=1))
+        b = engine.run(synthetic_trace(n_packets=500, seed=2))
         assert a.result.rows != b.result.rows  # fresh pipeline per run
 
     def test_missing_params_raise(self, tiny_trace):
         engine = QueryEngine("SELECT srcip FROM T WHERE pkt_len > L")
         with pytest.raises(InterpreterError):
-            engine.run(tiny_trace.records)
+            engine.run(tiny_trace)
 
     def test_ground_truth_attached(self, tiny_trace):
         engine = QueryEngine("SELECT COUNT GROUPBY srcip", geometry=GEOM)
-        report = engine.run(tiny_trace.records, with_ground_truth=True)
+        report = engine.run(tiny_trace, with_ground_truth=True)
         truth = oracle_tables(engine, tiny_trace)
         assert {q: t.rows for q, t in report.ground_truth.items()} == \
             {q: t.rows for q, t in truth.items()}
@@ -66,7 +66,7 @@ class TestStats:
     def test_cache_stats_exposed(self, trace):
         engine = QueryEngine("SELECT COUNT GROUPBY srcip",
                              geometry=CacheGeometry.set_associative(8, ways=2))
-        report = engine.run(trace.records)
+        report = engine.run(trace)
         stats = report.cache_stats["__result__"]
         assert stats.accesses == len(trace)
         assert stats.evictions > 0
@@ -76,7 +76,7 @@ class TestStats:
     def test_backing_writes_counted(self, trace):
         engine = QueryEngine("SELECT COUNT GROUPBY srcip",
                              geometry=CacheGeometry.set_associative(8, ways=2))
-        report = engine.run(trace.records)
+        report = engine.run(trace)
         stats = report.cache_stats["__result__"]
         # writes = capacity evictions + final flush of residents.
         assert report.backing_writes["__result__"] == \
@@ -85,7 +85,7 @@ class TestStats:
     def test_accuracy_reported_per_stage(self, trace):
         engine = QueryEngine("SELECT MAX(tcpseq) GROUPBY srcip",
                              geometry=CacheGeometry.hash_table(8))
-        report = engine.run(trace.records)
+        report = engine.run(trace)
         assert 0.0 <= report.accuracy["__result__"] <= 1.0
 
 
@@ -98,7 +98,7 @@ class TestSoftwareStages:
 
     def test_join_over_hardware_tables(self, trace):
         engine = QueryEngine(self.LOSS, geometry=GEOM)
-        report = engine.run(trace.records)
+        report = engine.run(trace)
         diff = compare_tables(report.result,
                               oracle_tables(engine, trace)["R3"],
                               rel_tol=1e-9)
@@ -106,7 +106,7 @@ class TestSoftwareStages:
 
     def test_intermediate_tables_visible(self, trace):
         engine = QueryEngine(self.LOSS, geometry=GEOM)
-        report = engine.run(trace.records)
+        report = engine.run(trace)
         assert set(report.tables) == {"R1", "R2", "R3"}
 
     def test_composed_downstream_stage(self, trace):
@@ -115,7 +115,7 @@ class TestSoftwareStages:
             "R2 = SELECT * FROM R1 WHERE COUNT > 50\n"
         )
         engine = QueryEngine(source, geometry=GEOM)
-        report = engine.run(trace.records)
+        report = engine.run(trace)
         diff = compare_tables(report.result, oracle_tables(engine, trace)["R2"])
         assert diff.exact
 
@@ -190,6 +190,6 @@ class TestCachePlanning:
 
     def test_plan_on_record_list(self, tiny_trace):
         engine = QueryEngine("SELECT COUNT GROUPBY srcip")
-        records = list(tiny_trace.records)
+        records = list(tiny_trace)
         plans = engine.plan_cache(records, capacities=[8])
         assert plans["__result__"][0].stats.accesses == len(records)

@@ -51,11 +51,6 @@ class TestCsv:
         path.write_text("")
         assert len(read_csv(path)) == 0
 
-    def test_read_csv_is_columnar(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        write_csv(synthetic_trace(n_packets=20), path)
-        assert read_csv(path).is_columnar
-
     def test_tailer_matches_read_csv(self, tmp_path):
         """One field rule: a tailed file and the offline read give equal
         columns (column subset, unknown column, ``inf`` tout, a blank

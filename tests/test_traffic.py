@@ -1,5 +1,7 @@
 """Traffic-generator tests: distributions, workloads, anomalies."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,8 @@ from repro.traffic.tcpgen import (
     inject_tcp_anomalies,
 )
 from repro.traffic.trace_io import validate_table
+
+from tests.conftest import synthetic_trace
 
 
 class TestDistributions:
@@ -82,12 +86,12 @@ class TestCaidaGenerator:
 
     def test_table_time_ordered(self):
         table = generate_caida_like(self.CFG)
-        tins = [r.tin for r in table.records[:5000]]
+        tins = [r.tin for r in table[:5000]]
         assert tins == sorted(tins)
 
     def test_protocol_mix(self):
         table = generate_caida_like(self.CFG)
-        protos = {r.proto for r in table.records[:20_000]}
+        protos = {r.proto for r in table[:20_000]}
         assert protos <= {6, 17} and 6 in protos
 
 
@@ -155,7 +159,7 @@ class TestTcpAnomalies:
             "    if lastseq + 1 != tcpseq: oos = oos + 1\n"
             "    lastseq = tcpseq + payload_len\n"
             "SELECT 5tuple, outofseq GROUPBY 5tuple WHERE proto == TCP",
-            table.records)
+            table)
         oos_counts = [r["outofseq.oos"] for r in result]
         # Only each flow's first packet trips the check (lastseq=0 init).
         assert all(c <= 1 for c in oos_counts)
@@ -170,7 +174,7 @@ class TestTcpAnomalies:
             "    if maxseq > tcpseq: nm = nm + 1\n"
             "    maxseq = max(maxseq, tcpseq)\n"
             "SELECT 5tuple, nonmt GROUPBY 5tuple WHERE proto == TCP",
-            table.records)
+            table)
         total_nm = sum(r["nonmt.nm"] for r in result)
         assert total_nm >= counts["retransmit"] * 0.8
 
@@ -179,3 +183,39 @@ class TestTcpAnomalies:
         counts = inject_tcp_anomalies(table)
         assert set(counts) == {"retransmit", "reorder", "duplicate"}
         assert all(v >= 0 for v in counts.values())
+
+    @staticmethod
+    def _digest(table) -> str:
+        """sha256 over the column bytes in sorted field order."""
+        columns = table.columns()
+        digest = hashlib.sha256()
+        for name in sorted(columns):
+            digest.update(columns[name].tobytes())
+        return digest.hexdigest()
+
+    def test_rewrite_is_pinned_datacenter(self):
+        """Counts and columns recorded from the per-record implementation
+        (dict of flows, sequential writes on record objects)."""
+        table = DatacenterWorkload(DatacenterConfig(
+            n_flows=400, duration_ns=100_000_000, seed=16)).observation_table()
+        clean_sequence_table(table)
+        counts = inject_tcp_anomalies(table, TcpAnomalyConfig(
+            retransmit_rate=0.05, reorder_rate=0.05, duplicate_rate=0.02,
+            seed=16))
+        assert counts == {"retransmit": 2109, "reorder": 2198,
+                          "duplicate": 862}
+        assert self._digest(table) == (
+            "28d3dfe601eaf09fbbd59d866f6fef11"
+            "4bbacbde443760631b4588d978b160cd")
+
+    def test_rewrite_is_pinned_mixed_protocols(self):
+        """UDP rows in between keep their values and do not join a flow."""
+        table = synthetic_trace(n_packets=3000, n_flows=40, seed=5)
+        counts = inject_tcp_anomalies(table, TcpAnomalyConfig(
+            retransmit_rate=0.1, reorder_rate=0.1, duplicate_rate=0.05,
+            seed=5))
+        assert counts == {"retransmit": 251, "reorder": 230,
+                          "duplicate": 118}
+        assert self._digest(table) == (
+            "51c2d22444d30df729847630e7af4a24"
+            "03179197378d3c8fe29f9c2682502e2f")

@@ -53,7 +53,7 @@ def assert_identical(interp, vector):
 
 @pytest.fixture(scope="module")
 def traces():
-    """Randomized traces: two synthetic seeds plus a columnar
+    """Randomized traces: two synthetic seeds plus a
     datacenter trace with planted TCP anomalies and drops."""
     out = [synthetic_trace(n_packets=3000, n_flows=35, seed=s) for s in (11, 23)]
     dc = DatacenterWorkload(DatacenterConfig(
@@ -61,9 +61,7 @@ def traces():
     clean_sequence_table(dc)
     inject_tcp_anomalies(dc, TcpAnomalyConfig(
         retransmit_rate=0.02, reorder_rate=0.02, duplicate_rate=0.005))
-    records = dc.records
-    for i in range(0, len(records), 150):
-        records[i].tout = float("inf")
+    dc.columns()["tout"][::150] = float("inf")
     out.append(dc)
     return out
 
@@ -344,13 +342,12 @@ class TestEngineKnob:
     def test_vector_and_row_reports_identical(self, name, traces):
         entry = ALL_QUERIES[name]
         table = traces[-1]                       # dc trace with drops
-        columnar = ObservationTable.from_arrays(table.to_arrays())
         row = QueryEngine(entry.source, params=entry.default_params,
                           geometry=self.GEOM, engine="row").run(
-            table.records, with_ground_truth=True)
+            table, with_ground_truth=True)
         vec = QueryEngine(entry.source, params=entry.default_params,
                           geometry=self.GEOM, engine="vector").run(
-            columnar, with_ground_truth=True)
+            table, with_ground_truth=True)
         for qname in row.tables:
             assert row.tables[qname].rows == vec.tables[qname].rows
         interp, vector = both_engines(entry.source, table,

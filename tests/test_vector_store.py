@@ -94,8 +94,7 @@ class TestCatalog:
 
     @pytest.fixture(scope="class")
     def trace(self):
-        rows = synthetic_trace(n_packets=6000, n_flows=64, seed=11)
-        return ObservationTable.from_arrays(rows.columns())
+        return synthetic_trace(n_packets=6000, n_flows=64, seed=11)
 
     @pytest.mark.parametrize("name", sorted(ALL_QUERIES))
     @pytest.mark.parametrize("exact_history", [False, True])
@@ -353,12 +352,10 @@ class TestPipelineEngineKnob:
 
     @pytest.mark.parametrize("engine", ["auto", "vector"])
     def test_vector_engine_columnizes_row_input(self, engine):
-        """Every public door columnizes row input: a list, a generator
-        or a row-authority table gives results bit-identical to the
-        columnar table and to the ``engine="row"`` oracle, and runs
-        the vector store."""
+        """Every public door columnizes row input: a list or a
+        generator gives results bit-identical to the table and to the
+        ``engine="row"`` oracle, and runs the vector store."""
         trace = synthetic_trace(n_packets=800, n_flows=20, seed=4)
-        columnar = ObservationTable.from_arrays(trace.to_arrays())
         records = list(trace)
         kwargs = dict(geometry=CacheGeometry.set_associative(16, ways=4))
         qe = QueryEngine(LOSS, engine=engine, **kwargs)
@@ -369,9 +366,9 @@ class TestPipelineEngineKnob:
                     report.cache_stats, report.backing_writes,
                     report.accuracy)
 
-        want = observed(oracle.run(columnar))
+        want = observed(oracle.run(trace))
         assert observed(oracle.run(records)) == want
-        for batch in (records, iter(records), trace, columnar):
+        for batch in (records, iter(records), trace):
             assert observed(qe.run(batch)) == want
         for split in ((records[:300], records[300:]),
                       (iter(records[:300]), iter(records[300:]))):
@@ -388,17 +385,17 @@ class TestPipelineEngineKnob:
         def exact(tables):
             return {name: t.rows for name, t in tables.items()}
 
-        want_exact = exact(oracle.run_exact(columnar))
+        want_exact = exact(oracle.run_exact(trace))
         assert exact(qe.run_exact(records)) == want_exact
-        assert exact(qe.run_exact(columnar)) == want_exact
+        assert exact(qe.run_exact(trace)) == want_exact
 
         def planned(plans):
             return {name: [p.stats for p in points]
                     for name, points in plans.items()}
 
-        want_plan = planned(oracle.plan_cache(columnar, [8, 16]))
+        want_plan = planned(oracle.plan_cache(trace, [8, 16]))
         assert planned(qe.plan_cache(records, [8, 16])) == want_plan
-        assert planned(qe.plan_cache(columnar, [8, 16])) == want_plan
+        assert planned(qe.plan_cache(trace, [8, 16])) == want_plan
 
         def piped(batch):
             pipeline = SwitchPipeline(qe.compiled, params=qe.params,
@@ -410,7 +407,7 @@ class TestPipelineEngineKnob:
                      qe.compiled.select_stages + qe.compiled.groupby_stages]
         want_piped = ({name: want[0][name] for name in on_switch}, want[1])
         assert piped(records) == want_piped
-        assert piped(columnar) == want_piped
+        assert piped(trace) == want_piped
 
     def test_network_session_columnizes_row_input(self):
         """A deployment columnizes row input at the door, and each
