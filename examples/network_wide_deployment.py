@@ -17,15 +17,6 @@ simulator feeds bounded columnar batches straight into one
 ``TelemetrySession`` per switch (``sim.stream_into``), so the full
 observation table never has to exist in memory.
 
-The final section reruns the counter deployment **sharded**
-(``deploy.open(..., shards=2)``): the per-switch sessions move into
-forked worker processes — one switch per worker, round-robin — so a
-big fabric's switches execute on every core of the collector while the
-parent only routes batches.  Reports are bit-identical to the
-unsharded session (the synthesized merges combine per-shard state
-exactly); non-mergeable folds like the EWMA stay per-switch either
-way, so nothing changes for them.
-
 Run:  python examples/network_wide_deployment.py
 """
 
@@ -103,22 +94,6 @@ def main() -> None:
         values = by_switch[switch]
         print(f"  {switch:8s} {sum(values) / len(values) / 1000:8.1f} us "
               f"({len(values)} flow entries)")
-
-    # Sharded deployment: the same streaming counter session, with the
-    # per-switch sessions fanned across 2 forked workers.  On a
-    # multi-core collector this is how a large fabric keeps up — the
-    # parent process only routes batches by queue ownership; switch
-    # pipelines run in parallel.  Results are bit-identical.
-    sim3 = build_simulator(topo)
-    deploy3 = NetworkDeployment(COUNTERS, sim3, geometry=GEOMETRY)
-    sharded = deploy3.open(window=8192, shards=2)
-    sim3.stream_into(sharded, chunk_size=4096)
-    report3 = sharded.close()
-    match = (sorted(map(tuple, (sorted(r.items()) for r in
-                                report3.result(name).rows))) ==
-             sorted(map(tuple, (sorted(r.items()) for r in
-                                report.result(name).rows))))
-    print(f"\nsharded (2 workers) == unsharded counters: {match}")
 
 
 if __name__ == "__main__":

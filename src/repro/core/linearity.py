@@ -337,8 +337,9 @@ class LinearityResult:
         linear: True when all mergeable variables update affinely.
         reason: Why the fold is not linear (when ``linear`` is False).
         history: History variables and their depths.
-        history_depth: Max history depth appearing in ``A``/``B`` (0 ⇒
-            coefficients are pure packet functions and the paper's
+        history_depth: Max history depth appearing in ``A``/``B``, or
+            of any history variable of depth ≥ 2 (0 ⇒ coefficients and
+            reported history are pure packet functions and the paper's
             merge is exact from the first post-eviction packet).
         order: Mergeable state variables, in layout order.
         matrix: ``A[i][j]`` coefficient exprs, keyed ``(var_i, var_j)``;
@@ -382,7 +383,13 @@ def analyze_fold(instance: FoldInstance) -> LinearityResult:
         )
 
     matrix_kind = _classify_matrix(matrix, mergeable_vars)
-    used_history = _history_depth_used(matrix, offset, history)
+    # A history variable of depth d >= 2 is itself reported state that
+    # reads the packets before the current one: after an eviction it
+    # needs its epoch's first d packets logged, whether or not A/B
+    # read it.  Depth 1 reads only the current packet.
+    used_history = max(_history_depth_used(matrix, offset, history),
+                       max((d for d in history.values() if d >= 2),
+                           default=0))
     return LinearityResult(
         fold=instance, update_exprs=update_exprs, linear=True, reason=None,
         history=history, history_depth=used_history,

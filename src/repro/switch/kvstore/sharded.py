@@ -81,8 +81,7 @@ def make_store_pool(specs: Sequence[tuple[GroupByStage, CacheGeometry]],
     transport."""
     roles = [_StoreShardRole(list(specs), params, config)
              for _ in range(config.shards)]
-    return ShardWorkerPool(roles, name="kvshard",
-                           checkpoint_every=config.checkpoint_every,
+    return ShardWorkerPool(roles, checkpoint_every=config.checkpoint_every,
                            faults=config.faults)
 
 

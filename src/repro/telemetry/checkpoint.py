@@ -27,7 +27,10 @@ import zlib
 from repro.core.errors import CheckpointError
 
 MAGIC = b"RPROCKPT"
-#: Payload layout version.  7: the LRU cache schedule carries its
+#: Payload layout version.  8: a network payload carries one state per
+#: switch session (``"sessions"``) and nothing else; version 7 could
+#: carry a sharded deployment's worker states (``"sharded"`` /
+#: ``"workers"``).  7: the LRU cache schedule carries its
 #: resident keys' ids and hashes (``res_gids`` / ``res_hashes``, no key
 #: rows), and an integer scale/matrix merge product ``P`` keeps its
 #: integer dtype.  6: every store state is the vector
@@ -39,7 +42,7 @@ MAGIC = b"RPROCKPT"
 #: ``"packed"``), version 3 could carry an exact-mode session's buffered
 #: input (``exact`` / ``buffered``), and version 2 a pickled backing
 #: store (``backing_data``).  Older payloads are refused.
-VERSION = 7
+VERSION = 8
 
 _HEADER = struct.Struct("<8sHQI")  # magic, version, payload len, crc32
 

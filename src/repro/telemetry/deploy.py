@@ -18,15 +18,15 @@ observations — and combines per-switch results in the collection layer:
   *per (key, switch)* — still exactly what an operator wants for
   "which queue hurts this flow".
 
-Execution rides the same :class:`~repro.telemetry.session.TelemetrySession`
-protocol as single-switch runs: :meth:`NetworkDeployment.open` yields a
-:class:`NetworkSession` holding one per-switch session; batches are
-columnized at the door and routed to the owning switch, and
-``results()``/``close()`` combine the per-switch reports.
-:meth:`NetworkDeployment.run` is the one-shot wrapper over it.  Every
-path of a deployment opens sessions, so every switch runs the vector
-engine; a deployment has no ``engine`` knob (the row reference is
-one-shot, see :mod:`repro.reference`).
+A deployment has one form: :meth:`NetworkDeployment.open` yields a
+:class:`NetworkSession` holding one in-process
+:class:`~repro.telemetry.session.TelemetrySession` per switch.  Batches
+are columnized at the door and routed to the owning switch;
+``results()``/``close()`` combine the per-switch reports, and one
+checkpoint carries every switch session.  :meth:`NetworkDeployment.run`
+is the one-shot wrapper.  Every switch runs the vector engine; a
+deployment has no ``engine`` knob (the row reference is one-shot, see
+:mod:`repro.reference`).
 
 This mirrors the paper's deployment story (queries are installed on
 switches; results are pulled from backing stores) one step further
@@ -47,6 +47,7 @@ from repro.core.interpreter import ResultTable, Row
 from repro.network.records import ObservationTable, PacketRecord, as_table
 from repro.network.simulator import NetworkSimulator
 from repro.switch.pipeline import DEFAULT_GEOMETRY, GeometrySpec, SessionConfig
+from repro.telemetry.checkpoint import pack_checkpoint
 from repro.telemetry.runtime import QueryEngine
 from repro.telemetry.session import TelemetrySession
 
@@ -72,9 +73,7 @@ class NetworkDeployment:
             switch is identified by its node name; observations are
             routed to the switch owning the observed queue.
         params, geometry, policy, seed, exact_history: as in
-            :class:`repro.telemetry.runtime.QueryEngine`.  Every path
-            of a deployment opens sessions, so it runs the vector
-            engine.
+            :class:`repro.telemetry.runtime.QueryEngine`.
     """
 
     def __init__(
@@ -101,78 +100,39 @@ class NetworkDeployment:
 
     # -- execution -----------------------------------------------------------
 
-    def open(self, window: int | None = None,
-             shards: int | None = None,
-             checkpoint_every: int | None = None,
-             faults=None) -> "NetworkSession":
-        """Open one streaming session per switch; batches ingested into
-        the returned :class:`NetworkSession` are routed to the switch
-        owning each observation's queue.  The most recently opened
-        session backs :meth:`cache_stats`.
+    def open(self, window: int | None = None) -> "NetworkSession":
+        """Open one in-process streaming session per switch, each with
+        the same ``window``; batches ingested into the returned
+        :class:`NetworkSession` are routed to the switch owning each
+        observation's queue.  The most recently opened session backs
+        :meth:`cache_stats`.
 
-        ``shards`` runs the per-switch sessions in that many worker
-        processes, one switch per shard round-robin — the switch is the
-        natural sharding unit: its session already owns a disjoint
-        slice of the observation stream (queue ownership), and
-        :meth:`NetworkSession.ingest`'s composite sort routes to it
-        unchanged.  Per-switch reports — and therefore the combined
-        report — are bit-identical to the unsharded deployment.
-
-        ``checkpoint_every`` enables shard-worker crash recovery and
-        ``faults`` threads a deterministic fault injector into the
-        transport, exactly as in :meth:`QueryEngine.open`.
-
-        A bad ``window`` or ``shards`` raises its ``RPR-E00x`` code
-        here, before any worker forks.  Placing whole switches on
-        workers is not cache-set sharding, so the knobs are checked
-        against the engine's defaults: ``refresh_interval``
-        (``RPR-E002``) still shards by switch."""
-        config = SessionConfig(window=window, shards=shards,
-                               checkpoint_every=checkpoint_every,
-                               faults=faults)
-        self._session = NetworkSession(self, config)
+        A bad ``window`` raises ``RPR-E004`` here, before any switch
+        session opens."""
+        self._session = NetworkSession(self, SessionConfig(window=window))
         return self._session
 
-    def resume(self, snapshot: bytes,
-               checkpoint_every: int | None = None,
-               faults=None) -> "NetworkSession":
+    def resume(self, snapshot: bytes) -> "NetworkSession":
         """Rebuild a mid-stream network session from a
         :meth:`NetworkSession.checkpoint` byte string — the deployment
-        (program, params, geometry, knobs, *and topology*) must match
-        the one that saved it."""
+        (program, params, geometry, ``window``, *and topology*) must
+        match the one that saved it."""
         payload = self.engine._unpack_checkpoint(snapshot, "network")
-        session = self.open(window=payload["window"],
-                            shards=payload["shards"],
-                            checkpoint_every=checkpoint_every,
-                            faults=faults)
-        if session._switch_order != payload["switches"]:
+        session = self.open(window=payload["window"])
+        if list(session.sessions) != payload["switches"]:
             raise CheckpointError(
                 "checkpoint was taken on a different topology (the "
                 "switch set does not match); resume on the same "
                 "simulated network")
-        if payload["sharded"]:
-            if session._pool is None:
-                raise CheckpointError(
-                    "snapshot was taken with a sharded deployment; "
-                    "resume with the same shards= setting")
-            session._pool.restore_workers(payload["workers"])
-        else:
-            if session._pool is not None:
-                raise CheckpointError(
-                    "snapshot was taken without shards; resume with "
-                    "shards=None")
-            for switch, sess_payload in payload["sessions"].items():
-                session.sessions[switch]._restore_payload(sess_payload)
-        self._session = session
+        for switch, sess_payload in payload["sessions"].items():
+            session.sessions[switch]._restore_payload(sess_payload)
         return session
 
     def run(self, records: Iterable[PacketRecord]) -> NetworkRunReport:
         """One-shot wrapper over :meth:`open`: route each observation
         to the switch owning its queue, then collect and combine
         results."""
-        session = self.open()
-        session.ingest(records)
-        return session.close()
+        return self.open().ingest(records).close()
 
     # -- combination ------------------------------------------------------------
 
@@ -229,138 +189,24 @@ class NetworkDeployment:
         return self._session.cache_stats()
 
 
-class _NetworkShardRole:
-    """Worker-side role of a sharded network deployment: runs the
-    (unsharded) :class:`TelemetrySession` of every switch assigned to
-    this worker.  The engine object is inherited at fork — compiled
-    programs and closures ship for free, nothing is pickled."""
-
-    def __init__(self, engine: QueryEngine, config: SessionConfig):
-        self._engine = engine
-        self._config = config
-        self._sessions: dict[str, TelemetrySession] = {}
-        self._reports: dict[str, object] = {}
-
-    def _session(self, switch: str) -> TelemetrySession:
-        session = self._sessions.get(switch)
-        if session is None:
-            session = self._engine.open(window=self._config.window)
-            self._sessions[switch] = session
-        return session
-
-    def handle(self, op: str, meta, arrays):
-        switch = meta["switch"]
-        if op == "ingest_cols":
-            self._session(switch).ingest(ObservationTable.from_arrays(arrays))
-            return None
-        if op == "results":
-            return self._session(switch).results()
-        if op == "close":
-            # Idempotent so a partially-failed NetworkSession.close()
-            # retry re-collects already-finalized switches.
-            report = self._reports.get(switch)
-            if report is None:
-                report = self._session(switch).close()
-                self._reports[switch] = report
-            return report
-        if op == "cache_stats":
-            return self._session(switch).cache_stats()
-        raise ValueError(f"unknown network shard op {op!r}")
-
-    # -- durable checkpoints (pool-internal __checkpoint__/__restore__) ------
-
-    def checkpoint(self) -> dict:
-        """Plain-data snapshot of every switch session living in this
-        worker, plus any already-collected close() reports (so a crash
-        mid-close keeps its idempotency).  Closed sessions carry no
-        state — their contribution is the stored final report."""
-        return {
-            "sessions": {switch: session._checkpoint_payload()
-                         for switch, session in self._sessions.items()
-                         if not session.closed},
-            "reports": dict(self._reports),
-        }
-
-    def restore(self, state: dict) -> None:
-        for switch, payload in state["sessions"].items():
-            session = self._engine.open(window=self._config.window)
-            session._restore_payload(payload)
-            self._sessions[switch] = session
-        self._reports = dict(state["reports"])
-        return None
-
-
-class _RemoteSwitchSession:
-    """Parent-side handle of one switch's session living in a shard
-    worker — the same surface :class:`NetworkSession` drives on
-    in-process :class:`TelemetrySession` objects."""
-
-    def __init__(self, pool, worker: int, switch: str):
-        self._pool = pool
-        self._worker = worker
-        self._switch = switch
-
-    def ingest(self, batch: ObservationTable) -> "_RemoteSwitchSession":
-        self._pool.post(self._worker, "ingest_cols",
-                        {"switch": self._switch}, batch.columns())
-        return self
-
-    def results(self):
-        return self._pool.call(self._worker, "results",
-                               {"switch": self._switch})
-
-    def submit_close(self):
-        return self._pool.submit(self._worker, "close",
-                                 {"switch": self._switch})
-
-    def cache_stats(self):
-        return self._pool.call(self._worker, "cache_stats",
-                               {"switch": self._switch})
-
-
 class NetworkSession:
-    """Streaming ingest across a deployment's switches: one
+    """Streaming ingest across a deployment's switches: one in-process
     :class:`TelemetrySession` per switch, batches routed by queue
-    ownership, reports combined exactly like the one-shot path.
-
-    With ``shards`` the per-switch sessions run inside a
-    :class:`~repro.telemetry.shard_exec.ShardWorkerPool`, one switch
-    per worker round-robin; all routing, combining, and close/retry
-    semantics are unchanged (a dead worker surfaces as
-    :class:`~repro.telemetry.shard_exec.ShardError`).
-    """
+    ownership, reports combined exactly like the one-shot path."""
 
     def __init__(self, deployment: NetworkDeployment, config: SessionConfig):
         self.deployment = deployment
         self.config = config
-        switches = list(deployment.simulator.topology.switches())
-        self._pool = None
         self._broken: str | None = None
         self._broken_cause: BaseException | None = None
-        if config.shards is not None and switches:
-            from repro.telemetry.shard_exec import ShardWorkerPool
-
-            n_workers = min(config.shards, len(switches))
-            self._pool = ShardWorkerPool(
-                [_NetworkShardRole(deployment.engine, config)
-                 for _ in range(n_workers)],
-                name="netshard", checkpoint_every=config.checkpoint_every,
-                faults=config.faults)
-            self.sessions = {
-                switch: _RemoteSwitchSession(self._pool, i % n_workers,
-                                             switch)
-                for i, switch in enumerate(switches)
-            }
-        else:
-            self.sessions: dict[str, TelemetrySession] = {
-                switch: deployment.engine.open(window=config.window)
-                for switch in switches
-            }
-        self._switch_order = list(self.sessions)
+        self.sessions: dict[str, TelemetrySession] = {
+            switch: deployment.engine.open(window=config.window)
+            for switch in deployment.simulator.topology.switches()
+        }
         owners = deployment._queue_owner
-        max_qid = max(owners, default=-1)
-        index = {s: i for i, s in enumerate(self._switch_order)}
-        self._owner_index = np.full(max_qid + 1, -1, dtype=np.int64)
+        index = {s: i for i, s in enumerate(self.sessions)}
+        self._owner_index = np.full(max(owners, default=-1) + 1, -1,
+                                    dtype=np.int64)
         for qid, owner in owners.items():
             self._owner_index[qid] = index[owner]
         self._closed = False
@@ -387,13 +233,11 @@ class NetworkSession:
         switches; observations from unmonitored queues are dropped, as
         in the one-shot path.
 
-        The batch is columnized at the door, then split with a
-        **single** composite sort of ``(owner, position)`` plus one
-        ``searchsorted`` for the per-switch segment bounds — one pass
-        over the batch regardless of fabric size, instead of one
-        boolean mask per switch.  The low sort bits are the arrival
-        positions, so each switch's segment is in arrival order: the
-        split is bit-identical to per-switch ``owner == i`` masking."""
+        The columnized batch is split by one composite sort of
+        ``(owner, position)`` and one ``searchsorted`` for the switch
+        segment bounds, whatever the fabric size.  The low sort bits
+        are arrival positions, so each switch sees its segment in
+        arrival order, as per-switch ``owner == i`` masking would."""
         if self._closed:
             raise SessionClosedError(
                 "network session is closed; open a new one with "
@@ -409,8 +253,8 @@ class NetworkSession:
         except Exception as exc:
             # Fail fast: some switches may have absorbed the batch and
             # others not, so the combined view can no longer be
-            # trusted (per-switch ShardError/SessionError poisoning
-            # already covers the switch that raised).
+            # trusted (per-switch SessionError poisoning already
+            # covers the switch that raised).
             self._broken = f"{type(exc).__name__}: {exc}"
             self._broken_cause = exc
             raise
@@ -437,12 +281,12 @@ class NetworkSession:
         sorted_owner = comp >> np.int64(32)        # -1 first (unmonitored)
         positions = comp & np.int64(0xFFFFFFFF)
         bounds = np.searchsorted(
-            sorted_owner, np.arange(len(self._switch_order) + 1))
-        for i, switch in enumerate(self._switch_order):
+            sorted_owner, np.arange(len(self.sessions) + 1))
+        for i, session in enumerate(self.sessions.values()):
             lo, hi = bounds[i], bounds[i + 1]
             if hi > lo:
                 sel = positions[lo:hi]
-                self.sessions[switch].ingest(ObservationTable.from_arrays(
+                session.ingest(ObservationTable.from_arrays(
                     {name: arr[sel] for name, arr in columns.items()}))
         return self
 
@@ -479,33 +323,16 @@ class NetworkSession:
             raise SessionClosedError("network session is already closed")
         if self._broken is not None:
             self._closed = True
-            if self._pool is not None:
-                self._pool.close()
             raise SessionError(
                 f"closing a broken network session (an earlier "
                 f"ingest() failed: {self._broken}); its partial state "
                 f"was discarded — open a new session, or resume from "
                 f"the last checkpoint()") from self._broken_cause
-        if self._pool is not None:
-            # Submit every pending close before collecting the first
-            # result so the switch finalizations run concurrently
-            # across the shard workers (the worker-side close is
-            # idempotent, preserving partial-failure retries).
-            handles = {
-                switch: session.submit_close()
-                for switch, session in self.sessions.items()
-                if switch not in self._switch_reports
-            }
-            for switch, handle in handles.items():
-                self._switch_reports[switch] = self._pool.result(handle)
-        else:
-            for switch, session in self.sessions.items():
-                if switch not in self._switch_reports:
-                    self._switch_reports[switch] = session.close()
+        for switch, session in self.sessions.items():
+            if switch not in self._switch_reports:
+                self._switch_reports[switch] = session.close()
         report = self._combine(self._switch_reports)
         self._closed = True
-        if self._pool is not None:
-            self._pool.close()
         return report
 
     def _combine(self, reports) -> NetworkRunReport:
@@ -553,24 +380,16 @@ class NetworkSession:
                 "network session is partially closed (an earlier "
                 "close() failed midway); retry close() instead of "
                 "checkpointing")
-        from repro.telemetry.checkpoint import pack_checkpoint
-
-        payload = {
+        return pack_checkpoint({
             "kind": "network",
             "config": self.deployment.engine._config_fingerprint(),
             "window": self.config.window,
-            "shards": self.config.shards,
-            "switches": list(self._switch_order),
-            "sharded": self._pool is not None,
-        }
-        if self._pool is not None:
-            payload["workers"] = self._pool.checkpoint_workers()
-        else:
-            payload["sessions"] = {
+            "switches": list(self.sessions),
+            "sessions": {
                 switch: session._checkpoint_payload()
                 for switch, session in self.sessions.items()
-            }
-        return pack_checkpoint(payload)
+            },
+        })
 
     # -- statistics ------------------------------------------------------------
 

@@ -45,8 +45,7 @@ that sharded *sessions* can stream through:
 
 The pool is transport only — all sharding semantics (key partitioning,
 merge combining) live with the roles, see
-:mod:`repro.switch.kvstore.sharded` and
-:class:`repro.telemetry.deploy.NetworkSession`.
+:mod:`repro.switch.kvstore.sharded`.
 """
 
 from __future__ import annotations
@@ -81,6 +80,9 @@ DEFAULT_MAX_RESTARTS = 3
 #: sleeps ``U(0, backoff * 2**(k-1))`` — *full jitter*, so workers
 #: restarting off the same failure don't synchronize into a storm.
 DEFAULT_RESTART_BACKOFF = 0.05
+
+#: Worker process names are ``kvshard-<index>``.
+WORKER_NAME_PREFIX = "kvshard"
 
 
 class ShardError(HardwareError):
@@ -358,7 +360,6 @@ class ShardWorkerPool:
 
     Args:
         roles: One role object per worker (forked, never pickled).
-        name: Process-name prefix.
         checkpoint_every: When set, enables crash *recovery*: every
             ``checkpoint_every`` journaled posts per worker the pool
             takes a synchronous role checkpoint, and a worker that dies
@@ -384,7 +385,7 @@ class ShardWorkerPool:
             public sends and acks (deterministic fault injection).
     """
 
-    def __init__(self, roles: Sequence[object], name: str = "shard",
+    def __init__(self, roles: Sequence[object],
                  checkpoint_every: int | None = None,
                  max_restarts: int = DEFAULT_MAX_RESTARTS,
                  restart_backoff: float = DEFAULT_RESTART_BACKOFF,
@@ -413,7 +414,6 @@ class ShardWorkerPool:
                         f"with checkpoint()/restore(); role {i} "
                         f"({type(role).__name__}) has neither")
         self._ctx = ctx
-        self._name = name
         #: Pristine pre-fork role copies — the respawn template.  The
         #: parent never mutates them; each worker mutates its own
         #: forked copy.
@@ -448,7 +448,7 @@ class ShardWorkerPool:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main, args=(self._roles[index], child_conn),
-            name=f"{self._name}-{index}", daemon=True)
+            name=f"{WORKER_NAME_PREFIX}-{index}", daemon=True)
         proc.start()
         child_conn.close()
         return proc, parent_conn

@@ -131,14 +131,14 @@ class TestCheckpointFormat:
 
     def test_version_2_blob_names_both_versions(self, trace):
         """A version-2 checkpoint (pickled backing-store entries) is
-        refused by the version-7 reader, which names both versions."""
-        assert VERSION == 7
+        refused by the version-8 reader, which names both versions."""
+        assert VERSION == 8
         session = ingest_upto(make_engine().open(window=128), trace, 300)
         body = session.checkpoint()[_HEADER.size:]
         session.close()
         data = _HEADER.pack(MAGIC, 2, len(body), zlib.crc32(body)) + body
         with pytest.raises(CheckpointError,
-                           match=r"version 2 \(this build reads version 7\)"):
+                           match=r"version 2 \(this build reads version 8\)"):
             make_engine().resume(data)
 
     def test_truncated_payload(self):
@@ -279,7 +279,7 @@ class TestMidStreamBitIdentity:
         body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         data = _HEADER.pack(MAGIC, 4, len(body), zlib.crc32(body)) + body
         with pytest.raises(CheckpointError,
-                           match=r"version 4 \(this build reads version 7\)"):
+                           match=r"version 4 \(this build reads version 8\)"):
             engine.resume(data)
 
     def test_retired_row_store_payload_rejected(self, trace):
@@ -298,7 +298,7 @@ class TestMidStreamBitIdentity:
         body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         data = _HEADER.pack(MAGIC, 5, len(body), zlib.crc32(body)) + body
         with pytest.raises(CheckpointError,
-                           match=r"version 5 \(this build reads version 7\)"):
+                           match=r"version 5 \(this build reads version 8\)"):
             engine.resume(data)
         with pytest.raises(CheckpointError, match="'row'"):
             engine.resume(pack_checkpoint(payload))
@@ -319,7 +319,7 @@ class TestMidStreamBitIdentity:
         body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         data = _HEADER.pack(MAGIC, 6, len(body), zlib.crc32(body)) + body
         with pytest.raises(CheckpointError,
-                           match=r"version 6 \(this build reads version 7\)"):
+                           match=r"version 6 \(this build reads version 8\)"):
             engine.resume(data)
 
     @pytest.mark.parametrize("retired", [
@@ -658,27 +658,53 @@ NET_QUERY = "SELECT COUNT, SUM(pkt_len) GROUPBY srcip"
 
 
 class TestNetworkCheckpoint:
-    @pytest.mark.parametrize("shards", [None, 2])
-    def test_resume_matches_uninterrupted(self, shards, fabric):
+    def test_resume_matches_uninterrupted(self, fabric):
+        """Every switch session lives in the caller's process: no child
+        process is alive after open, checkpoint, resume or close."""
+        import multiprocessing
+
         sim, table = fabric
         deploy = NetworkDeployment(NET_QUERY, sim, geometry=NET_GEOM)
-        kwargs = {"checkpoint_every": 4} if shards else {}
-        full = deploy.open(window=32, shards=shards, **kwargs)
+        full = deploy.open(window=32)
         full.ingest(table)
         base = net_observables(full.close())
 
-        partial = deploy.open(window=32, shards=shards, **kwargs)
+        partial = deploy.open(window=32)
+        assert multiprocessing.active_children() == []
         half = len(table) // 2
         partial.ingest(_head(table, half))
         snapshot = partial.checkpoint()
+        assert multiprocessing.active_children() == []
         partial.close()
 
-        resumed = deploy.resume(snapshot, **kwargs)
+        resumed = deploy.resume(snapshot)
+        assert multiprocessing.active_children() == []
         from repro.network.records import ObservationTable
         rest = ObservationTable.from_arrays(
             {name: col[half:] for name, col in table.columns().items()})
         resumed.ingest(rest)
         assert net_observables(resumed.close()) == base
+        assert multiprocessing.active_children() == []
+
+    def test_version_7_sharded_blob_names_both_versions(self, fabric):
+        """Version 7 could carry a sharded deployment's worker states
+        instead of per-switch sessions; the version-8 reader refuses
+        such a blob by its version, naming both."""
+        sim, table = fabric
+        deploy = NetworkDeployment(NET_QUERY, sim, geometry=NET_GEOM)
+        session = deploy.open(window=32)
+        session.ingest(_head(table, 100))
+        payload = unpack_checkpoint(session.checkpoint())
+        session.close()
+        assert set(payload) == {"kind", "config", "window", "switches",
+                                "sessions"}
+        del payload["sessions"]
+        payload.update(shards=2, sharded=True, workers=[{}, {}])
+        body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        data = _HEADER.pack(MAGIC, 7, len(body), zlib.crc32(body)) + body
+        with pytest.raises(CheckpointError,
+                           match=r"version 7 \(this build reads version 8\)"):
+            deploy.resume(data)
 
     def test_session_kind_rejected_by_engine_resume(self, fabric, trace):
         sim, _ = fabric

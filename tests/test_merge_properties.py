@@ -20,6 +20,7 @@ from repro.core.semantics import resolve_program
 from repro.switch.kvstore.cache import CacheGeometry
 from repro.switch.pipeline import SessionConfig, SwitchPipeline
 from repro.telemetry.results import compare_tables
+from repro.telemetry.runtime import QueryEngine
 
 from tests.conftest import make_record
 
@@ -319,6 +320,88 @@ def test_nonlinear_valid_keys_report_exact_values(stream):
     for key, row in hardware.items():
         assert row["nonmt.nm"] == truth[key]["nonmt.nm"]
         assert row["nonmt.maxseq"] == truth[key]["nonmt.maxseq"]
+
+
+#: Folds whose reported state is a history variable of depth 2 (it
+#: holds a value of the packet before the current one), read by no
+#: coefficient.  After an eviction the new epoch's first packet sees
+#: freshly initialised history, so only the exact-history packet log
+#: keeps them exact, and without it the analyzer must say so (W103).
+DEPTH_TWO_HISTORY = {
+    "gap": "def gap ((last, g), tin):\n"
+           "    g = tin - last\n"
+           "    last = tin\n"
+           "SELECT srcip, gap GROUPBY srcip",
+    "product": "def f ((a, b), (qin, tcpseq)):\n"
+               "    b = a * qin\n"
+               "    a = tcpseq\n"
+               "SELECT srcip, f GROUPBY srcip",
+    "chain": "def f ((a, b), (qin, pkt_len, tcpseq)):\n"
+             "    a = qin - pkt_len + 1 + b\n"
+             "    b = tcpseq\n"
+             "SELECT srcip, f GROUPBY srcip",
+}
+
+#: Key 0, key 1, key 0 on a one-slot cache: key 0's second epoch is its
+#: last packet, which reads the history of its first.
+EVICT_BETWEEN = [
+    make_record(srcip=key, pkt_id=i, tin=tin, tout=float(tin + 1),
+                qin=4 + i, tcpseq=5 * (i + 1), pkt_len=40 + i)
+    for i, (key, tin) in enumerate([(0, 1), (1, 2), (0, 3)])]
+
+HISTORY_ENGINES = [("auto", None), ("auto", 7), ("row", None)]
+
+
+def engine_rows(engine, records, window):
+    if window is None:
+        return engine.run(records).result.by_key()
+    session = engine.open(window=window)
+    session.ingest(records)
+    return session.close().result.by_key()
+
+
+def interpreted_rows(source, records):
+    return Interpreter(resolve_program(parse_program(source))) \
+        .run_result(records).by_key()
+
+
+@pytest.mark.parametrize("engine,window", HISTORY_ENGINES)
+@pytest.mark.parametrize("name", sorted(DEPTH_TWO_HISTORY))
+def test_depth_two_history_is_exact_with_exact_history(name, engine, window):
+    source = DEPTH_TWO_HISTORY[name]
+    qe = QueryEngine(source, geometry=CacheGeometry.fully_associative(1),
+                     engine=engine, exact_history=True)
+    assert not qe.diagnostics_report.by_code("RPR-W103")
+    assert engine_rows(qe, EVICT_BETWEEN, window) == \
+        interpreted_rows(source, EVICT_BETWEEN)
+
+
+@pytest.mark.parametrize("engine", ["auto", "row"])
+@pytest.mark.parametrize("name", sorted(DEPTH_TWO_HISTORY))
+def test_depth_two_history_warns_w103_without_exact_history(name, engine):
+    source = DEPTH_TWO_HISTORY[name]
+    qe = QueryEngine(source, geometry=CacheGeometry.fully_associative(1),
+                     engine=engine)
+    w103 = qe.diagnostics_report.by_code("RPR-W103")
+    assert len(w103) == 1
+    assert "depth 2" in w103[0].message
+    assert engine_rows(qe, EVICT_BETWEEN, None) != \
+        interpreted_rows(source, EVICT_BETWEEN)
+
+
+@settings(max_examples=15, deadline=None)
+@given(stream=packet_streams(),
+       name=st.sampled_from(sorted(DEPTH_TWO_HISTORY)),
+       geometry=st.sampled_from([CacheGeometry.fully_associative(1),
+                                 CacheGeometry.hash_table(2)]))
+def test_depth_two_history_exact_under_any_eviction_schedule(
+        stream, name, geometry):
+    source = DEPTH_TWO_HISTORY[name]
+    want = interpreted_rows(source, stream)
+    for engine, window in HISTORY_ENGINES:
+        qe = QueryEngine(source, geometry=geometry, engine=engine,
+                         exact_history=True)
+        assert engine_rows(qe, stream, window) == want, (engine, window)
 
 
 @settings(max_examples=20, deadline=None)

@@ -249,10 +249,8 @@ class TestSessionLifecycle:
         with pytest.raises(ValueError, match="window must be a positive"):
             qe.open(window=window)
 
-    @pytest.mark.parametrize("shards", [None, 2])
-    def test_network_open_rejects_nonpositive_window(self, shards):
-        """The network gate runs before any worker forks: a sharded
-        deployment used to fork its workers and fail only at close()."""
+    def test_network_open_rejects_nonpositive_window(self):
+        """The network gate runs before any switch session opens."""
         import multiprocessing
 
         from repro.network.simulator import NetworkSimulator
@@ -264,12 +262,10 @@ class TestSessionLifecycle:
             "SELECT COUNT GROUPBY srcip",
             NetworkSimulator(linear_chain(2)), geometry=GEOM)
         with pytest.raises(ValueError, match="window must be a positive") as err:
-            deploy.open(window=0, shards=shards)
+            deploy.open(window=0)
         assert diagnostic_code(err.value) == "RPR-E004"
+        assert deploy._session is None
         assert multiprocessing.active_children() == []
-        with pytest.raises(ValueError) as err:
-            deploy.open(shards=0)
-        assert diagnostic_code(err.value) == "RPR-E005"
 
 
 class TestMidStreamSnapshots:

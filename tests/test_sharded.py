@@ -7,9 +7,8 @@ writes, accuracy — across the Fig. 2 catalog, eviction policies,
 window partitionings, and shard counts, including mid-stream
 ``results()`` snapshots.  Plus: the mergeable/non-mergeable contract
 (non-mergeable folds route whole-stream to one shard), session error
-contracts, the network-wide sharded deployment, the int64 overflow
-guard on the vector fold path, and the shared-memory worker-pool
-lifecycle (ack-bounded segments, crash propagation, unlink on every
+contracts, the int64 overflow guard on the vector fold path, and the
+shared-memory worker-pool lifecycle (ack-bounded segments, crash propagation, unlink on every
 failure path).
 """
 
@@ -260,102 +259,6 @@ class TestErrorContracts:
         session = qe.open(window=257, shards=2)
         session.ingest(trace)
         session.close()
-
-
-class TestNetworkSharded:
-    @pytest.fixture(scope="class")
-    def fabric(self):
-        from repro.network.simulator import NetworkSimulator
-        from repro.network.topology import LinkSpec, leaf_spine
-
-        topo = leaf_spine(2, 2, 2, edge_link=LinkSpec(rate_gbps=5.0))
-        sim = NetworkSimulator(topo)
-        hosts = sorted(topo.hosts())
-        t = 0
-        for i in range(500):
-            t += 2000
-            src = hosts[i % len(hosts)]
-            dst = hosts[(i + 1 + i // 7) % len(hosts)]
-            if src != dst:
-                sim.inject(time_ns=t, src=src, dst=dst,
-                           pkt_len=400 + (i % 900), srcport=2000 + i % 5)
-        return sim, sim.run()
-
-    def network_observables(self, report):
-        return (
-            {q: sorted(map(tuple, (sorted(r.items()) for r in t.rows)))
-             for q, t in report.combined.items()},
-            {sw: {q: t.rows for q, t in tables.items()}
-             for sw, tables in report.per_switch.items()},
-            report.combinable,
-        )
-
-    def test_sharded_deployment_matches_unsharded(self, fabric):
-        from repro.telemetry.deploy import NetworkDeployment
-
-        sim, table = fabric
-        source = "SELECT COUNT, SUM(pkt_len) GROUPBY 5tuple"
-        plain = NetworkDeployment(source, sim, geometry=GEOM)
-        base_session = plain.open(window=333)
-        deploy = NetworkDeployment(source, sim, geometry=GEOM)
-        session = deploy.open(window=333, shards=2)
-        assert session._pool is not None
-        for batch in chunked(table, 441):
-            base_session.ingest(batch)
-            session.ingest(batch)
-        assert self.network_observables(session.results()) == \
-            self.network_observables(base_session.results())
-        stats = session.cache_stats()
-        base_stats = base_session.cache_stats()
-        assert set(stats) == set(base_stats)
-        assert self.network_observables(session.close()) == \
-            self.network_observables(base_session.close())
-
-    def test_shards_capped_at_switch_count(self, fabric):
-        from repro.telemetry.deploy import NetworkDeployment
-
-        sim, table = fabric
-        deploy = NetworkDeployment("SELECT COUNT GROUPBY qid", sim,
-                                   geometry=GEOM)
-        one_shot = NetworkDeployment("SELECT COUNT GROUPBY qid", sim,
-                                     geometry=GEOM).run(table)
-        session = deploy.open(window=256, shards=64)
-        n_switches = len(session.sessions)
-        assert session._pool.n_workers == min(64, n_switches)
-        session.ingest(table)
-        report = session.close()
-        assert self.network_observables(report) == \
-            self.network_observables(one_shot)
-
-    def test_sharded_close_retryable(self, fabric):
-        """A transient close failure on one remote switch must not
-        wedge the pool: workers cache their reports, so the retried
-        close is served idempotently."""
-        from repro.telemetry.deploy import NetworkDeployment
-
-        sim, table = fabric
-        deploy = NetworkDeployment("SELECT COUNT GROUPBY qid", sim,
-                                   geometry=GEOM)
-        session = deploy.open(window=256, shards=2)
-        session.ingest(table)
-        victim = list(session.sessions)[-1]
-        real_submit = session.sessions[victim].submit_close
-        calls = {"n": 0}
-
-        def flaky_submit(*args, **kwargs):
-            if calls["n"] == 0:
-                calls["n"] += 1
-                raise RuntimeError("transient close failure")
-            return real_submit(*args, **kwargs)
-
-        session.sessions[victim].submit_close = flaky_submit
-        with pytest.raises(RuntimeError, match="transient"):
-            session.close()
-        assert not session._closed
-        report = session.close()               # retry resumes
-        total = sum(r["COUNT"] for r in
-                    report.combined[deploy.compiled.result].rows)
-        assert total == len(table)
 
 
 def big_sum_trace(n, value, flows=3):
