@@ -23,7 +23,12 @@ Every shard runs the unmodified single-process engine over its slice:
   concatenates those states with a stable re-sort by first-access
   position — the segment logs permuted with their keys — which
   reproduces the single-process engines' result order exactly.
-  The combined state answers every observable the same way the
+  A worker learns those positions from its store's own key index: it
+  registers each batch's keys as the batch arrives
+  (:meth:`~repro.switch.kvstore.windowed_store.WindowedVectorStore.key_ids`;
+  batches arrive in stream order, so the ids are the ones the store's
+  windows assign) and keeps one position array per stage, indexed by
+  key id.  The combined state answers every observable the same way the
   store's own does;
 * the windowed store is bit-identical for every window partitioning,
   so shard-local window boundaries are observation-neutral.
@@ -62,7 +67,7 @@ from repro.telemetry.shard_exec import ShardError, ShardWorkerPool
 from .cache import CacheGeometry, CacheStats
 from .split import StoreSnapshot
 from .vector_cache import mix_key_array
-from .windowed_store import MergedState, WindowedVectorStore
+from .windowed_store import MergedState, WindowedVectorStore, _grown
 
 if TYPE_CHECKING:                                  # pragma: no cover
     from repro.switch.pipeline import SessionConfig
@@ -93,7 +98,8 @@ def make_store_pool(specs: Sequence[tuple[GroupByStage, CacheGeometry]],
 class _StoreShardRole:
     """Worker-side role: one single-process store per stage over this
     shard's key slice, plus each key's global first-access position
-    (the combine's ordering key)."""
+    (the combine's ordering key): one int64 array per stage, indexed
+    by the store's key id."""
 
     def __init__(self, specs: list[tuple[GroupByStage, CacheGeometry]],
                  params: Mapping[str, Numeric], config: SessionConfig):
@@ -101,7 +107,7 @@ class _StoreShardRole:
         self._params = params
         self._config = config
         self._stores: dict[int, WindowedVectorStore] = {}
-        self._firsts: dict[int, dict[tuple, int]] = {}
+        self._first_pos: dict[int, np.ndarray] = {}
         self._finalized: set[int] = set()
 
     def _store(self, idx: int) -> WindowedVectorStore:
@@ -113,7 +119,7 @@ class _StoreShardRole:
                 stage, geometry, params=self._params, policy=config.policy,
                 seed=config.seed, window=config.window)
             self._stores[idx] = store
-            self._firsts[idx] = {}
+            self._first_pos[idx] = np.zeros(0, dtype=np.int64)
         return store
 
     def handle(self, op: str, meta, arrays: dict[str, np.ndarray]):
@@ -122,7 +128,7 @@ class _StoreShardRole:
         if op == "add_batch":
             keys = arrays.pop("__keys__")
             pos = arrays.pop("__pos__")
-            self._record_firsts(idx, keys, pos)
+            self._record_firsts(idx, store, keys, pos)
             store.add_batch(keys, arrays)
             return None
         if op == "stats":
@@ -147,8 +153,8 @@ class _StoreShardRole:
             "stores": {idx: (None if idx in self._finalized
                              else store.checkpoint_state())
                        for idx, store in self._stores.items()},
-            "firsts": {idx: dict(firsts)
-                       for idx, firsts in self._firsts.items()},
+            "first_pos": {idx: self._first_pos[idx][:store.n_keys].copy()
+                          for idx, store in self._stores.items()},
         }
 
     def restore(self, state: dict) -> None:
@@ -157,22 +163,25 @@ class _StoreShardRole:
         for idx, store_state in state["stores"].items():
             if store_state is not None:
                 self._store(idx).restore_state(store_state)
-        for idx, firsts in state["firsts"].items():
-            self._firsts[idx] = dict(firsts)
+        self._first_pos.update(state["first_pos"])
         return None
 
-    def _record_firsts(self, idx: int, keys: np.ndarray,
-                       pos: np.ndarray) -> None:
-        """Register each unseen key's global first-access position
-        (rows arrive in ascending position order, so the first
-        occurrence within a batch is the earliest)."""
-        firsts = self._firsts[idx]
-        rows = np.ascontiguousarray(keys)
-        view = rows.view([("", rows.dtype)] * rows.shape[1]).ravel()
-        _, first_idx = np.unique(view, return_index=True)
-        pos_list = pos.tolist()
-        for i in first_idx.tolist():
-            firsts.setdefault(tuple(rows[i].tolist()), pos_list[i])
+    def _record_firsts(self, idx: int, store: WindowedVectorStore,
+                       keys: np.ndarray, pos: np.ndarray) -> None:
+        """Register the batch's keys in the store's key index and record
+        each new key's global first-access position.  Rows arrive in
+        ascending position order and the index numbers new keys in
+        first-occurrence order, so a row is its key's first occurrence
+        exactly when its id exceeds every earlier new row's id."""
+        start = store.n_keys
+        gid = store.key_ids(keys, mix_key_array(keys, store.seed))
+        new = np.flatnonzero(gid >= start)
+        ids = gid[new]
+        first = np.ones(len(ids), dtype=bool)
+        first[1:] = ids[1:] > np.maximum.accumulate(ids)[:-1]
+        first_pos = self._first_pos[idx] = _grown(self._first_pos[idx],
+                                                  store.n_keys)
+        first_pos[ids[first]] = pos[new[first]]
 
     # -- payloads (shipped back over the pipe, pickled) ----------------------
 
@@ -181,9 +190,8 @@ class _StoreShardRole:
         once the store is finalized), its counters, and each key's
         global first-access position."""
         state = store.merged_state()
-        firsts = self._firsts[idx]
         return {"stats": replace(store.stats), "state": state,
-                "first_pos": [firsts[k] for k in state.key_tuples()]}
+                "first_pos": self._first_pos[idx][:len(state.keys)]}
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +218,8 @@ def _combine(payloads: Sequence[dict]) -> tuple[CacheStats, MergedState]:
     stats = _sum_stats(p["stats"] for p in payloads)
     live = [p for p in payloads if len(p["state"].keys)] or payloads[:1]
     states = [p["state"] for p in live]
-    order = np.argsort(np.concatenate(
-        [np.asarray(p["first_pos"], dtype=np.int64) for p in live]),
-        kind="stable")
+    order = np.argsort(np.concatenate([p["first_pos"] for p in live]),
+                       kind="stable")
     epochs = np.concatenate([s.epochs for s in states])
     take = _segment_order(epochs, order)
     return stats, MergedState(

@@ -56,7 +56,10 @@ observable stays **bit-identical** to the per-packet row store, for
    against the full key row — no per-access Python; only rows whose
    hash collides are resolved one by one.  The index is built on the
    first lookup (a run that is one window never builds it) and merged
-   incrementally after that.  The merged result is read through one
+   incrementally after that.  A shard worker registers each batch's
+   keys as it arrives (:meth:`WindowedVectorStore.key_ids`, in stream
+   order, so the ids are the ones its windows would assign) to index
+   its keys' first-access positions by key id.  The merged result is read through one
    plain-data :class:`MergedState`:
    :meth:`WindowedVectorStore.merged_state` builds it — views of the
    final arrays once finalized, copies with every carried open epoch
@@ -364,7 +367,7 @@ class WindowedVectorStore(VectorSplitStore):
         self._total = 0
         # Persistent key table: unique key rows in first-seen
         # (= first-access) order, with a hash-sorted index (built on
-        # first lookup, see _map_global) for vectorized window-key ->
+        # first lookup, see key_ids) for vectorized window-key ->
         # global-id matching.
         self._nkeys = 0
         self._all_keys = np.zeros((0, len(stage.key.fields)),
@@ -431,9 +434,15 @@ class WindowedVectorStore(VectorSplitStore):
 
     # -- global key ids ------------------------------------------------------
 
-    def _map_global(self, keys2d: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Persistent global ids of a window's key rows ``keys2d`` (row
-        hash ``h``), registering unseen keys in first-occurrence order:
+    @property
+    def n_keys(self) -> int:
+        """Keys registered so far; their ids are ``0 .. n_keys - 1``."""
+        return self._nkeys
+
+    def key_ids(self, keys2d: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Persistent global ids of key rows ``keys2d`` (row hash
+        ``h``; a window's, or a shard worker's batch), registering
+        unseen keys in first-occurrence order:
         the rows are factorized over ``h``, and the unique rows are
         looked up with one ``searchsorted`` of their hashes against the
         hash-sorted index of the known keys, each match verified against
@@ -535,7 +544,7 @@ class WindowedVectorStore(VectorSplitStore):
         # One row hash: it sorts the factorization, indexes new keys
         # and picks their cache sets.
         h = mix_key_array(keys2d, self.seed)
-        gid = self._map_global(keys2d, h)
+        gid = self.key_ids(keys2d, h)
 
         # Replacement schedule with carried residency.
         miss, evictions = self._sched.schedule(gid, h, final)

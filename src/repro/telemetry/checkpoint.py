@@ -27,8 +27,11 @@ import zlib
 from repro.core.errors import CheckpointError
 
 MAGIC = b"RPROCKPT"
-#: Payload layout version.  8: a network payload carries one state per
-#: switch session (``"sessions"``) and nothing else; version 7 could
+#: Payload layout version.  9: a shard worker's role state carries
+#: each stage's key first-access positions as one int64 array indexed
+#: by the store's key id (``"first_pos"``); version 8 carried
+#: ``{key tuple: position}`` dicts (``"firsts"``).  8: a network
+#: payload carries one state per switch session (``"sessions"``) and nothing else; version 7 could
 #: carry a sharded deployment's worker states (``"sharded"`` /
 #: ``"workers"``).  7: the LRU cache schedule carries its
 #: resident keys' ids and hashes (``res_gids`` / ``res_hashes``, no key
@@ -42,7 +45,7 @@ MAGIC = b"RPROCKPT"
 #: ``"packed"``), version 3 could carry an exact-mode session's buffered
 #: input (``exact`` / ``buffered``), and version 2 a pickled backing
 #: store (``backing_data``).  Older payloads are refused.
-VERSION = 8
+VERSION = 9
 
 _HEADER = struct.Struct("<8sHQI")  # magic, version, payload len, crc32
 

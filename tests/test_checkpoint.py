@@ -13,6 +13,7 @@ survive SIGKILLed workers via journal replay and shut down cleanly on
 SIGTERM without leaking ``/dev/shm`` segments.
 """
 
+import multiprocessing
 import os
 import pickle
 import signal
@@ -131,14 +132,14 @@ class TestCheckpointFormat:
 
     def test_version_2_blob_names_both_versions(self, trace):
         """A version-2 checkpoint (pickled backing-store entries) is
-        refused by the version-8 reader, which names both versions."""
-        assert VERSION == 8
+        refused by the version-9 reader, which names both versions."""
+        assert VERSION == 9
         session = ingest_upto(make_engine().open(window=128), trace, 300)
         body = session.checkpoint()[_HEADER.size:]
         session.close()
         data = _HEADER.pack(MAGIC, 2, len(body), zlib.crc32(body)) + body
         with pytest.raises(CheckpointError,
-                           match=r"version 2 \(this build reads version 8\)"):
+                           match=r"version 2 \(this build reads version 9\)"):
             make_engine().resume(data)
 
     def test_truncated_payload(self):
@@ -279,7 +280,7 @@ class TestMidStreamBitIdentity:
         body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         data = _HEADER.pack(MAGIC, 4, len(body), zlib.crc32(body)) + body
         with pytest.raises(CheckpointError,
-                           match=r"version 4 \(this build reads version 8\)"):
+                           match=r"version 4 \(this build reads version 9\)"):
             engine.resume(data)
 
     def test_retired_row_store_payload_rejected(self, trace):
@@ -298,7 +299,7 @@ class TestMidStreamBitIdentity:
         body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         data = _HEADER.pack(MAGIC, 5, len(body), zlib.crc32(body)) + body
         with pytest.raises(CheckpointError,
-                           match=r"version 5 \(this build reads version 8\)"):
+                           match=r"version 5 \(this build reads version 9\)"):
             engine.resume(data)
         with pytest.raises(CheckpointError, match="'row'"):
             engine.resume(pack_checkpoint(payload))
@@ -319,7 +320,7 @@ class TestMidStreamBitIdentity:
         body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         data = _HEADER.pack(MAGIC, 6, len(body), zlib.crc32(body)) + body
         with pytest.raises(CheckpointError,
-                           match=r"version 6 \(this build reads version 8\)"):
+                           match=r"version 6 \(this build reads version 9\)"):
             engine.resume(data)
 
     @pytest.mark.parametrize("retired", [
@@ -372,6 +373,29 @@ class TestShardedDurability:
             snapshot = session.checkpoint()
             session.close()
             assert finish_from(engine.resume(snapshot), trace) == base
+
+    def test_version_8_sharded_blob_names_both_versions(self, trace):
+        """Version 8 carried each shard role's first-access positions
+        as ``{key tuple: position}`` dicts (``"firsts"``); version 9
+        carries int64 arrays indexed by key id.  The version-9 reader
+        refuses a version-8 sharded blob by its header, naming both
+        versions, before any worker sees the payload."""
+        engine = make_engine()
+        session = ingest_upto(engine.open(window=1024, shards=2), trace, 300)
+        payload = unpack_checkpoint(session.checkpoint())
+        session.close()
+        for worker in payload["pipeline"]["workers"]:
+            first_pos = worker.pop("first_pos")
+            worker["firsts"] = {
+                idx: dict(zip(map(tuple, worker["stores"][idx]["keys"]
+                                  .tolist()), pos.tolist()))
+                for idx, pos in first_pos.items()}
+        body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        data = _HEADER.pack(MAGIC, 8, len(body), zlib.crc32(body)) + body
+        with pytest.raises(CheckpointError,
+                           match=r"version 8 \(this build reads version 9\)"):
+            engine.resume(data)
+        assert multiprocessing.active_children() == []
 
     def test_crash_recovery_is_bit_identical(self, trace):
         """A SIGKILLed shard worker is respawned, restored from its
@@ -661,8 +685,6 @@ class TestNetworkCheckpoint:
     def test_resume_matches_uninterrupted(self, fabric):
         """Every switch session lives in the caller's process: no child
         process is alive after open, checkpoint, resume or close."""
-        import multiprocessing
-
         sim, table = fabric
         deploy = NetworkDeployment(NET_QUERY, sim, geometry=NET_GEOM)
         full = deploy.open(window=32)
@@ -688,7 +710,7 @@ class TestNetworkCheckpoint:
 
     def test_version_7_sharded_blob_names_both_versions(self, fabric):
         """Version 7 could carry a sharded deployment's worker states
-        instead of per-switch sessions; the version-8 reader refuses
+        instead of per-switch sessions; the version-9 reader refuses
         such a blob by its version, naming both."""
         sim, table = fabric
         deploy = NetworkDeployment(NET_QUERY, sim, geometry=NET_GEOM)
@@ -703,7 +725,7 @@ class TestNetworkCheckpoint:
         body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         data = _HEADER.pack(MAGIC, 7, len(body), zlib.crc32(body)) + body
         with pytest.raises(CheckpointError,
-                           match=r"version 7 \(this build reads version 8\)"):
+                           match=r"version 7 \(this build reads version 9\)"):
             deploy.resume(data)
 
     def test_session_kind_rejected_by_engine_resume(self, fabric, trace):

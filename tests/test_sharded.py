@@ -12,6 +12,7 @@ shared-memory worker-pool lifecycle (ack-bounded segments, crash propagation, un
 failure path).
 """
 
+import pickle
 import warnings
 
 import numpy as np
@@ -23,6 +24,9 @@ from repro.core.errors import HardwareError
 from repro.network.records import ObservationTable
 from repro.queries.catalog import FIG2_QUERIES
 from repro.switch.kvstore.cache import CacheGeometry
+from repro.switch.kvstore.sharded import _StoreShardRole
+from repro.switch.kvstore.vector_cache import mix_key_array
+from repro.switch.pipeline import SessionConfig
 from repro.telemetry import QueryEngine
 
 from tests.conftest import make_record, synthetic_trace
@@ -231,6 +235,96 @@ class TestMergeableContract:
             assert proxy.mergeable and not proxy._single
         session.ingest(trace)
         session.close()
+
+
+KEY_STAGES = [QueryEngine(f"SELECT COUNT GROUPBY {fields}")
+              .compiled.groupby_stages[0]
+              for fields in ("srcip", "srcip, dstip", "srcip, dstip, proto")]
+
+
+@st.composite
+def key_batches(draw):
+    """A stage with 1-3 key columns and its stream cut into batches:
+    key rows with negative values (few distinct, so keys repeat within
+    and across batches) and ascending global positions with gaps."""
+    stage = draw(st.sampled_from(KEY_STAGES))
+    width = len(stage.key.fields)
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=5))
+    values = draw(st.lists(st.integers(-4, 3), min_size=sum(sizes) * width,
+                           max_size=sum(sizes) * width))
+    gaps = draw(st.lists(st.integers(1, 5), min_size=sum(sizes),
+                         max_size=sum(sizes)))
+    keys = np.array(values, dtype=np.int64).reshape(-1, width)
+    pos = np.cumsum(gaps, dtype=np.int64)
+    bounds = np.cumsum([0] + sizes)
+    return stage, [(keys[lo:hi], pos[lo:hi])
+                   for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+class TestFirstAccessOrder:
+    """A shard worker takes each key's global first-access position
+    from its store's key index; the combine orders keys by it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=key_batches(), window=st.sampled_from([3, 17, 10 ** 6]),
+           cut=st.integers(0, 5))
+    def test_role_first_pos_matches_dict_oracle(self, drawn, window, cut):
+        """Role ``first_pos`` equals a ``{key row: first position}``
+        oracle, across a ``checkpoint()`` → fresh role ``restore()``
+        between batches (input still pending when the window is larger
+        than the stream)."""
+        stage, batches = drawn
+        config = SessionConfig(window=window, shards=1, seed=5)
+        specs = [(stage, CacheGeometry.set_associative(8, ways=2))]
+        role = _StoreShardRole(specs, {}, config)
+        firsts: dict[tuple, int] = {}
+        for i, (keys, pos) in enumerate(batches):
+            if i == cut:
+                state = pickle.loads(pickle.dumps(role.checkpoint()))
+                role = _StoreShardRole(specs, {}, config)
+                role.restore(state)
+            for row, p in zip(keys.tolist(), pos.tolist()):
+                firsts.setdefault(tuple(row), p)
+            role.handle("add_batch", {"stage": 0},
+                        {"__keys__": keys, "__pos__": pos})
+        payload = role.handle("snapshot", {"stage": 0}, {})
+        rows = [tuple(row) for row in payload["state"].keys.tolist()]
+        assert sorted(rows) == sorted(firsts)
+        assert payload["first_pos"].tolist() == [firsts[r] for r in rows]
+
+    def test_checkpoint_with_pending_input_keeps_row_order(self):
+        """Keys first seen on both shards inside one batch, a checkpoint
+        while input is pending (``window`` > batch), resume, close:
+        equal to the unsharded ``run()`` in row order, counters and
+        writes."""
+        table = synthetic_trace(1500, n_flows=400, seed=7)
+        entry = CATALOG["per_flow_counters"]
+        qe = QueryEngine(entry.source, params=entry.default_params,
+                         geometry=GEOM)
+        stage = qe.compiled.groupby_stages[0]
+        columns = table.columns()
+        keys = np.column_stack([columns[f] for f in stage.key.fields]) \
+            .astype(np.int64)
+        shard = mix_key_array(keys, 0) % np.uint64(GEOM.n_buckets) % 2
+        _, first = np.unique(keys, axis=0, return_index=True)
+        second = first[(first >= 300) & (first < 600)]
+        assert set(shard[second].tolist()) == {0, 1}
+
+        session = qe.open(window=1000, shards=2)
+        for batch in chunked(_rows(table, 0, 900), 300):
+            session.ingest(batch)
+        snapshot = session.checkpoint()
+        session.close()
+        resumed = qe.resume(snapshot)
+        for batch in chunked(_rows(table, 900, len(table)), 300):
+            resumed.ingest(batch)
+        assert observables(resumed.close(include_invalid=True)) == \
+            observables(qe.run(table, include_invalid=True))
+
+
+def _rows(table: ObservationTable, lo: int, hi: int) -> ObservationTable:
+    return ObservationTable.from_arrays(
+        {name: col[lo:hi] for name, col in table.columns().items()})
 
 
 class TestErrorContracts:
