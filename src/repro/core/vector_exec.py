@@ -22,13 +22,19 @@ Evaluates a resolved program over *columns* instead of rows:
     by evaluating their update expression per packet and shifting it by
     one position within each group segment.
   - **rounds** — any other fold (non-identity linear such as EWMA, and
-    the non-linear class such as ``nonmt``): packets are laid out
-    round-major (the *k*-th packet of every group side by side) and the
-    if-converted update expressions are applied elementwise across all
-    live groups, one round per in-group packet rank.  Each state
-    transition performs the same scalar operations in the same order as
-    the interpreter, so results are again exact; the cost is one numpy
-    dispatch per round (bounded by the largest group).
+    the non-linear class such as ``nonmt``): the if-converted update
+    expressions are applied elementwise across all live groups, one
+    round per in-group packet rank.  Groups are relabelled by
+    descending packet count, so round *k*'s live groups are a prefix
+    of the labels and its packets (the *k*-th of every live group) one
+    contiguous slice of a round-major permutation built by one scatter.
+    Columns are gathered once per call in that order and every
+    state-free subexpression (EWMA's ``alpha * (tout - tin)``) is
+    evaluated once over all of them; the rest compiles once per call
+    into closures, so a round costs a few numpy calls on slices and
+    state-prefix views, with no gather, scatter or tree walk.  Each
+    state transition performs the same scalar operations in the same
+    order as the interpreter, so results are again exact.
   - **replay** — a per-fold fallback to the reference interpreter's
     scalar update loop, used when an expression contains something the
     array evaluator does not support.  Only the affected fold is
@@ -50,7 +56,8 @@ below 2^63 runs on exact Python ints instead.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+import functools
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -139,14 +146,59 @@ class ArrayContext:
 
 
 def _truthy(value) -> np.ndarray:
-    """Elementwise truth value (nonzero) of an array or scalar."""
-    return np.asarray(value) != 0
+    """Elementwise truth value (nonzero) of an array or scalar; a bool
+    array is its own."""
+    value = np.asarray(value)
+    return value if value.dtype == bool else value != 0
 
 
 def _as_pred_int(value) -> np.ndarray:
     """Materialise a boolean result as 0/1 int64, mirroring the scalar
     evaluator's hardware convention."""
     return _truthy(value).astype(np.int64)
+
+
+def _divide(left, right):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.true_divide(left, right)
+
+
+#: The array semantics of every operator, the one table that
+#: :func:`eval_array` and the round kernel share: ``(node type, op or
+#: function)`` -> ``(function of the operand values, predicate)``.  A
+#: predicate's value is a truth array, stored as 0/1 int64 (the scalar
+#: evaluator's convention) or fed to a ``Cond`` as it is.  A ``Cond``
+#: takes both branches evaluated and discards the untaken side.
+_OPERATORS: dict[tuple[type, str | None], tuple[Callable, bool]] = {
+    (BinOp, "+"): (np.add, False),
+    (BinOp, "-"): (np.subtract, False),
+    (BinOp, "*"): (np.multiply, False),
+    (BinOp, "/"): (_divide, False),
+    (BinOp, "=="): (np.equal, True),
+    (BinOp, "!="): (np.not_equal, True),
+    (BinOp, "<"): (np.less, True),
+    (BinOp, "<="): (np.less_equal, True),
+    (BinOp, ">"): (np.greater, True),
+    (BinOp, ">="): (np.greater_equal, True),
+    (BinOp, "and"): (lambda left, right: _truthy(left) & _truthy(right), True),
+    (BinOp, "or"): (lambda left, right: _truthy(left) | _truthy(right), True),
+    (UnaryOp, "not"): (lambda value: ~_truthy(value), True),
+    (UnaryOp, "-"): (np.negative, False),
+    (Call, "abs"): (np.abs, False),
+    (Call, "max"): (lambda *args: functools.reduce(np.maximum, args), False),
+    (Call, "min"): (lambda *args: functools.reduce(np.minimum, args), False),
+    (Cond, None): (lambda pred, then, orelse:
+                   np.where(_truthy(pred), then, orelse), False),
+}
+
+
+def _operator(expr: Expr) -> tuple[Callable, bool]:
+    """``expr``'s entry in :data:`_OPERATORS`."""
+    key = (type(expr), getattr(expr, "op", getattr(expr, "func", None)))
+    try:
+        return _OPERATORS[key]
+    except KeyError:
+        raise VectorizationError(f"cannot vectorize {expr!r}") from None
 
 
 def eval_array(expr: Expr, ctx: ArrayContext,
@@ -168,13 +220,8 @@ def eval_array(expr: Expr, ctx: ArrayContext,
             ctx = ctx.exact(expr)
     if isinstance(expr, Number):
         return expr.value
-    if isinstance(expr, FieldRef):
-        try:
-            return ctx.columns[expr.name]
-        except KeyError:
-            raise VectorizationError(f"no column {expr.name!r}") from None
-    if isinstance(expr, ColumnRef):
-        if expr.table is not None:
+    if isinstance(expr, (FieldRef, ColumnRef)):
+        if getattr(expr, "table", None) is not None:
             raise VectorizationError("qualified column in vector context")
         try:
             return ctx.columns[expr.name]
@@ -191,59 +238,55 @@ def eval_array(expr: Expr, ctx: ArrayContext,
             raise InterpreterError(
                 f"query parameter {expr.name!r} has no binding; pass it via params="
             ) from None
+    fn, predicate = _operator(expr)
     if isinstance(expr, Cond):
-        pred = _truthy(eval_array(expr.pred, ctx))
+        pred = eval_array(expr.pred, ctx)
         with np.errstate(all="ignore"):
-            then = eval_array(expr.then, ctx)
-            orelse = eval_array(expr.orelse, ctx)
-            return np.where(pred, then, orelse)
-    if isinstance(expr, UnaryOp):
-        value = eval_array(expr.operand, ctx)
-        if expr.op == "not":
-            return (~_truthy(value)).astype(np.int64)
-        return np.negative(value)
-    if isinstance(expr, Call):
-        args = [eval_array(a, ctx) for a in expr.args]
-        if expr.func == "abs":
-            return np.abs(args[0])
-        if expr.func in ("max", "min"):
-            ufunc = np.maximum if expr.func == "max" else np.minimum
-            result = args[0]
-            for other in args[1:]:
-                result = ufunc(result, other)
-            return result
-        raise VectorizationError(f"unknown function {expr.func!r}")
-    if isinstance(expr, BinOp):
-        op = expr.op
-        left = eval_array(expr.left, ctx)
-        right = eval_array(expr.right, ctx)
-        if op == "+":
-            return np.add(left, right)
-        if op == "-":
-            return np.subtract(left, right)
-        if op == "*":
-            return np.multiply(left, right)
-        if op == "/":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.true_divide(left, right)
-        if op == "==":
-            return _as_pred_int(np.equal(left, right))
-        if op == "!=":
-            return _as_pred_int(np.not_equal(left, right))
-        if op == "<":
-            return _as_pred_int(np.less(left, right))
-        if op == "<=":
-            return _as_pred_int(np.less_equal(left, right))
-        if op == ">":
-            return _as_pred_int(np.greater(left, right))
-        if op == ">=":
-            return _as_pred_int(np.greater_equal(left, right))
-        if op == "and":
-            return (_truthy(left) & _truthy(right)).astype(np.int64)
-        if op == "or":
-            return (_truthy(left) | _truthy(right)).astype(np.int64)
-        raise VectorizationError(f"unknown operator {op!r}")
-    raise VectorizationError(f"cannot vectorize {expr!r}")
+            return fn(pred, eval_array(expr.then, ctx),
+                      eval_array(expr.orelse, ctx))
+    value = fn(*[eval_array(arg, ctx) for arg in expr.children()])
+    return _as_pred_int(value) if predicate else value
+
+
+def _stored(fn: Callable) -> Callable:
+    """A predicate's function with its value stored as 0/1 int64."""
+    return lambda *values: _as_pred_int(fn(*values))
+
+
+def _compile(expr: Expr, whole: ArrayContext, states: dict[str, np.ndarray],
+             predicate: bool = False):
+    """``expr`` as a function of one round, ``(lo, hi, m)``: the
+    round's rows are ``[lo, hi)`` of the round-major columns of
+    ``whole``, its live groups the first ``m`` of ``states``.  A
+    state-free subexpression is evaluated once over all of ``whole``:
+    an array is sliced per round, a scalar is returned as it is (not a
+    function).  The rest apply :data:`_OPERATORS` to their operands.
+    ``predicate``: the value feeds a truth test, so it may stay bool."""
+    if not any(isinstance(node, StateRef) for node in walk(expr)):
+        value = eval_array(expr, whole)
+        if isinstance(value, np.ndarray) and value.ndim == 1:
+            return lambda lo, hi, m: value[lo:hi]
+        return value
+    if isinstance(expr, StateRef):
+        name = expr.name
+        if name not in states:
+            raise VectorizationError(f"no state array for {name!r}")
+        return lambda lo, hi, m: states[name][:m]
+    fn, is_predicate = _operator(expr)
+    if is_predicate and not predicate:
+        fn = _stored(fn)
+    args = [_compile(arg, whole, states, isinstance(expr, Cond) and not i)
+            for i, arg in enumerate(expr.children())]
+    if len(args) == 2:                  # the common case: no list per round
+        a, b = args
+        if not callable(a):
+            return lambda lo, hi, m: fn(a, b(lo, hi, m))
+        if not callable(b):
+            return lambda lo, hi, m: fn(a(lo, hi, m), b)
+        return lambda lo, hi, m: fn(a(lo, hi, m), b(lo, hi, m))
+    fns = [arg if callable(arg) else (lambda lo, hi, m, value=arg: value)
+           for arg in args]
+    return lambda lo, hi, m: fn(*[arg(lo, hi, m) for arg in fns])
 
 
 def _init_dtype(init: Numeric) -> np.dtype:
@@ -441,17 +484,6 @@ class _GroupLayout:
 # ---------------------------------------------------------------------------
 
 
-def _promote_assign(states: dict[str, np.ndarray], var: str,
-                    indices: np.ndarray, values: np.ndarray) -> None:
-    """``states[var][indices] = values`` with dtype promotion (a fold's
-    state becomes float the first time an update produces one)."""
-    current = states[var]
-    promoted = np.result_type(current.dtype, values.dtype)
-    if promoted != current.dtype:
-        states[var] = current = current.astype(promoted)
-    current[indices] = values
-
-
 class _FoldVectorizer:
     """Evaluates one fold instance over one factorized batch."""
 
@@ -557,67 +589,92 @@ class _FoldVectorizer:
 
     # -- strategy: round-major elementwise iteration -------------------------
 
-    def round_plan(self, layout: _GroupLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Round-major row ordering: positions of every group's ``r``-th
-        packet are contiguous, groups side by side."""
-        ranks = layout.ranks_group_major()
-        round_order = np.argsort(ranks, kind="stable")
-        rows_rm = layout.order[round_order]
-        round_counts = np.bincount(ranks)
-        round_offsets = np.zeros(len(round_counts) + 1, dtype=np.int64)
-        np.cumsum(round_counts, out=round_offsets[1:])
-        return rows_rm, layout.gid[rows_rm], round_offsets
-
     def run_rounds(self, ctx: ArrayContext, layout: _GroupLayout,
                    init_override: Mapping[str, np.ndarray] | None = None,
                    ) -> dict[str, np.ndarray]:
         """Exact general path: apply the if-converted update expressions
         elementwise across all groups, one round per in-group rank.
 
+        Groups are relabelled by descending packet count, so round
+        ``r``'s live groups are the first ``m`` labels and its rows one
+        slice ``[lo, hi)`` of a round-major permutation: a round reads
+        column slices and state views ``states[var][:m]``, and writes
+        the views back once every new value of the round is computed
+        (a bare state read is copied first).  Proved int64-safe
+        (:func:`repro.core.intbound.growth`), the updates run as one
+        kernel compiled for the call (:func:`_compile`); otherwise
+        every round evaluates them with :func:`eval_array` over the
+        same slices and views, which proves each evaluation or makes it
+        exact.  Rounds raise no floating-point warnings: the untaken
+        side of a conditional is evaluated too, and the scalar loop
+        raises none on ``inf``/``nan`` arithmetic.
+
         ``init_override`` seeds selected variables with per-group
         starting values (epoch continuation) — each seeded group then
         undergoes exactly the state transitions the scalar loop would
         perform resuming from that state.
         """
-        rows_rm, gid_rm, round_offsets = self.round_plan(layout)
-        needed = {name: ctx.columns[name] for name in self.needed
-                  if name in ctx.columns}
-        missing = self.needed - set(needed)
+        missing = self.needed - set(ctx.columns)
         if missing:
             raise VectorizationError(f"no column {missing.pop()!r}")
+        by_len = np.argsort(-layout.counts, kind="stable")
+        label = np.empty(layout.n_groups, dtype=np.int64)
+        label[by_len] = np.arange(layout.n_groups)
+        ranks = layout.ranks_group_major()
+        offsets = np.append(0, np.cumsum(np.bincount(ranks)))
+        rows_rm = np.empty(ctx.n, dtype=np.int64)
+        rows_rm[offsets[ranks] + np.repeat(label, layout.counts)] = layout.order
+        columns = {name: ctx.columns[name][rows_rm] for name in self.needed}
         states: dict[str, np.ndarray] = {}
         for var in self.fold.state_vars:
             init = self.fold.inits.get(var, 0)
             dtype = np.float64 if isinstance(init, float) else np.int64
             if init_override is not None and var in init_override:
                 init_arr = init_override[var]
-                states[var] = init_arr.astype(
-                    np.result_type(dtype, init_arr.dtype), copy=True)
+                states[var] = init_arr[by_len].astype(
+                    np.result_type(dtype, init_arr.dtype), copy=False)
             else:
                 states[var] = np.full(layout.n_groups, init, dtype=dtype)
-        # int64: one proof for the whole call, else every evaluation of
-        # a round proves itself from the round's values (eval_array).
-        n_rounds = len(round_offsets) - 1
+        n_rounds = len(offsets) - 1
         bounds = {var: intbound.value_bound(arr)
                   for var, arr in states.items() if arr.dtype.kind in "iu"}
         safe = intbound.growth(self.update_exprs, ctx.column_bound, bounds,
                                self.params, n_rounds).safe
-        proved = safe is None or safe >= n_rounds
-        for r in range(n_rounds):
-            lo, hi = round_offsets[r], round_offsets[r + 1]
-            idx = rows_rm[lo:hi]
-            groups = gid_rm[lo:hi]
-            columns = {name: arr[idx] for name, arr in needed.items()}
-            state_view = {var: arr[groups] for var, arr in states.items()}
-            rctx = ArrayContext(columns, self.params, hi - lo,
-                                state=state_view, proved=proved)
-            new_values = {
-                var: as_column(eval_array(expr, rctx), hi - lo)
-                for var, expr in self.update_exprs.items()
-            }
-            for var, values in new_values.items():
-                _promote_assign(states, var, groups, values)
-        return states
+        exprs = list(self.update_exprs.values())
+        if safe is None or safe >= n_rounds:        # one compile per call
+            whole = ArrayContext(columns, self.params, ctx.n, proved=True)
+            fns = [_compile(expr, whole, states) for expr in exprs]
+            for i, fn in enumerate(fns):
+                if not callable(fn):                # a constant update
+                    column = np.full(ctx.n, fn)
+                    fns[i] = lambda lo, hi, m, column=column: column[lo:hi]
+
+            def step(lo: int, hi: int, m: int) -> list[np.ndarray]:
+                return [fn(lo, hi, m) for fn in fns]
+        else:
+            def step(lo: int, hi: int, m: int) -> list[np.ndarray]:
+                rctx = ArrayContext(
+                    {name: arr[lo:hi] for name, arr in columns.items()},
+                    self.params, m,
+                    state={var: arr[:m] for var, arr in states.items()})
+                return [as_column(eval_array(expr, rctx), m) for expr in exprs]
+        names = list(self.update_exprs)
+        aliased = [i for i, expr in enumerate(exprs) if isinstance(expr, StateRef)]
+        cuts = offsets.tolist()
+        with np.errstate(all="ignore"):
+            for lo, hi in zip(cuts, cuts[1:]):
+                m = hi - lo
+                values = step(lo, hi, m)
+                for i in aliased:               # a bare state read is a view
+                    values[i] = values[i].copy()
+                for var, value in zip(names, values):
+                    current = states[var]
+                    if value.dtype != current.dtype:
+                        promoted = np.result_type(current.dtype, value.dtype)
+                        if promoted != current.dtype:
+                            states[var] = current = current.astype(promoted)
+                    current[:m] = value
+        return {var: arr[label] for var, arr in states.items()}
 
     # -- strategy: per-fold scalar replay ------------------------------------
 

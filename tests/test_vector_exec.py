@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.ast_nodes import walk
+from repro.core.eval_expr import EvalContext, evaluate
 from repro.core.interpreter import Interpreter
 from repro.core.linearity import analyze_fold
 from repro.core.parser import parse_program
@@ -84,6 +86,16 @@ class TestCatalogDifferential:
 #: full-matrix linear, and the non-linear class (state predicates,
 #: max/min over state).  Coefficients stay in {-1, 0, 1} so int64 and
 #: Python-int arithmetic agree.
+EWMA_FOLD = ("def f (e, (tin, tout)):\n"
+             "    e = (1 - alpha) * e + alpha * (tout - tin)\n\n"
+             "SELECT srcip, dstip, f GROUPBY srcip, dstip", {"alpha": 0.3})
+NONMT_FOLD = ("def f ((m, c), (tcpseq)):\n"
+              "    if m > tcpseq:\n        c = c + 1\n    m = max(m, tcpseq)\n\n"
+              "SELECT 5tuple, f GROUPBY 5tuple WHERE proto == TCP", {})
+ROTATION_FOLD = ("def f ((a, b, t), (pkt_len)):\n"
+                 "    t = a\n    a = b\n    b = t + pkt_len\n\n"
+                 "SELECT dstip, f GROUPBY dstip", {})
+
 FOLD_PROGRAMS = [
     # identity: plain sums
     ("def f (s, (pkt_len)):\n    s = s + pkt_len\n\n"
@@ -98,9 +110,7 @@ FOLD_PROGRAMS = [
      "    last = tcpseq + payload_len\n\n"
      "SELECT 5tuple, f GROUPBY 5tuple WHERE proto == TCP", {}),
     # diagonal, constant coefficient (EWMA shape -> rounds)
-    ("def f (e, (tin, tout)):\n"
-     "    e = (1 - alpha) * e + alpha * (tout - tin)\n\n"
-     "SELECT srcip, dstip, f GROUPBY srcip, dstip", {"alpha": 0.3}),
+    EWMA_FOLD,
     # diagonal, packet-dependent 0/1 coefficient (conditional reset)
     ("def f (s, (qin, pkt_len)):\n"
      "    if qin > 10:\n        s = 0\n    else:\n        s = s + pkt_len\n\n"
@@ -110,13 +120,14 @@ FOLD_PROGRAMS = [
      "    a = a + b\n    b = b + pkt_len\n\n"
      "SELECT dstip, f GROUPBY dstip", {}),
     # non-linear: predicate over mergeable state (nonmt shape)
-    ("def f ((m, c), (tcpseq)):\n"
-     "    if m > tcpseq:\n        c = c + 1\n    m = max(m, tcpseq)\n\n"
-     "SELECT 5tuple, f GROUPBY 5tuple WHERE proto == TCP", {}),
+    NONMT_FOLD,
     # non-linear: min over state with arithmetic around it
     ("def f (m, (tin, tout)):\n"
      "    m = min(m + 1, tout - tin)\n\n"
      "SELECT srcip, f GROUPBY srcip", {}),
+    # full matrix whose updates are bare state reads (rounds must not
+    # write one variable before every new value is computed)
+    ROTATION_FOLD,
 ]
 
 
@@ -139,6 +150,109 @@ class TestRandomizedFolds:
                         fold, analyze_fold(fold), params)
                     strategies.add(vectorizer.strategy)
         assert strategies == {"reduction", "rounds"}
+
+
+def _vectorizer(program) -> _FoldVectorizer:
+    source, params = program
+    (fold,) = resolve_program(parse_program(source)).queries[-1].folds
+    return _FoldVectorizer(fold, analyze_fold(fold), params)
+
+
+def _round_columns(rng, n: int) -> dict[str, np.ndarray]:
+    tin = rng.integers(0, 10**9, n)
+    return {"tin": tin, "tout": (tin + rng.integers(0, 10**6, n)).astype(float),
+            "tcpseq": rng.integers(0, 2**32, n),
+            "pkt_len": rng.integers(40, 1500, n)}
+
+
+def _scalar_rounds(vec, columns, gid, starts):
+    """Per-group loop of the scalar evaluator in packet order: each
+    group's final state, and the variables that ever held a float."""
+    rows = {name: col.tolist() for name, col in columns.items()}
+    states = [dict(start) for start in starts]
+    floats = {var for start in starts for var, value in start.items()
+              if isinstance(value, float)}
+    for i, g in enumerate(gid.tolist()):
+        ctx = EvalContext(row={name: col[i] for name, col in rows.items()},
+                          state=states[g], params=vec.params)
+        new = {var: evaluate(expr, ctx)
+               for var, expr in vec.update_exprs.items()}
+        floats |= {var for var, value in new.items() if isinstance(value, float)}
+        states[g].update(new)
+    return states, floats
+
+
+def check_rounds(vec, rng, gid, n_groups, carried=(), carried_float=False):
+    """``run_rounds`` equals the scalar loop on every group: values
+    exactly, and each state array is float once any of its values is.
+    ``carried`` groups resume from random ``init_override`` values."""
+    columns = _round_columns(rng, len(gid))
+    inits = {var: vec.fold.inits.get(var, 0) for var in vec.fold.state_vars}
+    override = None
+    if len(carried):
+        override = {}
+        for var, init in inits.items():
+            arr = np.full(n_groups, init, dtype=float if carried_float else np.int64)
+            arr[carried] = rng.integers(0, 10**6, len(carried)) + (
+                0.5 if carried_float else 0)
+            override[var] = arr
+    starts = [{var: (override[var][g].item() if override else init)
+               for var, init in inits.items()} for g in range(n_groups)]
+    got = vec.run_rounds(ArrayContext(columns, vec.params, len(gid)),
+                         _GroupLayout(gid, n_groups), override)
+    want, floats = _scalar_rounds(vec, columns, gid, starts)
+    for var in vec.fold.state_vars:
+        assert got[var].dtype == (np.float64 if var in floats else np.int64), var
+        assert got[var].tolist() == [state[var] for state in want], var
+
+
+_ROUND_FOLDS = {"ewma": EWMA_FOLD, "nonmt": NONMT_FOLD, "rotation": ROTATION_FOLD}
+
+
+class TestRunRounds:
+    """The rounds strategy against the scalar evaluator, on the layout a
+    heavy-tailed window has: one long group beside many short ones."""
+
+    @given(fold=st.sampled_from(sorted(_ROUND_FOLDS)), seed=st.integers(0, 2**32),
+           long=st.integers(200, 2000), short=st.integers(0, 60),
+           carried_share=st.sampled_from([0.0, 0.3, 1.0]),
+           carried_float=st.booleans())
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_matches_scalar_loop(self, fold, seed, long, short,
+                                 carried_share, carried_float):
+        rng = np.random.default_rng(seed)
+        sizes = rng.permutation(np.append(rng.integers(1, 4, short), long))
+        gid = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        carried = np.flatnonzero(rng.random(len(sizes)) < carried_share)
+        check_rounds(_vectorizer(_ROUND_FOLDS[fold]), rng, gid, len(sizes),
+                     carried, carried_float)
+
+    @pytest.mark.parametrize("fold", sorted(_ROUND_FOLDS))
+    def test_empty_and_single_group(self, fold):
+        vec = _vectorizer(_ROUND_FOLDS[fold])
+        rng = np.random.default_rng(7)
+        check_rounds(vec, rng, np.zeros(0, dtype=np.int64), 0)
+        check_rounds(vec, rng, np.zeros(300, dtype=np.int64), 1)
+        check_rounds(vec, rng, np.zeros(300, dtype=np.int64), 1, [0], True)
+
+    def test_proved_call_walks_each_node_once(self, monkeypatch):
+        """A proved call evaluates its updates' state-free parts once and
+        compiles the rest: tree walks stay bounded by the expression's
+        node count, not by the number of rounds (1 000 here)."""
+        import repro.core.vector_exec as vx
+
+        vec = _vectorizer(EWMA_FOLD)
+        real, calls = vx.eval_array, []
+
+        def counted(expr, ctx, *args):
+            calls.append(expr)
+            return real(expr, ctx, *args)
+
+        monkeypatch.setattr(vx, "eval_array", counted)
+        gid = np.zeros(1000, dtype=np.int64)
+        check_rounds(vec, np.random.default_rng(3), gid, 1)
+        nodes = sum(len(list(walk(e))) for e in vec.update_exprs.values())
+        assert 0 < len(calls) <= nodes
 
 
 class TestSelectsAndEdges:
@@ -313,18 +427,20 @@ class TestReplayFallback:
 
     def test_stage_fallback_on_unsupported(self, monkeypatch, traces):
         """If the array evaluator rejects a stage, the executor falls
-        back to the interpreter and still returns exact results."""
+        back to the interpreter and still returns exact results.  The
+        rejection comes from the operator table, which the round kernel
+        shares with eval_array."""
         import repro.core.vector_exec as vx
 
-        real = vx.eval_array
+        real = vx._operator
 
-        def broken(expr, ctx):
+        def broken(expr):
             from repro.core.ast_nodes import Call
             if isinstance(expr, Call):
                 raise vx.VectorizationError("forced")
-            return real(expr, ctx)
+            return real(expr)
 
-        monkeypatch.setattr(vx, "eval_array", broken)
+        monkeypatch.setattr(vx, "_operator", broken)
         entry = ALL_QUERIES["tcp_non_monotonic"]
         interp, vector = both_engines(entry.source, traces[0])
         assert_identical(interp, vector)
